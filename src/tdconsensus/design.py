@@ -18,13 +18,14 @@ from .errors import (
     DomainError,
     NoFeasibleCandidate,
     SingularUpdate,
-    UnstableNetwork,
 )
 from .graphs import (
     BRIDGE_TOLERANCE,
     EdgeFormCaches,
     WeightedGraph,
     _check_endpoints,
+    edge_quadratic_form,
+    edge_quadratic_forms,
     eigendecompose,
     sherman_morrison_update,
 )
@@ -33,9 +34,10 @@ from .performance import (
     OutputSpec,
     check_stability,
     cosine_fixed_point,
+    require_stable,
     rho_approx_from_caches,
     rho_exact,
-    sensitivity,
+    sensitivities,
 )
 
 # Candidate weights must stay below (1 - EPS_STABILITY) times the edge
@@ -144,12 +146,7 @@ class DesignState:
             raise DomainError("delay must be nonnegative")
         if not graph.is_connected():
             raise DisconnectedGraph("design requires a connected graph")
-        spectrum = eigendecompose(graph.laplacian())
-        if not check_stability(spectrum, delay).stable:
-            raise UnstableNetwork(
-                f"graph is unstable at delay {delay}; threshold "
-                f"{math.pi / (2.0 * spectrum.lambda_max)}"
-            )
+        require_stable(eigendecompose(graph.laplacian()), delay)
         caches = EdgeFormCaches.build(graph.laplacian(), out.gram(), delay)
         if audit is None:
             audit = graph.node_count <= AUDIT_NODE_LIMIT
@@ -160,14 +157,8 @@ class DesignState:
         if not self.audit:
             return None, None
         spectrum = eigendecompose(self.caches.laplacian)
-        stability = check_stability(spectrum, self.delay)
-        if not stability.stable:
-            raise UnstableNetwork("audit found the mutated graph unstable")
+        stability = require_stable(spectrum, self.delay)
         return rho_exact(spectrum, self.out, self.delay), stability.margin
-
-
-def _edge_forms_vector(matrix: np.ndarray, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    return matrix[us, us] + matrix[vs, vs] - 2.0 * matrix[us, vs]
 
 
 def _contribution_terms(
@@ -184,13 +175,13 @@ def _contribution_terms(
     exclusion on the other).
     """
     tau = state.delay
-    q1 = _edge_forms_vector(state.caches.lap_pinv_gram.matrix, us, vs)
-    q2 = _edge_forms_vector(state.caches.lap_pinv.matrix, us, vs)
+    q1 = edge_quadratic_forms(state.caches.lap_pinv_gram, us, vs)
+    q2 = edge_quadratic_forms(state.caches.lap_pinv, us, vs)
     resistance_term = -q1 / (2.0 / weights + 2.0 * q2)
     if tau == 0.0:
         return resistance_term
-    q3 = _edge_forms_vector(state.caches.shift_pinv_gram.matrix, us, vs)
-    q4 = _edge_forms_vector(state.caches.shift_pinv.matrix, us, vs)
+    q3 = edge_quadratic_forms(state.caches.shift_pinv_gram, us, vs)
+    q4 = edge_quadratic_forms(state.caches.shift_pinv, us, vs)
     return (
         resistance_term
         + 0.5 * FIT_SLOPE * tau * tau * weights * gram_forms
@@ -208,12 +199,12 @@ def edge_contribution(state: DesignState, edge: tuple[int, int], weight: float) 
     if weight == 0.0:
         return 0.0
     tau = state.delay
-    q2 = state.caches.lap_pinv.form(u, v)
+    q2 = edge_quadratic_form(state.caches.lap_pinv, u, v)
     d1 = 2.0 / weight + 2.0 * q2
     if abs(d1) < 1e-14 * max(1.0, q2):
         raise SingularUpdate("contribution denominator vanishes (bridge removal)")
     if tau > 0.0:
-        q4 = state.caches.shift_pinv.form(u, v)
+        q4 = edge_quadratic_form(state.caches.shift_pinv, u, v)
         d3 = -1.0 / (weight * tau) + q4
         if abs(d3) < 1e-14 * max(1.0, q4):
             raise SingularUpdate("contribution denominator vanishes (stability bound)")
@@ -238,45 +229,100 @@ def edge_stability_bound(state: DesignState, edge: tuple[int, int]) -> float:
     u, v = _check_endpoints(state.graph.node_count, *edge)
     if state.delay == 0.0:
         return math.inf
-    return 1.0 / (state.delay * state.caches.shift_pinv.form(u, v))
+    return 1.0 / (state.delay * edge_quadratic_form(state.caches.shift_pinv, u, v))
 
 
 def contribution_upper_bound(state: DesignState, edge: tuple[int, int]) -> float:
     """Weight-free ceiling on the improvement any feasible weight can bring."""
     u, v = _check_endpoints(state.graph.node_count, *edge)
-    q1 = state.caches.lap_pinv_gram.form(u, v)
-    q2 = state.caches.lap_pinv.form(u, v)
+    q1 = edge_quadratic_form(state.caches.lap_pinv_gram, u, v)
+    q2 = edge_quadratic_form(state.caches.lap_pinv, u, v)
     bound = q1 / (2.0 * q2)
     if state.delay > 0.0:
-        q4 = state.caches.shift_pinv.form(u, v)
+        q4 = edge_quadratic_form(state.caches.shift_pinv, u, v)
         bound -= FIT_SLOPE * state.delay / q4
     return bound
 
 
-def _apply_addition(state: DesignState, u: int, v: int, weight: float, contribution: float) -> None:
-    sherman_morrison_update(state.caches, (u, v), weight)
-    state.graph = state.graph.with_edge(u, v, weight)
-    state.rho_fit += contribution
-
-
-def _candidate_arrays(
-    candidates: CandidateSet, out: OutputSpec
+def _move_arrays(
+    entries: Sequence[tuple[int, int, float]], out: OutputSpec
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    us = np.array([e[0] for e in candidates.entries], dtype=int)
-    vs = np.array([e[1] for e in candidates.entries], dtype=int)
-    ws = np.array([e[2] for e in candidates.entries], dtype=float)
-    gram_forms = np.array([out.gram_edge_form(u, v) for u, v, _ in candidates.entries])
+    """(us, vs, weights, gram forms) of weighted edges."""
+    us = np.array([e[0] for e in entries], dtype=int)
+    vs = np.array([e[1] for e in entries], dtype=int)
+    ws = np.array([e[2] for e in entries], dtype=float)
+    gram_forms = np.array([out.gram_edge_form(u, v) for u, v, _ in entries])
     return us, vs, ws, gram_forms
 
 
-def _feasible_mask(
-    state: DesignState, us: np.ndarray, vs: np.ndarray, ws: np.ndarray
+def _improvements(
+    state: DesignState,
+    us: np.ndarray,
+    vs: np.ndarray,
+    ws: np.ndarray,
+    gram_forms: np.ndarray,
+    eligible: np.ndarray,
 ) -> np.ndarray:
-    if state.delay == 0.0:
-        return np.ones(len(ws), dtype=bool)
-    q4 = _edge_forms_vector(state.caches.shift_pinv.matrix, us, vs)
-    bounds = 1.0 / (state.delay * q4)
-    return ws < (1.0 - EPS_STABILITY) * bounds
+    """Fit improvement of each move (us[i], vs[i], ws[i]); -inf where not eligible.
+
+    Only the moves in the eligible mask whose weight stays below
+    (1 - EPS_STABILITY) times the edge stability bound are scored. A
+    removal (negative weight) passes that test on any stable network;
+    callers keep bridges out of the mask.
+    """
+    idx = np.flatnonzero(eligible)
+    if state.delay > 0.0:
+        q4 = edge_quadratic_forms(state.caches.shift_pinv, us[idx], vs[idx])
+        idx = idx[ws[idx] < (1.0 - EPS_STABILITY) * (1.0 / (state.delay * q4))]
+    improvement = np.full(len(ws), -np.inf)
+    improvement[idx] = -_contribution_terms(state, us[idx], vs[idx], ws[idx], gram_forms[idx])
+    return improvement
+
+
+# A move is (action, edge, signed weight, contribution, improvement,
+# sensitivity); a string instead ends the run with that termination reason.
+Move = tuple[str, tuple[int, int] | None, float, float, float, float | None]
+
+
+def _greedy(
+    state: DesignState, budget: int, next_move: Callable[[int], Move | str]
+) -> DesignTrace:
+    """The loop every driver shares: ask for a move, apply it, record it.
+
+    An "add" or "remove" move updates the caches by one Sherman-Morrison
+    pair update, edits the graph, and advances the tracked fit; a "skip"
+    move changes nothing but still takes an iteration and a trace entry.
+    """
+    trace = DesignTrace()
+    for iteration in range(1, budget + 1):
+        move = next_move(iteration)
+        if isinstance(move, str):
+            trace.termination = move
+            return trace
+        action, edge, weight, contribution, improvement, slope = move
+        if action != "skip":
+            sherman_morrison_update(state.caches, edge, weight)
+            if action == "add":
+                state.graph = state.graph.with_edge(*edge, weight)
+            else:
+                state.graph = state.graph.without_edge(*edge)
+            state.rho_fit += contribution
+        exact_after, margin_after = state.audit_values()
+        trace.entries.append(
+            TraceEntry(
+                iteration=iteration,
+                action=action,
+                edge=edge,
+                weight=weight,
+                contribution=contribution,
+                improvement=improvement,
+                rho_fit=state.rho_fit,
+                rho_exact=exact_after,
+                stability_margin=margin_after,
+                sensitivity=slope,
+            )
+        )
+    return trace
 
 
 def grow_simple(state: DesignState, candidates: CandidateSet) -> DesignTrace:
@@ -288,48 +334,27 @@ def grow_simple(state: DesignState, candidates: CandidateSet) -> DesignTrace:
     candidate; a feasible set that empties mid-run just terminates.
     """
     candidates.validate_against(state.graph)
-    trace = DesignTrace()
-    if candidates.budget == 0:
-        return trace
-    us, vs, ws, gram_forms = _candidate_arrays(candidates, state.out)
+    us, vs, ws, gram_forms = _move_arrays(candidates.entries, state.out)
     active = np.ones(len(ws), dtype=bool)
-    for iteration in range(1, candidates.budget + 1):
-        feasible = active & _feasible_mask(state, us, vs, ws)
-        if not feasible.any():
+
+    def next_move(iteration: int) -> Move | str:
+        improvement = _improvements(state, us, vs, ws, gram_forms, active)
+        if np.isneginf(improvement).all():
             if iteration == 1:
                 raise NoFeasibleCandidate(
                     "every candidate weight violates the stability bound"
                 )
-            trace.termination = "no feasible candidate"
-            return trace
-        improvement = np.where(
-            feasible, -_contribution_terms(state, us, vs, ws, gram_forms), -np.inf
-        )
+            return "no feasible candidate"
         # Candidates are pre-sorted lexicographically, so the first argmax
         # is the lowest-(u, v) tie-break winner.
         best = int(np.argmax(improvement))
         best_h = float(improvement[best])
         if best_h <= 0.0:
-            trace.termination = "no improving candidate"
-            return trace
-        u, v, w = int(us[best]), int(vs[best]), float(ws[best])
-        _apply_addition(state, u, v, w, -best_h)
+            return "no improving candidate"
         active[best] = False
-        exact_after, margin_after = state.audit_values()
-        trace.entries.append(
-            TraceEntry(
-                iteration=iteration,
-                action="add",
-                edge=(u, v),
-                weight=w,
-                contribution=-best_h,
-                improvement=best_h,
-                rho_fit=state.rho_fit,
-                rho_exact=exact_after,
-                stability_margin=margin_after,
-            )
-        )
-    return trace
+        return "add", (int(us[best]), int(vs[best])), float(ws[best]), -best_h, best_h, None
+
+    return _greedy(state, candidates.budget, next_move)
 
 
 def grow_random(
@@ -346,68 +371,30 @@ def grow_random(
     matches grow_simple.
     """
     candidates.validate_against(state.graph)
-    trace = DesignTrace()
-    if candidates.budget == 0:
-        return trace
     rng = np.random.default_rng(seed)
     k = candidates.budget
     placeholders_left = 2 * k - 1
-    us, vs, ws, gram_forms = _candidate_arrays(candidates, state.out)
+    us, vs, ws, gram_forms = _move_arrays(candidates.entries, state.out)
     active = np.ones(len(ws), dtype=bool)
-    for iteration in range(1, k + 1):
-        feasible = active & _feasible_mask(state, us, vs, ws)
-        idx = np.flatnonzero(feasible)
-        improvement = (
-            -_contribution_terms(state, us[idx], vs[idx], ws[idx], gram_forms[idx])
-            if len(idx)
-            else np.zeros(0)
-        )
+
+    def next_move(iteration: int) -> Move:
+        nonlocal placeholders_left
+        improvement = _improvements(state, us, vs, ws, gram_forms, active)
         # Stable descending sort keeps the lexicographic candidate order on
-        # ties; placeholders (improvement 0) rank after equal-value reals.
-        pool: list[tuple[int, float] | None] = []
-        for pos in np.argsort(-improvement, kind="stable"):
-            if improvement[pos] < 0.0:
-                break
-            pool.append((int(idx[pos]), float(improvement[pos])))
-        pool.extend([None] * placeholders_left)
-        top = pool[:k]
+        # ties; placeholders (improvement 0) rank after equal-value reals,
+        # and unscored moves (-inf) never enter the pool.
+        ranked = np.argsort(-improvement, kind="stable")[:k]
+        reals = [int(i) for i in ranked if improvement[i] >= 0.0]
+        top = (reals + [None] * placeholders_left)[:k]
         pick = top[int(rng.integers(len(top)))]
         if pick is None:
             placeholders_left -= 1
-            exact_after, margin_after = state.audit_values()
-            trace.entries.append(
-                TraceEntry(
-                    iteration=iteration,
-                    action="skip",
-                    edge=None,
-                    weight=0.0,
-                    contribution=0.0,
-                    improvement=0.0,
-                    rho_fit=state.rho_fit,
-                    rho_exact=exact_after,
-                    stability_margin=margin_after,
-                )
-            )
-            continue
-        chosen, best_h = pick
-        u, v, w = int(us[chosen]), int(vs[chosen]), float(ws[chosen])
-        _apply_addition(state, u, v, w, -best_h)
-        active[chosen] = False
-        exact_after, margin_after = state.audit_values()
-        trace.entries.append(
-            TraceEntry(
-                iteration=iteration,
-                action="add",
-                edge=(u, v),
-                weight=w,
-                contribution=-best_h,
-                improvement=best_h,
-                rho_fit=state.rho_fit,
-                rho_exact=exact_after,
-                stability_margin=margin_after,
-            )
-        )
-    return trace
+            return "skip", None, 0.0, 0.0, 0.0, None
+        best_h = float(improvement[pick])
+        active[pick] = False
+        return "add", (int(us[pick]), int(vs[pick])), float(ws[pick]), -best_h, best_h, None
+
+    return _greedy(state, k, next_move)
 
 
 def sparsify(state: DesignState, budget: int) -> DesignTrace:
@@ -419,47 +406,23 @@ def sparsify(state: DesignState, budget: int) -> DesignTrace:
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
-    trace = DesignTrace()
-    for iteration in range(1, budget + 1):
-        edges = state.graph.edges
-        if not edges:
-            trace.termination = "no removable edge"
-            return trace
-        us = np.array([e[0] for e in edges], dtype=int)
-        vs = np.array([e[1] for e in edges], dtype=int)
-        ws = np.array([e[2] for e in edges], dtype=float)
-        q2 = _edge_forms_vector(state.caches.lap_pinv.matrix, us, vs)
+
+    def next_move(iteration: int) -> Move | str:
+        if not state.graph.edges:
+            return "no removable edge"
+        us, vs, ws, gram_forms = _move_arrays(state.graph.edges, state.out)
+        q2 = edge_quadratic_forms(state.caches.lap_pinv, us, vs)
         removable = np.abs(ws * q2 - 1.0) > BRIDGE_TOLERANCE
         if not removable.any():
-            trace.termination = "all edges are bridges"
-            return trace
-        gram_forms = np.array([state.out.gram_edge_form(u, v) for u, v, _ in edges])
-        removal = _contribution_terms(state, us, vs, -ws, gram_forms)
-        improvement = np.where(removable, -removal, -np.inf)
+            return "all edges are bridges"
+        improvement = _improvements(state, us, vs, -ws, gram_forms, removable)
         best = int(np.argmax(improvement))
         best_h = float(improvement[best])
         if best_h <= 0.0:
-            trace.termination = "no improving removal"
-            return trace
-        u, v, w = int(us[best]), int(vs[best]), float(ws[best])
-        sherman_morrison_update(state.caches, (u, v), -w)
-        state.graph = state.graph.without_edge(u, v)
-        state.rho_fit += -best_h
-        exact_after, margin_after = state.audit_values()
-        trace.entries.append(
-            TraceEntry(
-                iteration=iteration,
-                action="remove",
-                edge=(u, v),
-                weight=-w,
-                contribution=-best_h,
-                improvement=best_h,
-                rho_fit=state.rho_fit,
-                rho_exact=exact_after,
-                stability_margin=margin_after,
-            )
-        )
-    return trace
+            return "no improving removal"
+        return "remove", (int(us[best]), int(vs[best])), -float(ws[best]), -best_h, best_h, None
+
+    return _greedy(state, budget, next_move)
 
 
 def golden_section_min(
@@ -512,20 +475,19 @@ def grow_by_sensitivity(
         seen.add(key)
         canonical.append(key)
     canonical.sort()
-    trace = DesignTrace()
-    active = set(canonical)
-    for iteration in range(1, budget + 1):
-        best_pair, best_slope = None, 0.0
-        for pair in canonical:
-            if pair not in active:
-                continue
-            slope = sensitivity(state.caches, pair)
-            if slope < best_slope:
-                best_pair, best_slope = pair, slope
-        if best_pair is None:
-            trace.termination = "no negative sensitivity"
-            return trace
-        u, v = best_pair
+    us = np.array([u for u, _ in canonical], dtype=int)
+    vs = np.array([v for _, v in canonical], dtype=int)
+    active = np.ones(len(canonical), dtype=bool)
+
+    def next_move(iteration: int) -> Move | str:
+        idx = np.flatnonzero(active)
+        slopes = sensitivities(state.caches, us[idx], vs[idx])
+        if not (slopes < 0.0).any():
+            return "no negative sensitivity"
+        # The first argmin is the lowest-(u, v) pair among equal slopes.
+        pos = int(np.argmin(slopes))
+        best = int(idx[pos])
+        best_pair, best_slope = canonical[best], float(slopes[pos])
         bound = edge_stability_bound(state, best_pair)
         hi = (1.0 - EPS_STABILITY) * bound
         weight = golden_section_min(
@@ -536,26 +498,11 @@ def grow_by_sensitivity(
         )
         contribution = edge_contribution(state, best_pair, weight)
         if contribution >= 0.0:
-            trace.termination = "no improving weight"
-            return trace
-        _apply_addition(state, u, v, weight, contribution)
-        active.discard(best_pair)
-        exact_after, margin_after = state.audit_values()
-        trace.entries.append(
-            TraceEntry(
-                iteration=iteration,
-                action="add",
-                edge=best_pair,
-                weight=weight,
-                contribution=contribution,
-                improvement=-contribution,
-                rho_fit=state.rho_fit,
-                rho_exact=exact_after,
-                stability_margin=margin_after,
-                sensitivity=best_slope,
-            )
-        )
-    return trace
+            return "no improving weight"
+        active[best] = False
+        return "add", best_pair, weight, contribution, -contribution, best_slope
+
+    return _greedy(state, budget, next_move)
 
 
 @dataclass(frozen=True)

@@ -80,12 +80,13 @@ class WeightedGraph:
 
     node_count: int
     edges: tuple[tuple[int, int, float], ...]
+    # Edge key -> weight, so lookups need no scan of the edge tuple.
+    _weights: dict[Edge, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.node_count < 1:
             raise ValueError("graph needs at least one node")
-        seen: set[Edge] = set()
-        canonical = []
+        seen: dict[Edge, float] = {}
         for u, v, w in self.edges:
             key = _check_endpoints(self.node_count, int(u), int(v))
             w = float(w)
@@ -93,10 +94,10 @@ class WeightedGraph:
                 raise ValueError(f"edge {key} has non-positive weight {w}")
             if key in seen:
                 raise ValueError(f"duplicate edge {key}")
-            seen.add(key)
-            canonical.append((key[0], key[1], w))
-        canonical.sort()
+            seen[key] = w
+        canonical = sorted((u, v, w) for (u, v), w in seen.items())
         object.__setattr__(self, "edges", tuple(canonical))
+        object.__setattr__(self, "_weights", seen)
 
     @property
     def edge_count(self) -> int:
@@ -106,15 +107,13 @@ class WeightedGraph:
         return tuple((u, v) for u, v, _ in self.edges)
 
     def has_edge(self, u: int, v: int) -> bool:
-        key = _check_endpoints(self.node_count, u, v)
-        return any((a, b) == key for a, b, _ in self.edges)
+        return _check_endpoints(self.node_count, u, v) in self._weights
 
     def weight(self, u: int, v: int) -> float:
         key = _check_endpoints(self.node_count, u, v)
-        for a, b, w in self.edges:
-            if (a, b) == key:
-                return w
-        raise EdgeNotInGraph(f"edge {key} not in graph")
+        if key not in self._weights:
+            raise EdgeNotInGraph(f"edge {key} not in graph")
+        return self._weights[key]
 
     def with_edge(self, u: int, v: int, weight: float) -> "WeightedGraph":
         key = _check_endpoints(self.node_count, u, v)
@@ -254,6 +253,11 @@ def edge_quadratic_form(matrix: np.ndarray, u: int, v: int) -> float:
     return float(matrix[u, u] + matrix[v, v] - 2.0 * matrix[u, v])
 
 
+def edge_quadratic_forms(matrix: np.ndarray, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """edge_quadratic_form for every pair (us[i], vs[i]); endpoints unchecked."""
+    return matrix[us, us] + matrix[vs, vs] - 2.0 * matrix[us, vs]
+
+
 def is_bridge(
     graph: WeightedGraph,
     lap_pinv: np.ndarray,
@@ -268,17 +272,6 @@ def is_bridge(
     w = graph.weight(*edge)
     resistance = edge_quadratic_form(lap_pinv, *edge)
     return abs(w * resistance - 1.0) <= tolerance
-
-
-@dataclass
-class QuadraticFormCache:
-    """One cached symmetric matrix tagged by its role in the design loop."""
-
-    role: str
-    matrix: np.ndarray
-
-    def form(self, u: int, v: int) -> float:
-        return edge_quadratic_form(self.matrix, u, v)
 
 
 @dataclass
@@ -298,10 +291,10 @@ class EdgeFormCaches:
     laplacian: np.ndarray
     output_gram: np.ndarray
     delay: float
-    lap_pinv: QuadraticFormCache = field(repr=False)
-    shift_pinv: QuadraticFormCache = field(repr=False)
-    lap_pinv_gram: QuadraticFormCache = field(repr=False)
-    shift_pinv_gram: QuadraticFormCache = field(repr=False)
+    lap_pinv: np.ndarray = field(repr=False)
+    shift_pinv: np.ndarray = field(repr=False)
+    lap_pinv_gram: np.ndarray = field(repr=False)
+    shift_pinv_gram: np.ndarray = field(repr=False)
 
     @classmethod
     def build(
@@ -313,19 +306,10 @@ class EdgeFormCaches:
             laplacian=laplacian.copy(),
             output_gram=output_gram,
             delay=delay,
-            lap_pinv=QuadraticFormCache("lap_pinv", lp),
-            shift_pinv=QuadraticFormCache("shift_pinv", sp),
-            lap_pinv_gram=QuadraticFormCache("lap_pinv_gram", lp @ output_gram @ lp),
-            shift_pinv_gram=QuadraticFormCache("shift_pinv_gram", sp @ output_gram @ sp),
-        )
-
-    def edge_forms(self, u: int, v: int) -> tuple[float, float, float, float]:
-        """(lap_pinv, shift_pinv, lap_pinv_gram, shift_pinv_gram) forms at (u, v)."""
-        return (
-            self.lap_pinv.form(u, v),
-            self.shift_pinv.form(u, v),
-            self.lap_pinv_gram.form(u, v),
-            self.shift_pinv_gram.form(u, v),
+            lap_pinv=lp,
+            shift_pinv=sp,
+            lap_pinv_gram=lp @ output_gram @ lp,
+            shift_pinv_gram=sp @ output_gram @ sp,
         )
 
 
@@ -374,8 +358,8 @@ def sherman_morrison_update(caches: EdgeFormCaches, edge: Edge, dweight: float) 
     if dweight == 0.0:
         return
     _rank_one_pair_update(
-        caches.lap_pinv.matrix,
-        caches.lap_pinv_gram.matrix,
+        caches.lap_pinv,
+        caches.lap_pinv_gram,
         u,
         v,
         dweight,
@@ -384,8 +368,8 @@ def sherman_morrison_update(caches: EdgeFormCaches, edge: Edge, dweight: float) 
     if caches.delay > 0.0:
         # The shifted operator changes by -delay * dweight on the same edge.
         _rank_one_pair_update(
-            caches.shift_pinv.matrix,
-            caches.shift_pinv_gram.matrix,
+            caches.shift_pinv,
+            caches.shift_pinv_gram,
             u,
             v,
             -caches.delay * dweight,

@@ -27,8 +27,10 @@ from .graphs import (
     EdgeFormCaches,
     SpectralCache,
     WeightedGraph,
+    _check_endpoints,
     centering_matrix,
     edge_quadratic_form,
+    edge_quadratic_forms,
     eigendecompose,
 )
 
@@ -216,6 +218,17 @@ def check_stability(spectrum: SpectralCache, delay: float) -> StabilityResult:
     )
 
 
+def require_stable(spectrum: SpectralCache, delay: float) -> StabilityResult:
+    """check_stability, raising UnstableNetwork when the network is unstable."""
+    stability = check_stability(spectrum, delay)
+    if not stability.stable:
+        raise UnstableNetwork(
+            f"delay {delay} exceeds the stability threshold "
+            f"{math.pi / (2.0 * spectrum.lambda_max)}"
+        )
+    return stability
+
+
 def _profile(x: np.ndarray | float) -> np.ndarray | float:
     """cos(x) / (1 - sin(x)) on [0, pi/2).
 
@@ -288,12 +301,7 @@ def _nonzero_modes(spectrum: SpectralCache, out: OutputSpec) -> tuple[np.ndarray
 
 def rho_exact(spectrum: SpectralCache, out: OutputSpec, delay: float) -> float:
     """Exact steady-state performance: sum of weighted modal variances."""
-    stability = check_stability(spectrum, delay)
-    if not stability.stable:
-        raise UnstableNetwork(
-            f"delay {delay} exceeds the stability threshold "
-            f"{math.pi / (2.0 * spectrum.lambda_max)}"
-        )
+    require_stable(spectrum, delay)
     lam, weights = _nonzero_modes(spectrum, out)
     if delay == 0.0:
         return float(np.sum(weights * 0.5 / lam))
@@ -307,12 +315,7 @@ def rho_approx(spectrum: SpectralCache, out: OutputSpec, delay: float) -> float:
     """
     if delay == 0.0:
         raise DomainError("the fit requires a positive delay; use rho_exact at zero")
-    stability = check_stability(spectrum, delay)
-    if not stability.stable:
-        raise UnstableNetwork(
-            f"delay {delay} exceeds the stability threshold "
-            f"{math.pi / (2.0 * spectrum.lambda_max)}"
-        )
+    require_stable(spectrum, delay)
     lam, weights = _nonzero_modes(spectrum, out)
     return float(delay * np.sum(weights * _profile_fit(lam * delay)))
 
@@ -325,13 +328,13 @@ def rho_approx_from_caches(caches: EdgeFormCaches) -> float:
     loop tracks there.
     """
     gram = caches.output_gram
-    base = 0.5 * float(np.sum(gram * caches.lap_pinv.matrix))
+    base = 0.5 * float(np.sum(gram * caches.lap_pinv))
     tau = caches.delay
     if tau == 0.0:
         return base
     return (
         base
-        + (2.0 * tau / math.pi) * float(np.sum(gram * caches.shift_pinv.matrix))
+        + (2.0 * tau / math.pi) * float(np.sum(gram * caches.shift_pinv))
         + 0.5 * FIT_SLOPE * tau * tau * float(np.sum(gram * caches.laplacian))
         + 0.5 * FIT_OFFSET * tau * float(np.trace(gram))
     )
@@ -358,6 +361,21 @@ def hard_limit(node_count: int, out: OutputSpec, delay: float) -> HardLimit:
     return HardLimit(value=value, optimal_uniform_weight=z / (node_count * delay))
 
 
+def sensitivities(caches: EdgeFormCaches, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """sensitivity for every pair (us[i], vs[i]) at once; endpoints unchecked."""
+    tau = caches.delay
+    q_lap_gram = edge_quadratic_forms(caches.lap_pinv_gram, us, vs)
+    if tau == 0.0:
+        return -0.5 * q_lap_gram
+    gram_form = edge_quadratic_forms(caches.output_gram, us, vs)
+    q_shift_gram = edge_quadratic_forms(caches.shift_pinv_gram, us, vs)
+    return (
+        0.5 * FIT_SLOPE * tau * tau * gram_form
+        - 0.5 * q_lap_gram
+        + (2.0 * tau * tau / math.pi) * q_shift_gram
+    )
+
+
 def sensitivity(caches: EdgeFormCaches, edge: tuple[int, int]) -> float:
     """Derivative of the performance fit with respect to one edge weight.
 
@@ -365,18 +383,8 @@ def sensitivity(caches: EdgeFormCaches, edge: tuple[int, int]) -> float:
     (marginal addition). At zero delay it reduces to the exact derivative
     of 0.5 Tr[gram @ lap_pinv].
     """
-    u, v = edge
-    tau = caches.delay
-    gram_form = edge_quadratic_form(caches.output_gram, u, v)
-    q_lap_gram = caches.lap_pinv_gram.form(u, v)
-    if tau == 0.0:
-        return -0.5 * q_lap_gram
-    q_shift_gram = caches.shift_pinv_gram.form(u, v)
-    return (
-        0.5 * FIT_SLOPE * tau * tau * gram_form
-        - 0.5 * q_lap_gram
-        + (2.0 * tau * tau / math.pi) * q_shift_gram
-    )
+    u, v = _check_endpoints(caches.laplacian.shape[0], *edge)
+    return float(sensitivities(caches, np.array([u]), np.array([v]))[0])
 
 
 def monotonicity_threshold(max_weighted_degree: float) -> float:
@@ -543,12 +551,7 @@ def performance_report(
     if not graph.is_connected():
         raise DisconnectedGraph("analysis requires a connected graph")
     spectrum = eigendecompose(graph.laplacian())
-    stability = check_stability(spectrum, delay)
-    if not stability.stable:
-        raise UnstableNetwork(
-            f"delay {delay} exceeds the stability threshold "
-            f"{math.pi / (2.0 * spectrum.lambda_max)}"
-        )
+    stability = require_stable(spectrum, delay)
     exact = rho_exact(spectrum, out, delay)
     if delay == 0.0:
         approx, limit = exact, 0.0

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .errors import ConfigError, DisconnectedGraph, UnstableNetwork
+from .errors import ConfigError, DisconnectedGraph
 from .graphs import WeightedGraph, eigendecompose
-from .performance import OutputSpec, check_stability
+from .performance import OutputSpec, require_stable
 
 # Cap on floats drawn per noise chunk, to bound memory for large graphs.
 _CHUNK_BUDGET = 2_000_000
@@ -104,11 +104,7 @@ def simulate(
         raise DisconnectedGraph("simulation requires a connected graph")
     lap = graph.laplacian()
     spectrum = eigendecompose(lap)
-    if not check_stability(spectrum, config.delay).stable:
-        raise UnstableNetwork(
-            f"delay {config.delay} exceeds the stability threshold "
-            f"{math.pi / (2.0 * spectrum.lambda_max)}; the variance diverges"
-        )
+    require_stable(spectrum, config.delay)
     dt, delay_steps = _resolve_dt(config, spectrum.lambda_max)
     lam2 = spectrum.lambda_2
     burn_in = config.burn_in if config.burn_in is not None else 20.0 / lam2

@@ -102,9 +102,9 @@ def max_cache_drift(incremental: EdgeFormCaches, reference: EdgeFormCaches) -> f
     """Largest entrywise difference across all tracked matrices."""
     pairs = (
         (incremental.laplacian, reference.laplacian),
-        (incremental.lap_pinv.matrix, reference.lap_pinv.matrix),
-        (incremental.shift_pinv.matrix, reference.shift_pinv.matrix),
-        (incremental.lap_pinv_gram.matrix, reference.lap_pinv_gram.matrix),
-        (incremental.shift_pinv_gram.matrix, reference.shift_pinv_gram.matrix),
+        (incremental.lap_pinv, reference.lap_pinv),
+        (incremental.shift_pinv, reference.shift_pinv),
+        (incremental.lap_pinv_gram, reference.lap_pinv_gram),
+        (incremental.shift_pinv_gram, reference.shift_pinv_gram),
     )
     return max(float(np.max(np.abs(a - b))) for a, b in pairs)

@@ -2,6 +2,7 @@
 
 import copy
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from tdconsensus import (
     sparsify,
 )
 from conftest import (
+    bridge_oracle,
     exact_measure,
     fit_measure,
     fresh_caches,
@@ -433,6 +435,36 @@ def test_grow_random_can_differ_from_simple_on_a_trap():
     assert len(outcomes) > 1  # randomization actually explores
 
 
+def test_grow_random_pinned_selections():
+    # seeded picks, pinned so that changes to the shared loop keep them
+    g = WeightedGraph(
+        6, ((0, 1, 1.0), (1, 2, 0.7), (2, 3, 1.3), (3, 4, 0.9), (4, 5, 1.1), (0, 2, 0.5))
+    )
+    entries = tuple((u, v, 0.3 + 0.1 * ((3 * u + 5 * v) % 9)) for u, v in _absent_pairs(g))
+    add, skip = "add", ("skip", None)
+    expected = {
+        0.8: [
+            [(add, (1, 4)), skip, skip, skip],
+            [(add, (1, 5)), skip, skip, skip],
+            [(add, (1, 4)), skip, (add, (1, 5)), skip],
+            [(add, (1, 4)), (add, (1, 5)), skip, skip],
+        ],
+        0.9: [
+            [skip, skip, skip, (add, (0, 5))],
+            [(add, (0, 5)), skip, skip, skip],
+            [skip, (add, (0, 5)), skip, skip],
+            [skip, (add, (1, 5)), skip, skip],
+        ],
+    }
+    for fraction, runs in expected.items():
+        tau = stable_delay(g, fraction)
+        for seed, picks in enumerate(runs):
+            state = DesignState.from_graph(g, OutputSpec.centering(6), tau, audit=False)
+            trace = grow_random(state, CandidateSet(entries=entries, budget=4), seed=seed)
+            assert [(e.action, e.edge) for e in trace.entries] == picks
+            assert trace.termination == "budget exhausted"
+
+
 # --- sparsify ---
 
 
@@ -479,6 +511,55 @@ def test_sparsify_improves_and_preserves_invariants():
             assert state.rho_fit < before
             assert state.rho_fit == pytest.approx(_fit(replay, out, tau), rel=1e-8)
     assert improved_somewhere
+
+
+def test_sparsify_scores_no_bridge_removal():
+    # the pendant edge (0, 3) is a bridge: scoring its removal divides by zero
+    g = WeightedGraph(4, WeightedGraph.cycle(3).edges + ((0, 3, 1.0),))
+    state = DesignState.from_graph(g, OutputSpec.centering(4), 0.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        trace = sparsify(state, 2)
+    assert state.graph.has_edge(0, 3)
+    assert all(e.edge != (0, 3) for e in trace.entries)
+
+
+def _independent_sparsify(graph, out, tau, budget):
+    """From-scratch sparsify reference: DFS bridges, full eigenwork per probe."""
+    removed = []
+    for _ in range(budget):
+        base = _fit(graph, out, tau)
+        bridges = bridge_oracle(graph)
+        best = None
+        for u, v, _ in graph.edges:
+            if (u, v) in bridges:
+                continue
+            gain = base - _fit(graph.without_edge(u, v), out, tau)
+            # strict > keeps the first (lexicographically lowest) maximizer
+            if best is None or gain > best[0]:
+                best = (gain, u, v)
+        if best is None or best[0] <= 0.0:
+            break
+        graph = graph.without_edge(best[1], best[2])
+        removed.append((best[1], best[2]))
+    return graph, removed
+
+
+def test_sparsify_matches_independent_reference():
+    rng = np.random.default_rng(43)
+    removed_somewhere = False
+    for _ in range(15):
+        g = random_connected_graph(rng, min_nodes=5, max_nodes=8, extra_edge_prob=0.5)
+        out = OutputSpec.centering(g.node_count)
+        tau = stable_delay(g, float(rng.uniform(0.6, 0.95)))
+        budget = int(rng.integers(1, 5))
+        state = DesignState.from_graph(g, out, tau)
+        trace = sparsify(state, budget)
+        ref_graph, ref_removed = _independent_sparsify(g, out, tau, budget)
+        assert [e.edge for e in trace.entries] == ref_removed
+        assert state.graph == ref_graph
+        removed_somewhere |= bool(ref_removed)
+    assert removed_somewhere
 
 
 def test_sparsify_budget_validation():
@@ -551,6 +632,23 @@ def test_grow_by_sensitivity_stops_without_negative_slopes():
     trace = grow_by_sensitivity(state, [(0, 2), (1, 3)], budget=2)
     assert trace.entries == []
     assert trace.termination == "no negative sensitivity"
+
+
+def test_grow_by_sensitivity_pinned_selections():
+    # pinned picks and stopping reasons at two delays
+    g = WeightedGraph(
+        6, ((0, 1, 1.0), (1, 2, 0.7), (2, 3, 1.3), (3, 4, 0.9), (4, 5, 1.1), (0, 2, 0.5))
+    )
+    expected = {
+        0.8: ([(0, 5), (1, 5), (0, 4), (1, 3), (1, 4), (2, 4)], "budget exhausted"),
+        0.9: ([(0, 5), (1, 5)], "no negative sensitivity"),
+    }
+    for fraction, (edges, termination) in expected.items():
+        state = DesignState.from_graph(g, OutputSpec.centering(6), stable_delay(g, fraction))
+        trace = grow_by_sensitivity(state, _absent_pairs(g), budget=6)
+        assert [e.edge for e in trace.entries] == edges
+        assert all(e.action == "add" for e in trace.entries)
+        assert trace.termination == termination
 
 
 # --- long mixed runs keep the tracked fit honest ---

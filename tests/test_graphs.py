@@ -37,6 +37,18 @@ def test_edges_are_canonicalized_and_sorted():
     assert g.weight(3, 1) == 2.0
 
 
+def test_graphs_from_reordered_edges_compare_and_hash_equal():
+    a = WeightedGraph(4, ((0, 1, 1.0), (2, 3, 0.5), (1, 2, 2.0)))
+    b = WeightedGraph(4, ((3, 2, 0.5), (1, 2, 2.0), (1, 0, 1.0)))
+    assert a == b and hash(a) == hash(b) and {a: "x"}[b] == "x"
+    assert a != WeightedGraph(4, ((0, 1, 1.0), (2, 3, 0.5), (1, 2, 2.5)))
+    assert b.has_edge(2, 3) and not b.has_edge(0, 2)
+    assert b.weight(3, 2) == 0.5
+    with pytest.raises(EdgeNotInGraph):
+        b.weight(0, 2)
+    assert repr(a) == "WeightedGraph(node_count=4, edges=((0, 1, 1.0), (1, 2, 2.0), (2, 3, 0.5)))"
+
+
 def test_construction_rejects_bad_edges():
     with pytest.raises(IndexOutOfRange):
         WeightedGraph(3, ((0, 3, 1.0),))
@@ -221,9 +233,9 @@ def test_zero_weight_change_is_identity():
     g = WeightedGraph.cycle(5)
     out = OutputSpec.centering(5)
     caches = fresh_caches(g, out, 0.2)
-    before = caches.lap_pinv.matrix.copy()
+    before = caches.lap_pinv.copy()
     sherman_morrison_update(caches, (0, 1), 0.0)
-    assert np.array_equal(caches.lap_pinv.matrix, before)
+    assert np.array_equal(caches.lap_pinv, before)
 
 
 def test_update_rejects_bad_endpoints():

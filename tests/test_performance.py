@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tdconsensus import (
+    FIT_SLOPE,
     DisconnectedGraph,
     DomainError,
     InvalidOutputMatrix,
@@ -29,6 +30,7 @@ from tdconsensus import (
     rho_exact,
     sensitivity,
 )
+from tdconsensus.performance import require_stable, sensitivities
 from conftest import (
     exact_measure,
     fresh_caches,
@@ -420,6 +422,41 @@ def test_sensitivity_zero_delay_is_exact_derivative():
     low = exact_measure(g.with_edge(u, v, step), out, 0.0)
     base = exact_measure(g, out, 0.0)
     assert sensitivity(caches, (u, v)) == pytest.approx((low - base) / step, abs=1e-5)
+
+
+def _sensitivity_loop(caches, u: int, v: int) -> float:
+    """Per-pair reference for the vectorized form, in scalar arithmetic."""
+    tau = caches.delay
+    q_lap_gram = edge_quadratic_form(caches.lap_pinv_gram, u, v)
+    if tau == 0.0:
+        return -0.5 * q_lap_gram
+    return (
+        0.5 * FIT_SLOPE * tau * tau * edge_quadratic_form(caches.output_gram, u, v)
+        - 0.5 * q_lap_gram
+        + (2.0 * tau * tau / math.pi) * edge_quadratic_form(caches.shift_pinv_gram, u, v)
+    )
+
+
+def test_sensitivities_equal_the_per_pair_loop():
+    rng = np.random.default_rng(44)
+    g = random_connected_graph(rng, min_nodes=6, max_nodes=6, extra_edge_prob=0.4)
+    out = OutputSpec.complete_incidence(6)
+    pairs = [(u, v) for u in range(6) for v in range(u + 1, 6)]
+    us = np.array([u for u, _ in pairs])
+    vs = np.array([v for _, v in pairs])
+    for tau in (0.0, stable_delay(g, 0.6)):
+        caches = fresh_caches(g, out, tau)
+        reference = [_sensitivity_loop(caches, u, v) for u, v in pairs]
+        assert [float(s) for s in sensitivities(caches, us, vs)] == reference
+        assert [sensitivity(caches, pair) for pair in pairs] == reference
+
+
+def test_require_stable_returns_the_check_or_raises():
+    spectrum = spectrum_of(WeightedGraph.path(4))
+    threshold = math.pi / (2.0 * spectrum.lambda_max)
+    assert require_stable(spectrum, 0.5 * threshold) == check_stability(spectrum, 0.5 * threshold)
+    with pytest.raises(UnstableNetwork, match="exceeds the stability threshold"):
+        require_stable(spectrum, threshold)
 
 
 # --- quadrature ---
