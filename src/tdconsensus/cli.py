@@ -114,12 +114,14 @@ def cmd_analyze(args: argparse.Namespace) -> dict:
     graph = load_graph(args.graph)
     out = _load_output_spec(args, graph.node_count)
     spectrum = eigendecompose(graph.laplacian())
+    # Report first: its disconnected/unstable errors take precedence over lambda_2's.
+    performance = performance_report(graph, out, args.tau)
     report = _base_report("analyze", args, graph)
     report["spectrum"] = {
         "lambda_2": spectrum.lambda_2 if graph.node_count > 1 else 0.0,
         "lambda_max": spectrum.lambda_max,
     }
-    report["performance"] = performance_report(graph, out, args.tau)
+    report["performance"] = performance
     return report
 
 

@@ -32,6 +32,7 @@ from .graphs import (
 from .performance import (
     FIT_SLOPE,
     OutputSpec,
+    _nonzero_modes,
     check_stability,
     cosine_fixed_point,
     require_stable,
@@ -70,8 +71,8 @@ class CandidateSet:
             if u == v:
                 raise ValueError(f"candidate self-loop at node {u}")
             key = (u, v) if u < v else (v, u)
-            if w <= 0.0:
-                raise ValueError(f"candidate {key} has non-positive weight {w}")
+            if not 0.0 < w < math.inf:
+                raise ValueError(f"candidate {key} needs a positive finite weight, got {w}")
             if key in seen:
                 raise ValueError(f"duplicate candidate {key}")
             seen.add(key)
@@ -142,7 +143,7 @@ class DesignState:
     ) -> "DesignState":
         if out.node_count != graph.node_count:
             raise ValueError("output spec and graph disagree on the node count")
-        if delay < 0.0:
+        if not 0.0 <= delay < math.inf:
             raise DomainError("delay must be nonnegative")
         if not graph.is_connected():
             raise DisconnectedGraph("design requires a connected graph")
@@ -402,7 +403,7 @@ def sparsify(state: DesignState, budget: int) -> DesignTrace:
     most, never touching bridges, until nothing improves or budget runs out.
 
     Removal only shrinks eigenvalues, so stability is preserved for free;
-    skipping bridges preserves connectivity.
+    a union-find check on each pick keeps every bridge, so connectivity too.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
@@ -416,11 +417,15 @@ def sparsify(state: DesignState, budget: int) -> DesignTrace:
         if not removable.any():
             return "all edges are bridges"
         improvement = _improvements(state, us, vs, -ws, gram_forms, removable)
-        best = int(np.argmax(improvement))
-        best_h = float(improvement[best])
-        if best_h <= 0.0:
-            return "no improving removal"
-        return "remove", (int(us[best]), int(vs[best])), -float(ws[best]), -best_h, best_h, None
+        while True:
+            best = int(np.argmax(improvement))
+            best_h = float(improvement[best])
+            if best_h <= 0.0:
+                return "no improving removal"
+            edge = (int(us[best]), int(vs[best]))
+            if state.graph.without_edge(*edge).is_connected():
+                return "remove", edge, -float(ws[best]), -best_h, best_h, None
+            improvement[best] = -np.inf
 
     return _greedy(state, budget, next_move)
 
@@ -524,7 +529,7 @@ def reweight_scale(graph: WeightedGraph, out: OutputSpec, delay: float) -> Rewei
     the scaled stability boundary. The input graph need not be stable at
     scale 1; rho_before is +inf then.
     """
-    if delay <= 0.0:
+    if not 0.0 < delay < math.inf:
         raise DomainError(
             "rescaling needs a positive delay; at zero delay smaller scales "
             "always lose and larger always win"
@@ -532,10 +537,7 @@ def reweight_scale(graph: WeightedGraph, out: OutputSpec, delay: float) -> Rewei
     if not graph.is_connected():
         raise DisconnectedGraph("rescaling requires a connected graph")
     spectrum = eigendecompose(graph.laplacian())
-    lam = spectrum.eigenvalues
-    zero = np.abs(lam) < spectrum.zero_tolerance
-    modes = lam[~zero]
-    weights = out.modal_weights(spectrum.vectors)[~zero]
+    modes, weights = _nonzero_modes(spectrum, out)
     lam2, lam_max = float(modes[0]), float(modes[-1])
     z = cosine_fixed_point()
     if z * delay >= math.pi / 2.0:

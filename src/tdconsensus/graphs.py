@@ -6,8 +6,9 @@ Conventions used throughout the package:
   node indices are 0-based, weights are strictly positive;
 * the Laplacian is dense and symmetric positive semidefinite with the
   all-ones vector in its kernel;
-* pseudo-inverses zero out eigenvalues below a relative tolerance instead
-  of inverting them.
+* a connected graph's Laplacian and its delay-shifted operator both have
+  kernel exactly span(1): spectral code deflates the one eigenpair whose
+  eigenvector is most aligned with the all-ones vector, not a threshold.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ from .errors import (
     SingularUpdate,
 )
 
-# Relative tolerance scale for treating an eigenvalue as zero.
-ZERO_TOLERANCE_SCALE = 1e-9
 # Relative threshold on |w(e) * r_e - 1| below which an edge is a bridge.
 BRIDGE_TOLERANCE = 1e-6
 # Relative scale for the singular-update denominator guard.
@@ -90,8 +89,8 @@ class WeightedGraph:
         for u, v, w in self.edges:
             key = _check_endpoints(self.node_count, int(u), int(v))
             w = float(w)
-            if w <= 0.0:
-                raise ValueError(f"edge {key} has non-positive weight {w}")
+            if not 0.0 < w < np.inf:
+                raise ValueError(f"edge {key} needs a positive finite weight, got {w}")
             if key in seen:
                 raise ValueError(f"duplicate edge {key}")
             seen[key] = w
@@ -129,8 +128,8 @@ class WeightedGraph:
         return WeightedGraph(self.node_count, remaining)
 
     def scaled(self, factor: float) -> "WeightedGraph":
-        if factor <= 0.0:
-            raise ValueError("scale factor must be positive")
+        if not 0.0 < factor < np.inf:
+            raise ValueError("scale factor must be positive and finite")
         return WeightedGraph(
             self.node_count, tuple((u, v, w * factor) for u, v, w in self.edges)
         )
@@ -197,23 +196,16 @@ def delay_shift_matrix(laplacian: np.ndarray, delay: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralCache:
-    """Eigendecomposition of a symmetric matrix with a zero classification.
+    """Eigendecomposition of a symmetric matrix with the ones vector in its kernel.
 
-    Eigenvalues are ascending; eigenvalues with magnitude below
-    zero_tolerance are treated as exact zeros by consumers.
+    Eigenvalues are ascending. kernel_index is the eigenpair whose vector is
+    most aligned with the all-ones vector: found by its eigenvector, it
+    cannot be hidden by tiny or negative eigenvalues elsewhere.
     """
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
-    zero_tolerance: float
-
-    @property
-    def size(self) -> int:
-        return len(self.eigenvalues)
-
-    @property
-    def zero_count(self) -> int:
-        return int(np.count_nonzero(np.abs(self.eigenvalues) < self.zero_tolerance))
+    kernel_index: int
 
     @property
     def lambda_max(self) -> float:
@@ -221,28 +213,36 @@ class SpectralCache:
 
     @property
     def lambda_2(self) -> float:
-        """Smallest eigenvalue classified as nonzero."""
-        nonzero = self.eigenvalues[np.abs(self.eigenvalues) >= self.zero_tolerance]
-        if len(nonzero) == 0:
-            raise DisconnectedGraph("all eigenvalues are zero")
-        return float(nonzero[0])
+        """Smallest eigenvalue outside the kernel eigenpair.
+
+        Raises DisconnectedGraph unless it clears n * eps * lambda_max, the
+        backward-error floor of eigh.
+        """
+        rest = np.delete(self.eigenvalues, self.kernel_index)
+        floor = len(self.eigenvalues) * np.finfo(float).eps * self.lambda_max
+        if len(rest) == 0 or rest[0] <= floor:
+            raise DisconnectedGraph(f"second kernel direction below {floor:.3e}: disconnected")
+        return float(rest[0])
 
 
 def eigendecompose(matrix: np.ndarray) -> SpectralCache:
-    """Full symmetric eigendecomposition with a relative zero tolerance."""
+    """Full symmetric eigendecomposition and its kernel eigenpair, argmax |1ᵀq|."""
     try:
         eigenvalues, vectors = np.linalg.eigh(matrix)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigendecomposition failed: {exc}") from exc
-    tol = ZERO_TOLERANCE_SCALE * max(1.0, float(np.abs(eigenvalues).max(initial=0.0)))
-    return SpectralCache(eigenvalues=eigenvalues, vectors=vectors, zero_tolerance=tol)
+    kernel = int(np.argmax(np.abs(vectors.sum(axis=0))))
+    return SpectralCache(eigenvalues=eigenvalues, vectors=vectors, kernel_index=kernel)
 
 
 def pseudo_inverse(cache: SpectralCache) -> np.ndarray:
-    """Moore-Penrose inverse that zeroes eigenvalues below the tolerance."""
+    """Inverse of every eigenpair but the kernel one, which maps to zero.
+
+    Needs a connected graph's Laplacian or shift off the stability boundary.
+    """
     lam = cache.eigenvalues
-    small = np.abs(lam) < cache.zero_tolerance
-    inv = np.where(small, 0.0, 1.0 / np.where(small, 1.0, lam))
+    outside = np.arange(len(lam)) != cache.kernel_index
+    inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=outside)
     return (cache.vectors * inv) @ cache.vectors.T
 
 

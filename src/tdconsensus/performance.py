@@ -100,8 +100,8 @@ class OutputSpec:
         if matrix.ndim != 2 or matrix.shape[1] < 2:
             raise InvalidOutputMatrix("output matrix must be 2-D with >= 2 columns")
         scale = float(np.abs(matrix).max())
-        if scale == 0.0:
-            raise InvalidOutputMatrix("output matrix is identically zero")
+        if not 0.0 < scale < math.inf:
+            raise InvalidOutputMatrix("output matrix must be finite and not identically zero")
         row_sums = matrix.sum(axis=1)
         if float(np.abs(row_sums).max()) > OUTPUT_KERNEL_TOLERANCE * scale:
             raise InvalidOutputMatrix(
@@ -207,7 +207,7 @@ def check_stability(spectrum: SpectralCache, delay: float) -> StabilityResult:
     The margin is pi/(2 delay) - lambda_max, infinite at zero delay. The
     boundary counts as unstable.
     """
-    if delay < 0.0:
+    if not 0.0 <= delay < math.inf:
         raise DomainError("delay must be nonnegative")
     lam_max = spectrum.lambda_max
     if delay == 0.0:
@@ -258,7 +258,7 @@ def mode_variance(lam: float, delay: float) -> float:
     """
     if lam <= 0.0:
         raise DomainError(f"mode rate must be positive, got {lam}")
-    if delay < 0.0:
+    if not 0.0 <= delay < math.inf:
         raise DomainError("delay must be nonnegative")
     if delay == 0.0:
         return 1.0 / (2.0 * lam)
@@ -272,7 +272,7 @@ def mode_variance_fit(lam: float, delay: float) -> float:
     """Closed-form approximation of mode_variance, within 2e-4 relative below it."""
     if lam <= 0.0:
         raise DomainError(f"mode rate must be positive, got {lam}")
-    if delay <= 0.0:
+    if not 0.0 < delay < math.inf:
         raise DomainError("the fit requires a positive delay; use mode_variance at zero")
     x = lam * delay
     if x >= math.pi / 2.0:
@@ -281,22 +281,16 @@ def mode_variance_fit(lam: float, delay: float) -> float:
 
 
 def _nonzero_modes(spectrum: SpectralCache, out: OutputSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and modal weights of the non-kernel modes.
+    """Eigenvalues and modal weights of the modes outside the kernel eigenpair.
 
-    Requires a connected-graph spectrum: exactly one eigenvalue below the
-    zero tolerance.
+    Raises DisconnectedGraph, through lambda_2, on the spectrum of a
+    disconnected graph.
     """
-    lam = spectrum.eigenvalues
-    zero = np.abs(lam) < spectrum.zero_tolerance
-    zero_count = int(np.count_nonzero(zero))
-    if zero_count > 1:
-        raise DisconnectedGraph(
-            f"{zero_count} zero eigenvalues: the graph has {zero_count} components"
-        )
-    if zero_count == 0:
-        raise DomainError("spectrum has no zero eigenvalue; not a connected Laplacian")
+    if len(spectrum.eigenvalues) > 1:
+        spectrum.lambda_2  # evaluated for its connectivity guard
+    kernel = spectrum.kernel_index
     weights = out.modal_weights(spectrum.vectors)
-    return lam[~zero], weights[~zero]
+    return np.delete(spectrum.eigenvalues, kernel), np.delete(weights, kernel)
 
 
 def rho_exact(spectrum: SpectralCache, out: OutputSpec, delay: float) -> float:
@@ -352,7 +346,7 @@ def hard_limit(node_count: int, out: OutputSpec, delay: float) -> HardLimit:
     value = delay * ||C||_F^2 / (2 (1 - sin(z))), z the cosine fixed point.
     The complete graph with every weight z/(n delay) attains it.
     """
-    if delay <= 0.0:
+    if not 0.0 < delay < math.inf:
         raise DomainError("the hard limit requires a positive delay (it is 0 at delay 0)")
     if node_count < 2:
         raise DomainError("need at least two nodes")
@@ -494,7 +488,7 @@ def mode_variance_quadrature(lam: float, delay: float, rel_tol: float = 1e-9) ->
     """
     if lam <= 0.0:
         raise DomainError(f"mode rate must be positive, got {lam}")
-    if delay < 0.0:
+    if not 0.0 <= delay < math.inf:
         raise DomainError("delay must be nonnegative")
     if delay * lam >= math.pi / 2.0:
         raise DomainError("mode is unstable; the integral diverges")

@@ -41,16 +41,16 @@ class SimulationConfig:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        if self.delay < 0.0:
+        if not 0.0 <= self.delay < math.inf:
             raise ConfigError("delay must be nonnegative")
         if self.substeps_per_delay < 1:
             raise ConfigError("substeps_per_delay must be at least 1")
         if self.trials < 2:
             raise ConfigError("need at least 2 trials for an error estimate")
-        if self.dt is not None and self.dt <= 0.0:
-            raise ConfigError("dt must be positive")
-        if self.burn_in is not None and self.burn_in <= 0.0:
-            raise ConfigError("burn_in must be positive")
+        for name in ("dt", "burn_in", "horizon"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value < math.inf:
+                raise ConfigError(f"{name} must be positive")
         if self.horizon is not None and self.burn_in is not None:
             if self.horizon <= self.burn_in:
                 raise ConfigError("horizon must exceed burn_in")

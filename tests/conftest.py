@@ -5,8 +5,12 @@ updates, cached quadratic forms) so agreement is evidence, not tautology.
 """
 
 import math
+import shutil
+import tempfile
 
 import numpy as np
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from tdconsensus import (
     EdgeFormCaches,
@@ -17,6 +21,19 @@ from tdconsensus import (
     rho_approx,
     rho_exact,
 )
+
+# Property tests replay one fixed example sequence and write no example
+# database, so runs are repeatable.
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
+
+
+def pytest_configure(config):
+    # Hypothesis still caches the constants it reads from local modules on
+    # disk; keep that cache in a temporary directory removed at exit.
+    home = tempfile.mkdtemp(prefix="hypothesis-")
+    config.add_cleanup(lambda: shutil.rmtree(home, ignore_errors=True))
+    set_hypothesis_home_dir(home)
 
 
 def random_connected_graph(

@@ -60,6 +60,24 @@ def _fit(graph: WeightedGraph, out: OutputSpec, tau: float) -> float:
     return fit_measure(graph, out, tau)
 
 
+def test_from_graph_fit_on_weights_nine_decades_apart():
+    g = WeightedGraph(3, ((0, 1, 1.0), (1, 2, 1e-9)))
+    out = OutputSpec.centering(3)
+    state = DesignState.from_graph(g, out, 0.1)
+    assert state.rho_fit == pytest.approx(fit_measure(g, out, 0.1), rel=1e-9)
+    assert state.rho_fit > 3e8
+
+
+def test_from_graph_fit_at_a_relative_margin_of_1e_10():
+    # The shift operator's smallest nonzero eigenvalue is ~1e-10 of its
+    # largest; it must be inverted, not classified as a kernel eigenvalue.
+    g = WeightedGraph.path(4)
+    out = OutputSpec.centering(4)
+    tau = (1.0 - 1e-10) * math.pi / (2.0 * spectrum_of(g).lambda_max)
+    state = DesignState.from_graph(g, out, tau)
+    assert state.rho_fit == pytest.approx(fit_measure(g, out, tau), rel=1e-4)
+
+
 # --- candidate sets ---
 
 
@@ -77,6 +95,9 @@ def test_candidate_set_validation():
         CandidateSet(entries=((0, 1, 1.0), (1, 0, 2.0)), budget=1)
     with pytest.raises(ValueError):
         CandidateSet(entries=((0, 1, 0.0),), budget=1)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            CandidateSet(entries=((0, 1, bad),), budget=1)
     g = WeightedGraph.path(3)
     with pytest.raises(ValueError):
         CandidateSet(entries=((0, 1, 1.0),), budget=1).validate_against(g)
@@ -92,8 +113,9 @@ def test_from_graph_rejects_bad_inputs():
     out = OutputSpec.centering(4)
     with pytest.raises(ValueError):
         DesignState.from_graph(g, OutputSpec.centering(5), 0.1)
-    with pytest.raises(DomainError):
-        DesignState.from_graph(g, out, -0.1)
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            DesignState.from_graph(g, out, bad)
     with pytest.raises(DisconnectedGraph):
         DesignState.from_graph(WeightedGraph(4, ((0, 1, 1.0),)), out, 0.1)
     with pytest.raises(UnstableNetwork):
@@ -474,6 +496,17 @@ def test_sparsify_on_a_tree_keeps_everything():
     trace = sparsify(state, budget=3)
     assert trace.entries == []
     assert trace.termination == "all edges are bridges"
+    assert state.graph == g
+
+
+def test_sparsify_keeps_a_tree_with_weights_twelve_decades_apart():
+    # The resistance test cannot resolve w * r = 1 on the 1e-12 edges, so
+    # only the connectivity check keeps these bridges.
+    g = WeightedGraph(4, ((0, 1, 2.12e-12), (0, 2, 4.54e-12), (2, 3, 0.769)))
+    tau = 0.3 * math.pi / (2.0 * spectrum_of(g).lambda_max)
+    state = DesignState.from_graph(g, OutputSpec.centering(4), tau)
+    trace = sparsify(state, 3)
+    assert trace.entries == []
     assert state.graph == g
 
 

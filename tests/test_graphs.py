@@ -7,6 +7,7 @@ import pytest
 
 from tdconsensus import (
     DisconnectedGraph,
+    EdgeFormCaches,
     EdgeNotInGraph,
     IndexOutOfRange,
     OutputSpec,
@@ -60,8 +61,11 @@ def test_construction_rejects_bad_edges():
         WeightedGraph(3, ((0, 1, 1.0), (1, 0, 2.0)))
     with pytest.raises(ValueError):
         WeightedGraph(3, ((0, 1, 0.0),))
-    with pytest.raises(ValueError):
-        WeightedGraph(3, ((0, 1, -0.5),))
+    for bad in (-0.5, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            WeightedGraph(3, ((0, 1, bad),))
+        with pytest.raises(ValueError):
+            WeightedGraph.path(3).scaled(bad)
     with pytest.raises(ValueError):
         WeightedGraph(0, ())
 
@@ -113,7 +117,6 @@ def test_laplacian_rows_sum_to_zero():
 def test_path_three_spectrum():
     spec = eigendecompose(WeightedGraph.path(3).laplacian())
     assert np.allclose(spec.eigenvalues, [0.0, 1.0, 3.0], atol=1e-12)
-    assert spec.zero_count == 1
     assert spec.lambda_2 == pytest.approx(1.0, abs=1e-12)
     assert spec.lambda_max == pytest.approx(3.0, abs=1e-12)
 
@@ -190,10 +193,34 @@ def test_delay_shift_matrix_definition():
 def test_shift_matrix_positive_definite_iff_stable():
     g = WeightedGraph.complete(4)  # lambda_max = 4
     boundary = math.pi / 8.0
+    # Helmert basis of the subspace orthogonal to the ones vector.
+    helmert = OutputSpec.orthonormal(4).output_matrix().T
     for tau, stable in ((0.9 * boundary, True), (1.1 * boundary, False)):
-        spec = eigendecompose(delay_shift_matrix(g.laplacian(), tau))
-        centered_min = spec.eigenvalues[spec.zero_count]
+        shift = delay_shift_matrix(g.laplacian(), tau)
+        centered_min = np.linalg.eigvalsh(helmert.T @ shift @ helmert)[0]
         assert (centered_min > 0.0) == stable
+
+
+def test_shift_pinv_is_the_grounded_inverse_on_both_sides_of_the_boundary():
+    # Past the threshold the shift operator has negative eigenvalues that sort
+    # before its kernel eigenvalue, so the kernel must be found by its vector.
+    g = WeightedGraph.cycle(6)
+    lap = g.laplacian()
+    threshold = math.pi / (2.0 * eigendecompose(lap).lambda_max)
+    ones = np.full((6, 6), 1.0 / 6.0)
+    for factor in (0.5, 1.1, 2.0):
+        tau = factor * threshold
+        shift = delay_shift_matrix(lap, tau)
+        grounded = np.linalg.inv(shift + ones) - ones
+        caches = EdgeFormCaches.build(lap, centering_matrix(6), tau)
+        err = np.abs(caches.shift_pinv - grounded).max() / np.abs(grounded).max()
+        assert err <= 1e-12, (factor, err)
+
+
+def test_spectrum_of_weights_nine_decades_apart_is_connected():
+    spec = eigendecompose(WeightedGraph(3, ((0, 1, 1.0), (1, 2, 1e-9))).laplacian())
+    # lambda_2 = 1.5e-9 to first order in the small weight
+    assert spec.lambda_2 == pytest.approx(1.5e-9, rel=1e-6)
 
 
 def test_rank_one_update_matches_rebuild_add_and_remove():

@@ -188,7 +188,16 @@ def test_cli_exit_codes(tmp_path, capsys):
     # custom output kind without a matrix
     assert main(["analyze", p3, "--tau", "0.1", "--output-kind", "custom"]) == 2
 
+    # non-finite delays are DomainErrors, generic tool errors
+    assert main(["limits", p3, "--tau", "nan"]) == 1
+    assert main(["analyze", p3, "--tau", "inf"]) == 1
+
     capsys.readouterr()  # drain accumulated stderr
+
+    nan_weight = tmp_path / "nan.txt"
+    nan_weight.write_text("n 3\n0 1 1.0\n1 2 nan\n")
+    assert main(["analyze", str(nan_weight), "--tau", "0.1"]) == 2
+    assert "weight" in capsys.readouterr().err
 
 
 def test_cli_candidate_file_problems_exit_two(tmp_path, capsys):

@@ -173,6 +173,24 @@ def test_rho_exact_rejects_disconnected_spectrum():
     g = WeightedGraph(4, ((0, 1, 1.0), (2, 3, 1.0)))
     with pytest.raises(DisconnectedGraph):
         rho_exact(spectrum_of(g), OutputSpec.centering(4), 0.0)
+    # Two random components: the second kernel eigenvalue comes out of eigh
+    # with either sign, so a sign test alone would let most of these through.
+    rng = np.random.default_rng(17)
+    for _ in range(40):
+        a, b = random_connected_graph(rng), random_connected_graph(rng)
+        shifted = tuple((u + a.node_count, v + a.node_count, w) for u, v, w in b.edges)
+        g = WeightedGraph(a.node_count + b.node_count, a.edges + shifted)
+        with pytest.raises(DisconnectedGraph):
+            rho_exact(spectrum_of(g), OutputSpec.centering(g.node_count), 0.0)
+
+
+def test_report_on_weights_nine_decades_apart():
+    # A connected path whose second eigenvalue (1.5e-9) sits below any
+    # relative zero threshold of 1e-9; rho is dominated by 1/(2 lambda_2).
+    g = WeightedGraph(3, ((0, 1, 1.0), (1, 2, 1e-9)))
+    report = performance_report(g, OutputSpec.centering(3), 0.1)
+    assert report.rho_exact == pytest.approx(3.3333e8, rel=1e-4)
+    assert report.rho_approx == pytest.approx(report.rho_exact, rel=2e-4)
 
 
 def test_rho_increases_with_delay():
@@ -195,9 +213,11 @@ def test_custom_output_matches_explicit_modal_sum():
     out = OutputSpec.custom(c)
     tau = stable_delay(g, 0.5)
     spec = spectrum_of(g)
+    # Skip the eigenpair most aligned with the ones vector, the consensus mode.
+    kernel = int(np.argmax(np.abs(spec.vectors.sum(axis=0))))
     total = 0.0
-    for lam, q in zip(spec.eigenvalues, spec.vectors.T):
-        if abs(lam) < spec.zero_tolerance:
+    for i, (lam, q) in enumerate(zip(spec.eigenvalues, spec.vectors.T)):
+        if i == kernel:
             continue
         total += float((c @ q) @ (c @ q)) * mode_variance(float(lam), tau)
     assert rho_exact(spec, out, tau) == pytest.approx(total, rel=1e-12)
@@ -504,6 +524,9 @@ def test_custom_output_validation():
         OutputSpec.custom(np.ones((2, 3)))  # rows do not sum to zero
     with pytest.raises(InvalidOutputMatrix):
         OutputSpec.custom(np.zeros((2, 3)))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidOutputMatrix):
+            OutputSpec.custom(np.array([[1.0, -1.0, 0.0], [0.0, 1.0, bad]]))
     with pytest.raises(InvalidOutputMatrix):
         OutputSpec.custom(np.array([1.0, -1.0]))  # 1-D
     with pytest.raises(InvalidOutputMatrix):
@@ -512,6 +535,22 @@ def test_custom_output_validation():
         make_output_spec("custom", 4, np.array([[1.0, -1.0]]))  # column mismatch
     with pytest.raises(ValueError):
         make_output_spec("no-such-kind", 4)
+
+
+@pytest.mark.parametrize("delay", [math.nan, math.inf, -math.inf])
+def test_delay_checks_reject_non_finite_values(delay):
+    spec = spectrum_of(WeightedGraph.path(3))
+    out = OutputSpec.centering(3)
+    for call in (
+        lambda: check_stability(spec, delay),
+        lambda: hard_limit(3, out, delay),
+        lambda: mode_variance(1.0, delay),
+        lambda: mode_variance_fit(1.0, delay),
+        lambda: mode_variance_quadrature(1.0, delay),
+        lambda: rho_exact(spec, out, delay),
+    ):
+        with pytest.raises(DomainError):
+            call()
 
 
 def test_modal_weights_of_centering_kinds_are_one():

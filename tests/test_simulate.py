@@ -48,6 +48,10 @@ def test_config_validation():
         SimulationConfig(delay=0.1, burn_in=-1.0)
     with pytest.raises(ConfigError):
         SimulationConfig(delay=0.1, burn_in=10.0, horizon=5.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        for field in ("delay", "dt", "burn_in", "horizon"):
+            with pytest.raises(ConfigError):
+                SimulationConfig(**{"delay": 0.1, field: bad})
 
 
 def test_dt_must_divide_the_delay():

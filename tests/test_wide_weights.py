@@ -1,0 +1,83 @@
+"""Weights spread over twelve decades, checked against a 40-digit oracle.
+
+The oracle builds the Laplacian in mpmath from the same binary weights,
+diagonalizes it with mpmath's Jacobi solver (no LAPACK), drops the
+eigenvalue nearest zero and sums the modal terms of the exact measure and
+of the closed-form fit in 40-digit arithmetic.
+"""
+
+import math
+
+import mpmath
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+
+from tdconsensus import (
+    FIT_OFFSET,
+    FIT_SLOPE,
+    DesignState,
+    OutputSpec,
+    WeightedGraph,
+    eigendecompose,
+    performance_report,
+)
+
+EPS = float(np.finfo(float).eps)
+
+
+@st.composite
+def wide_weight_graphs(draw):
+    """Random spanning tree plus extra edges, weights 10^U(-12, 0), n <= 9."""
+    n = draw(st.integers(2, 9))
+    exponent = st.floats(-12.0, 0.0)
+    weights = {}
+    for v in range(1, n):
+        weights[(draw(st.integers(0, v - 1)), v)] = 10.0 ** draw(exponent)
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n))
+    for a, b in extra:
+        key = (min(a, b), max(a, b))
+        if a != b and key not in weights:
+            weights[key] = 10.0 ** draw(exponent)
+    return WeightedGraph(n, tuple((u, v, w) for (u, v), w in weights.items()))
+
+
+def _oracle(graph: WeightedGraph, tau: float):
+    """(exact measure, fit, nonzero eigenvalues ascending) at 40 digits."""
+    with mpmath.workdps(40):
+        n = graph.node_count
+        lap = mpmath.zeros(n, n)
+        for u, v, w in graph.edges:
+            lap[u, u] += w
+            lap[v, v] += w
+            lap[u, v] -= w
+            lap[v, u] -= w
+        eigenvalues = mpmath.eigsy(lap, eigvals_only=True)
+        lam = sorted(eigenvalues[i] for i in range(n))[1:]
+        t = mpmath.mpf(tau)
+        half_pi = mpmath.pi / 2
+        exact = sum(mpmath.cos(x * t) / (1 - mpmath.sin(x * t)) / (2 * x) for x in lam)
+        fit = t * sum(
+            (1 / (x * t) + (4 / mpmath.pi) / (half_pi - x * t) + FIT_OFFSET + FIT_SLOPE * x * t) / 2
+            for x in lam
+        )
+        return exact, fit, lam
+
+
+@given(wide_weight_graphs(), st.floats(0.05, 0.95))
+def test_exact_and_fit_match_a_40_digit_oracle(graph, fraction):
+    n = graph.node_count
+    out = OutputSpec.centering(n)
+    tau = fraction * math.pi / (2.0 * eigendecompose(graph.laplacian()).lambda_max)
+    exact, fit, lam = _oracle(graph, tau)
+    lam_2, lam_max = float(lam[0]), float(lam[-1])
+    # eigh perturbs every eigenvalue by up to n * eps * lambda_max. Carried
+    # to the 1/lambda_2 term that is relative n * eps * lambda_max / lambda_2;
+    # carried through the delay factor 1/(pi/2 - tau lambda_max) it is
+    # n * eps / (1 - tau lambda_max / (pi/2)), which dominates on
+    # well-conditioned graphs near the boundary.
+    rel_tol = n * EPS * (lam_max / lam_2 + 1.0 / (1.0 - tau * lam_max / (math.pi / 2.0)))
+    got_exact = performance_report(graph, out, tau).rho_exact
+    got_fit = DesignState.from_graph(graph, out, tau, audit=False).rho_fit
+    assert abs(got_exact - float(exact)) <= rel_tol * float(exact)
+    assert abs(got_fit - float(fit)) <= rel_tol * float(fit)
