@@ -40,6 +40,8 @@ from .fileio import (
 from .graphs import WeightedGraph, eigendecompose
 from .performance import (
     OutputSpec,
+    _modal_sum,
+    _nonzero_modes,
     crossover_delay,
     hard_limit,
     make_output_spec,
@@ -240,6 +242,8 @@ def cmd_sweep_tau(args: argparse.Namespace) -> str:
     if not (0.0 < tau_lo < tau_hi):
         raise ParseError("need 0 < tau-min < tau-max")
     taus = np.geomspace(tau_lo, tau_hi, args.samples)
+    # rho_exact at every stable tau, with the modal weights taken once.
+    modes = [_nonzero_modes(s, out) for s in spectra]
 
     lines = []
     if len(graphs) == 1:
@@ -247,15 +251,15 @@ def cmd_sweep_tau(args: argparse.Namespace) -> str:
         for tau in taus:
             if tau * spectra[0].lambda_max >= math.pi / 2.0:
                 continue
-            value = rho_exact(spectra[0], out, float(tau))
+            value = _modal_sum(*modes[0], float(tau))
             lines.append(f"{csv_cell(tau)},{csv_cell(value)}")
     else:
         lines.append("tau,rho_first,rho_second,difference")
         for tau in taus:
             if tau * lam_max >= math.pi / 2.0:
                 continue
-            first = rho_exact(spectra[0], out, float(tau))
-            second = rho_exact(spectra[1], out, float(tau))
+            first = _modal_sum(*modes[0], float(tau))
+            second = _modal_sum(*modes[1], float(tau))
             lines.append(
                 f"{csv_cell(tau)},{csv_cell(first)},{csv_cell(second)},"
                 f"{csv_cell(first - second)}"

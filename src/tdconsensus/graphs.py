@@ -194,6 +194,12 @@ def delay_shift_matrix(laplacian: np.ndarray, delay: float) -> np.ndarray:
     return (np.pi / 2.0) * centering_matrix(n) - delay * laplacian
 
 
+def _zero_floor(eigenvalues: np.ndarray) -> float:
+    """n * eps * max|lambda|, the backward-error floor of eigh: no eigenvalue
+    this small in magnitude can be told apart from zero."""
+    return len(eigenvalues) * np.finfo(float).eps * float(np.abs(eigenvalues).max(initial=0.0))
+
+
 @dataclass(frozen=True)
 class SpectralCache:
     """Eigendecomposition of a symmetric matrix with the ones vector in its kernel.
@@ -215,11 +221,10 @@ class SpectralCache:
     def lambda_2(self) -> float:
         """Smallest eigenvalue outside the kernel eigenpair.
 
-        Raises DisconnectedGraph unless it clears n * eps * lambda_max, the
-        backward-error floor of eigh.
+        Raises DisconnectedGraph unless it clears _zero_floor.
         """
         rest = np.delete(self.eigenvalues, self.kernel_index)
-        floor = len(self.eigenvalues) * np.finfo(float).eps * self.lambda_max
+        floor = _zero_floor(self.eigenvalues)
         if len(rest) == 0 or rest[0] <= floor:
             raise DisconnectedGraph(f"second kernel direction below {floor:.3e}: disconnected")
         return float(rest[0])
@@ -238,10 +243,15 @@ def eigendecompose(matrix: np.ndarray) -> SpectralCache:
 def pseudo_inverse(cache: SpectralCache) -> np.ndarray:
     """Inverse of every eigenpair but the kernel one, which maps to zero.
 
-    Needs a connected graph's Laplacian or shift off the stability boundary.
+    Raises DisconnectedGraph when another eigenvalue is within _zero_floor
+    of zero, as on a disconnected graph's Laplacian. The test is on |lambda|,
+    so a shift past the stability boundary still inverts.
     """
     lam = cache.eigenvalues
     outside = np.arange(len(lam)) != cache.kernel_index
+    floor = _zero_floor(lam)
+    if np.any(np.abs(lam[outside]) <= floor):
+        raise DisconnectedGraph(f"second kernel direction below {floor:.3e}: not invertible")
     inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=outside)
     return (cache.vectors * inv) @ cache.vectors.T
 

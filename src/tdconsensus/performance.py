@@ -15,7 +15,6 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (
     DisconnectedGraph,
@@ -293,13 +292,17 @@ def _nonzero_modes(spectrum: SpectralCache, out: OutputSpec) -> tuple[np.ndarray
     return np.delete(spectrum.eigenvalues, kernel), np.delete(weights, kernel)
 
 
-def rho_exact(spectrum: SpectralCache, out: OutputSpec, delay: float) -> float:
-    """Exact steady-state performance: sum of weighted modal variances."""
-    require_stable(spectrum, delay)
-    lam, weights = _nonzero_modes(spectrum, out)
+def _modal_sum(lam: np.ndarray, weights: np.ndarray, delay: float) -> float:
+    """Sum of weighted modal variances of _nonzero_modes at a stable delay."""
     if delay == 0.0:
         return float(np.sum(weights * 0.5 / lam))
     return float(np.sum(weights * _profile(lam * delay) * 0.5 / lam))
+
+
+def rho_exact(spectrum: SpectralCache, out: OutputSpec, delay: float) -> float:
+    """Exact steady-state performance: sum of weighted modal variances."""
+    require_stable(spectrum, delay)
+    return _modal_sum(*_nonzero_modes(spectrum, out), delay)
 
 
 def rho_approx(spectrum: SpectralCache, out: OutputSpec, delay: float) -> float:
@@ -436,8 +439,12 @@ def crossover_delay(
     lam_max = max(spec_a.lambda_max, spec_b.lambda_max)
     tau_hi = math.pi / (2.0 * lam_max)
 
+    # Modal weights do not depend on the delay: take them once per spectrum.
+    modes_a = _nonzero_modes(spec_a, out)
+    modes_b = _nonzero_modes(spec_b, out)
+
     def difference(tau: float) -> float:
-        return rho_exact(spec_a, out, tau) - rho_exact(spec_b, out, tau)
+        return _modal_sum(*modes_a, tau) - _modal_sum(*modes_b, tau)
 
     taus = np.geomspace(1e-4 * tau_hi, (1.0 - 1e-9) * tau_hi, samples)
     diffs = np.array([difference(t) for t in taus])
@@ -492,6 +499,8 @@ def mode_variance_quadrature(lam: float, delay: float, rel_tol: float = 1e-9) ->
         raise DomainError("delay must be nonnegative")
     if delay * lam >= math.pi / 2.0:
         raise DomainError("mode is unstable; the integral diverges")
+    # Imported here: scipy.integrate costs more to import than the package.
+    from scipy.integrate import quad
 
     def integrand(w):
         return 1.0 / (

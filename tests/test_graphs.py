@@ -144,6 +144,16 @@ def test_disconnected_lambda_2_raises():
         spec.lambda_2
 
 
+def test_pseudo_inverse_rejects_a_second_kernel_direction():
+    # Two components, an edgeless graph, and a shift on the stability boundary
+    # each have a second zero eigenvalue, which has no inverse.
+    two_pairs = WeightedGraph(4, ((0, 1, 1.0), (2, 3, 1.0))).laplacian()
+    boundary = delay_shift_matrix(WeightedGraph.path(3).laplacian(), math.pi / 6.0)
+    for matrix in (two_pairs, np.zeros((3, 3)), boundary):
+        with pytest.raises(DisconnectedGraph):
+            pseudo_inverse(eigendecompose(matrix))
+
+
 def test_effective_resistance_on_paths_is_distance():
     for n in (3, 5, 8):
         pinv = pseudo_inverse(eigendecompose(WeightedGraph.path(n).laplacian()))

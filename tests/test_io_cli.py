@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -220,6 +224,29 @@ def test_cli_candidate_file_problems_exit_two(tmp_path, capsys):
     assert main(["grow", p4, "--tau", "0.1", "--candidates", str(good), "-k", "-1"]) == 2
     assert main(["sparsify", p4, "--tau", "0.1", "-k", "-1"]) == 2
     capsys.readouterr()
+
+
+def test_cli_import_leaves_scipy_stats_and_integrate_unloaded():
+    # Each CLI command starts a fresh interpreter; these two modules cost
+    # more to import than the package and serve only simulate's t-quantile
+    # and the quadrature oracle.
+    import tdconsensus
+
+    src = str(Path(tdconsensus.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, tdconsensus.cli; "
+        "print([m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules])"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"
 
 
 def test_cli_argparse_rejects_unknown_command():

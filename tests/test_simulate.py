@@ -147,3 +147,65 @@ def test_default_burn_in_and_horizon_derive_from_the_spectrum():
     assert est.horizon == pytest.approx(200.0)
     assert est.total_steps == round(est.horizon / est.dt)
     assert est.sample_steps == est.total_steps - round(est.burn_in / est.dt)
+
+
+def reference_simulate(graph, out, config):
+    """Per-step Euler-Maruyama loop, one Python iteration per step.
+
+    The simulator's arithmetic spelled out: x_{k+1} = x_k - dt x_{k-d} L +
+    sqrt(dt) xi_k from x = 0, with the same per-trial noise streams and the
+    same factored output gram; returns the per-trial time averages.
+    """
+    lap, n, trials, dt = graph.laplacian(), graph.node_count, config.trials, config.dt
+    delay_steps = round(config.delay / dt)
+    burn_steps, total_steps = math.ceil(config.burn_in / dt), math.ceil(config.horizon / dt)
+    vals, vecs = np.linalg.eigh(out.gram())
+    keep = vals > 1e-12 * max(1.0, float(vals.max()))
+    rows = (np.sqrt(vals[keep])[:, None] * vecs.T[keep]).T
+    seeds = np.random.SeedSequence(config.seed).spawn(trials)
+    noise = np.stack([np.random.default_rng(s).standard_normal((total_steps, n)) for s in seeds], axis=1)
+    states = [np.zeros((trials, n))]
+    sums = np.zeros(trials)
+    for k in range(total_steps):
+        lagged = states[k - delay_steps] if k >= delay_steps else np.zeros((trials, n))
+        states.append(states[k] - dt * (lagged @ lap) + math.sqrt(dt) * noise[k])
+        if k + 1 > burn_steps:
+            projected = states[-1] @ rows
+            sums += np.einsum("ij,ij->i", projected, projected)
+    return sums / (total_steps - burn_steps)
+
+
+_REFERENCE_OUTPUTS = {
+    "centering": OutputSpec.centering(4),
+    "complete-incidence": OutputSpec.complete_incidence(4),
+    "orthonormal": OutputSpec.orthonormal(4),
+    "custom": OutputSpec.custom(np.array([[1.0, -1.0, 0.0, 0.0], [0.5, 0.5, -2.0, 1.0]])),
+}
+
+
+@pytest.mark.parametrize("chunk_budget", [None, 2 * 3 * 4 * 7])
+@pytest.mark.parametrize("delay_steps", [0, 1, 5, 25])
+@pytest.mark.parametrize("kind", sorted(_REFERENCE_OUTPUTS))
+def test_matches_the_per_step_reference_loop(monkeypatch, kind, delay_steps, chunk_budget):
+    import importlib
+
+    sim = importlib.import_module("tdconsensus.simulate")
+    if chunk_budget is not None:
+        # 7 steps of noise: chunks of 7, 6, 6 and 26 steps end mid-horizon.
+        monkeypatch.setattr(sim, "_CHUNK_BUDGET", chunk_budget)
+    g = WeightedGraph(4, ((0, 1, 1.0), (1, 2, 0.7), (2, 3, 1.3), (0, 2, 0.4)))
+    out = _REFERENCE_OUTPUTS[kind]
+    delay = 0.1 if delay_steps else 0.0
+    dt = delay / delay_steps if delay_steps else 0.01
+    # 39 burn-in steps (not a multiple of 2, 6 or 26) and 301 in all, so the
+    # last block of every delay is cut short.
+    config = SimulationConfig(
+        delay=delay, dt=dt, burn_in=38.5 * dt, horizon=300.5 * dt, trials=3, seed=5
+    )
+    est = sim.simulate(g, out, config)
+    assert (est.delay_steps, est.total_steps, est.sample_steps) == (delay_steps, 301, 262)
+    per_trial = reference_simulate(g, out, config)
+    assert est.mean == pytest.approx(per_trial.mean(), rel=1e-12, abs=0.0)
+    assert est.std_error == pytest.approx(
+        per_trial.std(ddof=1) / math.sqrt(3), rel=1e-12, abs=0.0
+    )
