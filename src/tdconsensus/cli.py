@@ -24,6 +24,7 @@ from .design import (
 )
 from .errors import (
     DisconnectedGraph,
+    DomainError,
     InvalidOutputMatrix,
     ParseError,
     ToolError,
@@ -224,6 +225,8 @@ def cmd_simulate(args: argparse.Namespace) -> dict:
 def cmd_sweep_tau(args: argparse.Namespace) -> str:
     graph_a = load_graph(args.graph)
     out = _load_output_spec(args, graph_a.node_count)
+    if graph_a.node_count < 2:
+        raise DomainError("need at least two nodes")
     graphs = [graph_a]
     spectra = [eigendecompose(graph_a.laplacian())]
     if args.second_graph is not None:

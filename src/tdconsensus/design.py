@@ -20,18 +20,19 @@ from .errors import (
     SingularUpdate,
 )
 from .graphs import (
-    BRIDGE_TOLERANCE,
     EdgeFormCaches,
     WeightedGraph,
     _check_endpoints,
     edge_quadratic_form,
     edge_quadratic_forms,
     eigendecompose,
+    is_bridge,
     sherman_morrison_update,
 )
 from .performance import (
     FIT_SLOPE,
     OutputSpec,
+    _modal_sum,
     _nonzero_modes,
     check_stability,
     cosine_fixed_point,
@@ -44,6 +45,9 @@ from .performance import (
 # Candidate weights must stay below (1 - EPS_STABILITY) times the edge
 # stability bound.
 EPS_STABILITY = 1e-6
+# sparsify scores no removal with |w(e) * r_e - 1| at or below this: its
+# rank-one denominator, proportional to 1 - w(e) * r_e, is near zero there.
+BRIDGE_TOLERANCE = 1e-6
 # Audit mode (exact-measure recomputation per iteration) defaults on up to
 # this many nodes.
 AUDIT_NODE_LIMIT = 200
@@ -163,11 +167,7 @@ class DesignState:
 
 
 def _contribution_terms(
-    state: DesignState,
-    us: np.ndarray,
-    vs: np.ndarray,
-    weights: np.ndarray,
-    gram_forms: np.ndarray,
+    state: DesignState, us: np.ndarray, vs: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
     """Vectorized fit change for adding weights[i] on edge (us[i], vs[i]).
 
@@ -183,6 +183,7 @@ def _contribution_terms(
         return resistance_term
     q3 = edge_quadratic_forms(state.caches.shift_pinv_gram, us, vs)
     q4 = edge_quadratic_forms(state.caches.shift_pinv, us, vs)
+    gram_forms = edge_quadratic_forms(state.caches.output_gram, us, vs)
     return (
         resistance_term
         + 0.5 * FIT_SLOPE * tau * tau * weights * gram_forms
@@ -209,15 +210,8 @@ def edge_contribution(state: DesignState, edge: tuple[int, int], weight: float) 
         d3 = -1.0 / (weight * tau) + q4
         if abs(d3) < 1e-14 * max(1.0, q4):
             raise SingularUpdate("contribution denominator vanishes (stability bound)")
-    gram_form = state.out.gram_edge_form(u, v)
     return float(
-        _contribution_terms(
-            state,
-            np.array([u]),
-            np.array([v]),
-            np.array([float(weight)]),
-            np.array([gram_form]),
-        )[0]
+        _contribution_terms(state, np.array([u]), np.array([v]), np.array([float(weight)]))[0]
     )
 
 
@@ -246,14 +240,13 @@ def contribution_upper_bound(state: DesignState, edge: tuple[int, int]) -> float
 
 
 def _move_arrays(
-    entries: Sequence[tuple[int, int, float]], out: OutputSpec
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(us, vs, weights, gram forms) of weighted edges."""
+    entries: Sequence[tuple[int, int, float]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(us, vs, weights) of weighted edges."""
     us = np.array([e[0] for e in entries], dtype=int)
     vs = np.array([e[1] for e in entries], dtype=int)
     ws = np.array([e[2] for e in entries], dtype=float)
-    gram_forms = np.array([out.gram_edge_form(u, v) for u, v, _ in entries])
-    return us, vs, ws, gram_forms
+    return us, vs, ws
 
 
 def _improvements(
@@ -261,7 +254,6 @@ def _improvements(
     us: np.ndarray,
     vs: np.ndarray,
     ws: np.ndarray,
-    gram_forms: np.ndarray,
     eligible: np.ndarray,
 ) -> np.ndarray:
     """Fit improvement of each move (us[i], vs[i], ws[i]); -inf where not eligible.
@@ -276,7 +268,7 @@ def _improvements(
         q4 = edge_quadratic_forms(state.caches.shift_pinv, us[idx], vs[idx])
         idx = idx[ws[idx] < (1.0 - EPS_STABILITY) * (1.0 / (state.delay * q4))]
     improvement = np.full(len(ws), -np.inf)
-    improvement[idx] = -_contribution_terms(state, us[idx], vs[idx], ws[idx], gram_forms[idx])
+    improvement[idx] = -_contribution_terms(state, us[idx], vs[idx], ws[idx])
     return improvement
 
 
@@ -335,11 +327,11 @@ def grow_simple(state: DesignState, candidates: CandidateSet) -> DesignTrace:
     candidate; a feasible set that empties mid-run just terminates.
     """
     candidates.validate_against(state.graph)
-    us, vs, ws, gram_forms = _move_arrays(candidates.entries, state.out)
+    us, vs, ws = _move_arrays(candidates.entries)
     active = np.ones(len(ws), dtype=bool)
 
     def next_move(iteration: int) -> Move | str:
-        improvement = _improvements(state, us, vs, ws, gram_forms, active)
+        improvement = _improvements(state, us, vs, ws, active)
         if np.isneginf(improvement).all():
             if iteration == 1:
                 raise NoFeasibleCandidate(
@@ -375,12 +367,12 @@ def grow_random(
     rng = np.random.default_rng(seed)
     k = candidates.budget
     placeholders_left = 2 * k - 1
-    us, vs, ws, gram_forms = _move_arrays(candidates.entries, state.out)
+    us, vs, ws = _move_arrays(candidates.entries)
     active = np.ones(len(ws), dtype=bool)
 
     def next_move(iteration: int) -> Move:
         nonlocal placeholders_left
-        improvement = _improvements(state, us, vs, ws, gram_forms, active)
+        improvement = _improvements(state, us, vs, ws, active)
         # Stable descending sort keeps the lexicographic candidate order on
         # ties; placeholders (improvement 0) rank after equal-value reals,
         # and unscored moves (-inf) never enter the pool.
@@ -411,19 +403,19 @@ def sparsify(state: DesignState, budget: int) -> DesignTrace:
     def next_move(iteration: int) -> Move | str:
         if not state.graph.edges:
             return "no removable edge"
-        us, vs, ws, gram_forms = _move_arrays(state.graph.edges, state.out)
+        us, vs, ws = _move_arrays(state.graph.edges)
         q2 = edge_quadratic_forms(state.caches.lap_pinv, us, vs)
         removable = np.abs(ws * q2 - 1.0) > BRIDGE_TOLERANCE
         if not removable.any():
             return "all edges are bridges"
-        improvement = _improvements(state, us, vs, -ws, gram_forms, removable)
+        improvement = _improvements(state, us, vs, -ws, removable)
         while True:
             best = int(np.argmax(improvement))
             best_h = float(improvement[best])
             if best_h <= 0.0:
                 return "no improving removal"
             edge = (int(us[best]), int(vs[best]))
-            if state.graph.without_edge(*edge).is_connected():
+            if not is_bridge(state.graph, edge):
                 return "remove", edge, -float(ws[best]), -best_h, best_h, None
             improvement[best] = -np.inf
 
@@ -536,6 +528,8 @@ def reweight_scale(graph: WeightedGraph, out: OutputSpec, delay: float) -> Rewei
         )
     if not graph.is_connected():
         raise DisconnectedGraph("rescaling requires a connected graph")
+    if graph.node_count < 2:
+        raise DomainError("need at least two nodes")
     spectrum = eigendecompose(graph.laplacian())
     modes, weights = _nonzero_modes(spectrum, out)
     lam2, lam_max = float(modes[0]), float(modes[-1])
@@ -546,10 +540,7 @@ def reweight_scale(graph: WeightedGraph, out: OutputSpec, delay: float) -> Rewei
     hi = min(z / (delay * lam2), (1.0 - 1e-12) * math.pi / (2.0 * delay * lam_max))
 
     def scaled_measure(kappa: float) -> float:
-        x = kappa * modes * delay
-        half_gap = 0.5 * (math.pi / 2.0 - x)
-        profile = np.cos(half_gap) / np.sin(half_gap)
-        return float(np.sum(weights * profile / (2.0 * kappa * modes)))
+        return _modal_sum(kappa * modes, weights, delay)
 
     width = 1e-8 * lo
     if hi - lo <= width:
@@ -557,9 +548,7 @@ def reweight_scale(graph: WeightedGraph, out: OutputSpec, delay: float) -> Rewei
     else:
         kappa_star = golden_section_min(scaled_measure, lo, hi, width)
     rho_before = (
-        rho_exact(spectrum, out, delay)
-        if check_stability(spectrum, delay).stable
-        else math.inf
+        _modal_sum(modes, weights, delay) if check_stability(spectrum, delay).stable else math.inf
     )
     return ReweightResult(
         kappa_star=kappa_star,

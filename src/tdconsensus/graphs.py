@@ -25,8 +25,6 @@ from .errors import (
     SingularUpdate,
 )
 
-# Relative threshold on |w(e) * r_e - 1| below which an edge is a bridge.
-BRIDGE_TOLERANCE = 1e-6
 # Relative scale for the singular-update denominator guard.
 SINGULAR_UPDATE_SCALE = 1e-12
 
@@ -268,20 +266,17 @@ def edge_quadratic_forms(matrix: np.ndarray, us: np.ndarray, vs: np.ndarray) -> 
     return matrix[us, us] + matrix[vs, vs] - 2.0 * matrix[us, vs]
 
 
-def is_bridge(
-    graph: WeightedGraph,
-    lap_pinv: np.ndarray,
-    edge: Edge,
-    tolerance: float = BRIDGE_TOLERANCE,
-) -> bool:
-    """Resistance test: e is a bridge iff w(e) * r_e equals 1.
-
-    w(e) * r_e is dimensionless and lies in (0, 1], so the tolerance is
-    applied to its deviation from 1 directly.
-    """
-    w = graph.weight(*edge)
-    resistance = edge_quadratic_form(lap_pinv, *edge)
-    return abs(w * resistance - 1.0) <= tolerance
+def is_bridge(graph: WeightedGraph, edge: Edge) -> bool:
+    """Whether removing the edge separates its endpoints: union-find over
+    every other edge, so no weight enters the test."""
+    key = _check_endpoints(graph.node_count, *edge)
+    if not graph.has_edge(*key):
+        raise EdgeNotInGraph(f"edge {key} not in graph")
+    uf = _UnionFind(graph.node_count)
+    for u, v, _ in graph.edges:
+        if (u, v) != key:
+            uf.union(u, v)
+    return uf.find(key[0]) != uf.find(key[1])
 
 
 @dataclass

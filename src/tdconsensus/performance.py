@@ -28,7 +28,6 @@ from .graphs import (
     WeightedGraph,
     _check_endpoints,
     centering_matrix,
-    edge_quadratic_form,
     edge_quadratic_forms,
     eigendecompose,
 )
@@ -134,49 +133,33 @@ class OutputSpec:
         assert self.matrix is not None
         return self.matrix
 
+    def _scale(self) -> float:
+        """CᵀC of a named kind as a multiple of the centering projector."""
+        return self.node_count if self.kind is OutputKind.COMPLETE_INCIDENCE else 1.0
+
     def gram(self) -> np.ndarray:
         """CᵀC, the matrix through which the output enters every formula."""
-        n = self.node_count
-        if self.kind in (OutputKind.CENTERING, OutputKind.ORTHONORMAL):
-            return centering_matrix(n)
-        if self.kind is OutputKind.COMPLETE_INCIDENCE:
-            return n * centering_matrix(n)
-        assert self.matrix is not None
-        return self.matrix.T @ self.matrix
+        if self.kind is OutputKind.CUSTOM:
+            return self.matrix.T @ self.matrix
+        return self._scale() * centering_matrix(self.node_count)
 
     def frobenius_sq(self) -> float:
         """Squared Frobenius norm of C, equal to the trace of the gram."""
-        n = self.node_count
-        if self.kind in (OutputKind.CENTERING, OutputKind.ORTHONORMAL):
-            return float(n - 1)
-        if self.kind is OutputKind.COMPLETE_INCIDENCE:
-            return float(n * (n - 1))
-        assert self.matrix is not None
-        return float(np.sum(self.matrix * self.matrix))
+        if self.kind is OutputKind.CUSTOM:
+            return float(np.sum(self.matrix * self.matrix))
+        return float(self._scale() * (self.node_count - 1))
 
     def modal_weights(self, vectors: np.ndarray) -> np.ndarray:
         """diag(Qᵀ CᵀC Q) for an orthonormal column basis Q.
 
-        For the centering-gram kinds this is 1 - (1ᵀq)²/n per column, exact
-        for any orthonormal Q, so no O(n³) product is formed.
+        For the named kinds this is the scale times 1 - (1ᵀq)²/n per column,
+        exact for any orthonormal Q, so no O(n³) product is formed.
         """
-        n = self.node_count
         if self.kind is OutputKind.CUSTOM:
             projected = self.matrix @ vectors
             return np.einsum("ji,ji->i", projected, projected)
         col_sums = vectors.sum(axis=0)
-        weights = 1.0 - (col_sums * col_sums) / n
-        if self.kind is OutputKind.COMPLETE_INCIDENCE:
-            weights = n * weights
-        return weights
-
-    def gram_edge_form(self, u: int, v: int) -> float:
-        """Quadratic form of the gram at the endpoint difference vector."""
-        if self.kind in (OutputKind.CENTERING, OutputKind.ORTHONORMAL):
-            return 2.0
-        if self.kind is OutputKind.COMPLETE_INCIDENCE:
-            return 2.0 * self.node_count
-        return edge_quadratic_form(self.gram(), u, v)
+        return self._scale() * (1.0 - (col_sums * col_sums) / self.node_count)
 
 
 def make_output_spec(kind: str, node_count: int, matrix: np.ndarray | None = None) -> OutputSpec:
@@ -299,6 +282,11 @@ def _modal_sum(lam: np.ndarray, weights: np.ndarray, delay: float) -> float:
     return float(np.sum(weights * _profile(lam * delay) * 0.5 / lam))
 
 
+def _fit_sum(lam: np.ndarray, weights: np.ndarray, delay: float) -> float:
+    """_modal_sum with the closed-form fit in place of each modal variance."""
+    return float(delay * np.sum(weights * _profile_fit(lam * delay)))
+
+
 def rho_exact(spectrum: SpectralCache, out: OutputSpec, delay: float) -> float:
     """Exact steady-state performance: sum of weighted modal variances."""
     require_stable(spectrum, delay)
@@ -313,8 +301,7 @@ def rho_approx(spectrum: SpectralCache, out: OutputSpec, delay: float) -> float:
     if delay == 0.0:
         raise DomainError("the fit requires a positive delay; use rho_exact at zero")
     require_stable(spectrum, delay)
-    lam, weights = _nonzero_modes(spectrum, out)
-    return float(delay * np.sum(weights * _profile_fit(lam * delay)))
+    return _fit_sum(*_nonzero_modes(spectrum, out), delay)
 
 
 def rho_approx_from_caches(caches: EdgeFormCaches) -> float:
@@ -429,6 +416,8 @@ def crossover_delay(
     """
     if graph_a.node_count != graph_b.node_count:
         raise ValueError("graphs must share the node count")
+    if graph_a.node_count < 2:
+        raise DomainError("need at least two nodes")
     for g, name in ((graph_a, "first"), (graph_b, "second")):
         if not g.is_connected():
             raise DisconnectedGraph(f"{name} graph is disconnected")
@@ -466,9 +455,10 @@ def crossover_delay(
             lo, d_lo = mid, d_mid
 
     dominance = None
-    if spec_a.lambda_max > spec_b.lambda_max:
-        edge_tau = math.pi / (2.0 * spec_a.lambda_max)
-        p_hat = rho_exact(spec_b, out, edge_tau)
+    edge_tau = math.pi / (2.0 * spec_a.lambda_max)
+    # The second test: a lambda_max an ulp below the first's can round onto the boundary.
+    if spec_a.lambda_max > spec_b.lambda_max and edge_tau * spec_b.lambda_max < math.pi / 2.0:
+        p_hat = _modal_sum(*modes_b, edge_tau)
         dominance = (
             math.pi * p_hat / (2.0 * p_hat * spec_a.lambda_max + 1.0),
             edge_tau,
@@ -555,13 +545,13 @@ def performance_report(
         raise DisconnectedGraph("analysis requires a connected graph")
     spectrum = eigendecompose(graph.laplacian())
     stability = require_stable(spectrum, delay)
-    exact = rho_exact(spectrum, out, delay)
+    lam, weights = _nonzero_modes(spectrum, out)
+    exact = _modal_sum(lam, weights, delay)
     if delay == 0.0:
         approx, limit = exact, 0.0
     else:
-        approx = rho_approx(spectrum, out, delay)
+        approx = _fit_sum(lam, weights, delay)
         limit = hard_limit(graph.node_count, out, delay).value
-    _, weights = _nonzero_modes(spectrum, out)
     return PerformanceReport(
         rho_exact=exact,
         rho_approx=approx,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DisconnectedGraph
+from .errors import ConfigError, DisconnectedGraph, DomainError
 from .graphs import WeightedGraph, eigendecompose
 from .performance import OutputSpec, require_stable
 
@@ -101,6 +101,8 @@ def simulate(
     """
     if out.node_count != graph.node_count:
         raise ConfigError("output spec and graph disagree on the node count")
+    if graph.node_count < 2:
+        raise DomainError("need at least two nodes")
     if not graph.is_connected():
         raise DisconnectedGraph("simulation requires a connected graph")
     lap = graph.laplacian()
@@ -149,7 +151,6 @@ def simulate(
     states_buffer = np.empty((drawn.shape[1], trials, n))
     # trail holds x_{k-d} .. x_k for the step k about to advance.
     trail = np.zeros((block, trials, n))
-    terms = np.empty((2 * block + 1, trials, n))
     sums = np.zeros(trials)
     step = 0
     while step < total_steps:
@@ -167,17 +168,16 @@ def simulate(
         else:
             for start in range(0, span, block):
                 width = min(block, span - start)
-                # Interleave x_k, -dt x_{k-d} L, sqrt(dt) xi_k, -dt x_{k-d+1} L,
-                # ...: the running sum adds them in the per-step order, and
-                # its even entries are x_{k+1} .. x_{k+width}.
-                run = terms[: 2 * width + 1]
-                run[0] = trail[-1]
+                # The increments sqrt(dt) xi_k - dt x_{k-d} L of the block,
+                # with x_k added to the first: their running sum is
+                # x_{k+1} .. x_{k+width}.
+                seg = states[start : start + width]
                 drift = trail[:width].reshape(-1, n) @ lap
-                np.multiply(drift.reshape(width, trials, n), -dt, out=run[1::2])
-                run[2::2] = states[start : start + width]
-                np.cumsum(run, axis=0, out=run)
-                states[start : start + width] = run[2::2]
-                trail = states[start : start + width]
+                drift *= dt
+                seg -= drift.reshape(width, trials, n)
+                seg[0] += trail[-1]
+                np.cumsum(seg, axis=0, out=seg)
+                trail = seg
         trail = states[-block:].copy()
         first = max(0, burn_steps - step)
         if first < span:

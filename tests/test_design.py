@@ -175,6 +175,31 @@ def test_edge_contribution_matches_recompute_custom_output():
     assert predicted == pytest.approx(actual, rel=1e-8)
 
 
+def test_design_loops_never_rebuild_a_custom_output_gram(monkeypatch):
+    rng = np.random.default_rng(24)
+    g = random_connected_graph(rng, min_nodes=7, max_nodes=7, extra_edge_prob=0.5)
+    raw = rng.normal(size=(5, 7))
+    out = OutputSpec.custom(raw - raw.mean(axis=1, keepdims=True))
+    pairs = _absent_pairs(g)
+    candidates = CandidateSet(tuple((u, v, 0.3) for u, v in pairs), budget=3)
+    # (delay as a fraction of the stability threshold, design run); removals
+    # only help near the threshold.
+    runs = {
+        "grow_simple": (0.5, lambda state: grow_simple(state, candidates)),
+        "sparsify": (0.95, lambda state: sparsify(state, 3)),
+        "grow_by_sensitivity": (0.5, lambda state: grow_by_sensitivity(state, pairs, 3)),
+    }
+    calls = []
+    gram = OutputSpec.gram
+    for name, (fraction, run) in runs.items():
+        state = DesignState.from_graph(g, out, stable_delay(g, fraction), audit=False)
+        monkeypatch.setattr(OutputSpec, "gram", lambda self: calls.append(name) or gram(self))
+        assert run(state).entries
+        monkeypatch.setattr(OutputSpec, "gram", gram)
+    # The caches hold the gram from from_graph; the design loops read it there.
+    assert calls == []
+
+
 def test_edge_contribution_removal_direction():
     rng = np.random.default_rng(23)
     for _ in range(25):

@@ -184,12 +184,15 @@ def test_resistance_scales_inversely_with_weight():
 
 def test_is_bridge_matches_dfs_oracle():
     rng = np.random.default_rng(77)
-    for _ in range(200):
-        g = random_connected_graph(rng, max_nodes=9, extra_edge_prob=0.25)
-        pinv = pseudo_inverse(eigendecompose(g.laplacian()))
+    graphs = [random_connected_graph(rng, max_nodes=9, extra_edge_prob=0.25) for _ in range(200)]
+    # A tree with weights 12 decades apart: w * r_e misses 1 by up to 2e-5.
+    graphs.append(WeightedGraph(4, ((0, 1, 2.12e-12), (0, 2, 4.54e-12), (2, 3, 0.769))))
+    for g in graphs:
         expected = bridge_oracle(g)
         for u, v, _ in g.edges:
-            assert is_bridge(g, pinv, (u, v)) == ((u, v) in expected)
+            assert is_bridge(g, (u, v)) == ((u, v) in expected)
+    with pytest.raises(EdgeNotInGraph):
+        is_bridge(graphs[-1], (1, 2))
 
 
 def test_delay_shift_matrix_definition():

@@ -13,8 +13,10 @@ import pytest
 from tdconsensus import (
     CandidateSet,
     DesignState,
+    DomainError,
     OutputSpec,
     ParseError,
+    SimulationConfig,
     WeightedGraph,
     crossover_delay,
     csv_cell,
@@ -28,6 +30,8 @@ from tdconsensus import (
     parse_report_json,
     performance_report,
     report_json,
+    reweight_scale,
+    simulate,
     to_jsonable,
 )
 from tdconsensus.cli import main
@@ -202,6 +206,41 @@ def test_cli_exit_codes(tmp_path, capsys):
     nan_weight.write_text("n 3\n0 1 1.0\n1 2 nan\n")
     assert main(["analyze", str(nan_weight), "--tau", "0.1"]) == 2
     assert "weight" in capsys.readouterr().err
+
+
+_ONE_NODE = WeightedGraph(1, ())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep-tau"],
+        ["sweep-tau", "SECOND"],
+        ["reweight", "--tau", "0.1"],
+        ["simulate", "--tau", "0.1"],
+        ["simulate", "--tau", "0"],
+    ],
+)
+def test_cli_one_node_graph_is_a_domain_error(tmp_path, capsys, argv):
+    path = _write_graph(tmp_path, "one.txt", _ONE_NODE)
+    argv = [argv[0], path] + [path if arg == "SECOND" else arg for arg in argv[1:]]
+    assert main(argv) == 1
+    assert "need at least two nodes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda out: crossover_delay(_ONE_NODE, _ONE_NODE, out),
+        lambda out: reweight_scale(_ONE_NODE, out, 0.1),
+        lambda out: simulate(_ONE_NODE, out, SimulationConfig(delay=0.1, seed=0)),
+        lambda out: simulate(_ONE_NODE, out, SimulationConfig(delay=0.0, seed=0)),
+    ],
+    ids=["crossover_delay", "reweight_scale", "simulate", "simulate-tau0"],
+)
+def test_one_node_graph_is_a_domain_error(call):
+    with pytest.raises(DomainError, match="need at least two nodes"):
+        call(OutputSpec.centering(1))
 
 
 def test_cli_candidate_file_problems_exit_two(tmp_path, capsys):
