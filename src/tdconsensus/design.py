@@ -151,8 +151,9 @@ class DesignState:
             raise DomainError("delay must be nonnegative")
         if not graph.is_connected():
             raise DisconnectedGraph("design requires a connected graph")
-        require_stable(eigendecompose(graph.laplacian()), delay)
-        caches = EdgeFormCaches.build(graph.laplacian(), out.gram(), delay)
+        laplacian = graph.laplacian()
+        require_stable(eigendecompose(laplacian), delay)
+        caches = EdgeFormCaches.build(laplacian, out.gram(), delay)
         if audit is None:
             audit = graph.node_count <= AUDIT_NODE_LIMIT
         return cls(graph, out, delay, caches, rho_approx_from_caches(caches), audit)

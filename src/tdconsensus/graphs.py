@@ -13,6 +13,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +28,9 @@ from .errors import (
 
 # Relative scale for the singular-update denominator guard.
 SINGULAR_UPDATE_SCALE = 1e-12
+# Rows per block of the in-place cache updates: a block's rank-two product is
+# a small temporary that stays in cache, and no n x n temporary is formed.
+UPDATE_BLOCK_ROWS = 128
 
 Edge = tuple[int, int]
 
@@ -39,6 +43,13 @@ def _check_endpoints(node_count: int, u: int, v: int) -> Edge:
     if u == v:
         raise ValueError(f"self-loop at node {u} is not allowed")
     return (u, v) if u < v else (v, u)
+
+
+def _checked_weight(key: Edge, weight: float) -> float:
+    w = float(weight)
+    if not 0.0 < w < np.inf:
+        raise ValueError(f"edge {key} needs a positive finite weight, got {w}")
+    return w
 
 
 class _UnionFind:
@@ -86,15 +97,23 @@ class WeightedGraph:
         seen: dict[Edge, float] = {}
         for u, v, w in self.edges:
             key = _check_endpoints(self.node_count, int(u), int(v))
-            w = float(w)
-            if not 0.0 < w < np.inf:
-                raise ValueError(f"edge {key} needs a positive finite weight, got {w}")
+            w = _checked_weight(key, w)
             if key in seen:
                 raise ValueError(f"duplicate edge {key}")
             seen[key] = w
         canonical = sorted((u, v, w) for (u, v), w in seen.items())
         object.__setattr__(self, "edges", tuple(canonical))
         object.__setattr__(self, "_weights", seen)
+
+    def _edited(
+        self, edges: tuple[tuple[int, int, float], ...], weights: dict[Edge, float]
+    ) -> "WeightedGraph":
+        """A graph on already canonical, sorted and validated edges, unchecked."""
+        graph = object.__new__(type(self))
+        object.__setattr__(graph, "node_count", self.node_count)
+        object.__setattr__(graph, "edges", edges)
+        object.__setattr__(graph, "_weights", weights)
+        return graph
 
     @property
     def edge_count(self) -> int:
@@ -113,17 +132,24 @@ class WeightedGraph:
         return self._weights[key]
 
     def with_edge(self, u: int, v: int, weight: float) -> "WeightedGraph":
-        key = _check_endpoints(self.node_count, u, v)
-        if self.has_edge(*key):
+        """This graph plus one edge, in O(E): a sorted insert, no re-sort."""
+        key = _check_endpoints(self.node_count, int(u), int(v))
+        if key in self._weights:
             raise ValueError(f"edge {key} already present")
-        return WeightedGraph(self.node_count, self.edges + ((key[0], key[1], float(weight)),))
+        edge = (key[0], key[1], _checked_weight(key, weight))
+        at = bisect.bisect_left(self.edges, edge)
+        weights = dict(self._weights)
+        weights[key] = edge[2]
+        return self._edited(self.edges[:at] + (edge,) + self.edges[at:], weights)
 
     def without_edge(self, u: int, v: int) -> "WeightedGraph":
-        key = _check_endpoints(self.node_count, u, v)
-        remaining = tuple(e for e in self.edges if (e[0], e[1]) != key)
-        if len(remaining) == len(self.edges):
+        """This graph minus one edge, in O(E)."""
+        key = _check_endpoints(self.node_count, int(u), int(v))
+        if key not in self._weights:
             raise EdgeNotInGraph(f"edge {key} not in graph")
-        return WeightedGraph(self.node_count, remaining)
+        weights = dict(self._weights)
+        at = bisect.bisect_left(self.edges, (key[0], key[1], weights.pop(key)))
+        return self._edited(self.edges[:at] + self.edges[at + 1 :], weights)
 
     def scaled(self, factor: float) -> "WeightedGraph":
         if not 0.0 < factor < np.inf:
@@ -318,36 +344,55 @@ class EdgeFormCaches:
         )
 
 
-def _rank_one_pair_update(
+def _pair_update_vectors(
     inverse: np.ndarray,
     gram_sandwich: np.ndarray,
     u: int,
     v: int,
     coefficient: float,
-    guard_scale: float,
-) -> None:
-    """Update P = inverse and Y = P @ gram @ P in place for A += c * b bᵀ.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vectors (p, alpha p, corr) that update P = inverse and Y = P @ gram @ P
+    for A += c * b bᵀ; reads both matrices and writes neither.
 
     b is the endpoint difference vector of (u, v), which is orthogonal to
     the all-ones kernel, so the Sherman-Morrison identity applies to these
-    pseudo-inverses unchanged.
+    pseudo-inverses unchanged. Raises SingularUpdate when its denominator
+    vanishes.
     """
     p = inverse[:, u] - inverse[:, v]
     quad = p[u] - p[v]
     denom = 1.0 + coefficient * quad
-    if abs(denom) <= SINGULAR_UPDATE_SCALE * max(1.0, abs(coefficient * quad), guard_scale):
+    if abs(denom) <= SINGULAR_UPDATE_SCALE * max(1.0, abs(coefficient * quad), abs(coefficient)):
         raise SingularUpdate(
             f"rank-one update denominator {denom:.3e} vanishes for edge ({u}, {v})"
         )
     alpha = coefficient / denom
     z = gram_sandwich[:, u] - gram_sandwich[:, v]
     sandwich_quad = z[u] - z[v]
-    # Y_new = Y - alpha (p zᵀ + z pᵀ) + alpha² (bᵀYb) p pᵀ, folded into two
-    # symmetric rank-one terms.
+    # Y_new = Y - alpha (p zᵀ + z pᵀ) + alpha² (bᵀYb) p pᵀ, folded into the
+    # symmetric rank-two term p corrᵀ + corr pᵀ.
     corr = -alpha * z + (0.5 * alpha * alpha * sandwich_quad) * p
-    gram_sandwich += np.outer(p, corr)
-    gram_sandwich += np.outer(corr, p)
-    inverse -= alpha * np.outer(p, p)
+    return p, alpha * p, corr
+
+
+def _rank_one_pair_update(
+    inverse: np.ndarray,
+    gram_sandwich: np.ndarray,
+    p: np.ndarray,
+    alpha_p: np.ndarray,
+    corr: np.ndarray,
+) -> None:
+    """P -= (alpha p) pᵀ and Y += [p corr] @ [corr; p] in place, O(n^2).
+
+    Both run a block of UPDATE_BLOCK_ROWS rows at a time, so neither forms
+    an n x n temporary; both triangles stay stored.
+    """
+    left = np.column_stack((p, corr))
+    right = np.vstack((corr, p))
+    for start in range(0, len(p), UPDATE_BLOCK_ROWS):
+        rows = slice(start, start + UPDATE_BLOCK_ROWS)
+        gram_sandwich[rows] += left[rows] @ right
+        inverse[rows] -= np.multiply.outer(alpha_p[rows], p)
 
 
 def sherman_morrison_update(caches: EdgeFormCaches, edge: Edge, dweight: float) -> None:
@@ -362,24 +407,15 @@ def sherman_morrison_update(caches: EdgeFormCaches, edge: Edge, dweight: float) 
     u, v = _check_endpoints(n, *edge)
     if dweight == 0.0:
         return
-    _rank_one_pair_update(
-        caches.lap_pinv,
-        caches.lap_pinv_gram,
-        u,
-        v,
-        dweight,
-        guard_scale=abs(dweight),
-    )
+    operators = [(caches.lap_pinv, caches.lap_pinv_gram, dweight)]
     if caches.delay > 0.0:
         # The shifted operator changes by -delay * dweight on the same edge.
-        _rank_one_pair_update(
-            caches.shift_pinv,
-            caches.shift_pinv_gram,
-            u,
-            v,
-            -caches.delay * dweight,
-            guard_scale=abs(caches.delay * dweight),
-        )
+        operators.append((caches.shift_pinv, caches.shift_pinv_gram, -caches.delay * dweight))
+    # Both denominators are tested before any entry is written, so a
+    # SingularUpdate leaves every cache as it was.
+    vectors = [_pair_update_vectors(inv, gram, u, v, c) for inv, gram, c in operators]
+    for (inverse, gram_sandwich, _), update in zip(operators, vectors):
+        _rank_one_pair_update(inverse, gram_sandwich, *update)
     lap = caches.laplacian
     lap[u, u] += dweight
     lap[v, v] += dweight

@@ -41,6 +41,12 @@ FIT_SLOPE = -0.01
 # vector, relative to its largest entry.
 OUTPUT_KERNEL_TOLERANCE = 1e-10
 
+# crossover_delay counts a difference of two modal sums as zero when its size
+# is at most this factor times m * eps * (rho_a + rho_b), m the mode count:
+# every term is positive, so each sum carries m ulps from its summation plus
+# a few from evaluating each term.
+CROSSOVER_ROUNDING_FACTOR = 8.0
+
 
 @lru_cache(maxsize=1)
 def cosine_fixed_point(tolerance: float = 1e-12) -> float:
@@ -312,14 +318,16 @@ def rho_approx_from_caches(caches: EdgeFormCaches) -> float:
     loop tracks there.
     """
     gram = caches.output_gram
-    base = 0.5 * float(np.sum(gram * caches.lap_pinv))
+    # Each trace Tr[gram @ M] of symmetric matrices is one dot product over
+    # all entries, with no n x n temporary.
+    base = 0.5 * float(np.vdot(gram, caches.lap_pinv))
     tau = caches.delay
     if tau == 0.0:
         return base
     return (
         base
-        + (2.0 * tau / math.pi) * float(np.sum(gram * caches.shift_pinv))
-        + 0.5 * FIT_SLOPE * tau * tau * float(np.sum(gram * caches.laplacian))
+        + (2.0 * tau / math.pi) * float(np.vdot(gram, caches.shift_pinv))
+        + 0.5 * FIT_SLOPE * tau * tau * float(np.vdot(gram, caches.laplacian))
         + 0.5 * FIT_OFFSET * tau * float(np.trace(gram))
     )
 
@@ -388,7 +396,8 @@ class CrossoverResult:
 
     bracket is the final sign-certified bisection interval:
     difference(bracket_low) <= 0 < difference(bracket_high), where
-    difference = rho(first) - rho(second). certified_dominance, when
+    difference = rho(first) - rho(second), read as zero within its
+    rounding bound (CROSSOVER_ROUNDING_FACTOR). certified_dominance, when
     present, is the closed-form interval on which the second graph
     provably wins; the threshold lies at or left of its lower end.
     """
@@ -410,9 +419,11 @@ def crossover_delay(
     """Smallest delay past which graph_b beats graph_a at every sample.
 
     Scans a log-spaced grid over the common stability interval, then
-    bisects the last sign change of rho(graph_a) - rho(graph_b). Returns
-    None when the difference never changes sign on the grid, or when it is
-    not positive at every sample past the last change.
+    bisects the last sign change of rho(graph_a) - rho(graph_b). A
+    difference within the modal sums' rounding bound counts as zero, both
+    on the grid and in the bisection. Returns None when the difference is
+    never negative or never changes sign on the grid, or when it is not
+    positive at every sample past the last change.
     """
     if graph_a.node_count != graph_b.node_count:
         raise ValueError("graphs must share the node count")
@@ -432,13 +443,17 @@ def crossover_delay(
     modes_a = _nonzero_modes(spec_a, out)
     modes_b = _nonzero_modes(spec_b, out)
 
+    rounding = CROSSOVER_ROUNDING_FACTOR * len(modes_a[0]) * np.finfo(float).eps
+
     def difference(tau: float) -> float:
-        return _modal_sum(*modes_a, tau) - _modal_sum(*modes_b, tau)
+        rho_a, rho_b = _modal_sum(*modes_a, tau), _modal_sum(*modes_b, tau)
+        diff = rho_a - rho_b
+        return 0.0 if abs(diff) <= rounding * (rho_a + rho_b) else diff
 
     taus = np.geomspace(1e-4 * tau_hi, (1.0 - 1e-9) * tau_hi, samples)
     diffs = np.array([difference(t) for t in taus])
     nonpos = np.flatnonzero(diffs <= 0.0)
-    if len(nonpos) == 0 or nonpos[-1] == samples - 1:
+    if not (diffs < 0.0).any() or nonpos[-1] == samples - 1:
         return None
     last = int(nonpos[-1])
     if not np.all(diffs[last + 1 :] > 0.0):

@@ -98,9 +98,37 @@ def bridge_oracle(graph: WeightedGraph) -> set[tuple[int, int]]:
     return bridges
 
 
+def grounded_pinv(matrix: np.ndarray) -> np.ndarray:
+    """Pseudo-inverse of a symmetric matrix whose kernel is span(1), by
+    np.linalg.eigh of the grounded matrix A + J/n, minus J/n.
+
+    A + J/n maps the ones vector to itself and agrees with A elsewhere, so no
+    kernel eigenpair has to be found: the check shares no code with the
+    library's spectral path.
+    """
+    n = matrix.shape[0]
+    ones = np.full((n, n), 1.0 / n)
+    lam, vectors = np.linalg.eigh(matrix + ones)
+    return (vectors / lam) @ vectors.T - ones
+
+
 def fresh_caches(graph: WeightedGraph, out: OutputSpec, delay: float) -> EdgeFormCaches:
-    """Caches rebuilt from scratch, the reference for incremental updates."""
-    return EdgeFormCaches.build(graph.laplacian(), out.gram(), delay)
+    """Caches rebuilt from scratch without the library's build, the reference
+    for incremental updates."""
+    n = graph.node_count
+    lap = graph.laplacian()
+    gram = out.gram()
+    shift = (math.pi / 2.0) * (np.eye(n) - np.full((n, n), 1.0 / n)) - delay * lap
+    lap_pinv, shift_pinv = grounded_pinv(lap), grounded_pinv(shift)
+    return EdgeFormCaches(
+        laplacian=lap,
+        output_gram=gram,
+        delay=delay,
+        lap_pinv=lap_pinv,
+        shift_pinv=shift_pinv,
+        lap_pinv_gram=lap_pinv @ gram @ lap_pinv,
+        shift_pinv_gram=shift_pinv @ gram @ shift_pinv,
+    )
 
 
 def spectrum_of(graph: WeightedGraph) -> SpectralCache:
@@ -115,13 +143,18 @@ def fit_measure(graph: WeightedGraph, out: OutputSpec, delay: float) -> float:
     return rho_approx(spectrum_of(graph), out, delay)
 
 
+def tracked_matrices(caches: EdgeFormCaches) -> tuple[np.ndarray, ...]:
+    """Every matrix a rank-one update writes."""
+    return (
+        caches.laplacian,
+        caches.lap_pinv,
+        caches.shift_pinv,
+        caches.lap_pinv_gram,
+        caches.shift_pinv_gram,
+    )
+
+
 def max_cache_drift(incremental: EdgeFormCaches, reference: EdgeFormCaches) -> float:
     """Largest entrywise difference across all tracked matrices."""
-    pairs = (
-        (incremental.laplacian, reference.laplacian),
-        (incremental.lap_pinv, reference.lap_pinv),
-        (incremental.shift_pinv, reference.shift_pinv),
-        (incremental.lap_pinv_gram, reference.lap_pinv_gram),
-        (incremental.shift_pinv_gram, reference.shift_pinv_gram),
-    )
+    pairs = zip(tracked_matrices(incremental), tracked_matrices(reference))
     return max(float(np.max(np.abs(a - b))) for a, b in pairs)

@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tdconsensus import (
     DisconnectedGraph,
     EdgeFormCaches,
     EdgeNotInGraph,
     IndexOutOfRange,
+    OutputKind,
     OutputSpec,
     SingularUpdate,
     WeightedGraph,
@@ -27,6 +30,7 @@ from conftest import (
     max_cache_drift,
     random_connected_graph,
     stable_delay,
+    tracked_matrices,
 )
 
 
@@ -86,6 +90,69 @@ def test_edge_mutation_helpers():
     assert doubled.weight(0, 1) == 2.0
     with pytest.raises(ValueError):
         g.scaled(0.0)
+
+
+def _assert_same_graph(edited: WeightedGraph, fresh: WeightedGraph) -> None:
+    assert edited == fresh and hash(edited) == hash(fresh)
+    assert edited.edges == fresh.edges and repr(edited) == repr(fresh)
+    for u, v, w in edited.edges:
+        assert (type(u), type(v), type(w)) == (int, int, float)
+        assert edited.weight(v, u) == fresh.weight(u, v) == w
+    assert edited.edge_keys() == fresh.edge_keys()
+
+
+_SCALARS = (int, np.int64, np.int32)
+
+
+@settings(max_examples=60)
+@given(
+    n=st.integers(2, 9),
+    steps=st.lists(
+        st.tuples(
+            st.integers(0, 8), st.integers(0, 8), st.floats(0.01, 10.0), st.integers(0, 2)
+        ),
+        max_size=25,
+    ),
+)
+def test_edge_edits_equal_a_fresh_graph_on_the_same_edges(n, steps):
+    g = WeightedGraph(n, ())
+    edges: dict[tuple[int, int], float] = {}
+    for a, b, w, style in steps:
+        u, v = _SCALARS[style](a % n), _SCALARS[style](b % n)
+        key = (int(min(u, v)), int(max(u, v)))
+        if u == v:
+            continue
+        if key in edges:
+            g = g.without_edge(u, v)
+            del edges[key]
+        else:
+            weight = (float, np.float64, np.float32)[style](w)
+            g = g.with_edge(u, v, weight)
+            edges[key] = float(weight)
+        fresh = WeightedGraph(n, tuple((u, v, w) for (u, v), w in edges.items()))
+        _assert_same_graph(g, fresh)
+
+
+def test_edge_edits_raise_the_construction_errors():
+    g = WeightedGraph.path(4)
+    cases = [
+        (lambda: g.with_edge(1, 0, 1.0), ValueError, "already present"),
+        (lambda: g.with_edge(np.int64(2), np.int64(1), 0.5), ValueError, "already present"),
+        (lambda: g.without_edge(0, 2), EdgeNotInGraph, "not in graph"),
+        (lambda: g.without_edge(np.int64(3), np.int64(0)), EdgeNotInGraph, "not in graph"),
+        (lambda: g.with_edge(0, 4, 1.0), IndexOutOfRange, "out of range"),
+        (lambda: g.with_edge(-1, 2, 1.0), IndexOutOfRange, "out of range"),
+        (lambda: g.without_edge(0, 4), IndexOutOfRange, "out of range"),
+        (lambda: g.with_edge(2, 2, 1.0), ValueError, "self-loop"),
+        (lambda: g.without_edge(1, 1), ValueError, "self-loop"),
+    ]
+    for bad in (0.0, -0.5, math.nan, math.inf, -math.inf, np.float64(math.nan)):
+        cases.append((lambda bad=bad: g.with_edge(0, 2, bad), ValueError, "positive finite"))
+    for call, error, message in cases:
+        with pytest.raises(error, match=message) as excinfo:
+            call()
+        assert excinfo.type is error
+    _assert_same_graph(g, WeightedGraph.path(4))
 
 
 def test_named_families_and_degree():
@@ -313,6 +380,97 @@ def test_twenty_update_composition_drift_stays_small():
         shifted = np.sort(np.abs(np.linalg.eigvalsh(delay_shift_matrix(g.laplacian(), delay))))
         assert shifted[1] > 1e-6
     assert max_cache_drift(caches, fresh_caches(g, out, delay)) < 1e-6
+
+
+def test_singular_update_leaves_every_cache_unchanged():
+    # The Laplacian side passes and the shifted side hits the stability
+    # bound: nothing may be written before the second test fails.
+    g = WeightedGraph.cycle(5)
+    out = OutputSpec.centering(5)
+    delay = stable_delay(g, 0.5)
+    caches = fresh_caches(g, out, delay)
+    q4 = edge_quadratic_form(caches.shift_pinv, 0, 2)
+    before = [m.copy() for m in tracked_matrices(caches)]
+    with pytest.raises(SingularUpdate):
+        sherman_morrison_update(caches, (0, 2), 1.0 / (delay * q4))
+    assert all(np.array_equal(a, b) for a, b in zip(before, tracked_matrices(caches)))
+
+
+def _output_spec(kind: OutputKind, n: int, rng: np.random.Generator) -> OutputSpec:
+    if kind is OutputKind.CUSTOM:
+        matrix = rng.standard_normal((max(2, n // 3), n))
+        return OutputSpec.custom(matrix - matrix.mean(axis=1, keepdims=True))
+    return OutputSpec(kind, n)
+
+
+# Largest relative drift, max |updated - reference| / max |reference| per
+# matrix, allowed after a move sequence; the largest measured is 1e-13.
+SEQUENCE_DRIFT_BOUND = 1e-10
+
+_MOVES = st.lists(
+    st.tuples(
+        st.sampled_from(("add", "reduce", "remove")),
+        st.integers(0, 2**31 - 1),
+        st.floats(0.05, 0.5),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+# 127, 128 and 129 nodes make the last row block of an update partial,
+# exact and one row long; 300 nodes take three blocks.
+@pytest.mark.parametrize("n", [2, 127, 128, 129, 300])
+@settings(max_examples=15)
+@given(
+    kind=st.sampled_from(list(OutputKind)),
+    fraction=st.one_of(st.just(0.0), st.floats(0.01, 0.8)),
+    seed=st.integers(0, 2**32 - 1),
+    moves=_MOVES,
+)
+def test_update_sequences_track_the_eigh_reference_or_raise_singular(
+    n, kind, fraction, seed, moves
+):
+    rng = np.random.default_rng(seed)
+    edges = {}
+    for v in range(1, n):
+        edges[(int(rng.integers(0, v)), v)] = float(rng.uniform(0.5, 2.0))
+    for _ in range(n // 2):
+        a, b = sorted(int(x) for x in rng.integers(0, n, size=2))
+        if a != b:
+            edges.setdefault((a, b), float(rng.uniform(0.5, 2.0)))
+    g = WeightedGraph(n, tuple((u, v, w) for (u, v), w in edges.items()))
+    out = _output_spec(kind, n, rng)
+    delay = fraction * math.pi / (2.0 * np.linalg.eigvalsh(g.laplacian())[-1])
+    caches = EdgeFormCaches.build(g.laplacian(), out.gram(), delay)
+    for action, pick, factor in moves:
+        if action == "add":
+            u, v = sorted((pick % n, (pick // n) % n))
+            if u == v or g.has_edge(u, v):
+                continue
+            bound = math.inf
+            if delay > 0.0:
+                bound = 1.0 / (delay * edge_quadratic_form(caches.shift_pinv, u, v))
+            w = factor * min(bound, 4.0)
+            sherman_morrison_update(caches, (u, v), w)
+            g = g.with_edge(u, v, w)
+            continue
+        u, v, w = g.edges[pick % g.edge_count]
+        if action == "reduce":
+            sherman_morrison_update(caches, (u, v), -factor * w)
+            g = g.without_edge(u, v).with_edge(u, v, w - factor * w)
+        elif (u, v) in bridge_oracle(g):
+            before = [m.copy() for m in tracked_matrices(caches)]
+            with pytest.raises(SingularUpdate):
+                sherman_morrison_update(caches, (u, v), -w)
+            assert all(np.array_equal(a, b) for a, b in zip(before, tracked_matrices(caches)))
+        else:
+            sherman_morrison_update(caches, (u, v), -w)
+            g = g.without_edge(u, v)
+    reference = fresh_caches(g, out, delay)
+    for ours, ref in zip(tracked_matrices(caches), tracked_matrices(reference)):
+        drift = float(np.max(np.abs(ours - ref)) / np.max(np.abs(ref)))
+        assert drift <= SEQUENCE_DRIFT_BOUND
 
 
 def test_edge_quadratic_form_rejects_bad_nodes():

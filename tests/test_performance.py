@@ -407,6 +407,30 @@ def test_crossover_no_certificate_when_lambda_max_is_an_ulp_apart():
     assert result is None or result.certified_dominance is None
 
 
+def test_crossover_none_for_weights_one_ulp_apart():
+    # The two spectra differ by one ulp: every grid difference is within the
+    # modal sums' rounding bound, so none is negative and nothing crosses.
+    w = 2.9518429995030964
+    a = WeightedGraph(2, ((0, 1, w),))
+    b = WeightedGraph(2, ((0, 1, float(np.nextafter(w, 0.0))),))
+    assert crossover_delay(a, b, OutputSpec.centering(2)) is None
+
+
+def test_crossover_with_lambda_max_an_ulp_apart_keeps_no_certificate():
+    # The one-ulp pair above no longer crosses, so this pair reaches the
+    # certificate test instead: the second graph's lambda_max is one ulp
+    # below the first's and rounds onto the boundary, and the well-connected
+    # triangle loses only within 1e-8 of the common stability boundary.
+    a = WeightedGraph(3, ((0, 1, 1.0), (0, 2, 0.7079146855055481), (1, 2, 0.8547846749285817)))
+    b = WeightedGraph(3, ((0, 1, 1.3823842884719133), (1, 2, 0.09653693468416842)))
+    lam_a, lam_b = spectrum_of(a).lambda_max, spectrum_of(b).lambda_max
+    assert lam_b < lam_a and (math.pi / (2.0 * lam_a)) * lam_b >= math.pi / 2.0
+    result = crossover_delay(a, b, OutputSpec.centering(3))
+    assert result is not None and result.certified_dominance is None
+    assert result.difference_low < 0.0 < result.difference_high
+    assert 1.0 - 1e-8 < result.tau_star * 2.0 * lam_a / math.pi < 1.0
+
+
 def test_crossover_input_validation():
     out = OutputSpec.centering(4)
     with pytest.raises(ValueError):
