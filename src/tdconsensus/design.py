@@ -185,10 +185,13 @@ def _contribution_terms(
     q3 = edge_quadratic_forms(state.caches.shift_pinv_gram, us, vs)
     q4 = edge_quadratic_forms(state.caches.shift_pinv, us, vs)
     gram_forms = edge_quadratic_forms(state.caches.output_gram, us, vs)
+    # The shift term in terms of w * tau, which stays finite at subnormal
+    # delays where 1 / (w * tau) would overflow.
+    scaled = weights * tau
     return (
         resistance_term
         + 0.5 * FIT_SLOPE * tau * tau * weights * gram_forms
-        - (2.0 * tau / math.pi) * q3 / (-1.0 / (weights * tau) + q4)
+        + (2.0 * tau / math.pi) * q3 * scaled / (1.0 - scaled * q4)
     )
 
 
@@ -208,8 +211,10 @@ def edge_contribution(state: DesignState, edge: tuple[int, int], weight: float) 
         raise SingularUpdate("contribution denominator vanishes (bridge removal)")
     if tau > 0.0:
         q4 = edge_quadratic_form(state.caches.shift_pinv, u, v)
-        d3 = -1.0 / (weight * tau) + q4
-        if abs(d3) < 1e-14 * max(1.0, q4):
+        # |q4 - 1 / (w tau)| < 1e-14 max(1, q4), times |w tau| so that
+        # nothing overflows at a subnormal delay.
+        scaled = weight * tau
+        if abs(1.0 - scaled * q4) < 1e-14 * max(1.0, q4) * abs(scaled):
             raise SingularUpdate("contribution denominator vanishes (stability bound)")
     return float(
         _contribution_terms(state, np.array([u]), np.array([v]), np.array([float(weight)]))[0]
@@ -267,7 +272,7 @@ def _improvements(
     idx = np.flatnonzero(eligible)
     if state.delay > 0.0:
         q4 = edge_quadratic_forms(state.caches.shift_pinv, us[idx], vs[idx])
-        idx = idx[ws[idx] < (1.0 - EPS_STABILITY) * (1.0 / (state.delay * q4))]
+        idx = idx[ws[idx] * (state.delay * q4) < 1.0 - EPS_STABILITY]
     improvement = np.full(len(ws), -np.inf)
     improvement[idx] = -_contribution_terms(state, us[idx], vs[idx], ws[idx])
     return improvement
@@ -487,6 +492,11 @@ def grow_by_sensitivity(
         best = int(idx[pos])
         best_pair, best_slope = canonical[best], float(slopes[pos])
         bound = edge_stability_bound(state, best_pair)
+        if bound == math.inf:
+            raise DomainError(
+                f"delay {state.delay} too small: the stability bound on pair "
+                f"{best_pair} overflows a float"
+            )
         hi = (1.0 - EPS_STABILITY) * bound
         weight = golden_section_min(
             lambda w: edge_contribution(state, best_pair, w),
@@ -539,6 +549,8 @@ def reweight_scale(graph: WeightedGraph, out: OutputSpec, delay: float) -> Rewei
         raise DomainError("delay too large: the scaling bracket is entirely unstable")
     lo = z / (delay * lam_max)
     hi = min(z / (delay * lam2), (1.0 - 1e-12) * math.pi / (2.0 * delay * lam_max))
+    if hi * lam_max == math.inf:
+        raise DomainError(f"delay {delay} too small: the optimal scale overflows a float")
 
     def scaled_measure(kappa: float) -> float:
         return _modal_sum(kappa * modes, weights, delay)

@@ -128,11 +128,12 @@ def simulate(
 
     trials = config.trials
     n = graph.node_count
-    # Imported here, before the chunk buffers exist: scipy.stats costs more
-    # to import than the package.
-    from scipy import stats
+    # Imported here, before the chunk buffers exist. scipy.special holds the
+    # inverse Student-t CDF that scipy.stats.t.ppf calls, at a third of the
+    # import time and memory of scipy.stats.
+    from scipy import special
 
-    quantile = float(stats.t.ppf(0.995, trials - 1))
+    quantile = float(special.stdtrit(trials - 1, 0.995))
     rngs = [
         np.random.default_rng(s)
         for s in np.random.SeedSequence(config.seed).spawn(trials)

@@ -5,13 +5,18 @@ updates, cached quadratic forms) so agreement is evidence, not tautology.
 """
 
 import math
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
+import tdconsensus
 from tdconsensus import (
     EdgeFormCaches,
     OutputSpec,
@@ -158,3 +163,18 @@ def max_cache_drift(incremental: EdgeFormCaches, reference: EdgeFormCaches) -> f
     """Largest entrywise difference across all tracked matrices."""
     pairs = zip(tracked_matrices(incremental), tracked_matrices(reference))
     return max(float(np.max(np.abs(a - b))) for a, b in pairs)
+
+
+def fresh_interpreter_output(code: str) -> str:
+    """Stripped stdout of code run by a new interpreter on this package."""
+    src = str(Path(tdconsensus.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+        check=True,
+    )
+    return done.stdout.strip()

@@ -256,6 +256,39 @@ def test_edge_stability_bound_infinite_at_zero_delay():
     assert edge_stability_bound(state, (0, 2)) == math.inf
 
 
+@pytest.mark.parametrize("tau", [1e-311, 1e-300, 0.0])
+def test_design_at_a_subnormal_delay_matches_zero_delay(tau):
+    # 1 / (w * tau) overflows at tau = 1e-311; the stability test and the
+    # shift term are written in w * tau so that the greedy drivers and
+    # edge_contribution see the zero-delay limit without a RuntimeWarning.
+    g = WeightedGraph.path(4)
+    out = OutputSpec.centering(4)
+    entries = ((0, 2, 1.0), (0, 3, 1.0), (1, 3, 1.0))
+
+    def picks(trace):
+        return [e.edge for e in trace.entries]
+
+    state = DesignState.from_graph(g, out, tau)
+    assert picks(grow_simple(state, CandidateSet(entries, 2))) == [(0, 3), (0, 2)]
+    state = DesignState.from_graph(g, out, tau)
+    assert picks(grow_random(state, CandidateSet(entries, 2), seed=0)) == [(0, 2), (1, 3)]
+    state = DesignState.from_graph(g, out, tau)
+    assert edge_contribution(state, (0, 3), 1.0) == pytest.approx(-0.625, rel=1e-12)
+    assert edge_contribution(state, (0, 1), -0.5) == pytest.approx(0.375, rel=1e-12)
+
+
+def test_weight_optima_past_the_float_range_raise_domain_error():
+    # At a subnormal delay the optimal weight and scale, about 1 / tau,
+    # are not finite floats.
+    g = WeightedGraph.path(4)
+    out = OutputSpec.centering(4)
+    state = DesignState.from_graph(g, out, 1e-311)
+    with pytest.raises(DomainError, match="overflows"):
+        grow_by_sensitivity(state, [(0, 2), (0, 3)], budget=1)
+    with pytest.raises(DomainError, match="overflows"):
+        reweight_scale(g, out, 1e-311)
+
+
 # --- contribution upper bound ---
 
 

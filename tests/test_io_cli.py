@@ -2,10 +2,6 @@
 
 import json
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,7 +31,7 @@ from tdconsensus import (
     to_jsonable,
 )
 from tdconsensus.cli import main
-from conftest import random_connected_graph, stable_delay
+from conftest import fresh_interpreter_output, random_connected_graph, stable_delay
 
 
 # --- graph text format ---
@@ -268,24 +264,13 @@ def test_cli_candidate_file_problems_exit_two(tmp_path, capsys):
 def test_cli_import_loads_no_scipy_module():
     # Each CLI command starts a fresh interpreter, and importing any of
     # scipy.stats, scipy.integrate or scipy.linalg costs more than the whole
-    # package. Only simulate's t-quantile and the quadrature oracle load scipy.
-    import tdconsensus
-
-    src = str(Path(tdconsensus.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    # package. Only simulate's t-quantile (scipy.special, on the first call)
+    # and the quadrature oracle load scipy.
     code = (
         "import sys, tdconsensus.cli; "
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     )
-    done = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-        timeout=120,
-        check=True,
-    )
-    assert done.stdout.strip() == "[]"
+    assert fresh_interpreter_output(code) == "[]"
 
 
 def test_cli_argparse_rejects_unknown_command():

@@ -14,7 +14,7 @@ from tdconsensus import (
     WeightedGraph,
     simulate,
 )
-from conftest import exact_measure
+from conftest import exact_measure, fresh_interpreter_output
 
 
 def test_same_seed_reproduces_exactly():
@@ -137,6 +137,33 @@ def test_estimate_brackets_the_exact_value():
     assert est.mean == pytest.approx(truth, rel=0.15)
     assert est.std_error > 0.0
     assert est.ci99_low < est.mean < est.ci99_high
+
+
+@pytest.mark.parametrize("trials", [2, 3, 16, 101])
+def test_interval_is_the_student_t_interval(trials):
+    # scipy.stats is imported here only, as an oracle independent of the
+    # quantile routine the simulator calls.
+    from scipy import stats
+
+    q = stats.t.ppf(0.995, trials - 1)
+    config = SimulationConfig(delay=0.1, trials=trials, horizon=2.0, burn_in=0.5, seed=3)
+    est = simulate(WeightedGraph.path(3), OutputSpec.centering(3), config)
+    assert est.std_error > 0.0
+    assert est.ci99_high == est.mean + q * est.std_error
+    assert est.ci99_low == est.mean - q * est.std_error
+
+
+def test_simulate_loads_no_scipy_stats_module():
+    # Each CLI simulate starts a fresh interpreter; importing scipy.stats
+    # would cost it more than the package and a small simulation together.
+    code = (
+        "import sys\n"
+        "from tdconsensus import OutputSpec, SimulationConfig, WeightedGraph, simulate\n"
+        "config = SimulationConfig(delay=0.1, trials=2, horizon=2.0, burn_in=0.5, seed=1)\n"
+        "simulate(WeightedGraph.path(3), OutputSpec.centering(3), config)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    )
+    assert fresh_interpreter_output(code) == "[]"
 
 
 def test_default_burn_in_and_horizon_derive_from_the_spectrum():
