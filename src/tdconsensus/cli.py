@@ -24,7 +24,6 @@ from .design import (
 )
 from .errors import (
     DisconnectedGraph,
-    DomainError,
     InvalidOutputMatrix,
     ParseError,
     ToolError,
@@ -41,6 +40,7 @@ from .fileio import (
 from .graphs import WeightedGraph, eigendecompose
 from .performance import (
     OutputSpec,
+    _checked_spectrum,
     _modal_sum,
     _nonzero_modes,
     crossover_delay,
@@ -121,7 +121,7 @@ def cmd_analyze(args: argparse.Namespace) -> dict:
     performance = performance_report(graph, out, args.tau)
     report = _base_report("analyze", args, graph)
     report["spectrum"] = {
-        "lambda_2": spectrum.lambda_2 if graph.node_count > 1 else 0.0,
+        "lambda_2": spectrum.lambda_2,
         "lambda_max": spectrum.lambda_max,
     }
     report["performance"] = performance
@@ -156,7 +156,13 @@ def _design_report(
     return report
 
 
+def _check_seed(args: argparse.Namespace) -> None:
+    if args.seed < 0:
+        raise ParseError("seed must be nonnegative")
+
+
 def cmd_grow(args: argparse.Namespace) -> dict:
+    _check_seed(args)
     graph = load_graph(args.graph)
     out = _load_output_spec(args, graph.node_count)
     try:
@@ -201,6 +207,7 @@ def cmd_reweight(args: argparse.Namespace) -> dict:
 
 
 def cmd_simulate(args: argparse.Namespace) -> dict:
+    _check_seed(args)
     graph = load_graph(args.graph)
     out = _load_output_spec(args, graph.node_count)
     config = SimulationConfig(
@@ -223,21 +230,18 @@ def cmd_simulate(args: argparse.Namespace) -> dict:
 
 
 def cmd_sweep_tau(args: argparse.Namespace) -> str:
+    if args.samples < 2:
+        raise ParseError("need at least two samples")
     graph_a = load_graph(args.graph)
     out = _load_output_spec(args, graph_a.node_count)
-    if graph_a.node_count < 2:
-        raise DomainError("need at least two nodes")
     graphs = [graph_a]
-    spectra = [eigendecompose(graph_a.laplacian())]
+    spectra = [_checked_spectrum(graph_a, out)]
     if args.second_graph is not None:
         graph_b = load_graph(args.second_graph)
         if graph_b.node_count != graph_a.node_count:
             raise ParseError("the two graphs must share the node count")
         graphs.append(graph_b)
-        spectra.append(eigendecompose(graph_b.laplacian()))
-    for g in graphs:
-        if not g.is_connected():
-            raise DisconnectedGraph("sweep requires connected graphs")
+        spectra.append(_checked_spectrum(graph_b, out))
     lam_max = max(s.lambda_max for s in spectra)
     tau_edge = math.pi / (2.0 * lam_max)
     tau_lo = args.tau_min if args.tau_min is not None else 1e-4 * tau_edge

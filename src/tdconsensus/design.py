@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import (
-    DisconnectedGraph,
+    ConfigError,
     DomainError,
     NoFeasibleCandidate,
     SingularUpdate,
@@ -32,6 +32,7 @@ from .graphs import (
 from .performance import (
     FIT_SLOPE,
     OutputSpec,
+    _checked_spectrum,
     _modal_sum,
     _nonzero_modes,
     check_stability,
@@ -145,15 +146,8 @@ class DesignState:
         delay: float,
         audit: bool | None = None,
     ) -> "DesignState":
-        if out.node_count != graph.node_count:
-            raise ValueError("output spec and graph disagree on the node count")
-        if not 0.0 <= delay < math.inf:
-            raise DomainError("delay must be nonnegative")
-        if not graph.is_connected():
-            raise DisconnectedGraph("design requires a connected graph")
-        laplacian = graph.laplacian()
-        require_stable(eigendecompose(laplacian), delay)
-        caches = EdgeFormCaches.build(laplacian, out.gram(), delay)
+        require_stable(_checked_spectrum(graph, out), delay)
+        caches = EdgeFormCaches.build(graph.laplacian(), out.gram(), delay)
         if audit is None:
             audit = graph.node_count <= AUDIT_NODE_LIMIT
         return cls(graph, out, delay, caches, rho_approx_from_caches(caches), audit)
@@ -369,6 +363,8 @@ def grow_random(
     break. With budget 1 the top-1 set is the argmax, so the result
     matches grow_simple.
     """
+    if seed is not None and seed < 0:
+        raise ConfigError("seed must be nonnegative")
     candidates.validate_against(state.graph)
     rng = np.random.default_rng(seed)
     k = candidates.budget
@@ -465,22 +461,11 @@ def grow_by_sensitivity(
             "weight optimization needs a positive delay; at zero delay more "
             "weight always helps and no interior optimum exists"
         )
-    if budget < 0:
-        raise ValueError("budget must be nonnegative")
-    seen: set[tuple[int, int]] = set()
-    canonical = []
-    for u, v in pairs:
-        key = _check_endpoints(state.graph.node_count, u, v)
-        if key in seen:
-            raise ValueError(f"duplicate candidate pair {key}")
-        if state.graph.has_edge(*key):
-            raise ValueError(f"candidate pair {key} is already an edge")
-        seen.add(key)
-        canonical.append(key)
-    canonical.sort()
-    us = np.array([u for u, _ in canonical], dtype=int)
-    vs = np.array([v for _, v in canonical], dtype=int)
-    active = np.ones(len(canonical), dtype=bool)
+    # Weight 1.0 only fills the entry: the search below picks each weight.
+    candidates = CandidateSet(tuple((u, v, 1.0) for u, v in pairs), budget)
+    candidates.validate_against(state.graph)
+    us, vs, _ = _move_arrays(candidates.entries)
+    active = np.ones(len(us), dtype=bool)
 
     def next_move(iteration: int) -> Move | str:
         idx = np.flatnonzero(active)
@@ -490,7 +475,7 @@ def grow_by_sensitivity(
         # The first argmin is the lowest-(u, v) pair among equal slopes.
         pos = int(np.argmin(slopes))
         best = int(idx[pos])
-        best_pair, best_slope = canonical[best], float(slopes[pos])
+        best_pair, best_slope = (int(us[best]), int(vs[best])), float(slopes[pos])
         bound = edge_stability_bound(state, best_pair)
         if bound == math.inf:
             raise DomainError(
@@ -537,11 +522,7 @@ def reweight_scale(graph: WeightedGraph, out: OutputSpec, delay: float) -> Rewei
             "rescaling needs a positive delay; at zero delay smaller scales "
             "always lose and larger always win"
         )
-    if not graph.is_connected():
-        raise DisconnectedGraph("rescaling requires a connected graph")
-    if graph.node_count < 2:
-        raise DomainError("need at least two nodes")
-    spectrum = eigendecompose(graph.laplacian())
+    spectrum = _checked_spectrum(graph, out)
     modes, weights = _nonzero_modes(spectrum, out)
     lam2, lam_max = float(modes[0]), float(modes[-1])
     z = cosine_fixed_point()

@@ -15,7 +15,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import ParseError, ToolError
+from .errors import ParseError
 from .graphs import WeightedGraph
 
 
@@ -67,13 +67,16 @@ def format_graph(graph: WeightedGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_graph(path: str) -> WeightedGraph:
+def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+            return handle.read()
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    return parse_graph_text(text, source=path)
+
+
+def load_graph(path: str) -> WeightedGraph:
+    return parse_graph_text(_read_text(path), source=path)
 
 
 def parse_candidates_text(
@@ -86,26 +89,16 @@ def parse_candidates_text(
 
 
 def load_candidates(path: str) -> tuple[tuple[int, int, float], ...]:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    return parse_candidates_text(text, source=path)
+    return parse_candidates_text(_read_text(path), source=path)
 
 
 def load_matrix(path: str) -> np.ndarray:
     """Whitespace-delimited numeric matrix, '#' comments allowed."""
+    text = _read_text(path)
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    try:
-        matrix = np.loadtxt(io.StringIO(text), comments="#", ndmin=2)
+        return np.loadtxt(io.StringIO(text), comments="#", ndmin=2)
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    return matrix
 
 
 def file_digest(path: str) -> str:
@@ -152,20 +145,3 @@ def parse_report_json(text: str) -> dict:
 def csv_cell(value: float) -> str:
     """CSV numeric cell with 17 significant digits and '.' decimal separator."""
     return format(float(value), ".17g")
-
-
-__all__ = [
-    "ParseError",
-    "ToolError",
-    "parse_graph_text",
-    "format_graph",
-    "load_graph",
-    "parse_candidates_text",
-    "load_candidates",
-    "load_matrix",
-    "file_digest",
-    "to_jsonable",
-    "report_json",
-    "parse_report_json",
-    "csv_cell",
-]

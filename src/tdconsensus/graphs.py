@@ -168,8 +168,6 @@ class WeightedGraph:
         return lap
 
     def is_connected(self) -> bool:
-        if self.node_count == 1:
-            return True
         uf = _UnionFind(self.node_count)
         for u, v, _ in self.edges:
             uf.union(u, v)

@@ -17,6 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DisconnectedGraph,
     DomainError,
     InvalidOutputMatrix,
@@ -268,14 +269,36 @@ def mode_variance_fit(lam: float, delay: float) -> float:
     return delay * float(_profile_fit(x))
 
 
+def _check_node_count(node_count: int, out: OutputSpec) -> None:
+    """Raises ConfigError unless out observes node_count nodes, and
+    DomainError below two nodes."""
+    if out.node_count != node_count:
+        raise ConfigError("output spec and graph disagree on the node count")
+    if node_count < 2:
+        raise DomainError("need at least two nodes")
+
+
+def _checked_spectrum(graph: WeightedGraph, out: OutputSpec) -> SpectralCache:
+    """Laplacian spectrum of a graph observed by out, after every input check.
+
+    Raises ConfigError and DomainError as _check_node_count does, and
+    DisconnectedGraph, by union-find, before any eigendecomposition.
+    """
+    _check_node_count(graph.node_count, out)
+    if not graph.is_connected():
+        raise DisconnectedGraph("the graph is disconnected")
+    return eigendecompose(graph.laplacian())
+
+
 def _nonzero_modes(spectrum: SpectralCache, out: OutputSpec) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and modal weights of the modes outside the kernel eigenpair.
 
-    Raises DisconnectedGraph, through lambda_2, on the spectrum of a
-    disconnected graph.
+    Checks the spectrum's size as _check_node_count does, and raises
+    DisconnectedGraph, through lambda_2, on the spectrum of a disconnected
+    graph.
     """
-    if len(spectrum.eigenvalues) > 1:
-        spectrum.lambda_2  # evaluated for its connectivity guard
+    _check_node_count(len(spectrum.eigenvalues), out)
+    spectrum.lambda_2  # evaluated for its connectivity guard
     kernel = spectrum.kernel_index
     weights = out.modal_weights(spectrum.vectors)
     return np.delete(spectrum.eigenvalues, kernel), np.delete(weights, kernel)
@@ -346,8 +369,7 @@ def hard_limit(node_count: int, out: OutputSpec, delay: float) -> HardLimit:
     """
     if not 0.0 < delay < math.inf:
         raise DomainError("the hard limit requires a positive delay (it is 0 at delay 0)")
-    if node_count < 2:
-        raise DomainError("need at least two nodes")
+    _check_node_count(node_count, out)
     z = cosine_fixed_point()
     value = delay * out.frobenius_sq() / (2.0 * (1.0 - math.sin(z)))
     return HardLimit(value=value, optimal_uniform_weight=z / (node_count * delay))
@@ -425,17 +447,10 @@ def crossover_delay(
     never negative or never changes sign on the grid, or when it is not
     positive at every sample past the last change.
     """
-    if graph_a.node_count != graph_b.node_count:
-        raise ValueError("graphs must share the node count")
-    if graph_a.node_count < 2:
-        raise DomainError("need at least two nodes")
-    for g, name in ((graph_a, "first"), (graph_b, "second")):
-        if not g.is_connected():
-            raise DisconnectedGraph(f"{name} graph is disconnected")
     if samples < 2:
         raise ValueError("need at least two samples")
-    spec_a = eigendecompose(graph_a.laplacian())
-    spec_b = eigendecompose(graph_b.laplacian())
+    spec_a = _checked_spectrum(graph_a, out)
+    spec_b = _checked_spectrum(graph_b, out)
     lam_max = max(spec_a.lambda_max, spec_b.lambda_max)
     tau_hi = math.pi / (2.0 * lam_max)
 
@@ -556,9 +571,7 @@ def performance_report(
     At zero delay the fit column is filled with the exact value and the
     hard limit is 0 by convention.
     """
-    if not graph.is_connected():
-        raise DisconnectedGraph("analysis requires a connected graph")
-    spectrum = eigendecompose(graph.laplacian())
+    spectrum = _checked_spectrum(graph, out)
     stability = require_stable(spectrum, delay)
     lam, weights = _nonzero_modes(spectrum, out)
     exact = _modal_sum(lam, weights, delay)

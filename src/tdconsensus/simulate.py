@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DisconnectedGraph, DomainError
-from .graphs import WeightedGraph, eigendecompose
-from .performance import OutputSpec, require_stable
+from .errors import ConfigError
+from .graphs import WeightedGraph
+from .performance import OutputSpec, _checked_spectrum, require_stable
 
 # Cap on floats held per chunk by the drawn noise and the states together,
 # to bound memory for large graphs; the projected outputs add at most half.
@@ -48,6 +48,8 @@ class SimulationConfig:
             raise ConfigError("substeps_per_delay must be at least 1")
         if self.trials < 2:
             raise ConfigError("need at least 2 trials for an error estimate")
+        if self.seed is not None and self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
         for name in ("dt", "burn_in", "horizon"):
             value = getattr(self, name)
             if value is not None and not 0.0 < value < math.inf:
@@ -99,15 +101,9 @@ def simulate(
     Trials evolve independently from per-trial derived seeds and reduce
     deterministically: the same seed always returns the identical estimate.
     """
-    if out.node_count != graph.node_count:
-        raise ConfigError("output spec and graph disagree on the node count")
-    if graph.node_count < 2:
-        raise DomainError("need at least two nodes")
-    if not graph.is_connected():
-        raise DisconnectedGraph("simulation requires a connected graph")
-    lap = graph.laplacian()
-    spectrum = eigendecompose(lap)
+    spectrum = _checked_spectrum(graph, out)
     require_stable(spectrum, config.delay)
+    lap = graph.laplacian()
     dt, delay_steps = _resolve_dt(config, spectrum.lambda_max)
     lam2 = spectrum.lambda_2
     burn_in = config.burn_in if config.burn_in is not None else 20.0 / lam2

@@ -9,10 +9,12 @@ import pytest
 
 from tdconsensus import (
     CandidateSet,
+    ConfigError,
     DesignState,
     DisconnectedGraph,
     DomainError,
     EPS_STABILITY,
+    IndexOutOfRange,
     NoFeasibleCandidate,
     OutputSpec,
     UnstableNetwork,
@@ -492,6 +494,14 @@ def test_grow_random_runs_exactly_budget_iterations():
     assert trace.termination == "budget exhausted"
 
 
+def test_grow_random_rejects_a_negative_seed():
+    g = WeightedGraph.path(4)
+    state = DesignState.from_graph(g, OutputSpec.centering(4), 0.2)
+    with pytest.raises(ConfigError, match="seed"):
+        grow_random(state, CandidateSet(entries=((0, 2, 0.5),), budget=1), seed=-1)
+    assert state.graph == g
+
+
 def test_grow_random_all_skips_when_every_candidate_hurts():
     g = WeightedGraph.cycle(4)
     state = DesignState.from_graph(g, OutputSpec.centering(4), 0.9 * math.pi / 8.0)
@@ -708,12 +718,18 @@ def test_grow_by_sensitivity_validation():
     with pytest.raises(DomainError):
         grow_by_sensitivity(state, [(0, 2)], budget=1)
     state = DesignState.from_graph(g, out, 0.2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="duplicate"):
         grow_by_sensitivity(state, [(0, 2), (2, 0)], budget=1)
-    with pytest.raises(ValueError):
-        grow_by_sensitivity(state, [(0, 1)], budget=1)
+    with pytest.raises(ValueError, match="already an edge"):
+        grow_by_sensitivity(state, [(1, 0)], budget=1)
+    with pytest.raises(ValueError, match="self-loop"):
+        grow_by_sensitivity(state, [(2, 2)], budget=1)
+    for pair in ((0, 4), (-1, 2)):
+        with pytest.raises(IndexOutOfRange):
+            grow_by_sensitivity(state, [(0, 2), pair], budget=1)
     with pytest.raises(ValueError):
         grow_by_sensitivity(state, [(0, 2)], budget=-1)
+    assert state.graph == g
 
 
 def test_grow_by_sensitivity_stops_without_negative_slopes():

@@ -8,6 +8,7 @@ import pytest
 
 from tdconsensus import (
     CandidateSet,
+    ConfigError,
     DesignState,
     DomainError,
     OutputSpec,
@@ -16,9 +17,11 @@ from tdconsensus import (
     WeightedGraph,
     crossover_delay,
     csv_cell,
+    eigendecompose,
     file_digest,
     format_graph,
     grow_simple,
+    hard_limit,
     load_candidates,
     load_graph,
     load_matrix,
@@ -27,6 +30,8 @@ from tdconsensus import (
     performance_report,
     report_json,
     reweight_scale,
+    rho_approx,
+    rho_exact,
     simulate,
     to_jsonable,
 )
@@ -203,6 +208,19 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["analyze", str(nan_weight), "--tau", "0.1"]) == 2
     assert "weight" in capsys.readouterr().err
 
+    # too few sweep samples and negative seeds are bad arguments, not tracebacks
+    c3 = _write_graph(tmp_path, "c3.txt", WeightedGraph.cycle(3))
+    assert main(["sweep-tau", p3, "--samples", "-1"]) == 2
+    for samples in ("-1", "0", "1"):
+        assert main(["sweep-tau", p3, c3, "--samples", samples]) == 2
+    assert "samples" in capsys.readouterr().err
+    cands = tmp_path / "c.txt"
+    cands.write_text("0 2 1.0\n")
+    grow = ["grow", p3, "--tau", "0.1", "--candidates", str(cands), "-k", "1"]
+    assert main(grow + ["--method", "random", "--seed", "-1"]) == 2
+    assert main(["simulate", p3, "--tau", "0.1", "--seed", "-1"]) == 2
+    assert "seed" in capsys.readouterr().err
+
 
 _ONE_NODE = WeightedGraph(1, ())
 
@@ -215,6 +233,7 @@ _ONE_NODE = WeightedGraph(1, ())
         ["reweight", "--tau", "0.1"],
         ["simulate", "--tau", "0.1"],
         ["simulate", "--tau", "0"],
+        ["analyze", "--tau", "0"],
     ],
 )
 def test_cli_one_node_graph_is_a_domain_error(tmp_path, capsys, argv):
@@ -231,12 +250,54 @@ def test_cli_one_node_graph_is_a_domain_error(tmp_path, capsys, argv):
         lambda out: reweight_scale(_ONE_NODE, out, 0.1),
         lambda out: simulate(_ONE_NODE, out, SimulationConfig(delay=0.1, seed=0)),
         lambda out: simulate(_ONE_NODE, out, SimulationConfig(delay=0.0, seed=0)),
+        lambda out: performance_report(_ONE_NODE, out, 0.0),
+        lambda out: rho_exact(eigendecompose(_ONE_NODE.laplacian()), out, 0.0),
+        lambda out: DesignState.from_graph(_ONE_NODE, out, 0.1),
     ],
-    ids=["crossover_delay", "reweight_scale", "simulate", "simulate-tau0"],
+    ids=[
+        "crossover_delay",
+        "reweight_scale",
+        "simulate",
+        "simulate-tau0",
+        "performance_report-tau0",
+        "rho_exact-tau0",
+        "from_graph",
+    ],
 )
 def test_one_node_graph_is_a_domain_error(call):
     with pytest.raises(DomainError, match="need at least two nodes"):
         call(OutputSpec.centering(1))
+
+
+_P4 = WeightedGraph.path(4)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda out: performance_report(_P4, out, 0.2),
+        lambda out: rho_exact(eigendecompose(_P4.laplacian()), out, 0.2),
+        lambda out: rho_approx(eigendecompose(_P4.laplacian()), out, 0.2),
+        lambda out: reweight_scale(_P4, out, 0.2),
+        lambda out: crossover_delay(_P4, WeightedGraph.cycle(4), out),
+        lambda out: hard_limit(4, out, 0.2),
+        lambda out: DesignState.from_graph(_P4, out, 0.2),
+        lambda out: simulate(_P4, out, SimulationConfig(delay=0.2, seed=0)),
+    ],
+    ids=[
+        "performance_report",
+        "rho_exact",
+        "rho_approx",
+        "reweight_scale",
+        "crossover_delay",
+        "hard_limit",
+        "from_graph",
+        "simulate",
+    ],
+)
+def test_output_for_another_node_count_is_a_config_error(call):
+    with pytest.raises(ConfigError, match="disagree on the node count"):
+        call(OutputSpec.complete_incidence(_P4.node_count + 5))
 
 
 def test_cli_candidate_file_problems_exit_two(tmp_path, capsys):

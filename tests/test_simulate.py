@@ -48,6 +48,8 @@ def test_config_validation():
         SimulationConfig(delay=0.1, burn_in=-1.0)
     with pytest.raises(ConfigError):
         SimulationConfig(delay=0.1, burn_in=10.0, horizon=5.0)
+    with pytest.raises(ConfigError):
+        SimulationConfig(delay=0.1, seed=-1)
     for bad in (math.nan, math.inf, -math.inf):
         for field in ("delay", "dt", "burn_in", "horizon"):
             with pytest.raises(ConfigError):
