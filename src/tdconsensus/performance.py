@@ -245,8 +245,8 @@ def mode_variance(lam: float, delay: float) -> float:
     Equals cos(lam delay) / (2 lam (1 - sin(lam delay))); reduces to
     1/(2 lam) at zero delay. Defined for lam > 0 and lam * delay < pi/2.
     """
-    if lam <= 0.0:
-        raise DomainError(f"mode rate must be positive, got {lam}")
+    if not 0.0 < lam < math.inf:
+        raise DomainError(f"mode rate must be positive and finite, got {lam}")
     if not 0.0 <= delay < math.inf:
         raise DomainError("delay must be nonnegative")
     if delay == 0.0:
@@ -259,8 +259,8 @@ def mode_variance(lam: float, delay: float) -> float:
 
 def mode_variance_fit(lam: float, delay: float) -> float:
     """Closed-form approximation of mode_variance, within 2e-4 relative below it."""
-    if lam <= 0.0:
-        raise DomainError(f"mode rate must be positive, got {lam}")
+    if not 0.0 < lam < math.inf:
+        raise DomainError(f"mode rate must be positive and finite, got {lam}")
     if not 0.0 < delay < math.inf:
         raise DomainError("the fit requires a positive delay; use mode_variance at zero")
     x = lam * delay
@@ -407,8 +407,10 @@ def monotonicity_threshold(max_weighted_degree: float) -> float:
     max_weighted_degree must cover every graph reachable during the design
     (base plus all candidate additions).
     """
-    if max_weighted_degree <= 0.0:
-        raise DomainError("max weighted degree must be positive")
+    if not 0.0 < max_weighted_degree < math.inf:
+        raise DomainError(
+            f"max weighted degree must be positive and finite, got {max_weighted_degree}"
+        )
     return cosine_fixed_point() / (2.0 * max_weighted_degree)
 
 
@@ -513,8 +515,8 @@ def mode_variance_quadrature(lam: float, delay: float, rel_tol: float = 1e-9) ->
     Gauss-Legendre panels until the analytic tail remainder
     1/W + O(lam/(delay W³)) is certified below rel_tol.
     """
-    if lam <= 0.0:
-        raise DomainError(f"mode rate must be positive, got {lam}")
+    if not 0.0 < lam < math.inf:
+        raise DomainError(f"mode rate must be positive and finite, got {lam}")
     if not 0.0 <= delay < math.inf:
         raise DomainError("delay must be nonnegative")
     if delay * lam >= math.pi / 2.0:

@@ -23,6 +23,54 @@ from .performance import OutputSpec, _checked_spectrum, require_stable
 # to bound memory for large graphs; the projected outputs add at most half.
 _CHUNK_BUDGET = 2_000_000
 
+# The 99.5 % Student-t quantile for df = 1 .. 127 (trials 2 .. 128), entry
+# df - 1: the upper-tail root of I_{df/(df + t^2)}(df/2, 1/2) / 2 = 0.005,
+# computed at 40 digits and rounded once to the nearest double.
+_T995 = (
+    63.65674116287158, 9.924843200918293, 5.840909309733357, 4.604094871349993,
+    4.032142983555228, 3.70742802132478, 3.499483297350494, 3.3553873313333953,
+    3.2498355415921263, 3.1692726726169513, 3.105806515539281,
+    3.054539589392902, 3.0122758387165787, 2.976842734370835,
+    2.946712883475239, 2.9207816224251, 2.8982305196774187, 2.878440472738608,
+    2.860934606464979, 2.8453397097861086, 2.83135955802305,
+    2.8187560606001436, 2.807335683769999, 2.796939504774456,
+    2.7874358136769706, 2.778714533329683, 2.770682957122212,
+    2.7632624554614447, 2.7563859036706053, 2.7499956535672254,
+    2.7440419192942693, 2.738481482012188, 2.733276642350836,
+    2.7283943670707203, 2.7238055892080917, 2.7194846304500078,
+    2.7154087215499882, 2.7115576019130825, 2.707913183517662,
+    2.7044592674331627, 2.7011813035785224, 2.6980661862199846,
+    2.6951020791576754, 2.692278265693022, 2.689585019374643,
+    2.687013492242216, 2.6845556178665246, 2.682204026950216,
+    2.6799519736315522, 2.6777932709408443, 2.6757222341106477,
+    2.6737336306472197, 2.671822636241004, 2.6699847957348917,
+    2.668215988486194, 2.6665123975560636, 2.6648704822419718,
+    2.6632869535376584, 2.6617587521629673, 2.660283028855037,
+    2.6588571266539263, 2.6574785649511563, 2.6561450250998617,
+    2.654854337411085, 2.653604469382925, 2.652393515028316,
+    2.6512196851836576, 2.6500812986947295, 2.6489767743886263,
+    2.647904623751151, 2.646863444238392, 2.645851913159326,
+    2.6448687820733823, 2.64391287165309, 2.6429830669673935,
+    2.642078313145992, 2.641197611389272, 2.640340015292127,
+    2.6395046274532206, 2.638690596344183, 2.6378971134157765,
+    2.6371234104203745, 2.636368756932123, 2.635632458047961,
+    2.634913852254306, 2.6342123094456342, 2.6335272290824965,
+    2.632858038477645, 2.632204191200009, 2.631565165587159,
+    2.6309404633577644, 2.6303296083162886, 2.629732145142835,
+    2.6291476382617054, 2.6285756707827432, 2.62801584351007,
+    2.6274677740132524, 2.626931095756374, 2.6264054572808275,
+    2.6258905214380177, 2.625385964668441, 2.6248914763239126,
+    2.624406758029956, 2.6239315230856053, 2.623465495898084,
+    2.6230084114500207, 2.622560014797034, 2.6221200605936894,
+    2.6216883126459782, 2.6212645434885955, 2.620848533985438,
+    2.6204400729518422, 2.6200389567971967, 2.619644989186654,
+    2.6192579807207714, 2.61887774863197, 2.6185041164968004,
+    2.6181369139630575, 2.6177759764908592, 2.617421145106866,
+    2.6170722661708643, 2.616729191153998, 2.6163917764279723,
+    2.6160598830646085, 2.615733376645151, 2.6154121270787893,
+    2.615096008429867,
+)
+
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -124,12 +172,15 @@ def simulate(
 
     trials = config.trials
     n = graph.node_count
-    # Imported here, before the chunk buffers exist. scipy.special holds the
-    # inverse Student-t CDF that scipy.stats.t.ppf calls, at a third of the
-    # import time and memory of scipy.stats.
-    from scipy import special
+    if trials - 1 <= len(_T995):
+        quantile = _T995[trials - 2]
+    else:
+        # Imported here, before the chunk buffers exist, and only past the
+        # table: importing scipy.special takes about as long as a small
+        # simulation.
+        from scipy import special
 
-    quantile = float(special.stdtrit(trials - 1, 0.995))
+        quantile = float(special.stdtrit(trials - 1, 0.995))
     rngs = [
         np.random.default_rng(s)
         for s in np.random.SeedSequence(config.seed).spawn(trials)

@@ -325,8 +325,8 @@ def test_cli_candidate_file_problems_exit_two(tmp_path, capsys):
 def test_cli_import_loads_no_scipy_module():
     # Each CLI command starts a fresh interpreter, and importing any of
     # scipy.stats, scipy.integrate or scipy.linalg costs more than the whole
-    # package. Only simulate's t-quantile (scipy.special, on the first call)
-    # and the quadrature oracle load scipy.
+    # package. Only simulate past 128 trials (scipy.special, for its
+    # t-quantile) and the quadrature oracle load scipy.
     code = (
         "import sys, tdconsensus.cli; "
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))"

@@ -585,6 +585,30 @@ def test_delay_checks_reject_non_finite_values(delay):
             call()
 
 
+@pytest.mark.parametrize("rate", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "closed_form, delays",
+    [
+        (mode_variance, [(0.0,), (0.1,)]),
+        (mode_variance_fit, [(0.1,)]),
+        (mode_variance_quadrature, [(0.0,), (0.1,)]),
+        (monotonicity_threshold, [()]),
+    ],
+    ids=[
+        "mode_variance",
+        "mode_variance_fit",
+        "mode_variance_quadrature",
+        "monotonicity_threshold",
+    ],
+)
+def test_closed_forms_reject_non_finite_rates(closed_form, delays, rate):
+    # A NaN rate passed every sign check: the closed forms returned NaN and
+    # the quadrature never met its tail bound; an infinite one gave 0.
+    for delay in delays:
+        with pytest.raises(DomainError, match="positive and finite"):
+            closed_form(rate, *delay)
+
+
 def test_modal_weights_of_centering_kinds_are_one():
     rng = np.random.default_rng(13)
     g = random_connected_graph(rng, min_nodes=6, max_nodes=6)

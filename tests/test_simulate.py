@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -141,13 +142,45 @@ def test_estimate_brackets_the_exact_value():
     assert est.ci99_low < est.mean < est.ci99_high
 
 
-@pytest.mark.parametrize("trials", [2, 3, 16, 101])
-def test_interval_is_the_student_t_interval(trials):
-    # scipy.stats is imported here only, as an oracle independent of the
-    # quantile routine the simulator calls.
+def t995_oracle(df):
+    """The 99.5 % Student-t quantile at df degrees of freedom, rounded once.
+
+    The upper-tail root of I_{df/(df + t^2)}(df/2, 1/2) / 2 = 0.005 at 40
+    digits, rounded to the nearest double; the root must lie farther from
+    either rounding boundary than its 40-digit error.
+    """
     from scipy import stats
 
-    q = stats.t.ppf(0.995, trials - 1)
+    with mpmath.workdps(40):
+        nu = mpmath.mpf(df)
+
+        def upper_tail(t):
+            return mpmath.betainc(nu / 2, 0.5, 0, nu / (nu + t * t), regularized=True) / 2
+
+        root = mpmath.findroot(lambda t: upper_tail(t) - mpmath.mpf("0.005"), stats.t.ppf(0.995, df))
+        nearest = float(root)
+        for neighbour in (math.nextafter(nearest, 0.0), math.nextafter(nearest, math.inf)):
+            assert abs(root - (mpmath.mpf(nearest) + neighbour) / 2) > 1e-30 * root
+    return nearest
+
+
+def test_quantile_table_is_correctly_rounded():
+    from tdconsensus.simulate import _T995
+
+    assert list(_T995) == [t995_oracle(df) for df in range(1, 128)]
+
+
+@pytest.mark.parametrize("trials", [2, 3, 16, 101, 128, 129])
+def test_interval_is_the_student_t_interval(trials):
+    # Up to 128 trials the simulator reads its quantile table, so the oracle
+    # is the correctly rounded quantile; past it the simulator calls
+    # scipy.special, and scipy.stats, imported here only, is the oracle.
+    from scipy import stats
+
+    if trials <= 128:
+        q = t995_oracle(trials - 1)
+    else:
+        q = stats.t.ppf(0.995, trials - 1)
     config = SimulationConfig(delay=0.1, trials=trials, horizon=2.0, burn_in=0.5, seed=3)
     est = simulate(WeightedGraph.path(3), OutputSpec.centering(3), config)
     assert est.std_error > 0.0
@@ -156,14 +189,15 @@ def test_interval_is_the_student_t_interval(trials):
 
 
 def test_simulate_loads_no_scipy_stats_module():
-    # Each CLI simulate starts a fresh interpreter; importing scipy.stats
-    # would cost it more than the package and a small simulation together.
+    # Each CLI simulate starts a fresh interpreter, and importing any part
+    # of scipy costs it about as much as a small simulation. Up to 128
+    # trials the quantile comes from the table, so no scipy module loads.
     code = (
         "import sys\n"
         "from tdconsensus import OutputSpec, SimulationConfig, WeightedGraph, simulate\n"
-        "config = SimulationConfig(delay=0.1, trials=2, horizon=2.0, burn_in=0.5, seed=1)\n"
+        "config = SimulationConfig(delay=0.1, trials=16, horizon=2.0, burn_in=0.5, seed=1)\n"
         "simulate(WeightedGraph.path(3), OutputSpec.centering(3), config)\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     )
     assert fresh_interpreter_output(code) == "[]"
 
