@@ -23,6 +23,7 @@ from .graphs import (
     EdgeFormCaches,
     WeightedGraph,
     _check_endpoints,
+    _edge_arrays,
     edge_quadratic_form,
     edge_quadratic_forms,
     eigendecompose,
@@ -239,16 +240,6 @@ def contribution_upper_bound(state: DesignState, edge: tuple[int, int]) -> float
     return bound
 
 
-def _move_arrays(
-    entries: Sequence[tuple[int, int, float]],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(us, vs, weights) of weighted edges."""
-    us = np.array([e[0] for e in entries], dtype=int)
-    vs = np.array([e[1] for e in entries], dtype=int)
-    ws = np.array([e[2] for e in entries], dtype=float)
-    return us, vs, ws
-
-
 def _improvements(
     state: DesignState,
     us: np.ndarray,
@@ -327,7 +318,7 @@ def grow_simple(state: DesignState, candidates: CandidateSet) -> DesignTrace:
     candidate; a feasible set that empties mid-run just terminates.
     """
     candidates.validate_against(state.graph)
-    us, vs, ws = _move_arrays(candidates.entries)
+    us, vs, ws = _edge_arrays(candidates.entries)
     active = np.ones(len(ws), dtype=bool)
 
     def next_move(iteration: int) -> Move | str:
@@ -369,7 +360,7 @@ def grow_random(
     rng = np.random.default_rng(seed)
     k = candidates.budget
     placeholders_left = 2 * k - 1
-    us, vs, ws = _move_arrays(candidates.entries)
+    us, vs, ws = _edge_arrays(candidates.entries)
     active = np.ones(len(ws), dtype=bool)
 
     def next_move(iteration: int) -> Move:
@@ -405,7 +396,7 @@ def sparsify(state: DesignState, budget: int) -> DesignTrace:
     def next_move(iteration: int) -> Move | str:
         if not state.graph.edges:
             return "no removable edge"
-        us, vs, ws = _move_arrays(state.graph.edges)
+        us, vs, ws = _edge_arrays(state.graph.edges)
         q2 = edge_quadratic_forms(state.caches.lap_pinv, us, vs)
         removable = np.abs(ws * q2 - 1.0) > BRIDGE_TOLERANCE
         if not removable.any():
@@ -464,7 +455,7 @@ def grow_by_sensitivity(
     # Weight 1.0 only fills the entry: the search below picks each weight.
     candidates = CandidateSet(tuple((u, v, 1.0) for u, v in pairs), budget)
     candidates.validate_against(state.graph)
-    us, vs, _ = _move_arrays(candidates.entries)
+    us, vs, _ = _edge_arrays(candidates.entries)
     active = np.ones(len(us), dtype=bool)
 
     def next_move(iteration: int) -> Move | str:

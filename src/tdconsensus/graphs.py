@@ -52,6 +52,12 @@ def _checked_weight(key: Edge, weight: float) -> float:
     return w
 
 
+def _edge_arrays(entries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(us, vs, weights) of (u, v, w) triples, in their order."""
+    table = np.array(entries, dtype=float).reshape(-1, 3)
+    return table[:, 0].astype(np.intp), table[:, 1].astype(np.intp), table[:, 2]
+
+
 class _UnionFind:
     """Disjoint-set forest with path compression and union by size."""
 
@@ -158,13 +164,17 @@ class WeightedGraph:
             self.node_count, tuple((u, v, w * factor) for u, v, w in self.edges)
         )
 
+    def _weighted_degrees(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """(weighted degrees, _edge_arrays); bincount adds each node's weights
+        in edge order, as a per-edge loop does."""
+        us, vs, ws = arrays = _edge_arrays(self.edges)
+        ends = np.stack((us, vs), axis=1).ravel()
+        return np.bincount(ends, np.repeat(ws, 2), minlength=self.node_count), arrays
+
     def laplacian(self) -> np.ndarray:
-        lap = np.zeros((self.node_count, self.node_count))
-        for u, v, w in self.edges:
-            lap[u, u] += w
-            lap[v, v] += w
-            lap[u, v] -= w
-            lap[v, u] -= w
+        degrees, (us, vs, ws) = self._weighted_degrees()
+        lap = np.diag(degrees)
+        lap[us, vs] = lap[vs, us] = -ws
         return lap
 
     def is_connected(self) -> bool:
@@ -175,11 +185,7 @@ class WeightedGraph:
         return all(uf.find(i) == root for i in range(1, self.node_count))
 
     def max_weighted_degree(self) -> float:
-        degree = np.zeros(self.node_count)
-        for u, v, w in self.edges:
-            degree[u] += w
-            degree[v] += w
-        return float(degree.max()) if self.node_count else 0.0
+        return float(self._weighted_degrees()[0].max())
 
     @classmethod
     def path(cls, n: int, weight: float = 1.0) -> "WeightedGraph":
@@ -201,19 +207,19 @@ class WeightedGraph:
         return cls(n, tuple((u, v, weight) for u in range(n) for v in range(u + 1, n)))
 
 
-def centering_matrix(n: int) -> np.ndarray:
-    """Projector onto the subspace orthogonal to the all-ones vector."""
-    return np.eye(n) - np.full((n, n), 1.0 / n)
-
-
 def delay_shift_matrix(laplacian: np.ndarray, delay: float) -> np.ndarray:
-    """Stability-shifted operator (pi/2) * centering - delay * Laplacian.
+    """Stability-shifted operator (pi/2) * centering - delay * Laplacian, built
+    in place with every entry rounded as that formula rounds it.
 
     Positive definite on the centered subspace exactly when the delayed
     network is stable.
     """
     n = laplacian.shape[0]
-    return (np.pi / 2.0) * centering_matrix(n) - delay * laplacian
+    shift = np.multiply(laplacian, -delay)
+    diagonal = shift.diagonal() + (np.pi / 2.0) * (1.0 - 1.0 / n)
+    shift += (np.pi / 2.0) * (-1.0 / n)
+    np.fill_diagonal(shift, diagonal)
+    return shift
 
 
 def _zero_floor(eigenvalues: np.ndarray) -> float:
@@ -267,7 +273,8 @@ def pseudo_inverse(cache: SpectralCache) -> np.ndarray:
 
     Raises DisconnectedGraph when another eigenvalue is within _zero_floor
     of zero, as on a disconnected graph's Laplacian. The test is on |lambda|,
-    so a shift past the stability boundary still inverts.
+    so a shift past the stability boundary still inverts (one signed GEMM);
+    otherwise the inverse is W Wᵀ, W = V diag(sqrt(inv)), which BLAS syrk forms.
     """
     lam = cache.eigenvalues
     outside = np.arange(len(lam)) != cache.kernel_index
@@ -275,7 +282,20 @@ def pseudo_inverse(cache: SpectralCache) -> np.ndarray:
     if np.any(np.abs(lam[outside]) <= floor):
         raise DisconnectedGraph(f"second kernel direction below {floor:.3e}: not invertible")
     inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=outside)
-    return (cache.vectors * inv) @ cache.vectors.T
+    if inv.min() < 0.0:
+        return (cache.vectors * inv) @ cache.vectors.T
+    scaled = cache.vectors * np.sqrt(inv)
+    return scaled @ scaled.T
+
+
+def _gram_sandwich(pinv: np.ndarray, output_gram: np.ndarray | float) -> np.ndarray:
+    """pinv @ gram @ pinv; pinv annihilates the ones vector, so a scale s (s times
+    the centering projector) gives s pinv pinvᵀ, one BLAS syrk, not two GEMMs."""
+    if np.ndim(output_gram) == 0:
+        sandwich = pinv @ pinv.T
+        sandwich *= output_gram
+        return sandwich
+    return pinv @ output_gram @ pinv
 
 
 def edge_quadratic_form(matrix: np.ndarray, u: int, v: int) -> float:
@@ -285,8 +305,11 @@ def edge_quadratic_form(matrix: np.ndarray, u: int, v: int) -> float:
     return float(matrix[u, u] + matrix[v, v] - 2.0 * matrix[u, v])
 
 
-def edge_quadratic_forms(matrix: np.ndarray, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """edge_quadratic_form for every pair (us[i], vs[i]); endpoints unchecked."""
+def edge_quadratic_forms(matrix: np.ndarray | float, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """edge_quadratic_form for every pair (us[i], vs[i]); endpoints unchecked.
+    A scale s stands for s times the centering projector: every form is 2 s."""
+    if np.ndim(matrix) == 0:
+        return np.full(len(us), 2.0 * matrix)
     return matrix[us, us] + matrix[vs, vs] - 2.0 * matrix[us, vs]
 
 
@@ -313,12 +336,13 @@ class EdgeFormCaches:
       lap_pinv_gram    lap_pinv @ output_gram @ lap_pinv
       shift_pinv_gram  shift_pinv @ output_gram @ shift_pinv
 
-    The Laplacian itself and the output gram ride along so trace-form
-    evaluations need no extra state.
+    The Laplacian and the output gram ride along so trace-form evaluations
+    need no extra state. output_gram is a custom output's dense CᵀC, or a
+    named output's scale s: s times the centering projector is never formed.
     """
 
     laplacian: np.ndarray
-    output_gram: np.ndarray
+    output_gram: np.ndarray | float
     delay: float
     lap_pinv: np.ndarray = field(repr=False)
     shift_pinv: np.ndarray = field(repr=False)
@@ -327,18 +351,20 @@ class EdgeFormCaches:
 
     @classmethod
     def build(
-        cls, laplacian: np.ndarray, output_gram: np.ndarray, delay: float
+        cls, laplacian: np.ndarray, output_gram: np.ndarray | float, delay: float
     ) -> "EdgeFormCaches":
-        lp = pseudo_inverse(eigendecompose(laplacian))
+        # The shifted operator first: its matrix and spectrum are freed before
+        # the Laplacian's eigh runs, so fewer n x n arrays are live.
         sp = pseudo_inverse(eigendecompose(delay_shift_matrix(laplacian, delay)))
+        lp = pseudo_inverse(eigendecompose(laplacian))
         return cls(
             laplacian=laplacian.copy(),
             output_gram=output_gram,
             delay=delay,
             lap_pinv=lp,
             shift_pinv=sp,
-            lap_pinv_gram=lp @ output_gram @ lp,
-            shift_pinv_gram=sp @ output_gram @ sp,
+            lap_pinv_gram=_gram_sandwich(lp, output_gram),
+            shift_pinv_gram=_gram_sandwich(sp, output_gram),
         )
 
 

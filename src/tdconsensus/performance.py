@@ -28,7 +28,6 @@ from .graphs import (
     SpectralCache,
     WeightedGraph,
     _check_endpoints,
-    centering_matrix,
     edge_quadratic_forms,
     eigendecompose,
 )
@@ -78,9 +77,9 @@ class OutputKind(Enum):
 class OutputSpec:
     """Performance output y = C x with C annihilating the ones vector.
 
-    Named kinds avoid materializing C where the gram matrix CᵀC suffices:
-    centering and orthonormal kinds share the centering projector as gram,
-    the complete-incidence kind scales it by the node count.
+    Named kinds never materialize C or CᵀC: centering and orthonormal kinds
+    share the centering projector as gram, the complete-incidence kind
+    scales it by the node count, and every formula takes that scale.
     """
 
     kind: OutputKind
@@ -114,47 +113,19 @@ class OutputSpec:
             )
         return cls(OutputKind.CUSTOM, matrix.shape[1], matrix)
 
-    def output_matrix(self) -> np.ndarray:
-        """Materialize C."""
-        n = self.node_count
-        if self.kind is OutputKind.CENTERING:
-            return centering_matrix(n)
-        if self.kind is OutputKind.COMPLETE_INCIDENCE:
-            rows = []
-            for u in range(n):
-                for v in range(u + 1, n):
-                    row = np.zeros(n)
-                    row[u], row[v] = 1.0, -1.0
-                    rows.append(row)
-            return np.array(rows)
-        if self.kind is OutputKind.ORTHONORMAL:
-            # Helmert rows: row k has k leading entries 1, then -k, then zeros,
-            # normalized; they are orthonormal and orthogonal to the ones vector.
-            rows = []
-            for k in range(1, n):
-                row = np.zeros(n)
-                row[:k] = 1.0
-                row[k] = -k
-                rows.append(row / math.sqrt(k * (k + 1)))
-            return np.array(rows)
-        assert self.matrix is not None
-        return self.matrix
-
-    def _scale(self) -> float:
-        """CᵀC of a named kind as a multiple of the centering projector."""
-        return self.node_count if self.kind is OutputKind.COMPLETE_INCIDENCE else 1.0
-
-    def gram(self) -> np.ndarray:
-        """CᵀC, the matrix through which the output enters every formula."""
+    def gram(self) -> np.ndarray | float:
+        """CᵀC, through which the output enters every formula; a named kind's
+        gram, s times the centering projector, as its scale s (1, or n for
+        complete incidence)."""
         if self.kind is OutputKind.CUSTOM:
             return self.matrix.T @ self.matrix
-        return self._scale() * centering_matrix(self.node_count)
+        return float(self.node_count) if self.kind is OutputKind.COMPLETE_INCIDENCE else 1.0
 
     def frobenius_sq(self) -> float:
         """Squared Frobenius norm of C, equal to the trace of the gram."""
         if self.kind is OutputKind.CUSTOM:
             return float(np.sum(self.matrix * self.matrix))
-        return float(self._scale() * (self.node_count - 1))
+        return float(self.gram() * (self.node_count - 1))
 
     def modal_weights(self, vectors: np.ndarray) -> np.ndarray:
         """diag(Qᵀ CᵀC Q) for an orthonormal column basis Q.
@@ -166,7 +137,7 @@ class OutputSpec:
             projected = self.matrix @ vectors
             return np.einsum("ji,ji->i", projected, projected)
         col_sums = vectors.sum(axis=0)
-        return self._scale() * (1.0 - (col_sums * col_sums) / self.node_count)
+        return self.gram() * (1.0 - (col_sums * col_sums) / self.node_count)
 
 
 def make_output_spec(kind: str, node_count: int, matrix: np.ndarray | None = None) -> OutputSpec:
@@ -340,18 +311,24 @@ def rho_approx_from_caches(caches: EdgeFormCaches) -> float:
     to the exact measure 0.5 Tr[gram @ lap_pinv], which is what the design
     loop tracks there.
     """
-    gram = caches.output_gram
-    # Each trace Tr[gram @ M] of symmetric matrices is one dot product over
-    # all entries, with no n x n temporary.
-    base = 0.5 * float(np.vdot(gram, caches.lap_pinv))
+    gram, n = caches.output_gram, caches.laplacian.shape[0]
+
+    def trace_with_gram(matrix: np.ndarray) -> float:
+        # Tr[gram @ M] for symmetric M with no n x n temporary; s (tr M - 1ᵀM1 / n) for a scale.
+        if np.ndim(gram) == 0:
+            return gram * (float(np.trace(matrix)) - float(matrix.sum()) / n)
+        return float(np.vdot(gram, matrix))
+
+    base = 0.5 * trace_with_gram(caches.lap_pinv)
     tau = caches.delay
     if tau == 0.0:
         return base
+    gram_trace = gram * (n - 1) if np.ndim(gram) == 0 else float(np.trace(gram))
     return (
         base
-        + (2.0 * tau / math.pi) * float(np.vdot(gram, caches.shift_pinv))
-        + 0.5 * FIT_SLOPE * tau * tau * float(np.vdot(gram, caches.laplacian))
-        + 0.5 * FIT_OFFSET * tau * float(np.trace(gram))
+        + (2.0 * tau / math.pi) * trace_with_gram(caches.shift_pinv)
+        + 0.5 * FIT_SLOPE * tau * tau * trace_with_gram(caches.laplacian)
+        + 0.5 * FIT_OFFSET * tau * gram_trace
     )
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from .graphs import WeightedGraph
 from .performance import OutputSpec, _checked_spectrum, require_stable
 
 # Cap on floats held per chunk by the drawn noise and the states together,
-# to bound memory for large graphs; the projected outputs add at most half.
+# to bound memory for large graphs; a custom output's projections add at most half.
 _CHUNK_BUDGET = 2_000_000
 
 # The 99.5 % Student-t quantile for df = 1 .. 127 (trials 2 .. 128), entry
@@ -92,12 +93,12 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.delay < math.inf:
             raise ConfigError("delay must be nonnegative")
-        if self.substeps_per_delay < 1:
-            raise ConfigError("substeps_per_delay must be at least 1")
-        if self.trials < 2:
-            raise ConfigError("need at least 2 trials for an error estimate")
-        if self.seed is not None and self.seed < 0:
-            raise ConfigError("seed must be nonnegative")
+        if not isinstance(self.substeps_per_delay, Integral) or self.substeps_per_delay < 1:
+            raise ConfigError("substeps_per_delay must be an integer of at least 1")
+        if not isinstance(self.trials, Integral) or self.trials < 2:
+            raise ConfigError("need an integer of at least 2 trials for an error estimate")
+        if self.seed is not None and not (isinstance(self.seed, Integral) and self.seed >= 0):
+            raise ConfigError("seed must be a nonnegative integer")
         for name in ("dt", "burn_in", "horizon"):
             value = getattr(self, name)
             if value is not None and not 0.0 < value < math.inf:
@@ -164,14 +165,15 @@ def simulate(
     if sample_steps < 1:
         raise ConfigError("horizon leaves no samples after burn_in")
 
-    # Factor the output gram so each step costs output-rank * n per trial.
-    gram = out.gram()
-    gram_eigvals, gram_vecs = np.linalg.eigh(gram)
-    keep = gram_eigvals > 1e-12 * max(1.0, float(gram_eigvals.max(initial=0.0)))
-    output_rows = (np.sqrt(gram_eigvals[keep])[:, None] * gram_vecs.T[keep]).T
-
     trials = config.trials
     n = graph.node_count
+    # A named output squares as s |x - mean(x) 1|^2, O(n) per state. A custom
+    # C squares as |C x|^2, through its n x n factor R (C = Q R) when taller.
+    factor, scale = out.matrix, 1.0
+    if factor is None:
+        scale = out.gram()
+    elif factor.shape[0] > n:
+        factor = np.linalg.qr(factor, mode="r")
     if trials - 1 <= len(_T995):
         quantile = _T995[trials - 2]
     else:
@@ -229,8 +231,13 @@ def simulate(
         trail = states[-block:].copy()
         first = max(0, burn_steps - step)
         if first < span:
-            projected = states[first:].reshape(-1, n) @ output_rows
-            squares = np.einsum("ij,ij->i", projected, projected).reshape(-1, trials)
+            sampled = states[first:].reshape(-1, n)
+            if factor is None:
+                # No later step reads these states: centre them in place.
+                sampled -= sampled.mean(axis=1, keepdims=True)
+            else:
+                sampled = sampled @ factor.T
+            squares = scale * np.einsum("ij,ij->i", sampled, sampled).reshape(-1, trials)
             # A running sum from the carried totals keeps the per-step order.
             sums = np.cumsum(np.concatenate((sums[None], squares)), axis=0)[-1]
         step += span

@@ -19,6 +19,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 import tdconsensus
 from tdconsensus import (
     EdgeFormCaches,
+    OutputKind,
     OutputSpec,
     SpectralCache,
     WeightedGraph,
@@ -117,13 +118,52 @@ def grounded_pinv(matrix: np.ndarray) -> np.ndarray:
     return (vectors / lam) @ vectors.T - ones
 
 
+def centering_matrix(n: int) -> np.ndarray:
+    """Projector onto the subspace orthogonal to the all-ones vector, the
+    gram of a named output up to its scale; the library never forms it."""
+    return np.eye(n) - np.full((n, n), 1.0 / n)
+
+
+def output_matrix(out: OutputSpec) -> np.ndarray:
+    """The explicit output matrix C of any output spec, built row by row.
+
+    The library never forms C for a named kind; this is the oracle its
+    scale-based gram, design caches and simulator squares are checked
+    against.
+    """
+    n = out.node_count
+    if out.kind is OutputKind.CENTERING:
+        return centering_matrix(n)
+    if out.kind is OutputKind.COMPLETE_INCIDENCE:
+        rows = []
+        for u in range(n):
+            for v in range(u + 1, n):
+                row = np.zeros(n)
+                row[u], row[v] = 1.0, -1.0
+                rows.append(row)
+        return np.array(rows)
+    if out.kind is OutputKind.ORTHONORMAL:
+        # Helmert rows: row k has k leading entries 1, then -k, then zeros,
+        # normalized; they are orthonormal and orthogonal to the ones vector.
+        rows = []
+        for k in range(1, n):
+            row = np.zeros(n)
+            row[:k] = 1.0
+            row[k] = -k
+            rows.append(row / math.sqrt(k * (k + 1)))
+        return np.array(rows)
+    return out.matrix
+
+
 def fresh_caches(graph: WeightedGraph, out: OutputSpec, delay: float) -> EdgeFormCaches:
     """Caches rebuilt from scratch without the library's build, the reference
-    for incremental updates."""
+    for incremental updates: explicit pseudo-inverses and P @ CᵀC @ P from
+    the explicit C, whatever the output kind."""
     n = graph.node_count
     lap = graph.laplacian()
-    gram = out.gram()
-    shift = (math.pi / 2.0) * (np.eye(n) - np.full((n, n), 1.0 / n)) - delay * lap
+    c = output_matrix(out)
+    gram = c.T @ c
+    shift = (math.pi / 2.0) * centering_matrix(n) - delay * lap
     lap_pinv, shift_pinv = grounded_pinv(lap), grounded_pinv(shift)
     return EdgeFormCaches(
         laplacian=lap,

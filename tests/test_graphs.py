@@ -16,18 +16,21 @@ from tdconsensus import (
     OutputSpec,
     SingularUpdate,
     WeightedGraph,
-    centering_matrix,
     delay_shift_matrix,
     edge_quadratic_form,
     eigendecompose,
     is_bridge,
     pseudo_inverse,
+    rho_approx,
+    rho_approx_from_caches,
     sherman_morrison_update,
 )
 from conftest import (
     bridge_oracle,
+    centering_matrix,
     fresh_caches,
     max_cache_drift,
+    output_matrix,
     random_connected_graph,
     stable_delay,
     tracked_matrices,
@@ -170,6 +173,41 @@ def test_connectivity():
     assert not WeightedGraph(4, ((0, 1, 1.0), (2, 3, 1.0))).is_connected()
 
 
+def _laplacian_loop(graph: WeightedGraph) -> np.ndarray:
+    """The per-edge loop the vectorized Laplacian must reproduce bit for bit."""
+    lap = np.zeros((graph.node_count, graph.node_count))
+    for u, v, w in graph.edges:
+        lap[u, u] += w
+        lap[v, v] += w
+        lap[u, v] -= w
+        lap[v, u] -= w
+    return lap
+
+
+def test_laplacian_and_degrees_equal_the_per_edge_loop_bit_for_bit():
+    rng = np.random.default_rng(12)
+    graphs = [WeightedGraph(1, ()), WeightedGraph(3, ()), WeightedGraph.complete(6)]
+    for _ in range(40):
+        # Weights across twelve decades make the summation order visible.
+        g = random_connected_graph(rng, max_nodes=30, extra_edge_prob=0.4)
+        spread = tuple((u, v, w * 10.0 ** rng.uniform(-6, 6)) for u, v, w in g.edges)
+        graphs.append(WeightedGraph(g.node_count, spread))
+    for g in graphs:
+        loop = _laplacian_loop(g)
+        assert np.array_equal(g.laplacian(), loop)
+        assert g.max_weighted_degree() == float(loop.diagonal().max())
+
+
+def test_delay_shift_matrix_equals_its_formula_bit_for_bit():
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        g = random_connected_graph(rng, max_nodes=25)
+        lap = g.laplacian()
+        for tau in (0.0, stable_delay(g, float(rng.uniform(0.1, 2.0)))):
+            formula = (np.pi / 2) * centering_matrix(g.node_count) - tau * lap
+            assert np.array_equal(delay_shift_matrix(lap, tau), formula)
+
+
 def test_laplacian_rows_sum_to_zero():
     rng = np.random.default_rng(11)
     for _ in range(20):
@@ -274,7 +312,7 @@ def test_shift_matrix_positive_definite_iff_stable():
     g = WeightedGraph.complete(4)  # lambda_max = 4
     boundary = math.pi / 8.0
     # Helmert basis of the subspace orthogonal to the ones vector.
-    helmert = OutputSpec.orthonormal(4).output_matrix().T
+    helmert = output_matrix(OutputSpec.orthonormal(4)).T
     for tau, stable in ((0.9 * boundary, True), (1.1 * boundary, False)):
         shift = delay_shift_matrix(g.laplacian(), tau)
         centered_min = np.linalg.eigvalsh(helmert.T @ shift @ helmert)[0]
@@ -295,6 +333,50 @@ def test_shift_pinv_is_the_grounded_inverse_on_both_sides_of_the_boundary():
         caches = EdgeFormCaches.build(lap, centering_matrix(6), tau)
         err = np.abs(caches.shift_pinv - grounded).max() / np.abs(grounded).max()
         assert err <= 1e-12, (factor, err)
+
+
+def _cache_outputs(n: int) -> dict[str, OutputSpec]:
+    """Every named kind, a wide custom C (fewer rows than nodes) and a tall one."""
+    rng = np.random.default_rng(n)
+    named = [kind for kind in OutputKind if kind is not OutputKind.CUSTOM]
+    outputs = {kind.value: OutputSpec(kind, n) for kind in named}
+    for name, rows in (("custom-wide", max(1, n // 3)), ("custom-tall", 2 * n + 1)):
+        raw = rng.standard_normal((rows, n))
+        outputs[name] = OutputSpec.custom(raw - raw.mean(axis=1, keepdims=True))
+    return outputs
+
+
+# Largest relative difference, max |built - reference| / max |reference| per
+# matrix, between EdgeFormCaches.build and the explicit P @ CᵀC @ P reference,
+# the same bound as SEQUENCE_DRIFT_BOUND; the largest measured is 6.7e-14.
+BUILD_REFERENCE_BOUND = 1e-10
+
+
+@pytest.mark.parametrize("n", [2, 127, 128, 129])
+def test_built_caches_match_the_explicit_reference(n):
+    # Named kinds carry their gram as a scale and build each sandwich as one
+    # symmetric product; custom outputs keep the dense gram. At 1.1 and 2
+    # times the threshold the shifted operator is indefinite.
+    rng = np.random.default_rng(100 + n)
+    g = random_connected_graph(rng, min_nodes=n, max_nodes=n, extra_edge_prob=3.0 / n)
+    lap = g.laplacian()
+    for name, out in _cache_outputs(n).items():
+        for fraction in (0.5, 1.1, 2.0):
+            delay = stable_delay(g, fraction)
+            caches = EdgeFormCaches.build(lap, out.gram(), delay)
+            assert isinstance(caches.output_gram, np.ndarray) == name.startswith("custom")
+            reference = fresh_caches(g, out, delay)
+            for ours, ref in zip(tracked_matrices(caches), tracked_matrices(reference)):
+                drift = float(np.max(np.abs(ours - ref)) / np.max(np.abs(ref)))
+                assert drift <= BUILD_REFERENCE_BOUND, (name, fraction, drift)
+            if fraction < 1.0:
+                fit = rho_approx(eigendecompose(lap), out, delay)
+                assert rho_approx_from_caches(caches) == pytest.approx(fit, rel=1e-12, abs=0.0)
+            # A rebuild from the caches' own fields, as the benchmark's drift
+            # check makes, reproduces them exactly.
+            rebuilt = EdgeFormCaches.build(caches.laplacian, caches.output_gram, caches.delay)
+            for ours, again in zip(tracked_matrices(caches), tracked_matrices(rebuilt)):
+                assert np.array_equal(ours, again), (name, fraction)
 
 
 def test_spectrum_of_weights_nine_decades_apart_is_connected():

@@ -32,8 +32,10 @@ from tdconsensus import (
 )
 from tdconsensus.performance import require_stable, sensitivities
 from conftest import (
+    centering_matrix,
     exact_measure,
     fresh_caches,
+    output_matrix,
     random_connected_graph,
     spectrum_of,
     stable_delay,
@@ -537,7 +539,7 @@ def test_quadrature_rejects_unstable_mode():
 
 def test_orthonormal_rows_are_orthonormal_and_centered():
     for n in (3, 6, 11):
-        c = OutputSpec.orthonormal(n).output_matrix()
+        c = output_matrix(OutputSpec.orthonormal(n))
         assert c.shape == (n - 1, n)
         assert np.allclose(c @ np.ones(n), 0.0, atol=1e-12)
         assert np.allclose(c @ c.T, np.eye(n - 1), atol=1e-12)
@@ -546,8 +548,8 @@ def test_orthonormal_rows_are_orthonormal_and_centered():
 def test_output_gram_matches_materialized_matrix():
     for kind in ("centering", "complete-incidence", "orthonormal"):
         out = make_output_spec(kind, 5)
-        c = out.output_matrix()
-        assert np.allclose(out.gram(), c.T @ c, atol=1e-10)
+        c = output_matrix(out)
+        assert np.allclose(out.gram() * centering_matrix(5), c.T @ c, atol=1e-10)
         assert out.frobenius_sq() == pytest.approx(float(np.sum(c * c)))
 
 

@@ -15,7 +15,7 @@ from tdconsensus import (
     WeightedGraph,
     simulate,
 )
-from conftest import exact_measure, fresh_interpreter_output
+from conftest import exact_measure, fresh_interpreter_output, output_matrix
 
 
 def test_same_seed_reproduces_exactly():
@@ -51,6 +51,14 @@ def test_config_validation():
         SimulationConfig(delay=0.1, burn_in=10.0, horizon=5.0)
     with pytest.raises(ConfigError):
         SimulationConfig(delay=0.1, seed=-1)
+    # A float, whole-valued or not, is no count and no seed: each of these
+    # used to reach simulate and fail there with a bare TypeError.
+    for field, bad in (("trials", 16.0), ("trials", 2.5), ("substeps_per_delay", 16.0),
+                       ("substeps_per_delay", 2.5), ("seed", 3.0)):
+        with pytest.raises(ConfigError, match="integer"):
+            SimulationConfig(**{"delay": 0.1, field: bad})
+    config = SimulationConfig(delay=0.1, trials=np.int64(3), substeps_per_delay=np.int32(5))
+    assert (config.trials, config.substeps_per_delay) == (3, 5)
     for bad in (math.nan, math.inf, -math.inf):
         for field in ("delay", "dt", "burn_in", "horizon"):
             with pytest.raises(ConfigError):
@@ -216,15 +224,14 @@ def reference_simulate(graph, out, config):
     """Per-step Euler-Maruyama loop, one Python iteration per step.
 
     The simulator's arithmetic spelled out: x_{k+1} = x_k - dt x_{k-d} L +
-    sqrt(dt) xi_k from x = 0, with the same per-trial noise streams and the
-    same factored output gram; returns the per-trial time averages.
+    sqrt(dt) xi_k from x = 0, with the same per-trial noise streams; the
+    squared output is |C x|^2 with the explicit C of conftest.output_matrix,
+    not the simulator's own squares. Returns the per-trial time averages.
     """
     lap, n, trials, dt = graph.laplacian(), graph.node_count, config.trials, config.dt
     delay_steps = round(config.delay / dt)
     burn_steps, total_steps = math.ceil(config.burn_in / dt), math.ceil(config.horizon / dt)
-    vals, vecs = np.linalg.eigh(out.gram())
-    keep = vals > 1e-12 * max(1.0, float(vals.max()))
-    rows = (np.sqrt(vals[keep])[:, None] * vecs.T[keep]).T
+    rows = output_matrix(out).T
     seeds = np.random.SeedSequence(config.seed).spawn(trials)
     noise = np.stack([np.random.default_rng(s).standard_normal((total_steps, n)) for s in seeds], axis=1)
     states = [np.zeros((trials, n))]
@@ -243,6 +250,11 @@ _REFERENCE_OUTPUTS = {
     "complete-incidence": OutputSpec.complete_incidence(4),
     "orthonormal": OutputSpec.orthonormal(4),
     "custom": OutputSpec.custom(np.array([[1.0, -1.0, 0.0, 0.0], [0.5, 0.5, -2.0, 1.0]])),
+    # More rows than nodes: the simulator squares through C's triangular factor.
+    "custom-tall": OutputSpec.custom(
+        np.array([[1.0, -1.0, 0.0, 0.0], [0.5, 0.5, -2.0, 1.0], [0.0, 3.0, -1.0, -2.0],
+                  [-1.0, 0.0, 0.0, 1.0], [2.0, -0.5, -0.5, -1.0], [0.25, 0.25, 0.25, -0.75]])
+    ),
 }
 
 
