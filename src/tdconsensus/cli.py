@@ -8,10 +8,7 @@ else goes to stderr. Exit codes: 0 success, 2 unparsable or invalid input,
 from __future__ import annotations
 
 import argparse
-import math
 import sys
-
-import numpy as np
 
 from . import __version__
 from .design import (
@@ -39,11 +36,9 @@ from .fileio import (
 )
 from .graphs import WeightedGraph, eigendecompose
 from .performance import (
+    OutputKind,
     OutputSpec,
-    _checked_spectrum,
-    _modal_sum,
-    _nonzero_modes,
-    crossover_delay,
+    delay_sweep,
     hard_limit,
     make_output_spec,
     performance_report,
@@ -51,14 +46,13 @@ from .performance import (
 )
 from .simulate import SimulationConfig, simulate
 
-_OUTPUT_KINDS = ["centering", "complete-incidence", "orthonormal", "custom"]
+_OUTPUT_KINDS = [kind.value for kind in OutputKind]
 
 
-def _add_common(parser: argparse.ArgumentParser, delay_required: bool = True) -> None:
+def _add_common(parser: argparse.ArgumentParser, delay: bool = True) -> None:
     parser.add_argument("graph", help="graph file: 'n <count>' header, 'u v w' lines")
-    parser.add_argument(
-        "--tau", type=float, required=delay_required, help="network time delay"
-    )
+    if delay:
+        parser.add_argument("--tau", type=float, required=True, help="network time delay")
     parser.add_argument(
         "--output-kind",
         choices=_OUTPUT_KINDS,
@@ -232,60 +226,30 @@ def cmd_simulate(args: argparse.Namespace) -> dict:
 def cmd_sweep_tau(args: argparse.Namespace) -> str:
     if args.samples < 2:
         raise ParseError("need at least two samples")
-    graph_a = load_graph(args.graph)
-    out = _load_output_spec(args, graph_a.node_count)
-    graphs = [graph_a]
-    spectra = [_checked_spectrum(graph_a, out)]
+    graphs = [load_graph(args.graph)]
+    out = _load_output_spec(args, graphs[0].node_count)
     if args.second_graph is not None:
-        graph_b = load_graph(args.second_graph)
-        if graph_b.node_count != graph_a.node_count:
+        graphs.append(load_graph(args.second_graph))
+        if graphs[1].node_count != graphs[0].node_count:
             raise ParseError("the two graphs must share the node count")
-        graphs.append(graph_b)
-        spectra.append(_checked_spectrum(graph_b, out))
-    lam_max = max(s.lambda_max for s in spectra)
-    tau_edge = math.pi / (2.0 * lam_max)
-    tau_lo = args.tau_min if args.tau_min is not None else 1e-4 * tau_edge
-    tau_hi = args.tau_max if args.tau_max is not None else (1.0 - 1e-9) * tau_edge
-    if not (0.0 < tau_lo < tau_hi):
-        raise ParseError("need 0 < tau-min < tau-max")
-    taus = np.geomspace(tau_lo, tau_hi, args.samples)
-    # rho_exact at every stable tau, with the modal weights taken once.
-    modes = [_nonzero_modes(s, out) for s in spectra]
+    sweep = delay_sweep(graphs, out, args.samples)
 
-    lines = []
-    if len(graphs) == 1:
-        lines.append("tau,rho")
-        for tau in taus:
-            if tau * spectra[0].lambda_max >= math.pi / 2.0:
-                continue
-            value = _modal_sum(*modes[0], float(tau))
-            lines.append(f"{csv_cell(tau)},{csv_cell(value)}")
-    else:
-        lines.append("tau,rho_first,rho_second,difference")
-        for tau in taus:
-            if tau * lam_max >= math.pi / 2.0:
-                continue
-            first = _modal_sum(*modes[0], float(tau))
-            second = _modal_sum(*modes[1], float(tau))
-            lines.append(
-                f"{csv_cell(tau)},{csv_cell(first)},{csv_cell(second)},"
-                f"{csv_cell(first - second)}"
-            )
-        crossover = crossover_delay(graphs[0], graphs[1], out, samples=args.samples)
+    header, columns = "tau,rho", [sweep.taus, *sweep.rho]
+    if len(graphs) == 2:
+        header = "tau,rho_first,rho_second,difference"
+        columns.append(sweep.rho[0] - sweep.rho[1])
+    lines = [header] + [",".join(csv_cell(value) for value in row) for row in zip(*columns)]
+    if len(graphs) == 2:
+        crossover = sweep.crossover
         if crossover is None:
             lines.append("# crossover = none")
         else:
+            low, high = crossover.bracket_low, crossover.bracket_high
             lines.append(f"# crossover_tau = {csv_cell(crossover.tau_star)}")
-            lines.append(
-                f"# bracket = {csv_cell(crossover.bracket_low)} "
-                f"{csv_cell(crossover.bracket_high)}"
-            )
+            lines.append(f"# bracket = {csv_cell(low)} {csv_cell(high)}")
             if crossover.certified_dominance is not None:
-                lines.append(
-                    "# certified_dominance = "
-                    f"{csv_cell(crossover.certified_dominance[0])} "
-                    f"{csv_cell(crossover.certified_dominance[1])}"
-                )
+                low, high = crossover.certified_dominance
+                lines.append(f"# certified_dominance = {csv_cell(low)} {csv_cell(high)}")
     return "\n".join(lines) + "\n"
 
 
@@ -328,11 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "sweep-tau", help="performance versus delay as CSV, with crossover when two graphs"
     )
-    _add_common(p, delay_required=False)
+    _add_common(p, delay=False)
     p.add_argument("second_graph", nargs="?", default=None)
     p.add_argument("--samples", type=int, default=400)
-    p.add_argument("--tau-min", type=float, default=None)
-    p.add_argument("--tau-max", type=float, default=None)
     p.set_defaults(func=cmd_sweep_tau, kind="csv")
 
     p = sub.add_parser("simulate", help="Monte Carlo check of the exact measure")

@@ -298,18 +298,21 @@ def _gram_sandwich(pinv: np.ndarray, output_gram: np.ndarray | float) -> np.ndar
     return pinv @ output_gram @ pinv
 
 
-def edge_quadratic_form(matrix: np.ndarray, u: int, v: int) -> float:
-    """Quadratic form of the endpoint difference vector: P_uu + P_vv - 2 P_uv."""
-    n = matrix.shape[0]
-    u, v = _check_endpoints(n, u, v)
-    return float(matrix[u, u] + matrix[v, v] - 2.0 * matrix[u, v])
+def edge_quadratic_form(matrix: np.ndarray | float, u: int, v: int) -> float:
+    """Quadratic form of the endpoint difference vector: P_uu + P_vv - 2 P_uv.
+    A scale s, which has no size to check the endpoints against, gives 2 s."""
+    u, v = _check_endpoints(np.shape(matrix)[0] if np.ndim(matrix) else np.inf, u, v)
+    return float(edge_quadratic_forms(matrix, u, v))
 
 
-def edge_quadratic_forms(matrix: np.ndarray | float, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """edge_quadratic_form for every pair (us[i], vs[i]); endpoints unchecked.
-    A scale s stands for s times the centering projector: every form is 2 s."""
+def edge_quadratic_forms(
+    matrix: np.ndarray | float, us: np.ndarray | int, vs: np.ndarray | int
+) -> np.ndarray:
+    """edge_quadratic_form for every pair (us[i], vs[i]), or for one pair of
+    nodes; endpoints unchecked. A scale s stands for s times the centering
+    projector: every form is 2 s."""
     if np.ndim(matrix) == 0:
-        return np.full(len(us), 2.0 * matrix)
+        return np.full(np.shape(us), 2.0 * matrix)
     return matrix[us, us] + matrix[vs, vs] - 2.0 * matrix[us, vs]
 
 

@@ -10,6 +10,7 @@ matrix observes that mode.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -411,43 +412,52 @@ class CrossoverResult:
     certified_dominance: tuple[float, float] | None
 
 
-def crossover_delay(
-    graph_a: WeightedGraph,
-    graph_b: WeightedGraph,
-    out: OutputSpec,
-    samples: int = 400,
-) -> CrossoverResult | None:
-    """Smallest delay past which graph_b beats graph_a at every sample.
+@dataclass(frozen=True)
+class DelaySweep:
+    """Exact performance of one or two graphs on a log-spaced delay grid.
 
-    Scans a log-spaced grid over the common stability interval, then
-    bisects the last sign change of rho(graph_a) - rho(graph_b). A
-    difference within the modal sums' rounding bound counts as zero, both
-    on the grid and in the bisection. Returns None when the difference is
-    never negative or never changes sign on the grid, or when it is not
-    positive at every sample past the last change.
+    taus runs from 1e-4 to 1 - 1e-9 of the common stability threshold, so
+    every sample is stable; rho holds each graph's rho_exact at every tau.
+    crossover is crossover_delay's result for two graphs, None for one.
     """
-    if samples < 2:
-        raise ValueError("need at least two samples")
-    spec_a = _checked_spectrum(graph_a, out)
-    spec_b = _checked_spectrum(graph_b, out)
-    lam_max = max(spec_a.lambda_max, spec_b.lambda_max)
-    tau_hi = math.pi / (2.0 * lam_max)
 
+    taus: np.ndarray
+    rho: tuple[np.ndarray, ...]
+    crossover: CrossoverResult | None
+
+
+def delay_sweep(
+    graphs: Sequence[WeightedGraph], out: OutputSpec, samples: int = 400
+) -> DelaySweep:
+    """Sweep one or two graphs over their common stable delay range, with one
+    eigendecomposition per graph; a two-graph crossover reads the same rows."""
+    if not isinstance(samples, (int, np.integer)) or samples < 2:
+        raise ValueError(f"need an integer of at least two samples, got {samples!r}")
+    if len(graphs) not in (1, 2):
+        raise ValueError("a delay sweep takes one or two graphs")
+    spectra = [_checked_spectrum(graph, out) for graph in graphs]
     # Modal weights do not depend on the delay: take them once per spectrum.
-    modes_a = _nonzero_modes(spec_a, out)
-    modes_b = _nonzero_modes(spec_b, out)
+    modes = [_nonzero_modes(spectrum, out) for spectrum in spectra]
+    tau_hi = math.pi / (2.0 * max(spectrum.lambda_max for spectrum in spectra))
+    taus = np.geomspace(1e-4 * tau_hi, (1.0 - 1e-9) * tau_hi, samples)
+    # One scalar modal sum per delay: a (samples x modes) array costs more memory.
+    rho = tuple(np.array([_modal_sum(*m, float(tau)) for tau in taus]) for m in modes)
+    crossover = _crossover(taus, tau_hi, spectra, modes, rho) if len(graphs) == 2 else None
+    return DelaySweep(taus=taus, rho=rho, crossover=crossover)
 
+
+def _crossover(taus, tau_hi, spectra, modes, rho) -> CrossoverResult | None:
+    """crossover_delay from a two-graph sweep's grid values."""
+    (spec_a, spec_b), (modes_a, modes_b) = spectra, modes
     rounding = CROSSOVER_ROUNDING_FACTOR * len(modes_a[0]) * np.finfo(float).eps
 
-    def difference(tau: float) -> float:
-        rho_a, rho_b = _modal_sum(*modes_a, tau), _modal_sum(*modes_b, tau)
-        diff = rho_a - rho_b
-        return 0.0 if abs(diff) <= rounding * (rho_a + rho_b) else diff
+    def rounded(first, second):
+        diff = first - second
+        return np.where(np.abs(diff) <= rounding * (first + second), 0.0, diff)
 
-    taus = np.geomspace(1e-4 * tau_hi, (1.0 - 1e-9) * tau_hi, samples)
-    diffs = np.array([difference(t) for t in taus])
+    diffs = rounded(*rho)
     nonpos = np.flatnonzero(diffs <= 0.0)
-    if not (diffs < 0.0).any() or nonpos[-1] == samples - 1:
+    if not (diffs < 0.0).any() or nonpos[-1] == len(taus) - 1:
         return None
     last = int(nonpos[-1])
     if not np.all(diffs[last + 1 :] > 0.0):
@@ -457,7 +467,7 @@ def crossover_delay(
     d_lo, d_hi = float(diffs[last]), float(diffs[last + 1])
     while hi - lo > 1e-13 * tau_hi:
         mid = 0.5 * (lo + hi)
-        d_mid = difference(mid)
+        d_mid = float(rounded(_modal_sum(*modes_a, mid), _modal_sum(*modes_b, mid)))
         if d_mid > 0.0:
             hi, d_hi = mid, d_mid
         else:
@@ -480,6 +490,24 @@ def crossover_delay(
         difference_high=d_hi,
         certified_dominance=dominance,
     )
+
+
+def crossover_delay(
+    graph_a: WeightedGraph,
+    graph_b: WeightedGraph,
+    out: OutputSpec,
+    samples: int = 400,
+) -> CrossoverResult | None:
+    """Smallest delay past which graph_b beats graph_a at every sample.
+
+    Scans delay_sweep's grid over the common stability interval, then
+    bisects the last sign change of rho(graph_a) - rho(graph_b). A
+    difference within the modal sums' rounding bound counts as zero, both
+    on the grid and in the bisection. Returns None when the difference is
+    never negative or never changes sign on the grid, or when it is not
+    positive at every sample past the last change.
+    """
+    return delay_sweep((graph_a, graph_b), out, samples).crossover
 
 
 def mode_variance_quadrature(lam: float, delay: float, rel_tol: float = 1e-9) -> float:

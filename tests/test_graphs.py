@@ -35,6 +35,7 @@ from conftest import (
     stable_delay,
     tracked_matrices,
 )
+from tdconsensus.graphs import edge_quadratic_forms
 
 
 def test_edges_are_canonicalized_and_sorted():
@@ -558,3 +559,22 @@ def test_update_sequences_track_the_eigh_reference_or_raise_singular(
 def test_edge_quadratic_form_rejects_bad_nodes():
     with pytest.raises(IndexOutOfRange):
         edge_quadratic_form(np.eye(3), 0, 3)
+
+
+@pytest.mark.parametrize("kind", list(OutputKind))
+def test_edge_quadratic_form_is_the_vector_form_on_every_output_gram(kind):
+    # Named kinds cache their gram as the scale s, whose every form is 2 s.
+    rng = np.random.default_rng(13)
+    g = random_connected_graph(rng, min_nodes=6, max_nodes=6)
+    out = _output_spec(kind, 6, rng)
+    gram = EdgeFormCaches.build(g.laplacian(), out.gram(), stable_delay(g, 0.5)).output_gram
+    pairs = [(u, v) for u in range(6) for v in range(u + 1, 6)]
+    forms = [edge_quadratic_form(gram, u, v) for u, v in pairs]
+    us, vs = np.array(pairs).T
+    assert forms == [float(q) for q in edge_quadratic_forms(gram, us, vs)]
+    if kind is not OutputKind.CUSTOM:
+        assert forms == [2.0 * out.gram()] * len(pairs)
+    with pytest.raises(ValueError):
+        edge_quadratic_form(gram, 2, 2)
+    with pytest.raises(IndexOutOfRange):
+        edge_quadratic_form(gram, -1, 2)

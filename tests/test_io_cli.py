@@ -1,11 +1,16 @@
 """File formats, JSON reports, and the command-line interface."""
 
+import ast
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tdconsensus.cli
+import tdconsensus.graphs
 from tdconsensus import (
     CandidateSet,
     ConfigError,
@@ -474,6 +479,48 @@ def test_cli_sweep_mismatched_node_counts(tmp_path, capsys):
     p5 = _write_graph(tmp_path, "p5.txt", WeightedGraph.path(5))
     assert main(["sweep-tau", p4, p5]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("graph_count", [1, 2])
+def test_cli_sweep_decomposes_each_graph_once(tmp_path, capsys, monkeypatch, graph_count):
+    original = tdconsensus.graphs.eigendecompose
+    calls = []
+
+    def counted(matrix):
+        calls.append(matrix.shape)
+        return original(matrix)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "tdconsensus" and vars(module).get("eigendecompose") is original:
+            monkeypatch.setattr(module, "eigendecompose", counted)
+    paths = [
+        _write_graph(tmp_path, f"g{i}.txt", graph)
+        for i, graph in enumerate([WeightedGraph.star(5), WeightedGraph.path(5)][:graph_count])
+    ]
+    assert main(["sweep-tau", *paths, "--samples", "50"]) == 0
+    assert len(calls) == graph_count
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("option", ["--tau", "--tau-min", "--tau-max"])
+def test_cli_sweep_takes_no_delay_option(tmp_path, capsys, option):
+    path = _write_graph(tmp_path, "p4.txt", WeightedGraph.path(4))
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep-tau", path, option, "0.1"])
+    assert exc.value.code == 2
+    assert option in capsys.readouterr().err
+
+
+def test_cli_imports_no_private_package_name():
+    tree = ast.parse(Path(tdconsensus.cli.__file__).read_text())
+    private = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("tdconsensus"))
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+    assert private == []
 
 
 def test_cli_custom_output_matrix(tmp_path, capsys):

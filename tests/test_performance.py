@@ -16,6 +16,7 @@ from tdconsensus import (
     check_stability,
     cosine_fixed_point,
     crossover_delay,
+    delay_sweep,
     edge_quadratic_form,
     eigendecompose,
     hard_limit,
@@ -439,8 +440,31 @@ def test_crossover_input_validation():
         crossover_delay(WeightedGraph.path(4), WeightedGraph.path(5), out)
     with pytest.raises(DisconnectedGraph):
         crossover_delay(WeightedGraph(4, ((0, 1, 1.0),)), WeightedGraph.path(4), out)
-    with pytest.raises(ValueError):
-        crossover_delay(WeightedGraph.path(4), WeightedGraph.cycle(4), out, samples=1)
+    p4, c4 = WeightedGraph.path(4), WeightedGraph.cycle(4)
+    for samples in (1, 2.5, 10.0, "10"):
+        with pytest.raises(ValueError, match="samples"):
+            crossover_delay(p4, c4, out, samples=samples)
+    assert crossover_delay(p4, c4, out, samples=np.int64(10)) == crossover_delay(
+        p4, c4, out, samples=10
+    )
+
+
+def test_delay_sweep_rows_are_rho_exact_on_the_common_stable_grid():
+    out = OutputSpec.centering(5)
+    s5, p5 = WeightedGraph.star(5), WeightedGraph.path(5)
+    single = delay_sweep([p5], out, samples=30)
+    assert single.crossover is None and len(single.rho) == 1
+    assert list(single.rho[0]) == [rho_exact(spectrum_of(p5), out, t) for t in single.taus]
+    pair = delay_sweep([s5, p5], out, samples=30)
+    threshold = math.pi / (2.0 * spectrum_of(s5).lambda_max)  # the star's is the larger
+    assert pair.taus[0] == 1e-4 * threshold and pair.taus[-1] == (1.0 - 1e-9) * threshold
+    for graph, rho in zip((s5, p5), pair.rho):
+        assert list(rho) == [rho_exact(spectrum_of(graph), out, t) for t in pair.taus]
+    assert pair.crossover is not None
+    assert pair.crossover == crossover_delay(s5, p5, out, samples=30)
+    for graphs in ([], [p5, p5, p5]):
+        with pytest.raises(ValueError):
+            delay_sweep(graphs, out)
 
 
 # --- sensitivity ---
