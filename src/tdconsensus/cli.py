@@ -85,6 +85,8 @@ def _load_output_spec(args: argparse.Namespace, node_count: int) -> OutputSpec:
         if args.output_matrix is None:
             raise InvalidOutputMatrix("--output-kind custom requires --output-matrix")
         matrix = load_matrix(args.output_matrix)
+    elif args.output_matrix is not None:
+        raise InvalidOutputMatrix("--output-matrix requires --output-kind custom")
     return make_output_spec(args.output_kind, node_count, matrix)
 
 

@@ -17,15 +17,14 @@ from .errors import (
     ConfigError,
     DomainError,
     NoFeasibleCandidate,
-    SingularUpdate,
 )
 from .graphs import (
     EdgeFormCaches,
     WeightedGraph,
     _check_endpoints,
     _edge_arrays,
-    edge_quadratic_form,
-    edge_quadratic_forms,
+    _edge_forms,
+    _update_denominator,
     eigendecompose,
     is_bridge,
     sherman_morrison_update,
@@ -47,8 +46,8 @@ from .performance import (
 # Candidate weights must stay below (1 - EPS_STABILITY) times the edge
 # stability bound.
 EPS_STABILITY = 1e-6
-# sparsify scores no removal with |w(e) * r_e - 1| at or below this: its
-# rank-one denominator, proportional to 1 - w(e) * r_e, is near zero there.
+# No move of weight w on an edge of resistance r is scored with |1 + w r| at
+# or below this, near-zero rank-one denominators (a bridge's full removal).
 BRIDGE_TOLERANCE = 1e-6
 # Audit mode (exact-measure recomputation per iteration) defaults on up to
 # this many nodes.
@@ -162,31 +161,21 @@ class DesignState:
         return rho_exact(spectrum, self.out, self.delay), stability.margin
 
 
-def _contribution_terms(
-    state: DesignState, us: np.ndarray, vs: np.ndarray, weights: np.ndarray
-) -> np.ndarray:
-    """Vectorized fit change for adding weights[i] on edge (us[i], vs[i]).
-
-    Negative weights evaluate the removal direction. Callers keep
-    denominators away from zero (stability bound on one side, bridge
-    exclusion on the other).
-    """
-    tau = state.delay
-    q1 = edge_quadratic_forms(state.caches.lap_pinv_gram, us, vs)
-    q2 = edge_quadratic_forms(state.caches.lap_pinv, us, vs)
-    resistance_term = -q1 / (2.0 / weights + 2.0 * q2)
+def _fit_change(forms: list, tau: float, weights: np.ndarray | float) -> np.ndarray | float:
+    """Exact fit change from adding weights (negative: removing) on the pairs of
+    these _edge_forms; callers keep both denominators away from zero."""
+    q_lap_gram, q_lap, *shifted = forms
+    resistance_term = -q_lap_gram / (2.0 / weights + 2.0 * q_lap)
     if tau == 0.0:
         return resistance_term
-    q3 = edge_quadratic_forms(state.caches.shift_pinv_gram, us, vs)
-    q4 = edge_quadratic_forms(state.caches.shift_pinv, us, vs)
-    gram_forms = edge_quadratic_forms(state.caches.output_gram, us, vs)
+    q_shift_gram, q_shift, gram_form = shifted
     # The shift term in terms of w * tau, which stays finite at subnormal
     # delays where 1 / (w * tau) would overflow.
     scaled = weights * tau
     return (
         resistance_term
-        + 0.5 * FIT_SLOPE * tau * tau * weights * gram_forms
-        + (2.0 * tau / math.pi) * q3 * scaled / (1.0 - scaled * q4)
+        + 0.5 * FIT_SLOPE * tau * tau * weights * gram_form
+        + (2.0 * tau / math.pi) * q_shift_gram * scaled / (1.0 - scaled * q_shift)
     )
 
 
@@ -194,26 +183,17 @@ def edge_contribution(state: DesignState, edge: tuple[int, int], weight: float) 
     """Fit change from adding weight on the edge; exact rank-one difference.
 
     Zero weight contributes zero. A negative weight evaluates removing that
-    much weight from a present edge.
+    much weight from a present edge. Raises SingularUpdate exactly when
+    sherman_morrison_update would on this move.
     """
-    u, v = _check_endpoints(state.graph.node_count, *edge)
+    edge = _check_endpoints(state.graph.node_count, *edge)
     if weight == 0.0:
         return 0.0
-    tau = state.delay
-    q2 = edge_quadratic_form(state.caches.lap_pinv, u, v)
-    d1 = 2.0 / weight + 2.0 * q2
-    if abs(d1) < 1e-14 * max(1.0, q2):
-        raise SingularUpdate("contribution denominator vanishes (bridge removal)")
-    if tau > 0.0:
-        q4 = edge_quadratic_form(state.caches.shift_pinv, u, v)
-        # |q4 - 1 / (w tau)| < 1e-14 max(1, q4), times |w tau| so that
-        # nothing overflows at a subnormal delay.
-        scaled = weight * tau
-        if abs(1.0 - scaled * q4) < 1e-14 * max(1.0, q4) * abs(scaled):
-            raise SingularUpdate("contribution denominator vanishes (stability bound)")
-    return float(
-        _contribution_terms(state, np.array([u]), np.array([v]), np.array([float(weight)]))[0]
-    )
+    forms = _edge_forms(state.caches, *edge)
+    _update_denominator(weight, forms[1], edge)
+    if state.delay > 0.0:
+        _update_denominator(-state.delay * weight, forms[3], edge)
+    return float(_fit_change(forms, state.delay, weight))
 
 
 def edge_stability_bound(state: DesignState, edge: tuple[int, int]) -> float:
@@ -222,22 +202,19 @@ def edge_stability_bound(state: DesignState, edge: tuple[int, int]) -> float:
     The added weight w preserves stability iff w < bound, with equality
     already unstable. Unbounded (+inf) at zero delay.
     """
-    u, v = _check_endpoints(state.graph.node_count, *edge)
+    edge = _check_endpoints(state.graph.node_count, *edge)
     if state.delay == 0.0:
         return math.inf
-    return 1.0 / (state.delay * edge_quadratic_form(state.caches.shift_pinv, u, v))
+    return 1.0 / (state.delay * _edge_forms(state.caches, *edge)[3])
 
 
 def contribution_upper_bound(state: DesignState, edge: tuple[int, int]) -> float:
     """Weight-free ceiling on the improvement any feasible weight can bring."""
-    u, v = _check_endpoints(state.graph.node_count, *edge)
-    q1 = edge_quadratic_form(state.caches.lap_pinv_gram, u, v)
-    q2 = edge_quadratic_form(state.caches.lap_pinv, u, v)
-    bound = q1 / (2.0 * q2)
+    forms = _edge_forms(state.caches, *_check_endpoints(state.graph.node_count, *edge))
+    bound = forms[0] / (2.0 * forms[1])
     if state.delay > 0.0:
-        q4 = edge_quadratic_form(state.caches.shift_pinv, u, v)
-        bound -= FIT_SLOPE * state.delay / q4
-    return bound
+        bound -= FIT_SLOPE * state.delay / forms[3]
+    return float(bound)
 
 
 def _improvements(
@@ -247,19 +224,22 @@ def _improvements(
     ws: np.ndarray,
     eligible: np.ndarray,
 ) -> np.ndarray:
-    """Fit improvement of each move (us[i], vs[i], ws[i]); -inf where not eligible.
+    """Fit improvement of each move (us[i], vs[i], ws[i]); -inf where not scored.
 
-    Only the moves in the eligible mask whose weight stays below
-    (1 - EPS_STABILITY) times the edge stability bound are scored. A
-    removal (negative weight) passes that test on any stable network;
-    callers keep bridges out of the mask.
+    An eligible move is scored when its weight stays below (1 - EPS_STABILITY)
+    times the edge stability bound, as every removal does on a stable network,
+    and |1 + w r| > BRIDGE_TOLERANCE, as every addition does.
     """
     idx = np.flatnonzero(eligible)
+    forms = _edge_forms(state.caches, us[idx], vs[idx])
+    weights = ws[idx]
+    scored = np.abs(1.0 + weights * forms[1]) > BRIDGE_TOLERANCE
     if state.delay > 0.0:
-        q4 = edge_quadratic_forms(state.caches.shift_pinv, us[idx], vs[idx])
-        idx = idx[ws[idx] * (state.delay * q4) < 1.0 - EPS_STABILITY]
+        scored &= weights * (state.delay * forms[3]) < 1.0 - EPS_STABILITY
     improvement = np.full(len(ws), -np.inf)
-    improvement[idx] = -_contribution_terms(state, us[idx], vs[idx], ws[idx])
+    improvement[idx[scored]] = -_fit_change(
+        [form[scored] for form in forms], state.delay, weights[scored]
+    )
     return improvement
 
 
@@ -397,11 +377,9 @@ def sparsify(state: DesignState, budget: int) -> DesignTrace:
         if not state.graph.edges:
             return "no removable edge"
         us, vs, ws = _edge_arrays(state.graph.edges)
-        q2 = edge_quadratic_forms(state.caches.lap_pinv, us, vs)
-        removable = np.abs(ws * q2 - 1.0) > BRIDGE_TOLERANCE
-        if not removable.any():
+        improvement = _improvements(state, us, vs, -ws, np.ones(len(ws), dtype=bool))
+        if np.isneginf(improvement).all():
             return "all edges are bridges"
-        improvement = _improvements(state, us, vs, -ws, removable)
         while True:
             best = int(np.argmax(improvement))
             best_h = float(improvement[best])
@@ -467,7 +445,8 @@ def grow_by_sensitivity(
         pos = int(np.argmin(slopes))
         best = int(idx[pos])
         best_pair, best_slope = (int(us[best]), int(vs[best])), float(slopes[pos])
-        bound = edge_stability_bound(state, best_pair)
+        forms = _edge_forms(state.caches, *best_pair)
+        bound = 1.0 / (state.delay * forms[3])
         if bound == math.inf:
             raise DomainError(
                 f"delay {state.delay} too small: the stability bound on pair "
@@ -475,14 +454,20 @@ def grow_by_sensitivity(
             )
         hi = (1.0 - EPS_STABILITY) * bound
         weight = golden_section_min(
-            lambda w: edge_contribution(state, best_pair, w),
-            1e-12 * hi,
-            hi,
-            1e-10 * bound,
+            lambda w: _fit_change(forms, state.delay, w), 1e-12 * hi, hi, 1e-10 * bound
         )
-        contribution = edge_contribution(state, best_pair, weight)
+        contribution = float(_fit_change(forms, state.delay, weight))
         if contribution >= 0.0:
             return "no improving weight"
+        # eigh reads a graph as disconnected past lambda_max / lambda_2 = 1 / (n eps);
+        # lambda_max >= max degree and lambda_2 <= n min degree / (n - 1) put it there.
+        degrees = state.caches.laplacian.diagonal().copy()
+        degrees[list(best_pair)] += weight
+        if (len(degrees) - 1) * np.finfo(float).eps * degrees.max() >= degrees.min():
+            raise DomainError(
+                f"delay {state.delay} too small: weight {weight:.3e} on pair "
+                f"{best_pair} would leave the graph numerically disconnected"
+            )
         active[best] = False
         return "add", best_pair, weight, contribution, -contribution, best_slope
 

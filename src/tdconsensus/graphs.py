@@ -371,6 +371,27 @@ class EdgeFormCaches:
         )
 
 
+def _edge_forms(caches: EdgeFormCaches, us: np.ndarray | int, vs: np.ndarray | int) -> list:
+    """Edge forms of lap_pinv_gram and lap_pinv, then at a positive delay of
+    shift_pinv_gram, shift_pinv and output_gram, at every pair (us[i], vs[i]),
+    endpoints unchecked; one pair's as Python floats, whose 1 / (tau s) past
+    the float range reads inf where a numpy scalar would warn."""
+    matrices = [caches.lap_pinv_gram, caches.lap_pinv]
+    if caches.delay > 0.0:
+        matrices += [caches.shift_pinv_gram, caches.shift_pinv, caches.output_gram]
+    forms = [edge_quadratic_forms(matrix, us, vs) for matrix in matrices]
+    return [float(form) for form in forms] if np.ndim(us) == 0 else forms
+
+
+def _update_denominator(coefficient: float, quad: float, edge: Edge) -> float:
+    """1 + c q, the Sherman-Morrison denominator of A += c b bᵀ with q = bᵀ A⁺ b;
+    SingularUpdate when it is within SINGULAR_UPDATE_SCALE of its largest term."""
+    denom = 1.0 + coefficient * quad
+    if abs(denom) <= SINGULAR_UPDATE_SCALE * max(1.0, abs(coefficient * quad), abs(coefficient)):
+        raise SingularUpdate(f"rank-one update denominator {denom:.3e} vanishes for edge {edge}")
+    return denom
+
+
 def _pair_update_vectors(
     inverse: np.ndarray,
     gram_sandwich: np.ndarray,
@@ -383,17 +404,14 @@ def _pair_update_vectors(
 
     b is the endpoint difference vector of (u, v), which is orthogonal to
     the all-ones kernel, so the Sherman-Morrison identity applies to these
-    pseudo-inverses unchanged. Raises SingularUpdate when its denominator
-    vanishes.
+    pseudo-inverses unchanged. Raises SingularUpdate as _update_denominator
+    does.
     """
     p = inverse[:, u] - inverse[:, v]
-    quad = p[u] - p[v]
-    denom = 1.0 + coefficient * quad
-    if abs(denom) <= SINGULAR_UPDATE_SCALE * max(1.0, abs(coefficient * quad), abs(coefficient)):
-        raise SingularUpdate(
-            f"rank-one update denominator {denom:.3e} vanishes for edge ({u}, {v})"
-        )
-    alpha = coefficient / denom
+    # The test reads the edge form edge_contribution reads, so the two raise
+    # together; alpha keeps this update's own rounding of it, p[u] - p[v].
+    _update_denominator(coefficient, edge_quadratic_forms(inverse, u, v), (u, v))
+    alpha = coefficient / (1.0 + coefficient * (p[u] - p[v]))
     z = gram_sandwich[:, u] - gram_sandwich[:, v]
     sandwich_quad = z[u] - z[v]
     # Y_new = Y - alpha (p zᵀ + z pᵀ) + alpha² (bᵀYb) p pᵀ, folded into the

@@ -13,7 +13,6 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
@@ -29,7 +28,7 @@ from .graphs import (
     SpectralCache,
     WeightedGraph,
     _check_endpoints,
-    edge_quadratic_forms,
+    _edge_forms,
     eigendecompose,
 )
 
@@ -49,22 +48,9 @@ OUTPUT_KERNEL_TOLERANCE = 1e-10
 CROSSOVER_ROUNDING_FACTOR = 8.0
 
 
-@lru_cache(maxsize=1)
-def cosine_fixed_point(tolerance: float = 1e-12) -> float:
-    """Unique root of cos(z) = z, by bisection on [0, pi/2].
-
-    The returned value has |cos(z) - z| <= tolerance.
-    """
-    lo, hi = 0.0, math.pi / 2.0
-    while True:
-        mid = 0.5 * (lo + hi)
-        residual = math.cos(mid) - mid
-        if abs(residual) <= tolerance or hi - lo <= 1e-16:
-            return mid
-        if residual > 0.0:
-            lo = mid
-        else:
-            hi = mid
+def cosine_fixed_point() -> float:
+    """Unique root of cos(z) = z, correctly rounded: math.cos maps it to itself."""
+    return 0.7390851332151607
 
 
 class OutputKind(Enum):
@@ -356,11 +342,10 @@ def hard_limit(node_count: int, out: OutputSpec, delay: float) -> HardLimit:
 def sensitivities(caches: EdgeFormCaches, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     """sensitivity for every pair (us[i], vs[i]) at once; endpoints unchecked."""
     tau = caches.delay
-    q_lap_gram = edge_quadratic_forms(caches.lap_pinv_gram, us, vs)
+    q_lap_gram, _, *shifted = _edge_forms(caches, us, vs)
     if tau == 0.0:
         return -0.5 * q_lap_gram
-    gram_form = edge_quadratic_forms(caches.output_gram, us, vs)
-    q_shift_gram = edge_quadratic_forms(caches.shift_pinv_gram, us, vs)
+    q_shift_gram, _, gram_form = shifted
     return (
         0.5 * FIT_SLOPE * tau * tau * gram_form
         - 0.5 * q_lap_gram

@@ -17,6 +17,7 @@ from tdconsensus import (
     IndexOutOfRange,
     NoFeasibleCandidate,
     OutputSpec,
+    SingularUpdate,
     UnstableNetwork,
     WeightedGraph,
     contribution_upper_bound,
@@ -33,6 +34,7 @@ from tdconsensus import (
     rho_approx,
     rho_approx_from_caches,
     rho_exact,
+    sherman_morrison_update,
     sparsify,
 )
 from conftest import (
@@ -43,6 +45,7 @@ from conftest import (
     random_connected_graph,
     spectrum_of,
     stable_delay,
+    tracked_matrices,
 )
 
 
@@ -289,6 +292,61 @@ def test_weight_optima_past_the_float_range_raise_domain_error():
         grow_by_sensitivity(state, [(0, 2), (0, 3)], budget=1)
     with pytest.raises(DomainError, match="overflows"):
         reweight_scale(g, out, 1e-311)
+
+
+@pytest.mark.parametrize("audit", [True, False])
+def test_grow_by_sensitivity_refuses_weights_past_the_eigh_floor(audit):
+    # Below a delay of about n eps the best weight, near 1 / tau, makes
+    # lambda_max / lambda_2 pass 1 / (n eps), where eigh reads the grown graph
+    # as disconnected: that move is refused before anything changes.
+    g = WeightedGraph.path(4)
+    out = OutputSpec.centering(4)
+    pairs = [(0, 2), (0, 3)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for tau in (1e-6, 1e-10, 1e-15):
+            state = DesignState.from_graph(g, out, tau, audit=audit)
+            trace = grow_by_sensitivity(state, pairs, budget=2)
+            assert trace.termination == "budget exhausted"
+            assert [e.edge for e in trace.entries] == [(0, 3), (0, 2)]
+            assert exact_measure(state.graph, out, tau) > 0.0
+        for tau in (1e-16, 1e-200, 1e-300, 1e-308, 5e-309):
+            state = DesignState.from_graph(g, out, tau, audit=audit)
+            before = [m.copy() for m in tracked_matrices(state.caches)]
+            rho_fit = state.rho_fit
+            with pytest.raises(DomainError, match="numerically disconnected"):
+                grow_by_sensitivity(state, pairs, budget=2)
+            assert state.graph == g
+            assert state.rho_fit == rho_fit
+            for old, new in zip(before, tracked_matrices(state.caches)):
+                assert np.array_equal(old, new)
+
+
+def test_edge_contribution_raises_exactly_when_the_update_does():
+    # Both test the rank-one denominator 1 + c q on the same edge form, so
+    # the closed form refuses a move exactly when the cache update would.
+    g = WeightedGraph.path(5)
+    state = DesignState.from_graph(g, OutputSpec.centering(5), stable_delay(g, 0.5))
+    bound = edge_stability_bound(state, (0, 2))
+    cases = [
+        ((0, 2), f * bound)
+        for f in (1 - 1e-6, 1 - 1e-10, 1 - 1e-12, 1 - 3e-13, 1 - 1e-13, 1 - 1e-14, 1.0,
+                  1 + 1e-14, 1 + 1e-12)
+    ] + [((0, 1), -f * g.weight(0, 1)) for f in (1.0, 1 - 1e-13, 1 - 1e-15)]
+
+    def raises(fn):
+        try:
+            fn()
+        except SingularUpdate:
+            return True
+        return False
+
+    for edge, weight in cases:
+        closed_form = raises(lambda: edge_contribution(state, edge, weight))
+        update = raises(
+            lambda: sherman_morrison_update(copy.deepcopy(state.caches), edge, weight)
+        )
+        assert closed_form == update, (edge, weight)
 
 
 # --- contribution upper bound ---

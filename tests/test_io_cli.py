@@ -199,8 +199,11 @@ def test_cli_exit_codes(tmp_path, capsys):
     p3 = _write_graph(tmp_path, "p3.txt", WeightedGraph.path(3))
     assert main(["simulate", p3, "--tau", "0.1", "--dt", "0.03"]) == 1
 
-    # custom output kind without a matrix
+    # custom output kind without a matrix, and a matrix without the custom kind
     assert main(["analyze", p3, "--tau", "0.1", "--output-kind", "custom"]) == 2
+    matrix = tmp_path / "c.txt"
+    matrix.write_text("1 -1 0\n0 1 -1\n")
+    assert main(["analyze", p3, "--tau", "0.1", "--output-matrix", str(matrix)]) == 2
 
     # non-finite delays are DomainErrors, generic tool errors
     assert main(["limits", p3, "--tau", "nan"]) == 1

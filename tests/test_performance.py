@@ -52,6 +52,14 @@ def test_cosine_fixed_point_value_and_residual():
     assert abs(math.cos(z) - z) <= 1e-12
 
 
+def test_cosine_fixed_point_is_correctly_rounded():
+    z = cosine_fixed_point()
+    assert z == 0.7390851332151607
+    assert math.cos(z) == z
+    for neighbour in (math.nextafter(z, 0.0), math.nextafter(z, 1.0)):
+        assert abs(math.cos(neighbour) - neighbour) > 0.0
+
+
 def test_mode_variance_zero_delay():
     for lam in (0.3, 1.0, 7.5):
         assert mode_variance(lam, 0.0) == pytest.approx(1.0 / (2.0 * lam), rel=1e-15)
