@@ -1,14 +1,15 @@
 """Greedy topology design driven by rank-one performance differences.
 
 Adding weight w on edge e changes the performance fit by a closed-form
-amount computable from four cached edge quadratic forms, so each greedy
-iteration costs O(n^2 + candidates) after one upfront eigendecomposition.
+amount computable from five cached edge quadratic forms, so each greedy
+iteration costs O(n^2 + candidates) after the upfront eigendecompositions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Callable, Sequence
 
 import numpy as np
@@ -54,6 +55,12 @@ BRIDGE_TOLERANCE = 1e-6
 AUDIT_NODE_LIMIT = 200
 
 
+def _check_budget(budget: int) -> None:
+    """Raises ValueError unless budget is a nonnegative integer; numpy integers pass."""
+    if not isinstance(budget, Integral) or budget < 0:
+        raise ValueError("budget must be a nonnegative integer")
+
+
 @dataclass(frozen=True)
 class CandidateSet:
     """Weighted candidate edges plus an iteration budget.
@@ -67,8 +74,7 @@ class CandidateSet:
     budget: int
 
     def __post_init__(self) -> None:
-        if self.budget < 0:
-            raise ValueError("budget must be nonnegative")
+        _check_budget(self.budget)
         seen: set[tuple[int, int]] = set()
         canonical = []
         for u, v, w in self.entries:
@@ -163,17 +169,14 @@ class DesignState:
 
 def _fit_change(forms: list, tau: float, weights: np.ndarray | float) -> np.ndarray | float:
     """Exact fit change from adding weights (negative: removing) on the pairs of
-    these _edge_forms; callers keep both denominators away from zero."""
-    q_lap_gram, q_lap, *shifted = forms
-    resistance_term = -q_lap_gram / (2.0 / weights + 2.0 * q_lap)
-    if tau == 0.0:
-        return resistance_term
-    q_shift_gram, q_shift, gram_form = shifted
+    these _edge_forms; callers keep both denominators away from zero. Every
+    delay term carries tau, so at zero delay only the resistance term is left."""
+    q_lap_gram, q_lap, q_shift_gram, q_shift, gram_form = forms
     # The shift term in terms of w * tau, which stays finite at subnormal
     # delays where 1 / (w * tau) would overflow.
     scaled = weights * tau
     return (
-        resistance_term
+        -q_lap_gram / (2.0 / weights + 2.0 * q_lap)
         + 0.5 * FIT_SLOPE * tau * tau * weights * gram_form
         + (2.0 * tau / math.pi) * q_shift_gram * scaled / (1.0 - scaled * q_shift)
     )
@@ -190,9 +193,9 @@ def edge_contribution(state: DesignState, edge: tuple[int, int], weight: float) 
     if weight == 0.0:
         return 0.0
     forms = _edge_forms(state.caches, *edge)
-    _update_denominator(weight, forms[1], edge)
-    if state.delay > 0.0:
-        _update_denominator(-state.delay * weight, forms[3], edge)
+    _, q_lap, _, q_shift, _ = forms
+    _update_denominator(weight, q_lap, edge)
+    _update_denominator(-state.delay * weight, q_shift, edge)
     return float(_fit_change(forms, state.delay, weight))
 
 
@@ -205,16 +208,15 @@ def edge_stability_bound(state: DesignState, edge: tuple[int, int]) -> float:
     edge = _check_endpoints(state.graph.node_count, *edge)
     if state.delay == 0.0:
         return math.inf
-    return 1.0 / (state.delay * _edge_forms(state.caches, *edge)[3])
+    _, _, _, q_shift, _ = _edge_forms(state.caches, *edge)
+    return 1.0 / (state.delay * q_shift)
 
 
 def contribution_upper_bound(state: DesignState, edge: tuple[int, int]) -> float:
     """Weight-free ceiling on the improvement any feasible weight can bring."""
-    forms = _edge_forms(state.caches, *_check_endpoints(state.graph.node_count, *edge))
-    bound = forms[0] / (2.0 * forms[1])
-    if state.delay > 0.0:
-        bound -= FIT_SLOPE * state.delay / forms[3]
-    return float(bound)
+    edge = _check_endpoints(state.graph.node_count, *edge)
+    q_lap_gram, q_lap, _, q_shift, _ = _edge_forms(state.caches, *edge)
+    return float(q_lap_gram / (2.0 * q_lap) - FIT_SLOPE * state.delay / q_shift)
 
 
 def _improvements(
@@ -232,10 +234,10 @@ def _improvements(
     """
     idx = np.flatnonzero(eligible)
     forms = _edge_forms(state.caches, us[idx], vs[idx])
+    _, q_lap, _, q_shift, _ = forms
     weights = ws[idx]
-    scored = np.abs(1.0 + weights * forms[1]) > BRIDGE_TOLERANCE
-    if state.delay > 0.0:
-        scored &= weights * (state.delay * forms[3]) < 1.0 - EPS_STABILITY
+    scored = np.abs(1.0 + weights * q_lap) > BRIDGE_TOLERANCE
+    scored &= weights * (state.delay * q_shift) < 1.0 - EPS_STABILITY
     improvement = np.full(len(ws), -np.inf)
     improvement[idx[scored]] = -_fit_change(
         [form[scored] for form in forms], state.delay, weights[scored]
@@ -370,8 +372,7 @@ def sparsify(state: DesignState, budget: int) -> DesignTrace:
     Removal only shrinks eigenvalues, so stability is preserved for free;
     a union-find check on each pick keeps every bridge, so connectivity too.
     """
-    if budget < 0:
-        raise ValueError("budget must be nonnegative")
+    _check_budget(budget)
 
     def next_move(iteration: int) -> Move | str:
         if not state.graph.edges:
@@ -413,7 +414,8 @@ def golden_section_min(
             a, c, fc = c, d, fd
             d = a + inv_phi * (b - a)
             fd = fn(d)
-    return 0.5 * (a + b)
+    # Halved before the sum, which stays finite for ends near the float maximum.
+    return 0.5 * a + 0.5 * b
 
 
 def grow_by_sensitivity(
@@ -446,7 +448,7 @@ def grow_by_sensitivity(
         best = int(idx[pos])
         best_pair, best_slope = (int(us[best]), int(vs[best])), float(slopes[pos])
         forms = _edge_forms(state.caches, *best_pair)
-        bound = 1.0 / (state.delay * forms[3])
+        bound = edge_stability_bound(state, best_pair)
         if bound == math.inf:
             raise DomainError(
                 f"delay {state.delay} too small: the stability bound on pair "
@@ -512,11 +514,7 @@ def reweight_scale(graph: WeightedGraph, out: OutputSpec, delay: float) -> Rewei
     def scaled_measure(kappa: float) -> float:
         return _modal_sum(kappa * modes, weights, delay)
 
-    width = 1e-8 * lo
-    if hi - lo <= width:
-        kappa_star = 0.5 * (lo + hi)
-    else:
-        kappa_star = golden_section_min(scaled_measure, lo, hi, width)
+    kappa_star = golden_section_min(scaled_measure, lo, hi, 1e-8 * lo)
     rho_before = (
         _modal_sum(modes, weights, delay) if check_stability(spectrum, delay).stable else math.inf
     )

@@ -372,13 +372,18 @@ class EdgeFormCaches:
 
 
 def _edge_forms(caches: EdgeFormCaches, us: np.ndarray | int, vs: np.ndarray | int) -> list:
-    """Edge forms of lap_pinv_gram and lap_pinv, then at a positive delay of
-    shift_pinv_gram, shift_pinv and output_gram, at every pair (us[i], vs[i]),
+    """Edge forms of lap_pinv_gram, lap_pinv, shift_pinv_gram, shift_pinv and
+    output_gram, in that order, at every pair (us[i], vs[i]) and every delay,
     endpoints unchecked; one pair's as Python floats, whose 1 / (tau s) past
-    the float range reads inf where a numpy scalar would warn."""
-    matrices = [caches.lap_pinv_gram, caches.lap_pinv]
-    if caches.delay > 0.0:
-        matrices += [caches.shift_pinv_gram, caches.shift_pinv, caches.output_gram]
+    the float range reads inf where a numpy scalar would warn. Each shift form
+    enters the fit with a factor tau, so at zero delay it adds an exact zero."""
+    matrices = (
+        caches.lap_pinv_gram,
+        caches.lap_pinv,
+        caches.shift_pinv_gram,
+        caches.shift_pinv,
+        caches.output_gram,
+    )
     forms = [edge_quadratic_forms(matrix, us, vs) for matrix in matrices]
     return [float(form) for form in forms] if np.ndim(us) == 0 else forms
 
@@ -448,14 +453,15 @@ def sherman_morrison_update(caches: EdgeFormCaches, edge: Edge, dweight: float) 
     the shifted side, or removal of a full bridge weight on the Laplacian
     side.
     """
-    n = caches.laplacian.shape[0]
-    u, v = _check_endpoints(n, *edge)
-    if dweight == 0.0:
-        return
-    operators = [(caches.lap_pinv, caches.lap_pinv_gram, dweight)]
-    if caches.delay > 0.0:
-        # The shifted operator changes by -delay * dweight on the same edge.
-        operators.append((caches.shift_pinv, caches.shift_pinv_gram, -caches.delay * dweight))
+    u, v = _check_endpoints(caches.laplacian.shape[0], *edge)
+    # The shifted operator changes by -delay * dweight on the same edge. An
+    # operator whose coefficient is zero is left as it is: at zero delay the
+    # shifted operator is (pi/2) times the centering projector on every graph.
+    operators = [
+        (caches.lap_pinv, caches.lap_pinv_gram, dweight),
+        (caches.shift_pinv, caches.shift_pinv_gram, -caches.delay * dweight),
+    ]
+    operators = [operator for operator in operators if operator[2] != 0.0]
     # Both denominators are tested before any entry is written, so a
     # SingularUpdate leaves every cache as it was.
     vectors = [_pair_update_vectors(inv, gram, u, v, c) for inv, gram, c in operators]

@@ -306,13 +306,10 @@ def rho_approx_from_caches(caches: EdgeFormCaches) -> float:
             return gram * (float(np.trace(matrix)) - float(matrix.sum()) / n)
         return float(np.vdot(gram, matrix))
 
-    base = 0.5 * trace_with_gram(caches.lap_pinv)
     tau = caches.delay
-    if tau == 0.0:
-        return base
     gram_trace = gram * (n - 1) if np.ndim(gram) == 0 else float(np.trace(gram))
     return (
-        base
+        0.5 * trace_with_gram(caches.lap_pinv)
         + (2.0 * tau / math.pi) * trace_with_gram(caches.shift_pinv)
         + 0.5 * FIT_SLOPE * tau * tau * trace_with_gram(caches.laplacian)
         + 0.5 * FIT_OFFSET * tau * gram_trace
@@ -342,10 +339,7 @@ def hard_limit(node_count: int, out: OutputSpec, delay: float) -> HardLimit:
 def sensitivities(caches: EdgeFormCaches, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     """sensitivity for every pair (us[i], vs[i]) at once; endpoints unchecked."""
     tau = caches.delay
-    q_lap_gram, _, *shifted = _edge_forms(caches, us, vs)
-    if tau == 0.0:
-        return -0.5 * q_lap_gram
-    q_shift_gram, _, gram_form = shifted
+    q_lap_gram, _, q_shift_gram, _, gram_form = _edge_forms(caches, us, vs)
     return (
         0.5 * FIT_SLOPE * tau * tau * gram_form
         - 0.5 * q_lap_gram
@@ -495,7 +489,7 @@ def crossover_delay(
     return delay_sweep((graph_a, graph_b), out, samples).crossover
 
 
-def mode_variance_quadrature(lam: float, delay: float, rel_tol: float = 1e-9) -> float:
+def mode_variance_quadrature(lam: float, delay: float) -> float:
     """mode_variance computed by frequency-domain integration, no closed form.
 
     Integrates the squared magnitude of the mode's frequency response,
@@ -503,7 +497,7 @@ def mode_variance_quadrature(lam: float, delay: float, rel_tol: float = 1e-9) ->
     line divided by 2 pi. The integrand is even; beyond the resonance
     region it is handled one oscillation period at a time with fixed
     Gauss-Legendre panels until the analytic tail remainder
-    1/W + O(lam/(delay W³)) is certified below rel_tol.
+    1/W + O(lam/(delay W³)) is certified below a fixed 1e-9 of the estimate.
     """
     if not 0.0 < lam < math.inf:
         raise DomainError(f"mode rate must be positive and finite, got {lam}")
@@ -534,7 +528,7 @@ def mode_variance_quadrature(lam: float, delay: float, rel_tol: float = 1e-9) ->
         remainder = 2.0 * (
             4.0 * lam / (delay * omega**3) + 2.1 * lam * lam / omega**3
         )
-        if remainder <= rel_tol * abs(estimate):
+        if remainder <= 1e-9 * abs(estimate):
             break
         mid = omega + 0.5 * period
         half = 0.5 * period

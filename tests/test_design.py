@@ -23,6 +23,7 @@ from tdconsensus import (
     contribution_upper_bound,
     cosine_fixed_point,
     edge_contribution,
+    edge_quadratic_form,
     edge_stability_bound,
     eigendecompose,
     golden_section_min,
@@ -280,6 +281,36 @@ def test_design_at_a_subnormal_delay_matches_zero_delay(tau):
     state = DesignState.from_graph(g, out, tau)
     assert edge_contribution(state, (0, 3), 1.0) == pytest.approx(-0.625, rel=1e-12)
     assert edge_contribution(state, (0, 1), -0.5) == pytest.approx(0.375, rel=1e-12)
+
+
+def test_zero_delay_design_formulas_equal_their_delay_free_forms():
+    # Every delay term of the fit carries tau, so at zero delay it adds an
+    # exact zero: each formula equals its delay-free form bit for bit.
+    rng = np.random.default_rng(61)
+    for kind in ("centering", "complete-incidence", "orthonormal", "custom"):
+        g = random_connected_graph(rng, max_nodes=9)
+        n = g.node_count
+        if kind == "custom":
+            raw = rng.standard_normal((3, n))
+            out = OutputSpec.custom(raw - raw.mean(axis=1, keepdims=True))
+        else:
+            out = make_output_spec(kind, n)
+        state = DesignState.from_graph(g, out, 0.0)
+        caches = state.caches
+        gram, pinv = caches.output_gram, caches.lap_pinv
+        if kind == "custom":
+            trace = float(np.vdot(gram, pinv))
+        else:
+            trace = gram * (float(np.trace(pinv)) - float(pinv.sum()) / n)
+        assert rho_approx_from_caches(caches) == state.rho_fit == 0.5 * trace
+        for u in range(n):
+            for v in range(u + 1, n):
+                q_gram = edge_quadratic_form(caches.lap_pinv_gram, u, v)
+                q_lap = edge_quadratic_form(pinv, u, v)
+                assert contribution_upper_bound(state, (u, v)) == q_gram / (2.0 * q_lap)
+                weights = [0.3, 2.0] + ([-0.5 * g.weight(u, v)] if g.has_edge(u, v) else [])
+                for w in weights:
+                    assert edge_contribution(state, (u, v), w) == -q_gram / (2.0 / w + 2.0 * q_lap)
 
 
 def test_weight_optima_past_the_float_range_raise_domain_error():
@@ -734,6 +765,9 @@ def test_sparsify_budget_validation():
 def test_golden_section_finds_quadratic_minimum():
     got = golden_section_min(lambda x: (x - 1.7) ** 2, 0.0, 5.0, 1e-10)
     assert got == pytest.approx(1.7, abs=1e-8)
+    # A bracket near the float maximum: the midpoint must not overflow.
+    huge = golden_section_min(lambda x: -x, 1e308, 1.7e308, 1e300)
+    assert 1.7e308 - 1e300 <= huge <= 1.7e308
     with pytest.raises(ValueError):
         golden_section_min(lambda x: x, 1.0, 0.0, 1e-3)
 
@@ -788,6 +822,33 @@ def test_grow_by_sensitivity_validation():
     with pytest.raises(ValueError):
         grow_by_sensitivity(state, [(0, 2)], budget=-1)
     assert state.graph == g
+
+
+@pytest.mark.parametrize("budget", [2.5, 2.0])
+def test_every_driver_refuses_a_non_integer_budget(budget):
+    g = WeightedGraph.path(4)
+    state = DesignState.from_graph(g, OutputSpec.centering(4), 0.2)
+    # grow_simple and grow_random read their budget from the candidate set.
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        CandidateSet(entries=((0, 2, 0.5),), budget=budget)
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        sparsify(state, budget)
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        grow_by_sensitivity(state, [(0, 2)], budget)
+    assert state.graph == g
+
+
+def test_every_driver_takes_a_numpy_integer_budget():
+    g, out, budget = WeightedGraph.path(4), OutputSpec.centering(4), np.int64(2)
+    candidates = CandidateSet(entries=((0, 2, 0.5), (1, 3, 0.5)), budget=budget)
+    for run in (
+        lambda state: grow_simple(state, candidates),
+        lambda state: grow_random(state, candidates, seed=0),
+        lambda state: sparsify(state, budget),
+        lambda state: grow_by_sensitivity(state, [(0, 2), (1, 3)], budget),
+    ):
+        state = DesignState.from_graph(g, out, 0.2)
+        assert len(run(state).entries) <= 2
 
 
 def test_grow_by_sensitivity_stops_without_negative_slopes():

@@ -209,6 +209,31 @@ def test_delay_shift_matrix_equals_its_formula_bit_for_bit():
             assert np.array_equal(delay_shift_matrix(lap, tau), formula)
 
 
+def test_zero_delay_shift_matrix_is_the_same_on_every_graph():
+    # (pi/2) * centering - 0 * L: every entry of the delay term is a signed
+    # zero, so the operator, and so its caches, depend on the node count only.
+    rng = np.random.default_rng(17)
+    for n in (3, 7, 16):
+        graphs = [WeightedGraph.path(n), WeightedGraph.complete(n, 3.5)]
+        graphs += [random_connected_graph(rng, min_nodes=n, max_nodes=n) for _ in range(3)]
+        shifts = [delay_shift_matrix(g.laplacian(), 0.0).tobytes() for g in graphs]
+        assert len(set(shifts)) == 1
+
+
+def test_zero_delay_updates_leave_the_shift_caches_as_they_are():
+    g = WeightedGraph.cycle(6)
+    caches = EdgeFormCaches.build(g.laplacian(), 1.0, 0.0)
+    shift_pinv, shift_gram = caches.shift_pinv.copy(), caches.shift_pinv_gram.copy()
+    sherman_morrison_update(caches, (0, 3), 0.7)
+    sherman_morrison_update(caches, (1, 2), -0.4)
+    assert np.array_equal(caches.shift_pinv, shift_pinv)
+    assert np.array_equal(caches.shift_pinv_gram, shift_gram)
+    # A fresh build on the edited graph forms the very same shift caches.
+    rebuilt = EdgeFormCaches.build(caches.laplacian, 1.0, 0.0)
+    assert np.array_equal(rebuilt.shift_pinv, shift_pinv)
+    assert np.array_equal(rebuilt.shift_pinv_gram, shift_gram)
+
+
 def test_laplacian_rows_sum_to_zero():
     rng = np.random.default_rng(11)
     for _ in range(20):
@@ -422,10 +447,13 @@ def test_full_bridge_removal_is_singular():
 def test_zero_weight_change_is_identity():
     g = WeightedGraph.cycle(5)
     out = OutputSpec.centering(5)
-    caches = fresh_caches(g, out, 0.2)
-    before = caches.lap_pinv.copy()
-    sherman_morrison_update(caches, (0, 1), 0.0)
-    assert np.array_equal(caches.lap_pinv, before)
+    for tau in (0.0, 0.2):
+        caches = fresh_caches(g, out, tau)
+        before = [matrix.copy() for matrix in tracked_matrices(caches)]
+        for edge in ((0, 1), (0, 2)):
+            sherman_morrison_update(caches, edge, 0.0)
+        for matrix, old in zip(tracked_matrices(caches), before):
+            assert np.array_equal(matrix, old)
 
 
 def test_update_rejects_bad_endpoints():
