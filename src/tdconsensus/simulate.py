@@ -20,9 +20,10 @@ from .errors import ConfigError
 from .graphs import WeightedGraph
 from .performance import OutputSpec, _checked_spectrum, require_stable
 
-# Cap on floats held per chunk by the drawn noise and the states together,
-# to bound memory for large graphs; a custom output's projections add at most half.
-_CHUNK_BUDGET = 2_000_000
+# Cap on floats held by one chunk of step-major states (1 MiB). One trial's
+# noise row adds at most half of it, a custom output's projections at most
+# all of it.
+_CHUNK_BUDGET = 1 << 17
 
 # The 99.5 % Student-t quantile for df = 1 .. 127 (trials 2 .. 128), entry
 # df - 1: the upper-tail root of I_{df/(df + t^2)}(df/2, 1/2) / 2 = 0.005,
@@ -154,6 +155,15 @@ def simulate(
     require_stable(spectrum, config.delay)
     lap = graph.laplacian()
     dt, delay_steps = _resolve_dt(config, spectrum.lambda_max)
+    # Each mode's Euler recursion x_{k+1} = x_k - h x_{k-d}, h = dt lambda,
+    # is stable iff h < 2 sin(pi / (2 (2d + 1))) (Levin & May 1976).
+    euler_edge = 2.0 * math.sin(math.pi / (2 * (2 * delay_steps + 1)))
+    if dt * spectrum.lambda_max >= euler_edge:
+        raise ConfigError(
+            f"dt * lambda_max = {dt * spectrum.lambda_max:.6g} reaches the Euler "
+            f"stability edge {euler_edge:.6g} at {delay_steps} delay substeps; "
+            "use a smaller dt or more substeps"
+        )
     lam2 = spectrum.lambda_2
     burn_in = config.burn_in if config.burn_in is not None else 20.0 / lam2
     horizon = config.horizon if config.horizon is not None else 10.0 * burn_in
@@ -189,26 +199,30 @@ def simulate(
     ]
     # Step k + 1 reads only x_k and x_{k-d}, so the d + 1 steps after x_k
     # have every lagged state at hand: a block of d + 1 steps costs one
-    # drift product and one running sum. Chunks hold whole blocks and at
-    # most 2048 steps: longer ones raised peak memory and gained no speed.
+    # drift product and one running sum. Chunks hold whole blocks, at least
+    # one, and otherwise at most _CHUNK_BUDGET floats of states: at n = 200
+    # and 8 trials a 2^16 budget (one 26-step block per chunk) ran about 10 %
+    # slower than 2^17, and 2^18 or 2^19 gained no speed for more memory.
     block = delay_steps + 1
-    chunk = min(2048, _CHUNK_BUDGET // max(1, 2 * trials * n))
+    chunk = _CHUNK_BUDGET // (trials * n)
     chunk = block * max(1, chunk // block)
     sqrt_dt = math.sqrt(dt)
 
-    drawn = np.empty((trials, min(chunk, total_steps), n))
-    # Step-major scaled noise, overwritten step by step by the states it drives.
-    states_buffer = np.empty((drawn.shape[1], trials, n))
+    # Step-major scaled noise, overwritten step by step by the states it
+    # drives; each trial's noise is drawn into one row, then scaled into
+    # that trial's column.
+    states_buffer = np.empty((min(chunk, total_steps), trials, n))
+    row = np.empty((states_buffer.shape[0], n))
     # trail holds x_{k-d} .. x_k for the step k about to advance.
     trail = np.zeros((block, trials, n))
     sums = np.zeros(trials)
     step = 0
     while step < total_steps:
         span = min(chunk, total_steps - step)
-        for row, rng in zip(drawn, rngs):
-            rng.standard_normal(out=row[:span])
         states = states_buffer[:span]
-        np.multiply(drawn[:, :span].transpose(1, 0, 2), sqrt_dt, out=states)
+        for trial, rng in enumerate(rngs):
+            rng.standard_normal(out=row[:span])
+            np.multiply(row[:span], sqrt_dt, out=states[:, trial])
         if block == 1:
             # Nothing to batch without a lag, so no running sum either.
             state = trail[0]

@@ -123,6 +123,81 @@ def test_mismatched_output_spec_rejected():
         )
 
 
+def _spectral_radius(h, delay_steps):
+    """Of x_{k+1} = x_k - h x_{k-d} on the state (x_k, .., x_{k-d})."""
+    companion = np.eye(delay_steps + 1, k=-1)
+    companion[0, 0] = 1.0
+    companion[0, -1] -= h
+    return float(np.max(np.abs(np.linalg.eigvals(companion))))
+
+
+@pytest.mark.parametrize("delay_steps", [0, 1, 2, 5, 25])
+def test_euler_edge_is_where_the_companion_matrix_turns_unstable(delay_steps):
+    edge = 2.0 * math.sin(math.pi / (2 * (2 * delay_steps + 1)))
+    assert _spectral_radius((1.0 - 1e-6) * edge, delay_steps) < 1.0
+    assert _spectral_radius((1.0 + 1e-6) * edge, delay_steps) > 1.0
+
+    # path(3) has lambda_max = 3; the same step sizes run and are refused.
+    g, out = WeightedGraph.path(3), OutputSpec.centering(3)
+    for factor in (1.0 - 1e-6, 1.0 + 1e-6):
+        dt = factor * edge / 3.0
+        config = SimulationConfig(
+            delay=delay_steps * dt, substeps_per_delay=max(1, delay_steps),
+            dt=None if delay_steps else dt, burn_in=20 * dt, horizon=200 * dt, trials=2, seed=0,
+        )
+        if factor < 1.0:
+            assert math.isfinite(simulate(g, out, config).mean)
+        else:
+            with pytest.raises(ConfigError, match="stability edge"):
+                simulate(g, out, config)
+
+
+def test_past_the_euler_edge_is_a_config_error(tmp_path, capsys):
+    from tdconsensus.cli import main
+
+    g, out = WeightedGraph.path(3), OutputSpec.centering(3)
+    threshold = math.pi / 6.0  # pi / (2 lambda_max)
+    # Each of these returned a mean off by orders of magnitude, or overflowed.
+    for config in (
+        SimulationConfig(delay=0.985 * threshold, seed=0),
+        SimulationConfig(delay=0.99 * threshold, seed=0),
+        SimulationConfig(delay=0.7 * threshold, substeps_per_delay=1, seed=0),
+        SimulationConfig(delay=0.0, dt=0.7, seed=0),
+    ):
+        with pytest.raises(ConfigError, match="stability edge"):
+            simulate(g, out, config)
+    est = simulate(g, out, SimulationConfig(delay=0.97 * threshold, trials=4, seed=0))
+    assert math.isfinite(est.mean) and est.mean > 0.0
+
+    graph_file = tmp_path / "p3.txt"
+    graph_file.write_text("n 3\n0 1 1.0\n1 2 1.0\n")
+    assert main(["simulate", str(graph_file), "--tau", str(0.99 * threshold)]) == 1
+    assert "stability edge" in capsys.readouterr().err
+
+
+def test_working_set_stays_within_the_chunk_budget():
+    import importlib
+    import tracemalloc
+
+    sim = importlib.import_module("tdconsensus.simulate")
+    g = WeightedGraph.cycle(32)
+    out = OutputSpec.centering(32)
+    delay = 0.5 * math.pi / 8.0  # half the threshold pi / (2 * 4)
+    dt = delay / 25
+    # About 5 chunks of 494 steps for 8 trials.
+    config = SimulationConfig(delay=delay, burn_in=500 * dt, horizon=2500 * dt, trials=8, seed=1)
+    simulate(g, out, config)
+    tracemalloc.start()
+    try:
+        est = simulate(g, out, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Twice the 1 MiB budget of 2^17 floats.
+    assert peak < 2 * (1 << 17) * 8, f"peak {peak / 2**20:.2f} MiB"
+    assert est.total_steps > 4 * sim._CHUNK_BUDGET // (8 * 32)
+
+
 def test_result_is_independent_of_noise_chunking(monkeypatch):
     import importlib
 
@@ -258,7 +333,7 @@ _REFERENCE_OUTPUTS = {
 }
 
 
-@pytest.mark.parametrize("chunk_budget", [None, 2 * 3 * 4 * 7])
+@pytest.mark.parametrize("chunk_budget", [None, 2 * 3 * 4 * 7, 3 * 4 * 7])
 @pytest.mark.parametrize("delay_steps", [0, 1, 5, 25])
 @pytest.mark.parametrize("kind", sorted(_REFERENCE_OUTPUTS))
 def test_matches_the_per_step_reference_loop(monkeypatch, kind, delay_steps, chunk_budget):
@@ -266,7 +341,8 @@ def test_matches_the_per_step_reference_loop(monkeypatch, kind, delay_steps, chu
 
     sim = importlib.import_module("tdconsensus.simulate")
     if chunk_budget is not None:
-        # 7 steps of noise: chunks of 7, 6, 6 and 26 steps end mid-horizon.
+        # 3 trials x 4 nodes: 7 or 14 steps of states, so chunks of 7, 6, 6
+        # and 26 steps, or of 14, 14, 12 and 26, end mid-horizon.
         monkeypatch.setattr(sim, "_CHUNK_BUDGET", chunk_budget)
     g = WeightedGraph(4, ((0, 1, 1.0), (1, 2, 0.7), (2, 3, 1.3), (0, 2, 0.4)))
     out = _REFERENCE_OUTPUTS[kind]
