@@ -20,9 +20,9 @@ from .errors import ConfigError
 from .graphs import WeightedGraph
 from .performance import OutputSpec, _checked_spectrum, require_stable
 
-# Cap on floats held by one chunk of step-major states (1 MiB). One trial's
-# noise row adds at most half of it, a custom output's projections at most
-# all of it.
+# Cap on floats held by one chunk of step-major states (1 MiB), or one block
+# of steps if that is larger. One trial's noise row adds at most half of it,
+# a custom output's projections at most all of it.
 _CHUNK_BUDGET = 1 << 17
 
 # The 99.5 % Student-t quantile for df = 1 .. 127 (trials 2 .. 128), entry
@@ -200,9 +200,11 @@ def simulate(
     # Step k + 1 reads only x_k and x_{k-d}, so the d + 1 steps after x_k
     # have every lagged state at hand: a block of d + 1 steps costs one
     # drift product and one running sum. Chunks hold whole blocks, at least
-    # one, and otherwise at most _CHUNK_BUDGET floats of states: at n = 200
-    # and 8 trials a 2^16 budget (one 26-step block per chunk) ran about 10 %
-    # slower than 2^17, and 2^18 or 2^19 gained no speed for more memory.
+    # one, and otherwise at most _CHUNK_BUDGET floats of states. The chunk
+    # length barely moves the time: at n = 200, d = 25 and 8 or 16 trials,
+    # chunks of 26 to 1248 steps ran within 4 % of each other. Each chunk
+    # costs two calls per trial, which shows at 64 to 128 trials on n = 50
+    # to 100, where chunks shrink to one block: 3 to 6 % slower there.
     block = delay_steps + 1
     chunk = _CHUNK_BUDGET // (trials * n)
     chunk = block * max(1, chunk // block)
