@@ -204,7 +204,7 @@ def simulate(
     # length barely moves the time: at n = 200, d = 25 and 8 or 16 trials,
     # chunks of 26 to 1248 steps ran within 4 % of each other. Each chunk
     # costs two calls per trial, which shows at 64 to 128 trials on n = 50
-    # to 100, where chunks shrink to one block: 3 to 6 % slower there.
+    # to 100: one-block chunks ran 3 to 6 % slower there than 156-step ones.
     block = delay_steps + 1
     chunk = _CHUNK_BUDGET // (trials * n)
     chunk = block * max(1, chunk // block)
