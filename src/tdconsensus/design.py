@@ -121,7 +121,7 @@ class DesignTrace:
 
 
 class DesignState:
-    """Mutable design loop state: graph, caches, and the tracked fit value.
+    """Mutable design loop state: graph and caches, from which the fit is read.
 
     With audit enabled, every mutation re-eigendecomposes the Laplacian to
     record the exact measure and stability margin; without it the loop
@@ -134,15 +134,19 @@ class DesignState:
         out: OutputSpec,
         delay: float,
         caches: EdgeFormCaches,
-        rho_fit: float,
         audit: bool,
     ) -> None:
         self.graph = graph
         self.out = out
         self.delay = delay
         self.caches = caches
-        self.rho_fit = rho_fit
         self.audit = audit
+
+    @property
+    def rho_fit(self) -> float:
+        """The fit, read from the caches on every access: a move that removes
+        most of it cancels no digits, as a sum over moves would."""
+        return rho_approx_from_caches(self.caches)
 
     @classmethod
     def from_graph(
@@ -156,7 +160,7 @@ class DesignState:
         caches = EdgeFormCaches.build(graph.laplacian(), out.gram(), delay)
         if audit is None:
             audit = graph.node_count <= AUDIT_NODE_LIMIT
-        return cls(graph, out, delay, caches, rho_approx_from_caches(caches), audit)
+        return cls(graph, out, delay, caches, audit)
 
     def audit_values(self) -> tuple[float | None, float | None]:
         """(exact measure, stability margin) after a mutation, audit mode only."""
@@ -190,6 +194,8 @@ def edge_contribution(state: DesignState, edge: tuple[int, int], weight: float) 
     sherman_morrison_update would on this move.
     """
     edge = _check_endpoints(state.graph.node_count, *edge)
+    if not math.isfinite(weight):
+        raise ValueError(f"weight on edge {edge} must be finite, got {weight}")
     if weight == 0.0:
         return 0.0
     forms = _edge_forms(state.caches, *edge)
@@ -245,9 +251,9 @@ def _improvements(
     return improvement
 
 
-# A move is (action, edge, signed weight, contribution, improvement,
-# sensitivity); a string instead ends the run with that termination reason.
-Move = tuple[str, tuple[int, int] | None, float, float, float, float | None]
+# A move is (action, edge, signed weight, contribution, sensitivity); a string
+# instead ends the run with that termination reason.
+Move = tuple[str, tuple[int, int] | None, float, float, float | None]
 
 
 def _greedy(
@@ -256,8 +262,9 @@ def _greedy(
     """The loop every driver shares: ask for a move, apply it, record it.
 
     An "add" or "remove" move updates the caches by one Sherman-Morrison
-    pair update, edits the graph, and advances the tracked fit; a "skip"
-    move changes nothing but still takes an iteration and a trace entry.
+    pair update and edits the graph; a "skip" move changes nothing but still
+    takes an iteration and a trace entry. Each entry's fit is read from the
+    caches after its move.
     """
     trace = DesignTrace()
     for iteration in range(1, budget + 1):
@@ -265,14 +272,13 @@ def _greedy(
         if isinstance(move, str):
             trace.termination = move
             return trace
-        action, edge, weight, contribution, improvement, slope = move
+        action, edge, weight, contribution, slope = move
         if action != "skip":
             sherman_morrison_update(state.caches, edge, weight)
             if action == "add":
                 state.graph = state.graph.with_edge(*edge, weight)
             else:
                 state.graph = state.graph.without_edge(*edge)
-            state.rho_fit += contribution
         exact_after, margin_after = state.audit_values()
         trace.entries.append(
             TraceEntry(
@@ -281,7 +287,7 @@ def _greedy(
                 edge=edge,
                 weight=weight,
                 contribution=contribution,
-                improvement=improvement,
+                improvement=0.0 if action == "skip" else -contribution,
                 rho_fit=state.rho_fit,
                 rho_exact=exact_after,
                 stability_margin=margin_after,
@@ -318,7 +324,7 @@ def grow_simple(state: DesignState, candidates: CandidateSet) -> DesignTrace:
         if best_h <= 0.0:
             return "no improving candidate"
         active[best] = False
-        return "add", (int(us[best]), int(vs[best])), float(ws[best]), -best_h, best_h, None
+        return "add", (int(us[best]), int(vs[best])), float(ws[best]), -best_h, None
 
     return _greedy(state, candidates.budget, next_move)
 
@@ -336,8 +342,8 @@ def grow_random(
     break. With budget 1 the top-1 set is the argmax, so the result
     matches grow_simple.
     """
-    if seed is not None and seed < 0:
-        raise ConfigError("seed must be nonnegative")
+    if seed is not None and not (isinstance(seed, Integral) and seed >= 0):
+        raise ConfigError("seed must be a nonnegative integer")
     candidates.validate_against(state.graph)
     rng = np.random.default_rng(seed)
     k = candidates.budget
@@ -357,10 +363,10 @@ def grow_random(
         pick = top[int(rng.integers(len(top)))]
         if pick is None:
             placeholders_left -= 1
-            return "skip", None, 0.0, 0.0, 0.0, None
+            return "skip", None, 0.0, 0.0, None
         best_h = float(improvement[pick])
         active[pick] = False
-        return "add", (int(us[pick]), int(vs[pick])), float(ws[pick]), -best_h, best_h, None
+        return "add", (int(us[pick]), int(vs[pick])), float(ws[pick]), -best_h, None
 
     return _greedy(state, k, next_move)
 
@@ -388,7 +394,7 @@ def sparsify(state: DesignState, budget: int) -> DesignTrace:
                 return "no improving removal"
             edge = (int(us[best]), int(vs[best]))
             if not is_bridge(state.graph, edge):
-                return "remove", edge, -float(ws[best]), -best_h, best_h, None
+                return "remove", edge, -float(ws[best]), -best_h, None
             improvement[best] = -np.inf
 
     return _greedy(state, budget, next_move)
@@ -400,6 +406,8 @@ def golden_section_min(
     """Minimizer of a unimodal function, bracket shrunk below width."""
     if hi < lo:
         raise ValueError("empty bracket")
+    if not 0.0 < width < math.inf:
+        raise ValueError(f"width must be positive and finite, got {width}")
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - inv_phi * (b - a)
@@ -471,7 +479,7 @@ def grow_by_sensitivity(
                 f"{best_pair} would leave the graph numerically disconnected"
             )
         active[best] = False
-        return "add", best_pair, weight, contribution, -contribution, best_slope
+        return "add", best_pair, weight, contribution, best_slope
 
     return _greedy(state, budget, next_move)
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -98,6 +99,8 @@ class WeightedGraph:
     _weights: dict[Edge, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.node_count, Integral):
+            raise ValueError(f"node count must be an integer, got {self.node_count!r}")
         if self.node_count < 1:
             raise ValueError("graph needs at least one node")
         seen: dict[Edge, float] = {}
@@ -454,6 +457,8 @@ def sherman_morrison_update(caches: EdgeFormCaches, edge: Edge, dweight: float) 
     side.
     """
     u, v = _check_endpoints(caches.laplacian.shape[0], *edge)
+    if not np.isfinite(dweight):
+        raise ValueError(f"weight change on edge {(u, v)} must be finite, got {dweight}")
     # The shifted operator changes by -delay * dweight on the same edge. An
     # operator whose coefficient is zero is left as it is: at zero delay the
     # shifted operator is (pi/2) times the centering projector on every graph.

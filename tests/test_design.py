@@ -378,6 +378,14 @@ def test_edge_contribution_raises_exactly_when_the_update_does():
             lambda: sherman_morrison_update(copy.deepcopy(state.caches), edge, weight)
         )
         assert closed_form == update, (edge, weight)
+    # A non-finite weight is refused by both before anything is read or written.
+    before = [m.copy() for m in tracked_matrices(state.caches)]
+    for weight in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            edge_contribution(state, (0, 2), weight)
+        with pytest.raises(ValueError, match="finite"):
+            sherman_morrison_update(state.caches, (0, 2), weight)
+        assert all(np.array_equal(a, b) for a, b in zip(before, tracked_matrices(state.caches)))
 
 
 # --- contribution upper bound ---
@@ -536,7 +544,7 @@ def test_grow_simple_trace_values_are_audited_and_decreasing():
         assert entry.rho_exact < last_exact
         last_exact = entry.rho_exact
         assert entry.stability_margin is not None and entry.stability_margin > 0.0
-        assert entry.improvement == pytest.approx(-entry.contribution)
+        assert entry.improvement == -entry.contribution
 
 
 # --- grow_random ---
@@ -586,9 +594,12 @@ def test_grow_random_runs_exactly_budget_iterations():
 def test_grow_random_rejects_a_negative_seed():
     g = WeightedGraph.path(4)
     state = DesignState.from_graph(g, OutputSpec.centering(4), 0.2)
-    with pytest.raises(ConfigError, match="seed"):
-        grow_random(state, CandidateSet(entries=((0, 2, 0.5),), budget=1), seed=-1)
+    for seed in (-1, 2.5, "x"):
+        with pytest.raises(ConfigError, match="seed"):
+            grow_random(state, CandidateSet(entries=((0, 2, 0.5),), budget=1), seed=seed)
     assert state.graph == g
+    # numpy integers are integers.
+    grow_random(state, CandidateSet(entries=((0, 2, 0.5),), budget=1), seed=np.int64(3))
 
 
 def test_grow_random_all_skips_when_every_candidate_hurts():
@@ -770,6 +781,10 @@ def test_golden_section_finds_quadratic_minimum():
     assert 1.7e308 - 1e300 <= huge <= 1.7e308
     with pytest.raises(ValueError):
         golden_section_min(lambda x: x, 1.0, 0.0, 1e-3)
+    # A width that no bracket can shrink below would never stop the search.
+    for width in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="width"):
+            golden_section_min(lambda x: x, 0.0, 1.0, width)
 
 
 # --- grow_by_sensitivity ---
@@ -893,7 +908,36 @@ def test_tracked_fit_matches_rebuild_after_many_operations():
     if pairs:
         grow_by_sensitivity(state, pairs, budget=2)
     rebuilt = rho_approx_from_caches(fresh_caches(state.graph, out, tau))
-    assert abs(state.rho_fit - rebuilt) <= 1e-6 * max(1.0, abs(rebuilt))
+    assert abs(state.rho_fit - rebuilt) <= 1e-12 * max(1.0, abs(rebuilt))
+
+
+def test_each_traced_fit_is_the_cache_read_after_its_move():
+    # The fit is read from the caches, not summed over moves: replaying the
+    # moves on fresh caches reproduces every traced fit to the bit.
+    g = random_connected_graph(
+        np.random.default_rng(41), min_nodes=8, max_nodes=10, extra_edge_prob=0.4
+    )
+    c = np.random.default_rng(42).standard_normal((3, g.node_count))
+    tau = stable_delay(g, 0.7)
+    entries = tuple((u, v, 0.5) for u, v in _absent_pairs(g))
+    drivers = [
+        lambda state: grow_simple(state, CandidateSet(entries=entries, budget=3)),
+        lambda state: grow_random(state, CandidateSet(entries=entries, budget=3), seed=2),
+        lambda state: sparsify(state, budget=3),
+        lambda state: grow_by_sensitivity(state, _absent_pairs(g)[:6], budget=3),
+    ]
+    custom = OutputSpec.custom(c - c.mean(axis=1, keepdims=True))
+    for out in (OutputSpec.centering(g.node_count), custom):
+        for driver in drivers:
+            state = DesignState.from_graph(g, out, tau)
+            trace = driver(state)
+            assert any(entry.action != "skip" for entry in trace.entries)
+            assert state.rho_fit == rho_approx_from_caches(state.caches)
+            replay = DesignState.from_graph(g, out, tau).caches
+            for entry in trace.entries:
+                if entry.action != "skip":
+                    sherman_morrison_update(replay, entry.edge, entry.weight)
+                assert entry.rho_fit == rho_approx_from_caches(replay)
 
 
 # --- reweight ---

@@ -76,6 +76,10 @@ def test_construction_rejects_bad_edges():
             WeightedGraph.path(3).scaled(bad)
     with pytest.raises(ValueError):
         WeightedGraph(0, ())
+    for count in (3.5, 3.0, "3", None):
+        with pytest.raises(ValueError, match="node count"):
+            WeightedGraph(count, ((0, 1, 1.0),))
+    assert WeightedGraph(np.int64(3), ((0, 1, 1.0),)).laplacian().shape == (3, 3)
 
 
 def test_edge_mutation_helpers():
@@ -460,6 +464,14 @@ def test_update_rejects_bad_endpoints():
     caches = fresh_caches(WeightedGraph.cycle(4), OutputSpec.centering(4), 0.1)
     with pytest.raises(IndexOutOfRange):
         sherman_morrison_update(caches, (0, 4), 0.1)
+    # A non-finite weight change is refused before any matrix is written.
+    g = WeightedGraph.cycle(6)
+    caches = fresh_caches(g, OutputSpec.centering(6), stable_delay(g, 0.4))
+    before = [m.copy() for m in tracked_matrices(caches)]
+    for dweight in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            sherman_morrison_update(caches, (0, 2), dweight)
+        assert all(np.array_equal(a, b) for a, b in zip(before, tracked_matrices(caches)))
 
 
 def test_twenty_update_composition_drift_stays_small():
