@@ -107,7 +107,6 @@ class TraceEntry:
     edge: tuple[int, int] | None
     weight: float
     contribution: float
-    improvement: float
     rho_fit: float
     rho_exact: float | None
     stability_margin: float | None
@@ -132,15 +131,18 @@ class DesignState:
         self,
         graph: WeightedGraph,
         out: OutputSpec,
-        delay: float,
         caches: EdgeFormCaches,
         audit: bool,
     ) -> None:
         self.graph = graph
         self.out = out
-        self.delay = delay
         self.caches = caches
         self.audit = audit
+
+    @property
+    def delay(self) -> float:
+        """The delay the caches were built for."""
+        return self.caches.delay
 
     @property
     def rho_fit(self) -> float:
@@ -160,7 +162,7 @@ class DesignState:
         caches = EdgeFormCaches.build(graph.laplacian(), out.gram(), delay)
         if audit is None:
             audit = graph.node_count <= AUDIT_NODE_LIMIT
-        return cls(graph, out, delay, caches, audit)
+        return cls(graph, out, caches, audit)
 
     def audit_values(self) -> tuple[float | None, float | None]:
         """(exact measure, stability margin) after a mutation, audit mode only."""
@@ -219,20 +221,20 @@ def edge_stability_bound(state: DesignState, edge: tuple[int, int]) -> float:
 
 
 def contribution_upper_bound(state: DesignState, edge: tuple[int, int]) -> float:
-    """Weight-free ceiling on the improvement any feasible weight can bring."""
+    """Weight-free ceiling on -edge_contribution over every feasible weight."""
     edge = _check_endpoints(state.graph.node_count, *edge)
     q_lap_gram, q_lap, _, q_shift, _ = _edge_forms(state.caches, *edge)
     return float(q_lap_gram / (2.0 * q_lap) - FIT_SLOPE * state.delay / q_shift)
 
 
-def _improvements(
+def _fit_changes(
     state: DesignState,
     us: np.ndarray,
     vs: np.ndarray,
     ws: np.ndarray,
     eligible: np.ndarray,
 ) -> np.ndarray:
-    """Fit improvement of each move (us[i], vs[i], ws[i]); -inf where not scored.
+    """Fit change of each move (us[i], vs[i], ws[i]); +inf where not scored.
 
     An eligible move is scored when its weight stays below (1 - EPS_STABILITY)
     times the edge stability bound, as every removal does on a stable network,
@@ -244,11 +246,11 @@ def _improvements(
     weights = ws[idx]
     scored = np.abs(1.0 + weights * q_lap) > BRIDGE_TOLERANCE
     scored &= weights * (state.delay * q_shift) < 1.0 - EPS_STABILITY
-    improvement = np.full(len(ws), -np.inf)
-    improvement[idx[scored]] = -_fit_change(
+    changes = np.full(len(ws), np.inf)
+    changes[idx[scored]] = _fit_change(
         [form[scored] for form in forms], state.delay, weights[scored]
     )
-    return improvement
+    return changes
 
 
 # A move is (action, edge, signed weight, contribution, sensitivity); a string
@@ -287,7 +289,6 @@ def _greedy(
                 edge=edge,
                 weight=weight,
                 contribution=contribution,
-                improvement=0.0 if action == "skip" else -contribution,
                 rho_fit=state.rho_fit,
                 rho_exact=exact_after,
                 stability_margin=margin_after,
@@ -298,8 +299,8 @@ def _greedy(
 
 
 def grow_simple(state: DesignState, candidates: CandidateSet) -> DesignTrace:
-    """Greedy growing: repeatedly add the feasible candidate with the best
-    immediate improvement; stop early when none improves.
+    """Greedy growing: repeatedly add the feasible candidate whose fit change
+    is most negative; stop early when none lowers the fit.
 
     Mutates state; returns the per-iteration trace. Raises
     NoFeasibleCandidate only when the first iteration has no feasible
@@ -310,21 +311,21 @@ def grow_simple(state: DesignState, candidates: CandidateSet) -> DesignTrace:
     active = np.ones(len(ws), dtype=bool)
 
     def next_move(iteration: int) -> Move | str:
-        improvement = _improvements(state, us, vs, ws, active)
-        if np.isneginf(improvement).all():
+        changes = _fit_changes(state, us, vs, ws, active)
+        if np.isposinf(changes).all():
             if iteration == 1:
                 raise NoFeasibleCandidate(
                     "every candidate weight violates the stability bound"
                 )
             return "no feasible candidate"
-        # Candidates are pre-sorted lexicographically, so the first argmax
+        # Candidates are pre-sorted lexicographically, so the first argmin
         # is the lowest-(u, v) tie-break winner.
-        best = int(np.argmax(improvement))
-        best_h = float(improvement[best])
-        if best_h <= 0.0:
+        best = int(np.argmin(changes))
+        change = float(changes[best])
+        if change >= 0.0:
             return "no improving candidate"
         active[best] = False
-        return "add", (int(us[best]), int(vs[best])), float(ws[best]), -best_h, None
+        return "add", (int(us[best]), int(vs[best])), float(ws[best]), change, None
 
     return _greedy(state, candidates.budget, next_move)
 
@@ -332,14 +333,14 @@ def grow_simple(state: DesignState, candidates: CandidateSet) -> DesignTrace:
 def grow_random(
     state: DesignState, candidates: CandidateSet, seed: int | None = None
 ) -> DesignTrace:
-    """Randomized greedy growing: pick uniformly from the top-budget
-    improvement set each iteration.
+    """Randomized greedy growing: pick uniformly from the budget moves with
+    the most negative fit changes each iteration.
 
-    The pool is padded with 2*budget - 1 zero-improvement placeholder
+    The pool is padded with 2*budget - 1 zero-change placeholder
     members; selecting one consumes an iteration without changing the
     graph, which makes the number of real additions adapt to how many
     candidates actually help. Runs exactly budget iterations, no early
-    break. With budget 1 the top-1 set is the argmax, so the result
+    break. With budget 1 the top-1 set is the argmin, so the result
     matches grow_simple.
     """
     if seed is not None and not (isinstance(seed, Integral) and seed >= 0):
@@ -353,27 +354,26 @@ def grow_random(
 
     def next_move(iteration: int) -> Move:
         nonlocal placeholders_left
-        improvement = _improvements(state, us, vs, ws, active)
-        # Stable descending sort keeps the lexicographic candidate order on
-        # ties; placeholders (improvement 0) rank after equal-value reals,
-        # and unscored moves (-inf) never enter the pool.
-        ranked = np.argsort(-improvement, kind="stable")[:k]
-        reals = [int(i) for i in ranked if improvement[i] >= 0.0]
+        changes = _fit_changes(state, us, vs, ws, active)
+        # Stable ascending sort keeps the lexicographic candidate order on
+        # ties; placeholders (change 0) rank after equal-value reals,
+        # and unscored moves (+inf) never enter the pool.
+        ranked = np.argsort(changes, kind="stable")[:k]
+        reals = [int(i) for i in ranked if changes[i] <= 0.0]
         top = (reals + [None] * placeholders_left)[:k]
         pick = top[int(rng.integers(len(top)))]
         if pick is None:
             placeholders_left -= 1
             return "skip", None, 0.0, 0.0, None
-        best_h = float(improvement[pick])
         active[pick] = False
-        return "add", (int(us[pick]), int(vs[pick])), float(ws[pick]), -best_h, None
+        return "add", (int(us[pick]), int(vs[pick])), float(ws[pick]), float(changes[pick]), None
 
     return _greedy(state, k, next_move)
 
 
 def sparsify(state: DesignState, budget: int) -> DesignTrace:
-    """Greedy edge removal: drop the edge whose removal improves the fit
-    most, never touching bridges, until nothing improves or budget runs out.
+    """Greedy edge removal: drop the edge whose removal lowers the fit most,
+    never touching bridges, until no removal lowers it or budget runs out.
 
     Removal only shrinks eigenvalues, so stability is preserved for free;
     a union-find check on each pick keeps every bridge, so connectivity too.
@@ -381,21 +381,19 @@ def sparsify(state: DesignState, budget: int) -> DesignTrace:
     _check_budget(budget)
 
     def next_move(iteration: int) -> Move | str:
-        if not state.graph.edges:
-            return "no removable edge"
         us, vs, ws = _edge_arrays(state.graph.edges)
-        improvement = _improvements(state, us, vs, -ws, np.ones(len(ws), dtype=bool))
-        if np.isneginf(improvement).all():
+        changes = _fit_changes(state, us, vs, -ws, np.ones(len(ws), dtype=bool))
+        if np.isposinf(changes).all():
             return "all edges are bridges"
         while True:
-            best = int(np.argmax(improvement))
-            best_h = float(improvement[best])
-            if best_h <= 0.0:
+            best = int(np.argmin(changes))
+            change = float(changes[best])
+            if change >= 0.0:
                 return "no improving removal"
             edge = (int(us[best]), int(vs[best]))
             if not is_bridge(state.graph, edge):
-                return "remove", edge, -float(ws[best]), -best_h, None
-            improvement[best] = -np.inf
+                return "remove", edge, -float(ws[best]), change, None
+            changes[best] = np.inf
 
     return _greedy(state, budget, next_move)
 

@@ -544,7 +544,6 @@ def test_grow_simple_trace_values_are_audited_and_decreasing():
         assert entry.rho_exact < last_exact
         last_exact = entry.rho_exact
         assert entry.stability_margin is not None and entry.stability_margin > 0.0
-        assert entry.improvement == -entry.contribution
 
 
 # --- grow_random ---
@@ -609,7 +608,7 @@ def test_grow_random_all_skips_when_every_candidate_hurts():
     trace = grow_random(state, cands, seed=5)
     assert [e.action for e in trace.entries] == ["skip", "skip"]
     assert state.graph == g
-    assert all(e.edge is None and e.improvement == 0.0 for e in trace.entries)
+    assert all(e.edge is None and e.contribution == 0.0 for e in trace.entries)
 
 
 def test_grow_random_can_differ_from_simple_on_a_trap():
@@ -700,7 +699,7 @@ def test_sparsify_improves_and_preserves_invariants():
         replay = g
         for entry in trace.entries:
             assert entry.action == "remove"
-            assert entry.improvement > 0.0
+            assert entry.contribution < 0.0
             replay = replay.without_edge(*entry.edge)
             assert entry.rho_exact == pytest.approx(
                 exact_measure(replay, out, tau), rel=1e-9
@@ -803,7 +802,7 @@ def test_grow_by_sensitivity_improves_with_near_optimal_weights():
     for entry in trace.entries:
         assert entry.action == "add"
         assert entry.sensitivity is not None and entry.sensitivity < 0.0
-        assert entry.improvement > 0.0
+        assert entry.contribution < 0.0
         assert entry.weight > 0.0
         replay = replay.with_edge(*entry.edge, entry.weight)
         assert entry.rho_fit == pytest.approx(fit_measure(replay, out, tau), rel=1e-8)

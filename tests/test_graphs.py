@@ -166,6 +166,8 @@ def test_edge_edits_raise_the_construction_errors():
 def test_named_families_and_degree():
     assert WeightedGraph.path(4).edge_keys() == ((0, 1), (1, 2), (2, 3))
     assert WeightedGraph.cycle(4).edge_count == 4
+    with pytest.raises(ValueError, match="three nodes"):
+        WeightedGraph.cycle(2)
     assert WeightedGraph.star(4).edge_keys() == ((0, 1), (0, 2), (0, 3))
     assert WeightedGraph.complete(5).edge_count == 10
     assert WeightedGraph.star(5, weight=0.5).max_weighted_degree() == 2.0

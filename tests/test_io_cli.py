@@ -67,6 +67,8 @@ def test_parse_graph_error_messages_carry_source_and_line():
     with pytest.raises(ParseError, match="graph.txt:1"):
         parse_graph_text("nodes 3\n0 1 1.0\n", source="graph.txt")
     with pytest.raises(ParseError, match="graph.txt:2"):
+        parse_graph_text("# header next\nn x\n0 1 1.0\n", source="graph.txt")
+    with pytest.raises(ParseError, match="graph.txt:2"):
         parse_graph_text("n 3\n0 1\n", source="graph.txt")
     with pytest.raises(ParseError, match="graph.txt:3"):
         parse_graph_text("n 3\n0 1 1.0\n1 2 heavy\n", source="graph.txt")
@@ -560,3 +562,28 @@ def test_cli_sparsify_report(tmp_path, capsys):
     kept = {(u, v) for u, v, _ in map(tuple, report["final_edges"])}
     assert removed.isdisjoint(kept)
     assert report["performance_after"]["rho_exact"] < report["performance_before"]["rho_exact"]
+
+
+def test_cli_trace_entries_carry_one_fit_change(tmp_path, capsys):
+    # A move's one number is its fit change, `contribution`, negative when it
+    # helps; no entry repeats it with the other sign.
+    keys = [
+        "iteration", "action", "edge", "weight", "contribution",
+        "rho_fit", "rho_exact", "stability_margin", "sensitivity",
+    ]
+    path = _write_graph(tmp_path, "p5.txt", WeightedGraph.path(5))
+    cands = tmp_path / "cands.txt"
+    cands.write_text("0 2 1.0\n0 3 1.0\n1 3 1.0\n")
+    grow = ["grow", path, "--tau", "0.2", "--candidates", str(cands), "-k", "2"]
+    k4 = _write_graph(tmp_path, "k4.txt", WeightedGraph.complete(4))
+    for argv in (
+        grow,
+        grow + ["--method", "random", "--seed", "3"],
+        ["sparsify", k4, "--tau", "0.35", "-k", "2"],
+    ):
+        assert main(argv) == 0
+        trace = json.loads(capsys.readouterr().out)["trace"]
+        assert trace
+        for entry in trace:
+            assert list(entry) == keys
+            assert entry["contribution"] < 0.0 or entry["action"] == "skip"

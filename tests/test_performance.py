@@ -95,6 +95,9 @@ def test_mode_variance_domain_errors():
         mode_variance(1.0, math.pi / 2.0)  # boundary is unstable
     with pytest.raises(DomainError):
         mode_variance_fit(1.0, 0.0)
+    for lam, delay in ((1.0, math.pi / 2.0), (2.0, 1.0)):
+        with pytest.raises(DomainError, match="unstable"):
+            mode_variance_fit(lam, delay)
 
 
 def test_mode_variance_finite_extremely_close_to_boundary():

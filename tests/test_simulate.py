@@ -13,6 +13,7 @@ from tdconsensus import (
     SimulationConfig,
     UnstableNetwork,
     WeightedGraph,
+    eigendecompose,
     simulate,
 )
 from conftest import exact_measure, fresh_interpreter_output, output_matrix
@@ -63,6 +64,16 @@ def test_config_validation():
         for field in ("delay", "dt", "burn_in", "horizon"):
             with pytest.raises(ConfigError):
                 SimulationConfig(**{"delay": 0.1, field: bad})
+    # simulate checks what only the graph and the step fix: a horizon at or
+    # below the default burn-in 20 / lambda_2, and a sampling window that
+    # ends inside the burn-in's last step.
+    g, out = WeightedGraph.path(3), OutputSpec.centering(3)
+    default_burn_in = 20.0 / eigendecompose(g.laplacian()).lambda_2
+    for horizon in (0.5 * default_burn_in, default_burn_in):
+        with pytest.raises(ConfigError, match="horizon must exceed burn_in"):
+            simulate(g, out, SimulationConfig(delay=0.1, trials=2, horizon=horizon))
+    with pytest.raises(ConfigError, match="no samples"):
+        simulate(g, out, SimulationConfig(delay=0.1, dt=0.1, trials=2, burn_in=1.01, horizon=1.05))
 
 
 def test_dt_must_divide_the_delay():
