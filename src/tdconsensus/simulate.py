@@ -25,6 +25,17 @@ from .performance import OutputSpec, _checked_spectrum, require_stable
 # a custom output's projections at most all of it.
 _CHUNK_BUDGET = 1 << 17
 
+# Rows per prefix-sum product. Over w rows the product with the
+# lower-triangular ones costs w multiply-adds per element, where cumsum
+# costs one add at about 5 ns, so long blocks are summed in panels. Timed
+# on 2 cores (OpenBLAS 0.3.31) at 256 columns (8 trials, n = 32): a 201-row
+# block took 241 us by cumsum, 358 us as one product, 210 us in 64-row
+# panels and 124 us in 32-row ones; a 26-row block, one panel at the
+# default 25 substeps, took 41 us by cumsum and 16 to 18 us as one
+# product. At 64 columns 16-row panels lost to one 26-row product, 6.8 us
+# against 4.7.
+_PANEL_ROWS = 32
+
 # The 99.5 % Student-t quantile for df = 1 .. 127 (trials 2 .. 128), entry
 # df - 1: the upper-tail root of I_{df/(df + t^2)}(df/2, 1/2) / 2 = 0.005,
 # computed at 40 digits and rounded once to the nearest double.
@@ -199,15 +210,20 @@ def simulate(
     ]
     # Step k + 1 reads only x_k and x_{k-d}, so the d + 1 steps after x_k
     # have every lagged state at hand: a block of d + 1 steps costs one
-    # drift product and one running sum. Chunks hold whole blocks, at least
-    # one, and otherwise at most _CHUNK_BUDGET floats of states. The chunk
-    # length barely moves the time: at n = 200, d = 25 and 8 or 16 trials,
-    # chunks of 26 to 1248 steps ran within 4 % of each other. Each chunk
-    # costs two calls per trial, which shows at 64 to 128 trials on n = 50
-    # to 100: one-block chunks ran 3 to 6 % slower there than 156-step ones.
+    # drift product and one prefix product per panel of at most _PANEL_ROWS
+    # rows. Chunks hold whole blocks, at least one, and otherwise at most
+    # _CHUNK_BUDGET floats of states. The chunk length barely moves the
+    # time: at n = 200, d = 25 and 8 or 16 trials, the medians of 9 calls
+    # with chunks of 26 to 1248 steps lay within 7 and 10 % of each other,
+    # with no trend in the length. Each chunk costs two calls per trial,
+    # which shows at 64 to 128 trials on n = 50 to 100: one-block chunks
+    # ran 2 to 17 % slower there than 156-step ones (medians of 12 calls).
     block = delay_steps + 1
     chunk = _CHUNK_BUDGET // (trials * n)
     chunk = block * max(1, chunk // block)
+    panel = min(block, _PANEL_ROWS)
+    prefix = np.tril(np.ones((panel, panel)))
+    ones = np.ones(n)
     sqrt_dt = math.sqrt(dt)
 
     # Step-major scaled noise, overwritten step by step by the states it
@@ -235,14 +251,25 @@ def simulate(
             for start in range(0, span, block):
                 width = min(block, span - start)
                 # The increments sqrt(dt) xi_k - dt x_{k-d} L of the block,
-                # with x_k added to the first: their running sum is
-                # x_{k+1} .. x_{k+width}.
+                # written over the drift product, with x_k added to the
+                # first: their running sum is x_{k+1} .. x_{k+width}. Each
+                # panel sums as one product with the lower-triangular ones,
+                # its first row carrying the last state of the panel before.
                 seg = states[start : start + width]
                 drift = trail[:width].reshape(-1, n) @ lap
                 drift *= dt
-                seg -= drift.reshape(width, trials, n)
-                seg[0] += trail[-1]
-                np.cumsum(seg, axis=0, out=seg)
+                increments = drift.reshape(width, trials, n)
+                np.subtract(seg, increments, out=increments)
+                carry = trail[-1]
+                for top in range(0, width, panel):
+                    rows = min(panel, width - top)
+                    increments[top] += carry
+                    np.matmul(
+                        prefix[:rows, :rows],
+                        increments[top : top + rows].reshape(rows, -1),
+                        out=seg[top : top + rows].reshape(rows, -1),
+                    )
+                    carry = seg[top + rows - 1]
                 trail = seg
         trail = states[-block:].copy()
         first = max(0, burn_steps - step)
@@ -250,7 +277,9 @@ def simulate(
             sampled = states[first:].reshape(-1, n)
             if factor is None:
                 # No later step reads these states: centre them in place.
-                sampled -= sampled.mean(axis=1, keepdims=True)
+                means = sampled @ ones
+                means /= n
+                sampled -= means[:, None]
             else:
                 sampled = sampled @ factor.T
             squares = scale * np.einsum("ij,ij->i", sampled, sampled).reshape(-1, trials)

@@ -205,15 +205,16 @@ def max_cache_drift(incremental: EdgeFormCaches, reference: EdgeFormCaches) -> f
     return max(float(np.max(np.abs(a - b))) for a, b in pairs)
 
 
-def fresh_interpreter_output(code: str) -> str:
-    """Stripped stdout of code run by a new interpreter on this package."""
+def fresh_interpreter_output(code: str, env: dict[str, str] | None = None) -> str:
+    """Stripped stdout of code run by a new interpreter on this package, with
+    env's variables added to this process's environment."""
     src = str(Path(tdconsensus.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, **(env or {}), "PYTHONPATH": path},
         timeout=120,
         check=True,
     )

@@ -222,6 +222,25 @@ def test_result_is_independent_of_noise_chunking(monkeypatch):
     assert chunked == default
 
 
+def test_estimate_is_independent_of_the_blas_thread_count():
+    # At n = 64 and 16 trials the drift, prefix and centring products are
+    # large enough for OpenBLAS to split them over threads; the split must
+    # not change a bit of either estimate.
+    code = (
+        "import numpy as np\n"
+        "from tdconsensus import OutputSpec, SimulationConfig, WeightedGraph, simulate\n"
+        "rng = np.random.default_rng(4)\n"
+        "edges = [(v - 1, v, float(rng.uniform(0.5, 1.5))) for v in range(1, 64)]\n"
+        "edges += [(v, v + 32, float(rng.uniform(0.5, 1.5))) for v in range(32)]\n"
+        "c = rng.standard_normal((40, 64))\n"
+        "outs = (OutputSpec.centering(64), OutputSpec.custom(c - c.mean(axis=1, keepdims=True)))\n"
+        "config = SimulationConfig(delay=0.05, trials=16, burn_in=0.4, horizon=1.6, seed=11)\n"
+        "print([repr(simulate(WeightedGraph(64, tuple(edges)), out, config)) for out in outs])"
+    )
+    one, two = (fresh_interpreter_output(code, {"OPENBLAS_NUM_THREADS": k}) for k in ("1", "2"))
+    assert one == two
+
+
 def test_estimate_brackets_the_exact_value():
     # moderate-size run; the 99% interval should cover the closed form
     g = WeightedGraph.complete(3)
@@ -345,22 +364,23 @@ _REFERENCE_OUTPUTS = {
 
 
 @pytest.mark.parametrize("chunk_budget", [None, 2 * 3 * 4 * 7, 3 * 4 * 7])
-@pytest.mark.parametrize("delay_steps", [0, 1, 5, 25])
+@pytest.mark.parametrize("delay_steps", [0, 1, 5, 25, 40])
 @pytest.mark.parametrize("kind", sorted(_REFERENCE_OUTPUTS))
 def test_matches_the_per_step_reference_loop(monkeypatch, kind, delay_steps, chunk_budget):
     import importlib
 
     sim = importlib.import_module("tdconsensus.simulate")
     if chunk_budget is not None:
-        # 3 trials x 4 nodes: 7 or 14 steps of states, so chunks of 7, 6, 6
-        # and 26 steps, or of 14, 14, 12 and 26, end mid-horizon.
+        # 3 trials x 4 nodes: 7 or 14 steps of states, so chunks of 7, 6, 6,
+        # 26 and 41 steps, or of 14, 14, 12, 26 and 41, end mid-horizon.
         monkeypatch.setattr(sim, "_CHUNK_BUDGET", chunk_budget)
     g = WeightedGraph(4, ((0, 1, 1.0), (1, 2, 0.7), (2, 3, 1.3), (0, 2, 0.4)))
     out = _REFERENCE_OUTPUTS[kind]
     delay = 0.1 if delay_steps else 0.0
     dt = delay / delay_steps if delay_steps else 0.01
-    # 39 burn-in steps (not a multiple of 2, 6 or 26) and 301 in all, so the
-    # last block of every delay is cut short.
+    # 39 burn-in steps (not a multiple of 2, 6, 26 or 41) and 301 in all, so
+    # the last block of every delay is cut short. A 41-step block sums as
+    # one full panel and one of 9 rows.
     config = SimulationConfig(
         delay=delay, dt=dt, burn_in=38.5 * dt, horizon=300.5 * dt, trials=3, seed=5
     )
