@@ -1,8 +1,11 @@
 """Greedy topology design driven by rank-one performance differences.
 
 Adding weight w on edge e changes the performance fit by a closed-form
-amount computable from five cached edge quadratic forms, so each greedy
-iteration costs O(n^2 + candidates) after the upfront eigendecompositions.
+amount computable from five cached edge quadratic forms. The caches keep
+each move as pending Sherman-Morrison terms of n-vectors and fold them into
+their matrices every PENDING_TERM_CAP moves, so with k terms pending a
+greedy iteration costs O((n + candidates) k) after the upfront
+eigendecompositions, plus a fold's O(n^2 k) once per PENDING_TERM_CAP moves.
 """
 
 from __future__ import annotations
@@ -124,7 +127,10 @@ class DesignState:
 
     With audit enabled, every mutation re-eigendecomposes the Laplacian to
     record the exact measure and stability margin; without it the loop
-    relies on the edge stability bound and costs O(n^2) per step.
+    relies on the edge stability bound. A step then costs O((n + m) k) for
+    m candidates and k pending update terms (a custom output's dense gram
+    adds O(n^2)), and O(n^2 k) once every PENDING_TERM_CAP steps, when the
+    caches fold their terms.
     """
 
     def __init__(

@@ -29,9 +29,13 @@ from .errors import (
 
 # Relative scale for the singular-update denominator guard.
 SINGULAR_UPDATE_SCALE = 1e-12
-# Rows per block of the in-place cache updates: a block's rank-two product is
-# a small temporary that stays in cache, and no n x n temporary is formed.
+# Rows per block of a fold: each block's rank-k product is a temporary of
+# UPDATE_BLOCK_ROWS x n floats, 800 KB at n = 800, where the whole product
+# would be an n x n one. 64 rows folded no faster at n = 800.
 UPDATE_BLOCK_ROWS = 128
+# Sherman-Morrison terms an operator keeps pending before it folds them into
+# its matrices; chosen by the sweep recorded in CHANGES.md.
+PENDING_TERM_CAP = 32
 
 Edge = tuple[int, int]
 
@@ -332,7 +336,156 @@ def is_bridge(graph: WeightedGraph, edge: Edge) -> bool:
     return uf.find(key[0]) != uf.find(key[1])
 
 
-@dataclass
+class _DeferredPair:
+    """One operator's pseudo-inverse P and sandwich Y = P @ gram @ P, each a
+    base matrix plus the Sherman-Morrison terms not yet folded into it.
+
+    Pending term j is two n-vectors, p_j and corr_j, and a scalar alpha_j:
+
+        P = base P - sum_j alpha_j p_j p_jᵀ
+        Y = base Y + sum_j (p_j corr_jᵀ + corr_j p_jᵀ)
+
+    Reads add the terms themselves and change nothing. Only add_term writes,
+    and once PENDING_TERM_CAP terms are pending it folds them all into the
+    bases, by one blocked rank-k product per matrix; so when a fold happens
+    depends on the sequence of updates alone, never on what was read.
+    """
+
+    def __init__(self, inverse: np.ndarray, sandwich: np.ndarray) -> None:
+        self.inverse = inverse
+        self.sandwich = sandwich
+        # terms[j] holds the rows p_j and corr_j, so terms[:k] is the
+        # contiguous 2k x n factor of the sandwich's terms. np.empty leaves
+        # pages no term has reached unwritten.
+        self.terms = np.empty((PENDING_TERM_CAP, 2, inverse.shape[0]))
+        self.alphas = np.empty(PENDING_TERM_CAP)
+        # What term j takes off the memoized _base_sum: alpha_j (1ᵀp_j)^2
+        # for a named output's scale, alpha_j p_jᵀ gram p_j for a dense gram.
+        self.drops = np.empty(PENDING_TERM_CAP)
+        # The current P's diagonal, kept term by term.
+        self.diagonal = inverse.diagonal().copy()
+        self.count = 0
+        # 1ᵀ(base P)1 for a scale, Tr[gram @ base P] for a dense gram,
+        # memoized from the first read after a fold.
+        self._base_sum: float | None = None
+
+    def forms(self, us: np.ndarray | int, vs: np.ndarray | int) -> tuple:
+        """Edge forms of the current Y and P at the pairs, O(m k) for m pairs."""
+        sandwich = edge_quadratic_forms(self.sandwich, us, vs)
+        inverse = edge_quadratic_forms(self.inverse, us, vs)
+        k = self.count
+        if k:
+            # bᵀp_j and bᵀcorr_j for every term and pair.
+            diff = self.terms[:k, :, us] - self.terms[:k, :, vs]
+            dp, dc = diff[:, 0], diff[:, 1]
+            sandwich = sandwich + 2.0 * np.sum(dp * dc, axis=0)
+            inverse = inverse - self.alphas[:k] @ (dp * dp)
+        return sandwich, inverse
+
+    def update_term(
+        self, u: int, v: int, coefficient: float, gram: np.ndarray | float
+    ) -> tuple[np.ndarray, np.ndarray, float, float]:
+        """Term (p, corr, alpha, drop) of A += c b bᵀ, b the endpoint
+        difference vector of (u, v); reads the matrices and writes nothing.
+
+        b is orthogonal to the all-ones kernel, so the Sherman-Morrison
+        identity applies to these pseudo-inverses unchanged. Callers test the
+        denominator first, by _update_denominator.
+        """
+        # p = P b and z = Y b, O(n k): row 0 of steps holds the base column
+        # differences and row j + 1 what term j adds, -alpha_j (bᵀp_j) p_j
+        # and (bᵀcorr_j) p_j + (bᵀp_j) corr_j. numpy sums the rows one at a
+        # time in order, as updating the matrices move by move would add
+        # them: when a term cancels most of the base, the terms after it keep
+        # their digits, where a sum of the terms formed first would round
+        # them to the cancelled size.
+        k = self.count
+        steps = np.empty((2, k + 1, len(self.diagonal)))
+        np.subtract(self.inverse[:, u], self.inverse[:, v], out=steps[0, 0])
+        np.subtract(self.sandwich[:, u], self.sandwich[:, v], out=steps[1, 0])
+        if k:
+            dp, dc = (self.terms[:k, :, u] - self.terms[:k, :, v]).T
+            ps, corrs = self.terms[:k, 0], self.terms[:k, 1]
+            np.multiply((-self.alphas[:k] * dp)[:, None], ps, out=steps[0, 1:])
+            np.multiply(dc[:, None], ps, out=steps[1, 1:])
+            steps[1, 1:] += dp[:, None] * corrs
+        p, z = steps.sum(axis=1)
+        # alpha keeps this update's own rounding of bᵀP b, p[u] - p[v].
+        alpha = coefficient / (1.0 + coefficient * (p[u] - p[v]))
+        sandwich_quad = z[u] - z[v]
+        # Y_new = Y - alpha (p zᵀ + z pᵀ) + alpha² (bᵀYb) p pᵀ, folded into the
+        # symmetric rank-two term p corrᵀ + corr pᵀ.
+        corr = -alpha * z + (0.5 * alpha * alpha * sandwich_quad) * p
+        if np.ndim(gram) == 0:
+            return p, corr, alpha, alpha * float(p.sum()) ** 2
+        return p, corr, alpha, alpha * float(p @ (gram @ p))
+
+    def add_term(self, p: np.ndarray, corr: np.ndarray, alpha: float, drop: float) -> None:
+        """Keep one update_term; fold every term once PENDING_TERM_CAP are pending."""
+        k = self.count
+        self.terms[k, 0] = p
+        self.terms[k, 1] = corr
+        self.alphas[k] = alpha
+        self.drops[k] = drop
+        self.diagonal -= (alpha * p) * p
+        self.count = k + 1
+        if self.count == PENDING_TERM_CAP:
+            self._add_terms(self.inverse, self.sandwich)
+            self.count = 0
+            self.diagonal = self.inverse.diagonal().copy()
+            self._base_sum = None
+
+    def _add_terms(self, inverse: np.ndarray | None, sandwich: np.ndarray | None) -> None:
+        """Add the pending terms to P-shaped and Y-shaped matrices in place,
+        UPDATE_BLOCK_ROWS rows at a time: P -= (alpha p)ᵀ p and Y += [p; corr]ᵀ
+        [corr; p] over the stacked terms. Both triangles stay stored."""
+        k = self.count
+        if not k:
+            return
+        n = self.terms.shape[2]
+        ps = self.terms[:k, 0]
+        scaled = self.alphas[:k, None] * ps
+        left = self.terms[:k].reshape(2 * k, n)
+        right = self.terms[:k, ::-1].reshape(2 * k, n)
+        for start in range(0, n, UPDATE_BLOCK_ROWS):
+            rows = slice(start, start + UPDATE_BLOCK_ROWS)
+            if inverse is not None:
+                inverse[rows] -= scaled[:, rows].T @ ps
+            if sandwich is not None:
+                sandwich[rows] += left[:, rows].T @ right
+
+    def current_inverse(self) -> np.ndarray:
+        """A copy of P, base plus terms, as a fold now would leave it."""
+        inverse = self.inverse.copy()
+        self._add_terms(inverse, None)
+        return inverse
+
+    def current_sandwich(self) -> np.ndarray:
+        """A copy of Y, base plus terms, as a fold now would leave it."""
+        sandwich = self.sandwich.copy()
+        self._add_terms(None, sandwich)
+        return sandwich
+
+    def gram_trace(self, gram: np.ndarray | float) -> float:
+        """Tr[gram @ P] with no n x n pass past the first read after a fold.
+
+        A scale s gives s (tr P - 1ᵀP1 / n). tr P sums the kept diagonal, on
+        which a term that cancels most of an entry leaves later terms their
+        digits; 1ᵀP1, zero but for rounding, is the memoized base's less each
+        term's drop. A dense gram gives the memoized Tr[gram @ base P] less
+        each term's drop. Drops are taken one at a time in update order.
+        """
+        scale = np.ndim(gram) == 0
+        if self._base_sum is None:
+            self._base_sum = float(self.inverse.sum()) if scale else float(np.vdot(gram, self.inverse))
+        value = self._base_sum
+        for drop in self.drops[: self.count].tolist():
+            value -= drop
+        if scale:
+            return gram * (float(self.diagonal.sum()) - value / len(self.diagonal))
+        return value
+
+
 class EdgeFormCaches:
     """The four matrices whose edge quadratic forms drive topology design.
 
@@ -342,18 +495,49 @@ class EdgeFormCaches:
       lap_pinv_gram    lap_pinv @ output_gram @ lap_pinv
       shift_pinv_gram  shift_pinv @ output_gram @ shift_pinv
 
-    The Laplacian and the output gram ride along so trace-form evaluations
-    need no extra state. output_gram is a custom output's dense CᵀC, or a
-    named output's scale s: s times the centering projector is never formed.
+    Each pseudo-inverse and its sandwich are held as base matrices plus the
+    pending terms of the updates since their last fold (_DeferredPair). The
+    four attributes return copies of the current matrices, base plus terms;
+    the design loop never forms them, since its reads (_edge_forms, the
+    update's column differences and _gram_traces) add the terms themselves.
+
+    The Laplacian, edited in place by every update, and the output gram
+    ride along so trace-form evaluations need no extra state. output_gram
+    is a custom output's dense CᵀC, or a named output's scale s: s times
+    the centering projector is never formed.
     """
 
-    laplacian: np.ndarray
-    output_gram: np.ndarray | float
-    delay: float
-    lap_pinv: np.ndarray = field(repr=False)
-    shift_pinv: np.ndarray = field(repr=False)
-    lap_pinv_gram: np.ndarray = field(repr=False)
-    shift_pinv_gram: np.ndarray = field(repr=False)
+    def __init__(
+        self,
+        laplacian: np.ndarray,
+        output_gram: np.ndarray | float,
+        delay: float,
+        lap_pinv: np.ndarray,
+        shift_pinv: np.ndarray,
+        lap_pinv_gram: np.ndarray,
+        shift_pinv_gram: np.ndarray,
+    ) -> None:
+        self.laplacian = laplacian
+        self.output_gram = output_gram
+        self.delay = delay
+        self._lap = _DeferredPair(lap_pinv, lap_pinv_gram)
+        self._shift = _DeferredPair(shift_pinv, shift_pinv_gram)
+
+    @property
+    def lap_pinv(self) -> np.ndarray:
+        return self._lap.current_inverse()
+
+    @property
+    def shift_pinv(self) -> np.ndarray:
+        return self._shift.current_inverse()
+
+    @property
+    def lap_pinv_gram(self) -> np.ndarray:
+        return self._lap.current_sandwich()
+
+    @property
+    def shift_pinv_gram(self) -> np.ndarray:
+        return self._shift.current_sandwich()
 
     @classmethod
     def build(
@@ -380,15 +564,17 @@ def _edge_forms(caches: EdgeFormCaches, us: np.ndarray | int, vs: np.ndarray | i
     endpoints unchecked; one pair's as Python floats, whose 1 / (tau s) past
     the float range reads inf where a numpy scalar would warn. Each shift form
     enters the fit with a factor tau, so at zero delay it adds an exact zero."""
-    matrices = (
-        caches.lap_pinv_gram,
-        caches.lap_pinv,
-        caches.shift_pinv_gram,
-        caches.shift_pinv,
-        caches.output_gram,
-    )
-    forms = [edge_quadratic_forms(matrix, us, vs) for matrix in matrices]
+    lap_gram, lap = caches._lap.forms(us, vs)
+    shift_gram, shift = caches._shift.forms(us, vs)
+    forms = [lap_gram, lap, shift_gram, shift, edge_quadratic_forms(caches.output_gram, us, vs)]
     return [float(form) for form in forms] if np.ndim(us) == 0 else forms
+
+
+def _gram_traces(caches: EdgeFormCaches) -> tuple[float, float]:
+    """Tr[output_gram @ lap_pinv] and Tr[output_gram @ shift_pinv], O(n + k)
+    each past the first read after a fold."""
+    gram = caches.output_gram
+    return caches._lap.gram_trace(gram), caches._shift.gram_trace(gram)
 
 
 def _update_denominator(coefficient: float, quad: float, edge: Edge) -> float:
@@ -400,78 +586,34 @@ def _update_denominator(coefficient: float, quad: float, edge: Edge) -> float:
     return denom
 
 
-def _pair_update_vectors(
-    inverse: np.ndarray,
-    gram_sandwich: np.ndarray,
-    u: int,
-    v: int,
-    coefficient: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectors (p, alpha p, corr) that update P = inverse and Y = P @ gram @ P
-    for A += c * b bᵀ; reads both matrices and writes neither.
-
-    b is the endpoint difference vector of (u, v), which is orthogonal to
-    the all-ones kernel, so the Sherman-Morrison identity applies to these
-    pseudo-inverses unchanged. Raises SingularUpdate as _update_denominator
-    does.
-    """
-    p = inverse[:, u] - inverse[:, v]
-    # The test reads the edge form edge_contribution reads, so the two raise
-    # together; alpha keeps this update's own rounding of it, p[u] - p[v].
-    _update_denominator(coefficient, edge_quadratic_forms(inverse, u, v), (u, v))
-    alpha = coefficient / (1.0 + coefficient * (p[u] - p[v]))
-    z = gram_sandwich[:, u] - gram_sandwich[:, v]
-    sandwich_quad = z[u] - z[v]
-    # Y_new = Y - alpha (p zᵀ + z pᵀ) + alpha² (bᵀYb) p pᵀ, folded into the
-    # symmetric rank-two term p corrᵀ + corr pᵀ.
-    corr = -alpha * z + (0.5 * alpha * alpha * sandwich_quad) * p
-    return p, alpha * p, corr
-
-
-def _rank_one_pair_update(
-    inverse: np.ndarray,
-    gram_sandwich: np.ndarray,
-    p: np.ndarray,
-    alpha_p: np.ndarray,
-    corr: np.ndarray,
-) -> None:
-    """P -= (alpha p) pᵀ and Y += [p corr] @ [corr; p] in place, O(n^2).
-
-    Both run a block of UPDATE_BLOCK_ROWS rows at a time, so neither forms
-    an n x n temporary; both triangles stay stored.
-    """
-    left = np.column_stack((p, corr))
-    right = np.vstack((corr, p))
-    for start in range(0, len(p), UPDATE_BLOCK_ROWS):
-        rows = slice(start, start + UPDATE_BLOCK_ROWS)
-        gram_sandwich[rows] += left[rows] @ right
-        inverse[rows] -= np.multiply.outer(alpha_p[rows], p)
-
-
 def sherman_morrison_update(caches: EdgeFormCaches, edge: Edge, dweight: float) -> None:
-    """Apply a weight change on one edge to all four cached matrices, O(n^2).
+    """Apply a weight change on one edge to all four cached matrices.
 
-    dweight > 0 adds weight, dweight < 0 removes it. Raises SingularUpdate
-    when a denominator vanishes: weight at the edge-level stability bound on
-    the shifted side, or removal of a full bridge weight on the Laplacian
-    side.
+    dweight > 0 adds weight, dweight < 0 removes it. Each operator keeps the
+    change as one pending term of n-vectors, O(n k) with k terms pending
+    (plus one O(n^2) product with a custom output's gram); every
+    PENDING_TERM_CAP-th update folds the terms into the matrices, O(n^2 k).
+    The Laplacian is edited in place. Raises SingularUpdate when a
+    denominator vanishes: weight at the edge-level stability bound on the
+    shifted side, or removal of a full bridge weight on the Laplacian side.
     """
     u, v = _check_endpoints(caches.laplacian.shape[0], *edge)
     if not np.isfinite(dweight):
         raise ValueError(f"weight change on edge {(u, v)} must be finite, got {dweight}")
-    # The shifted operator changes by -delay * dweight on the same edge. An
-    # operator whose coefficient is zero is left as it is: at zero delay the
-    # shifted operator is (pi/2) times the centering projector on every graph.
-    operators = [
-        (caches.lap_pinv, caches.lap_pinv_gram, dweight),
-        (caches.shift_pinv, caches.shift_pinv_gram, -caches.delay * dweight),
-    ]
-    operators = [operator for operator in operators if operator[2] != 0.0]
-    # Both denominators are tested before any entry is written, so a
+    # The denominators read the edge forms edge_contribution reads, so the two
+    # raise together. The shifted operator changes by -delay * dweight on the
+    # same edge. An operator whose coefficient is zero is left as it is: at zero
+    # delay the shifted operator is (pi/2) times the centering projector on
+    # every graph.
+    _, q_lap, _, q_shift, _ = _edge_forms(caches, u, v)
+    operators = [(caches._lap, dweight, q_lap), (caches._shift, -caches.delay * dweight, q_shift)]
+    operators = [operator for operator in operators if operator[1] != 0.0]
+    # Both denominators are tested before any term is kept, so a
     # SingularUpdate leaves every cache as it was.
-    vectors = [_pair_update_vectors(inv, gram, u, v, c) for inv, gram, c in operators]
-    for (inverse, gram_sandwich, _), update in zip(operators, vectors):
-        _rank_one_pair_update(inverse, gram_sandwich, *update)
+    for _, coefficient, quad in operators:
+        _update_denominator(coefficient, quad, (u, v))
+    for pair, coefficient, _ in operators:
+        pair.add_term(*pair.update_term(u, v, coefficient, caches.output_gram))
     lap = caches.laplacian
     lap[u, u] += dweight
     lap[v, v] += dweight

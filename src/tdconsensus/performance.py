@@ -29,6 +29,7 @@ from .graphs import (
     WeightedGraph,
     _check_endpoints,
     _edge_forms,
+    _gram_traces,
     eigendecompose,
 )
 
@@ -296,22 +297,21 @@ def rho_approx_from_caches(caches: EdgeFormCaches) -> float:
 
     Identical to the eigen-sum form of rho_approx. At zero delay it reduces
     to the exact measure 0.5 Tr[gram @ lap_pinv], which is what the design
-    loop tracks there.
+    loop tracks there. Past the first read after a fold, the pseudo-inverse
+    traces cost O(n + k) for k pending update terms (_gram_traces); a
+    custom output's gram adds one O(n^2) pass over the Laplacian.
     """
-    gram, n = caches.output_gram, caches.laplacian.shape[0]
-
-    def trace_with_gram(matrix: np.ndarray) -> float:
-        # Tr[gram @ M] for symmetric M with no n x n temporary; s (tr M - 1ᵀM1 / n) for a scale.
-        if np.ndim(gram) == 0:
-            return gram * (float(np.trace(matrix)) - float(matrix.sum()) / n)
-        return float(np.vdot(gram, matrix))
-
-    tau = caches.delay
-    gram_trace = gram * (n - 1) if np.ndim(gram) == 0 else float(np.trace(gram))
+    gram, lap, tau = caches.output_gram, caches.laplacian, caches.delay
+    if np.ndim(gram) == 0:
+        # L 1 = 0, so Tr[s (I - J/n) L] = s tr L.
+        lap_trace, gram_trace = gram * float(np.trace(lap)), gram * (lap.shape[0] - 1)
+    else:
+        lap_trace, gram_trace = float(np.vdot(gram, lap)), float(np.trace(gram))
+    lap_pinv_trace, shift_pinv_trace = _gram_traces(caches)
     return (
-        0.5 * trace_with_gram(caches.lap_pinv)
-        + (2.0 * tau / math.pi) * trace_with_gram(caches.shift_pinv)
-        + 0.5 * FIT_SLOPE * tau * tau * trace_with_gram(caches.laplacian)
+        0.5 * lap_pinv_trace
+        + (2.0 * tau / math.pi) * shift_pinv_trace
+        + 0.5 * FIT_SLOPE * tau * tau * lap_trace
         + 0.5 * FIT_OFFSET * tau * gram_trace
     )
 

@@ -48,6 +48,7 @@ from conftest import (
     stable_delay,
     tracked_matrices,
 )
+from tdconsensus.graphs import PENDING_TERM_CAP
 
 
 def _absent_pairs(g: WeightedGraph) -> list[tuple[int, int]]:
@@ -937,6 +938,33 @@ def test_each_traced_fit_is_the_cache_read_after_its_move():
                 if entry.action != "skip":
                     sherman_morrison_update(replay, entry.edge, entry.weight)
                 assert entry.rho_fit == rho_approx_from_caches(replay)
+
+
+def test_reading_the_caches_changes_no_later_move():
+    # Reads add the pending update terms without folding them, so a run that
+    # reads every matrix between and after its drivers matches one that does
+    # not, bit for bit, across a fold.
+    g = random_connected_graph(
+        np.random.default_rng(43), min_nodes=30, max_nodes=30, extra_edge_prob=0.1
+    )
+    out = OutputSpec.centering(g.node_count)
+    tau = stable_delay(g, 0.3)
+    absent = _absent_pairs(g)
+    entries = tuple((u, v, 0.2) for u, v in absent[::2])
+
+    def run(read):
+        state = DesignState.from_graph(g, out, tau, audit=False)
+        traces = [grow_simple(state, CandidateSet(entries=entries, budget=24))]
+        if read:
+            tracked_matrices(state.caches)
+        traces.append(grow_by_sensitivity(state, absent[1::2], budget=12))
+        if read:
+            tracked_matrices(state.caches)
+        return traces, state.rho_fit
+
+    traces, rho_fit = run(read=True)
+    assert sum(len(trace.entries) for trace in traces) > PENDING_TERM_CAP
+    assert run(read=False) == (traces, rho_fit)
 
 
 # --- reweight ---

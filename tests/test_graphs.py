@@ -35,7 +35,7 @@ from conftest import (
     stable_delay,
     tracked_matrices,
 )
-from tdconsensus.graphs import edge_quadratic_forms
+from tdconsensus.graphs import PENDING_TERM_CAP, _edge_forms, edge_quadratic_forms
 
 
 def test_edges_are_canonicalized_and_sorted():
@@ -367,9 +367,10 @@ def test_shift_pinv_is_the_grounded_inverse_on_both_sides_of_the_boundary():
         assert err <= 1e-12, (factor, err)
 
 
-def _cache_outputs(n: int) -> dict[str, OutputSpec]:
-    """Every named kind, a wide custom C (fewer rows than nodes) and a tall one."""
-    rng = np.random.default_rng(n)
+def _cache_outputs(n: int, rng: np.random.Generator | None = None) -> dict[str, OutputSpec]:
+    """Every named kind, a wide custom C (fewer rows than nodes) and a tall one,
+    drawn from rng or from a generator seeded with n."""
+    rng = np.random.default_rng(n) if rng is None else rng
     named = [kind for kind in OutputKind if kind is not OutputKind.CUSTOM]
     outputs = {kind.value: OutputSpec(kind, n) for kind in named}
     for name, rows in (("custom-wide", max(1, n // 3)), ("custom-tall", 2 * n + 1)):
@@ -529,7 +530,9 @@ def _output_spec(kind: OutputKind, n: int, rng: np.random.Generator) -> OutputSp
 
 
 # Largest relative drift, max |updated - reference| / max |reference| per
-# matrix, allowed after a move sequence; the largest measured is 1e-13.
+# matrix, allowed after a move sequence; the largest measured is 1e-13. The
+# edge forms at every sampled pair and the fit read from the caches are held
+# to the same bound after every update.
 SEQUENCE_DRIFT_BOUND = 1e-10
 
 _MOVES = st.lists(
@@ -541,20 +544,65 @@ _MOVES = st.lists(
     min_size=1,
     max_size=6,
 )
+# Weight reductions, always applicable, that carry a sequence past the fold.
+# All of them on one edge leave at least 0.9^33 = 3 % of its weight, where
+# the fresh reference's own conditioning is still far inside the bound.
+_REDUCTIONS = st.lists(
+    st.tuples(st.just("reduce"), st.integers(0, 2**31 - 1), st.floats(0.01, 0.1)),
+    min_size=PENDING_TERM_CAP + 1,
+    max_size=PENDING_TERM_CAP + 1,
+)
 
 
-# 127, 128 and 129 nodes make the last row block of an update partial,
-# exact and one row long; 300 nodes take three blocks.
+def _relative_drift(ours: np.ndarray, ref: np.ndarray) -> float:
+    return float(np.max(np.abs(ours - ref)) / np.max(np.abs(ref)))
+
+
+def _pending_terms(caches: EdgeFormCaches) -> list:
+    """Copies of both operators' pending terms, for exact comparison."""
+    return [
+        (pair.count, pair.terms[: pair.count].copy(), pair.alphas[: pair.count].copy(),
+         pair.drops[: pair.count].copy(), pair.diagonal.copy())
+        for pair in (caches._lap, caches._shift)
+    ]
+
+
+def _same_pending_terms(before: list, after: list) -> bool:
+    return all(
+        old[0] == new[0] and all(np.array_equal(a, b) for a, b in zip(old[1:], new[1:]))
+        for old, new in zip(before, after)
+    )
+
+
+def _assert_tracks_fresh_caches(caches, graph, out, delay, us, vs) -> None:
+    """The four matrices, the five edge forms at the pairs and the fit match a
+    fresh rebuild within SEQUENCE_DRIFT_BOUND."""
+    reference = fresh_caches(graph, out, delay)
+    for ours, ref in zip(tracked_matrices(caches), tracked_matrices(reference)):
+        assert _relative_drift(ours, ref) <= SEQUENCE_DRIFT_BOUND
+    for ours, ref in zip(_edge_forms(caches, us, vs), _edge_forms(reference, us, vs)):
+        assert _relative_drift(ours, ref) <= SEQUENCE_DRIFT_BOUND
+    fit, fresh_fit = rho_approx_from_caches(caches), rho_approx_from_caches(reference)
+    assert abs(fit - fresh_fit) <= SEQUENCE_DRIFT_BOUND * abs(fresh_fit)
+
+
+# A long sequence opens with PENDING_TERM_CAP + 1 reductions, so its terms
+# are folded once and pending again after; 127, 128 and 129 nodes make the
+# last row block of that fold partial, exact and one row long. At 300 nodes,
+# where every update is checked against a fresh rebuild, the sequences stay
+# short and only pending terms are checked.
 @pytest.mark.parametrize("n", [2, 127, 128, 129, 300])
 @settings(max_examples=15)
 @given(
-    kind=st.sampled_from(list(OutputKind)),
-    fraction=st.one_of(st.just(0.0), st.floats(0.01, 0.8)),
+    output=st.sampled_from(sorted(_cache_outputs(2))),
+    fraction=st.sampled_from((0.0, 0.4, 0.9)),
     seed=st.integers(0, 2**32 - 1),
     moves=_MOVES,
+    long=st.booleans(),
+    data=st.data(),
 )
 def test_update_sequences_track_the_eigh_reference_or_raise_singular(
-    n, kind, fraction, seed, moves
+    n, output, fraction, seed, moves, long, data
 ):
     rng = np.random.default_rng(seed)
     edges = {}
@@ -565,9 +613,14 @@ def test_update_sequences_track_the_eigh_reference_or_raise_singular(
         if a != b:
             edges.setdefault((a, b), float(rng.uniform(0.5, 2.0)))
     g = WeightedGraph(n, tuple((u, v, w) for (u, v), w in edges.items()))
-    out = _output_spec(kind, n, rng)
+    out = _cache_outputs(n, rng)[output]
     delay = fraction * math.pi / (2.0 * np.linalg.eigvalsh(g.laplacian())[-1])
     caches = EdgeFormCaches.build(g.laplacian(), out.gram(), delay)
+    if long and n < 300:
+        moves = data.draw(_REDUCTIONS) + moves
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    sample = rng.choice(len(pairs), size=min(len(pairs), 200), replace=False)
+    us, vs = np.array([pairs[i] for i in sample]).T
     for action, pick, factor in moves:
         if action == "add":
             u, v = sorted((pick % n, (pick // n) % n))
@@ -579,23 +632,23 @@ def test_update_sequences_track_the_eigh_reference_or_raise_singular(
             w = factor * min(bound, 4.0)
             sherman_morrison_update(caches, (u, v), w)
             g = g.with_edge(u, v, w)
-            continue
-        u, v, w = g.edges[pick % g.edge_count]
-        if action == "reduce":
-            sherman_morrison_update(caches, (u, v), -factor * w)
-            g = g.without_edge(u, v).with_edge(u, v, w - factor * w)
-        elif (u, v) in bridge_oracle(g):
-            before = [m.copy() for m in tracked_matrices(caches)]
-            with pytest.raises(SingularUpdate):
-                sherman_morrison_update(caches, (u, v), -w)
-            assert all(np.array_equal(a, b) for a, b in zip(before, tracked_matrices(caches)))
         else:
-            sherman_morrison_update(caches, (u, v), -w)
-            g = g.without_edge(u, v)
-    reference = fresh_caches(g, out, delay)
-    for ours, ref in zip(tracked_matrices(caches), tracked_matrices(reference)):
-        drift = float(np.max(np.abs(ours - ref)) / np.max(np.abs(ref)))
-        assert drift <= SEQUENCE_DRIFT_BOUND
+            u, v, w = g.edges[pick % g.edge_count]
+            if action == "reduce":
+                sherman_morrison_update(caches, (u, v), -factor * w)
+                g = g.without_edge(u, v).with_edge(u, v, w - factor * w)
+            elif (u, v) in bridge_oracle(g):
+                before = [m.copy() for m in tracked_matrices(caches)]
+                pending = _pending_terms(caches)
+                with pytest.raises(SingularUpdate):
+                    sherman_morrison_update(caches, (u, v), -w)
+                assert all(np.array_equal(a, b) for a, b in zip(before, tracked_matrices(caches)))
+                assert _same_pending_terms(pending, _pending_terms(caches))
+                continue
+            else:
+                sherman_morrison_update(caches, (u, v), -w)
+                g = g.without_edge(u, v)
+        _assert_tracks_fresh_caches(caches, g, out, delay, us, vs)
 
 
 def test_edge_quadratic_form_rejects_bad_nodes():
