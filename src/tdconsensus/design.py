@@ -37,6 +37,7 @@ from .performance import (
     FIT_SLOPE,
     OutputSpec,
     _checked_spectrum,
+    _fit_slope,
     _modal_sum,
     _nonzero_modes,
     check_stability,
@@ -404,30 +405,20 @@ def sparsify(state: DesignState, budget: int) -> DesignTrace:
     return _greedy(state, budget, next_move)
 
 
-def golden_section_min(
-    fn: Callable[[float], float], lo: float, hi: float, width: float
-) -> float:
-    """Minimizer of a unimodal function, bracket shrunk below width."""
-    if hi < lo:
-        raise ValueError("empty bracket")
-    if not 0.0 < width < math.inf:
-        raise ValueError(f"width must be positive and finite, got {width}")
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > width:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = fn(c)
+def _sign_change(slope: Callable[[float], float], lo: float, hi: float) -> float:
+    """Where an increasing slope, negative at lo, turns nonnegative in (lo, hi]:
+    hi when slope(hi) < 0, else the upper end x of a bisection bracket shrunk
+    to adjacent floats, so that slope(nextafter(x, lo)) < 0 <= slope(x)."""
+    if slope(hi) < 0.0:
+        return hi
+    while math.nextafter(lo, hi) < hi:
+        # Halved before the sum, which stays finite for ends near the float maximum.
+        mid = 0.5 * lo + 0.5 * hi
+        if slope(mid) < 0.0:
+            lo = mid
         else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = fn(d)
-    # Halved before the sum, which stays finite for ends near the float maximum.
-    return 0.5 * a + 0.5 * b
+            hi = mid
+    return hi
 
 
 def grow_by_sensitivity(
@@ -436,15 +427,17 @@ def grow_by_sensitivity(
     """Gradient-guided growing for weightless candidates.
 
     Each iteration picks the absent pair with the most negative fit
-    derivative, then optimizes its weight over (0, stability bound) by
-    golden-section search. Stops when no pair has a negative derivative.
+    derivative. The fit change is convex in the pair's weight, so its
+    minimizer below (1 - EPS_STABILITY) times the stability bound is where
+    its slope turns nonnegative, or that cap. Stops when no pair has a
+    negative derivative.
     """
     if state.delay <= 0.0:
         raise DomainError(
             "weight optimization needs a positive delay; at zero delay more "
             "weight always helps and no interior optimum exists"
         )
-    # Weight 1.0 only fills the entry: the search below picks each weight.
+    # Weight 1.0 only fills the entry: the slope's root below picks each weight.
     candidates = CandidateSet(tuple((u, v, 1.0) for u, v in pairs), budget)
     candidates.validate_against(state.graph)
     us, vs, _ = _edge_arrays(candidates.entries)
@@ -466,9 +459,9 @@ def grow_by_sensitivity(
                 f"delay {state.delay} too small: the stability bound on pair "
                 f"{best_pair} overflows a float"
             )
-        hi = (1.0 - EPS_STABILITY) * bound
-        weight = golden_section_min(
-            lambda w: _fit_change(forms, state.delay, w), 1e-12 * hi, hi, 1e-10 * bound
+        # The slope at weight 0 is the pair's sensitivity, negative.
+        weight = _sign_change(
+            lambda w: _fit_slope(forms, state.delay, w), 0.0, (1.0 - EPS_STABILITY) * bound
         )
         contribution = float(_fit_change(forms, state.delay, weight))
         if contribution >= 0.0:
@@ -504,8 +497,9 @@ def reweight_scale(graph: WeightedGraph, out: OutputSpec, delay: float) -> Rewei
     Uses one eigendecomposition; each probe is an O(n) eigen-sum. Each mode
     is happiest at kappa = z / (delay * lambda) (z the cosine fixed point),
     so the minimizer lies between the extreme modes' optima, clamped below
-    the scaled stability boundary. The input graph need not be stable at
-    scale 1; rho_before is +inf then.
+    the scaled stability boundary. The measure is convex in kappa there, so
+    the minimizer is where its slope turns nonnegative, or the clamp. The
+    input graph need not be stable at scale 1; rho_before is +inf then.
     """
     if not 0.0 < delay < math.inf:
         raise DomainError(
@@ -523,16 +517,22 @@ def reweight_scale(graph: WeightedGraph, out: OutputSpec, delay: float) -> Rewei
     if hi * lam_max == math.inf:
         raise DomainError(f"delay {delay} too small: the optimal scale overflows a float")
 
-    def scaled_measure(kappa: float) -> float:
-        return _modal_sum(kappa * modes, weights, delay)
+    def scaled_slope(kappa: float) -> float:
+        # The measure is delay * sum w g(x), x = kappa delay lambda, with
+        # g(x) = cos x / (2 x (1 - sin x)) and g'(x) = (x - cos x) /
+        # (4 x^2 sin^2((pi/2 - x)/2)): this is its slope in kappa up to the
+        # positive factor delay / (4 kappa).
+        x = kappa * modes * delay
+        half_gap = 0.5 * (math.pi / 2.0 - x)
+        return float(np.sum(weights * (x - np.cos(x)) / (x * np.sin(half_gap) ** 2)))
 
-    kappa_star = golden_section_min(scaled_measure, lo, hi, 1e-8 * lo)
+    kappa_star = _sign_change(scaled_slope, lo, hi)
     rho_before = (
         _modal_sum(modes, weights, delay) if check_stability(spectrum, delay).stable else math.inf
     )
     return ReweightResult(
         kappa_star=kappa_star,
         rho_before=rho_before,
-        rho_after=scaled_measure(kappa_star),
+        rho_after=_modal_sum(kappa_star * modes, weights, delay),
         bracket=(lo, hi),
     )

@@ -305,18 +305,12 @@ def _gram_sandwich(pinv: np.ndarray, output_gram: np.ndarray | float) -> np.ndar
     return pinv @ output_gram @ pinv
 
 
-def edge_quadratic_form(matrix: np.ndarray | float, u: int, v: int) -> float:
-    """Quadratic form of the endpoint difference vector: P_uu + P_vv - 2 P_uv.
-    A scale s, which has no size to check the endpoints against, gives 2 s."""
-    u, v = _check_endpoints(np.shape(matrix)[0] if np.ndim(matrix) else np.inf, u, v)
-    return float(edge_quadratic_forms(matrix, u, v))
-
-
 def edge_quadratic_forms(
     matrix: np.ndarray | float, us: np.ndarray | int, vs: np.ndarray | int
 ) -> np.ndarray:
-    """edge_quadratic_form for every pair (us[i], vs[i]), or for one pair of
-    nodes; endpoints unchecked. A scale s stands for s times the centering
+    """Quadratic form bᵀ P b = P_uu + P_vv - 2 P_uv of the endpoint difference
+    vector b of every pair (us[i], vs[i]), or of one pair of nodes;
+    endpoints unchecked. A scale s stands for s times the centering
     projector: every form is 2 s."""
     if np.ndim(matrix) == 0:
         return np.full(np.shape(us), 2.0 * matrix)
@@ -338,7 +332,8 @@ def is_bridge(graph: WeightedGraph, edge: Edge) -> bool:
 
 class _DeferredPair:
     """One operator's pseudo-inverse P and sandwich Y = P @ gram @ P, each a
-    base matrix plus the Sherman-Morrison terms not yet folded into it.
+    base matrix plus the Sherman-Morrison terms not yet folded into it, and
+    the current diag(gram @ P), kept term by term.
 
     Pending term j is two n-vectors, p_j and corr_j, and a scalar alpha_j:
 
@@ -351,23 +346,26 @@ class _DeferredPair:
     depends on the sequence of updates alone, never on what was read.
     """
 
-    def __init__(self, inverse: np.ndarray, sandwich: np.ndarray) -> None:
+    def __init__(
+        self, inverse: np.ndarray, sandwich: np.ndarray, gram: np.ndarray | float
+    ) -> None:
         self.inverse = inverse
         self.sandwich = sandwich
+        self.gram = gram
         # terms[j] holds the rows p_j and corr_j, so terms[:k] is the
         # contiguous 2k x n factor of the sandwich's terms. np.empty leaves
         # pages no term has reached unwritten.
         self.terms = np.empty((PENDING_TERM_CAP, 2, inverse.shape[0]))
         self.alphas = np.empty(PENDING_TERM_CAP)
-        # What term j takes off the memoized _base_sum: alpha_j (1ᵀp_j)^2
-        # for a named output's scale, alpha_j p_jᵀ gram p_j for a dense gram.
-        self.drops = np.empty(PENDING_TERM_CAP)
-        # The current P's diagonal, kept term by term.
-        self.diagonal = inverse.diagonal().copy()
         self.count = 0
-        # 1ᵀ(base P)1 for a scale, Tr[gram @ base P] for a dense gram,
-        # memoized from the first read after a fold.
-        self._base_sum: float | None = None
+        self._reset_diagonal()
+
+    def _reset_diagonal(self) -> None:
+        """diag(gram @ base P): s diag P for a scale s, since P 1 = 0."""
+        if np.ndim(self.gram) == 0:
+            self.diagonal = self.gram * self.inverse.diagonal()
+        else:
+            self.diagonal = np.einsum("ij,ji->i", self.gram, self.inverse)
 
     def forms(self, us: np.ndarray | int, vs: np.ndarray | int) -> tuple:
         """Edge forms of the current Y and P at the pairs, O(m k) for m pairs."""
@@ -383,9 +381,9 @@ class _DeferredPair:
         return sandwich, inverse
 
     def update_term(
-        self, u: int, v: int, coefficient: float, gram: np.ndarray | float
-    ) -> tuple[np.ndarray, np.ndarray, float, float]:
-        """Term (p, corr, alpha, drop) of A += c b bᵀ, b the endpoint
+        self, u: int, v: int, coefficient: float
+    ) -> tuple[np.ndarray, np.ndarray, float]:
+        """Term (p, corr, alpha) of A += c b bᵀ, b the endpoint
         difference vector of (u, v); reads the matrices and writes nothing.
 
         b is orthogonal to the all-ones kernel, so the Sherman-Morrison
@@ -416,24 +414,21 @@ class _DeferredPair:
         # Y_new = Y - alpha (p zᵀ + z pᵀ) + alpha² (bᵀYb) p pᵀ, folded into the
         # symmetric rank-two term p corrᵀ + corr pᵀ.
         corr = -alpha * z + (0.5 * alpha * alpha * sandwich_quad) * p
-        if np.ndim(gram) == 0:
-            return p, corr, alpha, alpha * float(p.sum()) ** 2
-        return p, corr, alpha, alpha * float(p @ (gram @ p))
+        return p, corr, alpha
 
-    def add_term(self, p: np.ndarray, corr: np.ndarray, alpha: float, drop: float) -> None:
+    def add_term(self, p: np.ndarray, corr: np.ndarray, alpha: float) -> None:
         """Keep one update_term; fold every term once PENDING_TERM_CAP are pending."""
         k = self.count
         self.terms[k, 0] = p
         self.terms[k, 1] = corr
         self.alphas[k] = alpha
-        self.drops[k] = drop
-        self.diagonal -= (alpha * p) * p
+        # gram @ P loses alpha (gram p) pᵀ; np.dot multiplies by a scale.
+        self.diagonal -= (alpha * np.dot(self.gram, p)) * p
         self.count = k + 1
         if self.count == PENDING_TERM_CAP:
             self._add_terms(self.inverse, self.sandwich)
             self.count = 0
-            self.diagonal = self.inverse.diagonal().copy()
-            self._base_sum = None
+            self._reset_diagonal()
 
     def _add_terms(self, inverse: np.ndarray | None, sandwich: np.ndarray | None) -> None:
         """Add the pending terms to P-shaped and Y-shaped matrices in place,
@@ -466,24 +461,10 @@ class _DeferredPair:
         self._add_terms(None, sandwich)
         return sandwich
 
-    def gram_trace(self, gram: np.ndarray | float) -> float:
-        """Tr[gram @ P] with no n x n pass past the first read after a fold.
-
-        A scale s gives s (tr P - 1ᵀP1 / n). tr P sums the kept diagonal, on
-        which a term that cancels most of an entry leaves later terms their
-        digits; 1ᵀP1, zero but for rounding, is the memoized base's less each
-        term's drop. A dense gram gives the memoized Tr[gram @ base P] less
-        each term's drop. Drops are taken one at a time in update order.
-        """
-        scale = np.ndim(gram) == 0
-        if self._base_sum is None:
-            self._base_sum = float(self.inverse.sum()) if scale else float(np.vdot(gram, self.inverse))
-        value = self._base_sum
-        for drop in self.drops[: self.count].tolist():
-            value -= drop
-        if scale:
-            return gram * (float(self.diagonal.sum()) - value / len(self.diagonal))
-        return value
+    def gram_trace(self) -> float:
+        """Tr[gram @ P], O(n): the sum of the kept diagonal, on which a term
+        that cancels most of an entry leaves later terms their digits."""
+        return float(self.diagonal.sum())
 
 
 class EdgeFormCaches:
@@ -499,7 +480,8 @@ class EdgeFormCaches:
     pending terms of the updates since their last fold (_DeferredPair). The
     four attributes return copies of the current matrices, base plus terms;
     the design loop never forms them, since its reads (_edge_forms, the
-    update's column differences and _gram_traces) add the terms themselves.
+    update's column differences and the kept diagonals) add the terms
+    themselves.
 
     The Laplacian, edited in place by every update, and the output gram
     ride along so trace-form evaluations need no extra state. output_gram
@@ -520,8 +502,8 @@ class EdgeFormCaches:
         self.laplacian = laplacian
         self.output_gram = output_gram
         self.delay = delay
-        self._lap = _DeferredPair(lap_pinv, lap_pinv_gram)
-        self._shift = _DeferredPair(shift_pinv, shift_pinv_gram)
+        self._lap = _DeferredPair(lap_pinv, lap_pinv_gram, output_gram)
+        self._shift = _DeferredPair(shift_pinv, shift_pinv_gram, output_gram)
 
     @property
     def lap_pinv(self) -> np.ndarray:
@@ -570,13 +552,6 @@ def _edge_forms(caches: EdgeFormCaches, us: np.ndarray | int, vs: np.ndarray | i
     return [float(form) for form in forms] if np.ndim(us) == 0 else forms
 
 
-def _gram_traces(caches: EdgeFormCaches) -> tuple[float, float]:
-    """Tr[output_gram @ lap_pinv] and Tr[output_gram @ shift_pinv], O(n + k)
-    each past the first read after a fold."""
-    gram = caches.output_gram
-    return caches._lap.gram_trace(gram), caches._shift.gram_trace(gram)
-
-
 def _update_denominator(coefficient: float, quad: float, edge: Edge) -> float:
     """1 + c q, the Sherman-Morrison denominator of A += c b bᵀ with q = bᵀ A⁺ b;
     SingularUpdate when it is within SINGULAR_UPDATE_SCALE of its largest term."""
@@ -613,7 +588,7 @@ def sherman_morrison_update(caches: EdgeFormCaches, edge: Edge, dweight: float) 
     for _, coefficient, quad in operators:
         _update_denominator(coefficient, quad, (u, v))
     for pair, coefficient, _ in operators:
-        pair.add_term(*pair.update_term(u, v, coefficient, caches.output_gram))
+        pair.add_term(*pair.update_term(u, v, coefficient))
     lap = caches.laplacian
     lap[u, u] += dweight
     lap[v, v] += dweight

@@ -29,7 +29,6 @@ from .graphs import (
     WeightedGraph,
     _check_endpoints,
     _edge_forms,
-    _gram_traces,
     eigendecompose,
 )
 
@@ -297,9 +296,9 @@ def rho_approx_from_caches(caches: EdgeFormCaches) -> float:
 
     Identical to the eigen-sum form of rho_approx. At zero delay it reduces
     to the exact measure 0.5 Tr[gram @ lap_pinv], which is what the design
-    loop tracks there. Past the first read after a fold, the pseudo-inverse
-    traces cost O(n + k) for k pending update terms (_gram_traces); a
-    custom output's gram adds one O(n^2) pass over the Laplacian.
+    loop tracks there. The pseudo-inverse traces sum the diagonals that the
+    caches keep, O(n); a custom output's gram adds one O(n^2) pass over the
+    Laplacian.
     """
     gram, lap, tau = caches.output_gram, caches.laplacian, caches.delay
     if np.ndim(gram) == 0:
@@ -307,10 +306,9 @@ def rho_approx_from_caches(caches: EdgeFormCaches) -> float:
         lap_trace, gram_trace = gram * float(np.trace(lap)), gram * (lap.shape[0] - 1)
     else:
         lap_trace, gram_trace = float(np.vdot(gram, lap)), float(np.trace(gram))
-    lap_pinv_trace, shift_pinv_trace = _gram_traces(caches)
     return (
-        0.5 * lap_pinv_trace
-        + (2.0 * tau / math.pi) * shift_pinv_trace
+        0.5 * caches._lap.gram_trace()
+        + (2.0 * tau / math.pi) * caches._shift.gram_trace()
         + 0.5 * FIT_SLOPE * tau * tau * lap_trace
         + 0.5 * FIT_OFFSET * tau * gram_trace
     )
@@ -336,15 +334,24 @@ def hard_limit(node_count: int, out: OutputSpec, delay: float) -> HardLimit:
     return HardLimit(value=value, optimal_uniform_weight=z / (node_count * delay))
 
 
-def sensitivities(caches: EdgeFormCaches, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """sensitivity for every pair (us[i], vs[i]) at once; endpoints unchecked."""
-    tau = caches.delay
-    q_lap_gram, _, q_shift_gram, _, gram_form = _edge_forms(caches, us, vs)
+def _fit_slope(forms: list, tau: float, weights: np.ndarray | float) -> np.ndarray | float:
+    """Derivative in the weights of design._fit_change, on the pairs of these
+    _edge_forms; both denominators are exactly 1 at zero weight. Each term
+    divides twice by its denominator: at delays near eps the weights reach
+    about 1 / tau, where the squared denominator would overflow."""
+    q_lap_gram, q_lap, q_shift_gram, q_shift, gram_form = forms
+    lap_denom = 1.0 + weights * q_lap
+    shift_denom = 1.0 - weights * tau * q_shift
     return (
         0.5 * FIT_SLOPE * tau * tau * gram_form
-        - 0.5 * q_lap_gram
-        + (2.0 * tau * tau / math.pi) * q_shift_gram
+        - 0.5 * q_lap_gram / lap_denom / lap_denom
+        + (2.0 * tau * tau / math.pi) * q_shift_gram / shift_denom / shift_denom
     )
+
+
+def sensitivities(caches: EdgeFormCaches, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """sensitivity for every pair (us[i], vs[i]) at once; endpoints unchecked."""
+    return _fit_slope(_edge_forms(caches, us, vs), caches.delay, 0.0)
 
 
 def sensitivity(caches: EdgeFormCaches, edge: tuple[int, int]) -> float:

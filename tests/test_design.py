@@ -4,6 +4,7 @@ import copy
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -14,6 +15,7 @@ from tdconsensus import (
     DisconnectedGraph,
     DomainError,
     EPS_STABILITY,
+    FIT_SLOPE,
     IndexOutOfRange,
     NoFeasibleCandidate,
     OutputSpec,
@@ -23,10 +25,8 @@ from tdconsensus import (
     contribution_upper_bound,
     cosine_fixed_point,
     edge_contribution,
-    edge_quadratic_form,
     edge_stability_bound,
     eigendecompose,
-    golden_section_min,
     grow_by_sensitivity,
     grow_random,
     grow_simple,
@@ -48,7 +48,9 @@ from conftest import (
     stable_delay,
     tracked_matrices,
 )
-from tdconsensus.graphs import PENDING_TERM_CAP
+from tdconsensus.design import _sign_change
+from tdconsensus.graphs import PENDING_TERM_CAP, _edge_forms, edge_quadratic_forms
+from tdconsensus.performance import _fit_slope, _nonzero_modes, sensitivities
 
 
 def _absent_pairs(g: WeightedGraph) -> list[tuple[int, int]]:
@@ -306,8 +308,8 @@ def test_zero_delay_design_formulas_equal_their_delay_free_forms():
         assert rho_approx_from_caches(caches) == state.rho_fit == 0.5 * trace
         for u in range(n):
             for v in range(u + 1, n):
-                q_gram = edge_quadratic_form(caches.lap_pinv_gram, u, v)
-                q_lap = edge_quadratic_form(pinv, u, v)
+                q_gram = float(edge_quadratic_forms(caches.lap_pinv_gram, u, v))
+                q_lap = float(edge_quadratic_forms(pinv, u, v))
                 assert contribution_upper_bound(state, (u, v)) == q_gram / (2.0 * q_lap)
                 weights = [0.3, 2.0] + ([-0.5 * g.weight(u, v)] if g.has_edge(u, v) else [])
                 for w in weights:
@@ -770,21 +772,135 @@ def test_sparsify_budget_validation():
     assert sparsify(state, budget=0).entries == []
 
 
-# --- golden section ---
+# --- optimal weights as the root of the fit slope ---
 
 
-def test_golden_section_finds_quadratic_minimum():
-    got = golden_section_min(lambda x: (x - 1.7) ** 2, 0.0, 5.0, 1e-10)
-    assert got == pytest.approx(1.7, abs=1e-8)
+def _six_decades(rng, g: WeightedGraph) -> WeightedGraph:
+    weights = 10.0 ** rng.uniform(-6.0, 0.0, g.edge_count)
+    edges = tuple((u, v, float(w)) for (u, v, _), w in zip(g.edges, weights))
+    return WeightedGraph(g.node_count, edges)
+
+
+def test_sign_change_stops_at_adjacent_floats():
+    assert _sign_change(lambda x: x - 1.7, 0.0, 5.0) == 1.7
+    assert _sign_change(lambda x: x - 9.0, 0.0, 5.0) == 5.0
     # A bracket near the float maximum: the midpoint must not overflow.
-    huge = golden_section_min(lambda x: -x, 1e308, 1.7e308, 1e300)
-    assert 1.7e308 - 1e300 <= huge <= 1.7e308
-    with pytest.raises(ValueError):
-        golden_section_min(lambda x: x, 1.0, 0.0, 1e-3)
-    # A width that no bracket can shrink below would never stop the search.
-    for width in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="width"):
-            golden_section_min(lambda x: x, 0.0, 1.0, width)
+    probes = []
+
+    def slope(x):
+        probes.append(x)
+        return x - 1.5e308
+
+    assert _sign_change(slope, 1e308, 1.7e308) == 1.5e308
+    assert all(math.isfinite(x) for x in probes)
+
+
+def test_sensitivities_are_the_fit_slope_at_zero_weight():
+    rng = np.random.default_rng(71)
+    for trial in range(12):
+        g = random_connected_graph(rng, min_nodes=5, max_nodes=12)
+        n = g.node_count
+        out = OutputSpec.centering(n)
+        if trial % 3 == 2:
+            c = rng.standard_normal((3, n))
+            out = OutputSpec.custom(c - c.mean(axis=1, keepdims=True))
+        tau = stable_delay(g, (0.0, 0.4, 0.9)[trial % 3])
+        caches = fresh_caches(g, out, tau)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        picks = rng.choice(len(pairs), size=min(len(pairs), 15), replace=False)
+        us, vs = np.array([pairs[i] for i in picks]).T
+        slopes = sensitivities(caches, us, vs)
+        assert np.array_equal(slopes, _fit_slope(_edge_forms(caches, us, vs), tau, 0.0))
+        for u, v, slope in zip(us, vs, slopes):
+            assert _fit_slope(_edge_forms(caches, int(u), int(v)), tau, 0.0) == slope
+
+
+def _sensitivity_moves(seed: int, count: int):
+    """(forms, delay, cap, weight) of every grow_by_sensitivity move on count
+    small graphs, the forms read as the driver reads them, by replaying the
+    moves on fresh caches. One graph in four has weights six decades apart."""
+    rng = np.random.default_rng(seed)
+    moves = []
+    for index in range(count):
+        g = random_connected_graph(rng, min_nodes=4, max_nodes=10)
+        if index % 4 == 3:
+            g = _six_decades(rng, g)
+        out = OutputSpec.centering(g.node_count)
+        tau = stable_delay(g, (0.4, 0.9)[index % 2])
+        state = DesignState.from_graph(g, out, tau, audit=False)
+        trace = grow_by_sensitivity(state, _absent_pairs(g), budget=4)
+        replay = DesignState.from_graph(g, out, tau, audit=False)
+        for entry in trace.entries:
+            forms = _edge_forms(replay.caches, *entry.edge)
+            cap = (1.0 - EPS_STABILITY) * edge_stability_bound(replay, entry.edge)
+            moves.append((forms, tau, cap, entry.weight))
+            sherman_morrison_update(replay.caches, entry.edge, entry.weight)
+    return moves
+
+
+def test_sensitivity_weights_and_kappa_star_are_where_the_slope_changes_sign():
+    moves = _sensitivity_moves(seed=72, count=12)
+    assert len(moves) >= 15
+    for forms, tau, cap, weight in moves:
+        assert 0.0 < weight <= cap
+        if weight != cap:
+            assert _fit_slope(forms, tau, math.nextafter(weight, 0.0)) < 0.0
+            assert _fit_slope(forms, tau, weight) >= 0.0
+    rng = np.random.default_rng(73)
+    for index in range(12):
+        g = random_connected_graph(rng, min_nodes=4, max_nodes=12)
+        if index % 4 == 3:
+            # Scaled up, so that the scaling bracket's delay stays below pi / (2 z).
+            g = _six_decades(rng, g).scaled(1e6)
+        out = OutputSpec.centering(g.node_count)
+        tau = stable_delay(g, (0.4, 0.9)[index % 2])
+        modes, weights = _nonzero_modes(eigendecompose(g.laplacian()), out)
+
+        def scaled_slope(kappa):
+            x = kappa * modes * tau
+            half_gap = 0.5 * (math.pi / 2.0 - x)
+            return float(np.sum(weights * (x - np.cos(x)) / (x * np.sin(half_gap) ** 2)))
+
+        result = reweight_scale(g, out, tau)
+        kappa, hi = result.kappa_star, result.bracket[1]
+        assert result.bracket[0] < kappa <= hi
+        if kappa != hi:
+            assert scaled_slope(math.nextafter(kappa, 0.0)) < 0.0 <= scaled_slope(kappa)
+
+
+def _root_at_50_digits(forms, tau: float, cap: float) -> float | None:
+    """The root on (0, cap) of the one-move fit slope from the same float
+    forms, by 50-digit bisection; None when the slope is negative at cap."""
+    with mpmath.workdps(50):
+        q_lap_gram, q_lap, q_shift_gram, q_shift, gram_form = (mpmath.mpf(f) for f in forms)
+        t = mpmath.mpf(tau)
+
+        def slope(w):
+            return (
+                mpmath.mpf(FIT_SLOPE) / 2 * t * t * gram_form
+                - q_lap_gram / (2 * (1 + w * q_lap) ** 2)
+                + 2 * t * t / mpmath.pi * q_shift_gram / (1 - w * t * q_shift) ** 2
+            )
+
+        lo, hi = mpmath.mpf(0), mpmath.mpf(cap)
+        if slope(hi) < 0:
+            return None
+        for _ in range(400):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if slope(mid) < 0 else (lo, mid)
+        return float(hi)
+
+
+def test_sensitivity_weights_match_a_50_digit_root_of_the_slope():
+    # The slope is increasing on (0, cap), so its root is the one-move minimizer.
+    moves = _sensitivity_moves(seed=74, count=20)
+    assert len(moves) >= 25
+    for forms, tau, cap, weight in moves:
+        root = _root_at_50_digits(forms, tau, cap)
+        if root is None:
+            assert weight == cap
+        else:
+            assert abs(weight - root) <= 1e-13 * root, (weight, root)
 
 
 # --- grow_by_sensitivity ---

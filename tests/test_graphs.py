@@ -17,7 +17,6 @@ from tdconsensus import (
     SingularUpdate,
     WeightedGraph,
     delay_shift_matrix,
-    edge_quadratic_form,
     eigendecompose,
     is_bridge,
     pseudo_inverse,
@@ -296,7 +295,7 @@ def test_effective_resistance_on_paths_is_distance():
         pinv = pseudo_inverse(eigendecompose(WeightedGraph.path(n).laplacian()))
         for u in range(n):
             for v in range(u + 1, n):
-                r = edge_quadratic_form(pinv, u, v)
+                r = edge_quadratic_forms(pinv, u, v)
                 assert r == pytest.approx(v - u, abs=1e-10)
 
 
@@ -305,7 +304,7 @@ def test_effective_resistance_on_cycles():
     for n in (4, 7, 10):
         pinv = pseudo_inverse(eigendecompose(WeightedGraph.cycle(n).laplacian()))
         for k in range(1, n):
-            r = edge_quadratic_form(pinv, 0, k)
+            r = edge_quadratic_forms(pinv, 0, k)
             assert r == pytest.approx(k * (n - k) / n, abs=1e-10)
 
 
@@ -314,9 +313,9 @@ def test_resistance_scales_inversely_with_weight():
     g = random_connected_graph(rng)
     pinv = pseudo_inverse(eigendecompose(g.laplacian()))
     pinv_scaled = pseudo_inverse(eigendecompose(g.scaled(2.5).laplacian()))
-    for u, v, _ in g.edges:
-        r = edge_quadratic_form(pinv, u, v)
-        assert edge_quadratic_form(pinv_scaled, u, v) == pytest.approx(r / 2.5)
+    us, vs = np.array(g.edge_keys()).T
+    r = edge_quadratic_forms(pinv, us, vs)
+    assert edge_quadratic_forms(pinv_scaled, us, vs) == pytest.approx(r / 2.5)
 
 
 def test_is_bridge_matches_dfs_oracle():
@@ -515,7 +514,7 @@ def test_singular_update_leaves_every_cache_unchanged():
     out = OutputSpec.centering(5)
     delay = stable_delay(g, 0.5)
     caches = fresh_caches(g, out, delay)
-    q4 = edge_quadratic_form(caches.shift_pinv, 0, 2)
+    q4 = float(edge_quadratic_forms(caches.shift_pinv, 0, 2))
     before = [m.copy() for m in tracked_matrices(caches)]
     with pytest.raises(SingularUpdate):
         sherman_morrison_update(caches, (0, 2), 1.0 / (delay * q4))
@@ -562,7 +561,7 @@ def _pending_terms(caches: EdgeFormCaches) -> list:
     """Copies of both operators' pending terms, for exact comparison."""
     return [
         (pair.count, pair.terms[: pair.count].copy(), pair.alphas[: pair.count].copy(),
-         pair.drops[: pair.count].copy(), pair.diagonal.copy())
+         pair.diagonal.copy())
         for pair in (caches._lap, caches._shift)
     ]
 
@@ -628,7 +627,7 @@ def test_update_sequences_track_the_eigh_reference_or_raise_singular(
                 continue
             bound = math.inf
             if delay > 0.0:
-                bound = 1.0 / (delay * edge_quadratic_form(caches.shift_pinv, u, v))
+                bound = 1.0 / (delay * float(edge_quadratic_forms(caches.shift_pinv, u, v)))
             w = factor * min(bound, 4.0)
             sherman_morrison_update(caches, (u, v), w)
             g = g.with_edge(u, v, w)
@@ -651,11 +650,6 @@ def test_update_sequences_track_the_eigh_reference_or_raise_singular(
         _assert_tracks_fresh_caches(caches, g, out, delay, us, vs)
 
 
-def test_edge_quadratic_form_rejects_bad_nodes():
-    with pytest.raises(IndexOutOfRange):
-        edge_quadratic_form(np.eye(3), 0, 3)
-
-
 @pytest.mark.parametrize("kind", list(OutputKind))
 def test_edge_quadratic_form_is_the_vector_form_on_every_output_gram(kind):
     # Named kinds cache their gram as the scale s, whose every form is 2 s.
@@ -664,12 +658,11 @@ def test_edge_quadratic_form_is_the_vector_form_on_every_output_gram(kind):
     out = _output_spec(kind, 6, rng)
     gram = EdgeFormCaches.build(g.laplacian(), out.gram(), stable_delay(g, 0.5)).output_gram
     pairs = [(u, v) for u in range(6) for v in range(u + 1, 6)]
-    forms = [edge_quadratic_form(gram, u, v) for u, v in pairs]
+    forms = [float(edge_quadratic_forms(gram, u, v)) for u, v in pairs]
     us, vs = np.array(pairs).T
     assert forms == [float(q) for q in edge_quadratic_forms(gram, us, vs)]
+    c = output_matrix(out)
+    for (u, v), form in zip(pairs, forms):
+        assert form == pytest.approx(float(np.sum((c[:, u] - c[:, v]) ** 2)), rel=1e-12)
     if kind is not OutputKind.CUSTOM:
         assert forms == [2.0 * out.gram()] * len(pairs)
-    with pytest.raises(ValueError):
-        edge_quadratic_form(gram, 2, 2)
-    with pytest.raises(IndexOutOfRange):
-        edge_quadratic_form(gram, -1, 2)

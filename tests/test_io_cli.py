@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tdconsensus
 import tdconsensus.cli
 import tdconsensus.graphs
 from tdconsensus import (
@@ -342,6 +343,19 @@ def test_cli_import_loads_no_scipy_module():
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     )
     assert fresh_interpreter_output(code) == "[]"
+
+
+def test_package_exports_are_exactly_all():
+    # A name removed from its module but left in __all__ fails to resolve
+    # and breaks a star import.
+    exported = tdconsensus.__all__
+    assert len(set(exported)) == len(exported)
+    for name in exported:
+        getattr(tdconsensus, name)
+    namespace: dict = {}
+    exec("from tdconsensus import *", namespace)
+    namespace.pop("__builtins__")
+    assert sorted(namespace) == sorted(exported)
 
 
 def test_cli_argparse_rejects_unknown_command():

@@ -17,7 +17,6 @@ from tdconsensus import (
     cosine_fixed_point,
     crossover_delay,
     delay_sweep,
-    edge_quadratic_form,
     eigendecompose,
     hard_limit,
     make_output_spec,
@@ -31,6 +30,7 @@ from tdconsensus import (
     rho_exact,
     sensitivity,
 )
+from tdconsensus.graphs import edge_quadratic_forms
 from tdconsensus.performance import require_stable, sensitivities
 from conftest import (
     centering_matrix,
@@ -517,16 +517,20 @@ def test_sensitivity_zero_delay_is_exact_derivative():
     assert sensitivity(caches, (u, v)) == pytest.approx((low - base) / step, abs=1e-5)
 
 
+def _form(matrix, u: int, v: int) -> float:
+    return float(edge_quadratic_forms(matrix, u, v))
+
+
 def _sensitivity_loop(caches, u: int, v: int) -> float:
     """Per-pair reference for the vectorized form, in scalar arithmetic."""
     tau = caches.delay
-    q_lap_gram = edge_quadratic_form(caches.lap_pinv_gram, u, v)
+    q_lap_gram = _form(caches.lap_pinv_gram, u, v)
     if tau == 0.0:
         return -0.5 * q_lap_gram
     return (
-        0.5 * FIT_SLOPE * tau * tau * edge_quadratic_form(caches.output_gram, u, v)
+        0.5 * FIT_SLOPE * tau * tau * _form(caches.output_gram, u, v)
         - 0.5 * q_lap_gram
-        + (2.0 * tau * tau / math.pi) * edge_quadratic_form(caches.shift_pinv_gram, u, v)
+        + (2.0 * tau * tau / math.pi) * _form(caches.shift_pinv_gram, u, v)
     )
 
 
