@@ -28,6 +28,7 @@ from .graphs import (
     _check_endpoints,
     _edge_arrays,
     _edge_forms,
+    _singular,
     _update_denominator,
     eigendecompose,
     is_bridge,
@@ -40,6 +41,7 @@ from .performance import (
     _fit_slope,
     _modal_sum,
     _nonzero_modes,
+    _sign_change,
     check_stability,
     cosine_fixed_point,
     require_stable,
@@ -51,9 +53,6 @@ from .performance import (
 # Candidate weights must stay below (1 - EPS_STABILITY) times the edge
 # stability bound.
 EPS_STABILITY = 1e-6
-# No move of weight w on an edge of resistance r is scored with |1 + w r| at
-# or below this, near-zero rank-one denominators (a bridge's full removal).
-BRIDGE_TOLERANCE = 1e-6
 # Audit mode (exact-measure recomputation per iteration) defaults on up to
 # this many nodes.
 AUDIT_NODE_LIMIT = 200
@@ -245,13 +244,13 @@ def _fit_changes(
 
     An eligible move is scored when its weight stays below (1 - EPS_STABILITY)
     times the edge stability bound, as every removal does on a stable network,
-    and |1 + w r| > BRIDGE_TOLERANCE, as every addition does.
+    and sherman_morrison_update would accept it, as it does every addition.
     """
     idx = np.flatnonzero(eligible)
     forms = _edge_forms(state.caches, us[idx], vs[idx])
     _, q_lap, _, q_shift, _ = forms
     weights = ws[idx]
-    scored = np.abs(1.0 + weights * q_lap) > BRIDGE_TOLERANCE
+    scored = ~(_singular(weights, q_lap) | _singular(-state.delay * weights, q_shift))
     scored &= weights * (state.delay * q_shift) < 1.0 - EPS_STABILITY
     changes = np.full(len(ws), np.inf)
     changes[idx[scored]] = _fit_change(
@@ -405,22 +404,6 @@ def sparsify(state: DesignState, budget: int) -> DesignTrace:
     return _greedy(state, budget, next_move)
 
 
-def _sign_change(slope: Callable[[float], float], lo: float, hi: float) -> float:
-    """Where an increasing slope, negative at lo, turns nonnegative in (lo, hi]:
-    hi when slope(hi) < 0, else the upper end x of a bisection bracket shrunk
-    to adjacent floats, so that slope(nextafter(x, lo)) < 0 <= slope(x)."""
-    if slope(hi) < 0.0:
-        return hi
-    while math.nextafter(lo, hi) < hi:
-        # Halved before the sum, which stays finite for ends near the float maximum.
-        mid = 0.5 * lo + 0.5 * hi
-        if slope(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return hi
-
-
 def grow_by_sensitivity(
     state: DesignState, pairs: Sequence[tuple[int, int]], budget: int
 ) -> DesignTrace:
@@ -453,7 +436,7 @@ def grow_by_sensitivity(
         best = int(idx[pos])
         best_pair, best_slope = (int(us[best]), int(vs[best])), float(slopes[pos])
         forms = _edge_forms(state.caches, *best_pair)
-        bound = edge_stability_bound(state, best_pair)
+        bound = 1.0 / (state.delay * forms[3])
         if bound == math.inf:
             raise DomainError(
                 f"delay {state.delay} too small: the stability bound on pair "
@@ -510,12 +493,13 @@ def reweight_scale(graph: WeightedGraph, out: OutputSpec, delay: float) -> Rewei
     modes, weights = _nonzero_modes(spectrum, out)
     lam2, lam_max = float(modes[0]), float(modes[-1])
     z = cosine_fixed_point()
-    if z * delay >= math.pi / 2.0:
-        raise DomainError("delay too large: the scaling bracket is entirely unstable")
     lo = z / (delay * lam_max)
     hi = min(z / (delay * lam2), (1.0 - 1e-12) * math.pi / (2.0 * delay * lam_max))
     if hi * lam_max == math.inf:
         raise DomainError(f"delay {delay} too small: the optimal scale overflows a float")
+    # Subnormal scales lose the digits that keep the clamp's top mode stable.
+    if lo < np.finfo(float).tiny:
+        raise DomainError(f"delay {delay} too large: the optimal scale underflows a float")
 
     def scaled_slope(kappa: float) -> float:
         # The measure is delay * sum w g(x), x = kappa delay lambda, with

@@ -61,12 +61,6 @@ def parse_graph_text(text: str, source: str = "<string>") -> WeightedGraph:
         raise ParseError(f"{source}: {exc}") from exc
 
 
-def format_graph(graph: WeightedGraph) -> str:
-    lines = [f"n {graph.node_count}"]
-    lines.extend(f"{u} {v} {w:.17g}" for u, v, w in graph.edges)
-    return "\n".join(lines) + "\n"
-
-
 def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as handle:

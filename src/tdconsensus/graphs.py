@@ -552,13 +552,19 @@ def _edge_forms(caches: EdgeFormCaches, us: np.ndarray | int, vs: np.ndarray | i
     return [float(form) for form in forms] if np.ndim(us) == 0 else forms
 
 
-def _update_denominator(coefficient: float, quad: float, edge: Edge) -> float:
-    """1 + c q, the Sherman-Morrison denominator of A += c b bᵀ with q = bᵀ A⁺ b;
-    SingularUpdate when it is within SINGULAR_UPDATE_SCALE of its largest term."""
-    denom = 1.0 + coefficient * quad
-    if abs(denom) <= SINGULAR_UPDATE_SCALE * max(1.0, abs(coefficient * quad), abs(coefficient)):
+def _singular(coefficient, quad):
+    """Whether 1 + c q, the Sherman-Morrison denominator of A += c b bᵀ with
+    q = bᵀ A⁺ b, is within SINGULAR_UPDATE_SCALE of its largest term; elementwise."""
+    product = coefficient * quad
+    scale = np.maximum(np.maximum(1.0, np.abs(product)), np.abs(coefficient))
+    return np.abs(1.0 + product) <= SINGULAR_UPDATE_SCALE * scale
+
+
+def _update_denominator(coefficient: float, quad: float, edge: Edge) -> None:
+    """SingularUpdate where _singular holds for this one move."""
+    if _singular(coefficient, quad):
+        denom = 1.0 + coefficient * quad
         raise SingularUpdate(f"rank-one update denominator {denom:.3e} vanishes for edge {edge}")
-    return denom
 
 
 def sherman_morrison_update(caches: EdgeFormCaches, edge: Edge, dweight: float) -> None:

@@ -10,7 +10,7 @@ matrix observes that mode.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -349,6 +349,22 @@ def _fit_slope(forms: list, tau: float, weights: np.ndarray | float) -> np.ndarr
     )
 
 
+def _sign_change(slope: Callable[[float], float], lo: float, hi: float) -> float:
+    """Where an increasing slope, negative at lo, turns nonnegative in (lo, hi]:
+    hi when slope(hi) < 0, else the upper end x of a bisection bracket shrunk
+    to adjacent floats, so that slope(nextafter(x, lo)) < 0 <= slope(x)."""
+    if slope(hi) < 0.0:
+        return hi
+    while math.nextafter(lo, hi) < hi:
+        # Halved before the sum, which stays finite for ends near the float maximum.
+        mid = 0.5 * lo + 0.5 * hi
+        if slope(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
 def sensitivities(caches: EdgeFormCaches, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     """sensitivity for every pair (us[i], vs[i]) at once; endpoints unchecked."""
     return _fit_slope(_edge_forms(caches, us, vs), caches.delay, 0.0)
@@ -382,7 +398,8 @@ def monotonicity_threshold(max_weighted_degree: float) -> float:
 class CrossoverResult:
     """Delay threshold past which the second graph outperforms the first.
 
-    bracket is the final sign-certified bisection interval:
+    bracket is the final sign-certified bisection interval, two adjacent
+    floats with tau_star the upper one:
     difference(bracket_low) <= 0 < difference(bracket_high), where
     difference = rho(first) - rho(second), read as zero within its
     rounding bound (CROSSOVER_ROUNDING_FACTOR). certified_dominance, when
@@ -428,11 +445,11 @@ def delay_sweep(
     taus = np.geomspace(1e-4 * tau_hi, (1.0 - 1e-9) * tau_hi, samples)
     # One scalar modal sum per delay: a (samples x modes) array costs more memory.
     rho = tuple(np.array([_modal_sum(*m, float(tau)) for tau in taus]) for m in modes)
-    crossover = _crossover(taus, tau_hi, spectra, modes, rho) if len(graphs) == 2 else None
+    crossover = _crossover(taus, spectra, modes, rho) if len(graphs) == 2 else None
     return DelaySweep(taus=taus, rho=rho, crossover=crossover)
 
 
-def _crossover(taus, tau_hi, spectra, modes, rho) -> CrossoverResult | None:
+def _crossover(taus, spectra, modes, rho) -> CrossoverResult | None:
     """crossover_delay from a two-graph sweep's grid values."""
     (spec_a, spec_b), (modes_a, modes_b) = spectra, modes
     rounding = CROSSOVER_ROUNDING_FACTOR * len(modes_a[0]) * np.finfo(float).eps
@@ -449,15 +466,16 @@ def _crossover(taus, tau_hi, spectra, modes, rho) -> CrossoverResult | None:
     if not np.all(diffs[last + 1 :] > 0.0):
         return None
 
-    lo, hi = float(taus[last]), float(taus[last + 1])
-    d_lo, d_hi = float(diffs[last]), float(diffs[last + 1])
-    while hi - lo > 1e-13 * tau_hi:
-        mid = 0.5 * (lo + hi)
-        d_mid = float(rounded(_modal_sum(*modes_a, mid), _modal_sum(*modes_b, mid)))
-        if d_mid > 0.0:
-            hi, d_hi = mid, d_mid
-        else:
-            lo, d_lo = mid, d_mid
+    def difference(tau: float) -> float:
+        return float(rounded(_modal_sum(*modes_a, tau), _modal_sum(*modes_b, tau)))
+
+    # The grid brackets the change: difference <= 0 at taus[last], > 0 after.
+    hi = _sign_change(
+        lambda tau: 1.0 if difference(tau) > 0.0 else -1.0,
+        float(taus[last]),
+        float(taus[last + 1]),
+    )
+    lo = math.nextafter(hi, 0.0)
 
     dominance = None
     edge_tau = math.pi / (2.0 * spec_a.lambda_max)
@@ -469,11 +487,11 @@ def _crossover(taus, tau_hi, spectra, modes, rho) -> CrossoverResult | None:
             edge_tau,
         )
     return CrossoverResult(
-        tau_star=0.5 * (lo + hi),
+        tau_star=hi,
         bracket_low=lo,
         bracket_high=hi,
-        difference_low=d_lo,
-        difference_high=d_hi,
+        difference_low=difference(lo),
+        difference_high=difference(hi),
         certified_dominance=dominance,
     )
 
@@ -487,11 +505,11 @@ def crossover_delay(
     """Smallest delay past which graph_b beats graph_a at every sample.
 
     Scans delay_sweep's grid over the common stability interval, then
-    bisects the last sign change of rho(graph_a) - rho(graph_b). A
-    difference within the modal sums' rounding bound counts as zero, both
-    on the grid and in the bisection. Returns None when the difference is
-    never negative or never changes sign on the grid, or when it is not
-    positive at every sample past the last change.
+    bisects the last sign change of rho(graph_a) - rho(graph_b) to adjacent
+    floats. A difference within the modal sums' rounding bound counts as
+    zero, both on the grid and in the bisection. Returns None when the
+    difference is never negative or never changes sign on the grid, or
+    when it is not positive at every sample past the last change.
     """
     return delay_sweep((graph_a, graph_b), out, samples).crossover
 

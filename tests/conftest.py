@@ -70,6 +70,13 @@ def stable_delay(graph: WeightedGraph, fraction: float = 0.5) -> float:
     return fraction * math.pi / (2.0 * lam_max)
 
 
+def format_graph(graph: WeightedGraph) -> str:
+    """The graph file text parse_graph_text reads back to the same graph."""
+    lines = [f"n {graph.node_count}"]
+    lines.extend(f"{u} {v} {w:.17g}" for u, v, w in graph.edges)
+    return "\n".join(lines) + "\n"
+
+
 def bridge_oracle(graph: WeightedGraph) -> set[tuple[int, int]]:
     """All bridges by the classic DFS low-link pass (iterative)."""
     n = graph.node_count

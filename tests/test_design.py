@@ -48,7 +48,7 @@ from conftest import (
     stable_delay,
     tracked_matrices,
 )
-from tdconsensus.design import _sign_change
+from tdconsensus.design import _fit_changes, _sign_change
 from tdconsensus.graphs import PENDING_TERM_CAP, _edge_forms, edge_quadratic_forms
 from tdconsensus.performance import _fit_slope, _nonzero_modes, sensitivities
 
@@ -358,7 +358,8 @@ def test_grow_by_sensitivity_refuses_weights_past_the_eigh_floor(audit):
 
 def test_edge_contribution_raises_exactly_when_the_update_does():
     # Both test the rank-one denominator 1 + c q on the same edge form, so
-    # the closed form refuses a move exactly when the cache update would.
+    # the closed form refuses a move exactly when the cache update would,
+    # and the drivers score a move below the stability cap exactly then too.
     g = WeightedGraph.path(5)
     state = DesignState.from_graph(g, OutputSpec.centering(5), stable_delay(g, 0.5))
     bound = edge_stability_bound(state, (0, 2))
@@ -367,6 +368,11 @@ def test_edge_contribution_raises_exactly_when_the_update_does():
         for f in (1 - 1e-6, 1 - 1e-10, 1 - 1e-12, 1 - 3e-13, 1 - 1e-13, 1 - 1e-14, 1.0,
                   1 + 1e-14, 1 + 1e-12)
     ] + [((0, 1), -f * g.weight(0, 1)) for f in (1.0, 1 - 1e-13, 1 - 1e-15)]
+    # Removing the heavy edge leaves 1 - w r = 5e-6 of a largest term 1e7:
+    # singular to the update, though not a bridge.
+    heavy = WeightedGraph(3, ((0, 1, 1e7), (0, 2, 100.0), (1, 2, 100.0)))
+    heavy_state = DesignState.from_graph(heavy, OutputSpec.centering(3), stable_delay(heavy, 0.5))
+    heavy_cases = [((0, 1), -1e7), ((0, 2), -100.0), ((0, 1), -1e7 * (1 - 1e-5))]
 
     def raises(fn):
         try:
@@ -375,12 +381,21 @@ def test_edge_contribution_raises_exactly_when_the_update_does():
             return True
         return False
 
-    for edge, weight in cases:
-        closed_form = raises(lambda: edge_contribution(state, edge, weight))
-        update = raises(
-            lambda: sherman_morrison_update(copy.deepcopy(state.caches), edge, weight)
-        )
-        assert closed_form == update, (edge, weight)
+    for state_, cases_ in ((state, cases), (heavy_state, heavy_cases)):
+        for edge, weight in cases_:
+            closed_form = raises(lambda: edge_contribution(state_, edge, weight))
+            update = raises(
+                lambda: sherman_morrison_update(copy.deepcopy(state_.caches), edge, weight)
+            )
+            assert closed_form == update, (edge, weight)
+            q_shift = _edge_forms(state_.caches, *edge)[3]
+            if weight * (state_.delay * q_shift) < 1.0 - EPS_STABILITY:
+                changes = _fit_changes(
+                    state_, np.array([edge[0]]), np.array([edge[1]]), np.array([weight]),
+                    np.ones(1, dtype=bool),
+                )
+                assert math.isfinite(changes[0]) == (not update), (edge, weight)
+    assert raises(lambda: edge_contribution(heavy_state, (0, 1), -1e7))
     # A non-finite weight is refused by both before anything is read or written.
     before = [m.copy() for m in tracked_matrices(state.caches)]
     for weight in (math.nan, math.inf, -math.inf):
@@ -850,8 +865,7 @@ def test_sensitivity_weights_and_kappa_star_are_where_the_slope_changes_sign():
     for index in range(12):
         g = random_connected_graph(rng, min_nodes=4, max_nodes=12)
         if index % 4 == 3:
-            # Scaled up, so that the scaling bracket's delay stays below pi / (2 z).
-            g = _six_decades(rng, g).scaled(1e6)
+            g = _six_decades(rng, g)
         out = OutputSpec.centering(g.node_count)
         tau = stable_delay(g, (0.4, 0.9)[index % 2])
         modes, weights = _nonzero_modes(eigendecompose(g.laplacian()), out)
@@ -1126,7 +1140,13 @@ def test_reweight_domain_errors():
     out = OutputSpec.centering(4)
     with pytest.raises(DomainError):
         reweight_scale(g, out, 0.0)
-    with pytest.raises(DomainError):
-        reweight_scale(g, out, 2.2)  # fixed point argument past the boundary
+    # Long delays are accepted: the measure reads kappa * delay * lambda, so
+    # weights 1e3 larger at a delay 1e3 shorter give the same optimal scale;
+    # only a scale that underflows a float is refused.
+    long_delay = reweight_scale(g, out, 2.2).kappa_star
+    short_delay = reweight_scale(g.scaled(1e3), out, 2.2e-3).kappa_star
+    assert abs(long_delay - short_delay) <= 1e-12 * short_delay
+    with pytest.raises(DomainError, match="underflows"):
+        reweight_scale(g, out, 3e307)
     with pytest.raises(DisconnectedGraph):
         reweight_scale(WeightedGraph(4, ((0, 1, 1.0),)), out, 0.1)

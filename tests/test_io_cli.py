@@ -3,6 +3,7 @@
 import ast
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -25,7 +26,6 @@ from tdconsensus import (
     csv_cell,
     eigendecompose,
     file_digest,
-    format_graph,
     grow_simple,
     hard_limit,
     load_candidates,
@@ -42,7 +42,12 @@ from tdconsensus import (
     to_jsonable,
 )
 from tdconsensus.cli import main
-from conftest import fresh_interpreter_output, random_connected_graph, stable_delay
+from conftest import (
+    format_graph,
+    fresh_interpreter_output,
+    random_connected_graph,
+    stable_delay,
+)
 
 
 # --- graph text format ---
@@ -356,6 +361,41 @@ def test_package_exports_are_exactly_all():
     exec("from tdconsensus import *", namespace)
     namespace.pop("__builtins__")
     assert sorted(namespace) == sorted(exported)
+
+
+# Exports kept without a reader: the paper's closed forms and bounds, and the
+# inverse of report_json.
+UNREAD_EXPORTS = {
+    "mode_variance",
+    "mode_variance_fit",
+    "monotonicity_threshold",
+    "contribution_upper_bound",
+    "edge_stability_bound",
+    "parse_report_json",
+}
+
+
+def test_every_export_has_a_reader():
+    # A reader is a name, attribute or string (perfbench traces functions by
+    # name) in the package outside __init__, in perfbench, or a word of a
+    # README python example; a definition or an import reads nothing.
+    package = Path(tdconsensus.__file__).resolve().parent
+    root = package.parents[1]
+    read: set[str] = set()
+    modules = [p for p in package.glob("*.py") if p.name != "__init__.py"]
+    for path in modules + sorted((root / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    for block in re.findall(r"```python\n(.*?)```", readme, re.S):
+        read.update(re.findall(r"\w+", block))
+    unread = [name for name in tdconsensus.__all__ if name not in read | UNREAD_EXPORTS]
+    assert unread == []
 
 
 def test_cli_argparse_rejects_unknown_command():

@@ -375,6 +375,8 @@ def test_crossover_path_five_versus_star_five():
     assert result.tau_star == pytest.approx(0.26839504, abs=1e-6)
     assert result.difference_low <= 0.0 < result.difference_high
     assert result.bracket_low <= result.tau_star <= result.bracket_high
+    # the bisection runs until no float lies between the bracket's ends
+    assert math.nextafter(result.bracket_low, math.inf) == result.bracket_high
     # the star has the larger lambda_max, so a certified window exists and
     # the crossover sits at or left of it
     assert result.certified_dominance is not None
