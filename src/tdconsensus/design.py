@@ -21,6 +21,7 @@ from .errors import (
     ConfigError,
     DomainError,
     NoFeasibleCandidate,
+    SingularUpdate,
 )
 from .graphs import (
     EdgeFormCaches,
@@ -28,8 +29,7 @@ from .graphs import (
     _check_endpoints,
     _edge_arrays,
     _edge_forms,
-    _singular,
-    _update_denominator,
+    _refused,
     eigendecompose,
     is_bridge,
     sherman_morrison_update,
@@ -181,7 +181,7 @@ class DesignState:
 
 def _fit_change(forms: list, tau: float, weights: np.ndarray | float) -> np.ndarray | float:
     """Exact fit change from adding weights (negative: removing) on the pairs of
-    these _edge_forms; callers keep both denominators away from zero. Every
+    these _edge_forms; callers keep both denominators positive (_refused). Every
     delay term carries tau, so at zero delay only the resistance term is left."""
     q_lap_gram, q_lap, q_shift_gram, q_shift, gram_form = forms
     # The shift term in terms of w * tau, which stays finite at subnormal
@@ -208,8 +208,8 @@ def edge_contribution(state: DesignState, edge: tuple[int, int], weight: float) 
         return 0.0
     forms = _edge_forms(state.caches, *edge)
     _, q_lap, _, q_shift, _ = forms
-    _update_denominator(weight, q_lap, edge)
-    _update_denominator(-state.delay * weight, q_shift, edge)
+    if _refused(state.delay, weight, q_lap, q_shift):
+        raise SingularUpdate(f"{weight} on edge {edge} leaves an operator singular or indefinite")
     return float(_fit_change(forms, state.delay, weight))
 
 
@@ -250,7 +250,7 @@ def _fit_changes(
     forms = _edge_forms(state.caches, us[idx], vs[idx])
     _, q_lap, _, q_shift, _ = forms
     weights = ws[idx]
-    scored = ~(_singular(weights, q_lap) | _singular(-state.delay * weights, q_shift))
+    scored = ~_refused(state.delay, weights, q_lap, q_shift)
     scored &= weights * (state.delay * q_shift) < 1.0 - EPS_STABILITY
     changes = np.full(len(ws), np.inf)
     changes[idx[scored]] = _fit_change(

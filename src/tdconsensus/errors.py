@@ -18,7 +18,7 @@ class EdgeNotInGraph(ToolError, KeyError):
 
 
 class SingularUpdate(ToolError, ArithmeticError):
-    """A rank-one cache update hit a vanishing denominator."""
+    """A rank-one move would leave a cached operator singular or indefinite."""
 
 
 class DisconnectedGraph(ToolError, ValueError):

@@ -388,7 +388,7 @@ class _DeferredPair:
 
         b is orthogonal to the all-ones kernel, so the Sherman-Morrison
         identity applies to these pseudo-inverses unchanged. Callers test the
-        denominator first, by _update_denominator.
+        denominator first, by _refused.
         """
         # p = P b and z = Y b, O(n k): row 0 of steps holds the base column
         # differences and row j + 1 what term j adds, -alpha_j (bᵀp_j) p_j
@@ -552,19 +552,17 @@ def _edge_forms(caches: EdgeFormCaches, us: np.ndarray | int, vs: np.ndarray | i
     return [float(form) for form in forms] if np.ndim(us) == 0 else forms
 
 
-def _singular(coefficient, quad):
-    """Whether 1 + c q, the Sherman-Morrison denominator of A += c b bᵀ with
-    q = bᵀ A⁺ b, is within SINGULAR_UPDATE_SCALE of its largest term; elementwise."""
-    product = coefficient * quad
-    scale = np.maximum(np.maximum(1.0, np.abs(product)), np.abs(coefficient))
-    return np.abs(1.0 + product) <= SINGULAR_UPDATE_SCALE * scale
-
-
-def _update_denominator(coefficient: float, quad: float, edge: Edge) -> None:
-    """SingularUpdate where _singular holds for this one move."""
-    if _singular(coefficient, quad):
-        denom = 1.0 + coefficient * quad
-        raise SingularUpdate(f"rank-one update denominator {denom:.3e} vanishes for edge {edge}")
+def _refused(delay, weights, q_lap, q_shift):
+    """Whether a move of weight w, c b bᵀ on the Laplacian (c = w) and on the
+    shifted operator (c = -delay w), leaves either singular or indefinite on 1⊥:
+    whether some denominator 1 + c q, q = bᵀ A⁺ b, is at or below
+    SINGULAR_UPDATE_SCALE times its largest term; elementwise."""
+    refused = False
+    for coefficient, quad in ((weights, q_lap), (-delay * weights, q_shift)):
+        product = coefficient * quad
+        scale = np.maximum(np.maximum(1.0, np.abs(product)), np.abs(coefficient))
+        refused = refused | (1.0 + product <= SINGULAR_UPDATE_SCALE * scale)
+    return refused
 
 
 def sherman_morrison_update(caches: EdgeFormCaches, edge: Edge, dweight: float) -> None:
@@ -574,27 +572,26 @@ def sherman_morrison_update(caches: EdgeFormCaches, edge: Edge, dweight: float) 
     change as one pending term of n-vectors, O(n k) with k terms pending
     (plus one O(n^2) product with a custom output's gram); every
     PENDING_TERM_CAP-th update folds the terms into the matrices, O(n^2 k).
-    The Laplacian is edited in place. Raises SingularUpdate when a
-    denominator vanishes: weight at the edge-level stability bound on the
-    shifted side, or removal of a full bridge weight on the Laplacian side.
+    The Laplacian is edited in place. Raises SingularUpdate, changing nothing,
+    when a denominator is not positive (_refused): the Laplacian side then
+    describes a disconnected graph (a bridge removed), the shifted side an
+    unstable network (weight at or past the edge stability bound).
     """
     u, v = _check_endpoints(caches.laplacian.shape[0], *edge)
     if not np.isfinite(dweight):
         raise ValueError(f"weight change on edge {(u, v)} must be finite, got {dweight}")
-    # The denominators read the edge forms edge_contribution reads, so the two
-    # raise together. The shifted operator changes by -delay * dweight on the
-    # same edge. An operator whose coefficient is zero is left as it is: at zero
+    # The test reads the edge forms edge_contribution reads, so the two raise
+    # together. An operator whose coefficient is zero is left as it is: at zero
     # delay the shifted operator is (pi/2) times the centering projector on
-    # every graph.
+    # every graph. Both terms are formed before either is kept, so an error
+    # leaves every cache as it was.
     _, q_lap, _, q_shift, _ = _edge_forms(caches, u, v)
-    operators = [(caches._lap, dweight, q_lap), (caches._shift, -caches.delay * dweight, q_shift)]
-    operators = [operator for operator in operators if operator[1] != 0.0]
-    # Both denominators are tested before any term is kept, so a
-    # SingularUpdate leaves every cache as it was.
-    for _, coefficient, quad in operators:
-        _update_denominator(coefficient, quad, (u, v))
-    for pair, coefficient, _ in operators:
-        pair.add_term(*pair.update_term(u, v, coefficient))
+    if _refused(caches.delay, dweight, q_lap, q_shift):
+        raise SingularUpdate(f"{dweight} on edge {u, v} leaves an operator singular or indefinite")
+    coefficients = ((caches._lap, dweight), (caches._shift, -caches.delay * dweight))
+    terms = [(pair, pair.update_term(u, v, c)) for pair, c in coefficients if c != 0.0]
+    for pair, term in terms:
+        pair.add_term(*term)
     lap = caches.laplacian
     lap[u, u] += dweight
     lap[v, v] += dweight

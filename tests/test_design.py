@@ -366,13 +366,18 @@ def test_edge_contribution_raises_exactly_when_the_update_does():
     cases = [
         ((0, 2), f * bound)
         for f in (1 - 1e-6, 1 - 1e-10, 1 - 1e-12, 1 - 3e-13, 1 - 1e-13, 1 - 1e-14, 1.0,
-                  1 + 1e-14, 1 + 1e-12)
+                  1 + 1e-14, 1 + 1e-12, 1 + 1e-6, 2.0, 10.0)
     ] + [((0, 1), -f * g.weight(0, 1)) for f in (1.0, 1 - 1e-13, 1 - 1e-15)]
     # Removing the heavy edge leaves 1 - w r = 5e-6 of a largest term 1e7:
     # singular to the update, though not a bridge.
     heavy = WeightedGraph(3, ((0, 1, 1e7), (0, 2, 100.0), (1, 2, 100.0)))
     heavy_state = DesignState.from_graph(heavy, OutputSpec.centering(3), stable_delay(heavy, 0.5))
     heavy_cases = [((0, 1), -1e7), ((0, 2), -100.0), ((0, 1), -1e7 * (1 - 1e-5))]
+    # Removing 3 from a unit edge of a 5-cycle, whose edge form is 4/5, makes
+    # the Laplacian indefinite: 1 - 3 (4/5) < 0.
+    ring = WeightedGraph.cycle(5)
+    ring_state = DesignState.from_graph(ring, OutputSpec.centering(5), stable_delay(ring, 0.5))
+    ring_cases = [((0, 1), -3.0), ((0, 1), -1.0)]
 
     def raises(fn):
         try:
@@ -381,13 +386,17 @@ def test_edge_contribution_raises_exactly_when_the_update_does():
             return True
         return False
 
-    for state_, cases_ in ((state, cases), (heavy_state, heavy_cases)):
+    refused = {}
+    states = {"path": (state, cases), "heavy": (heavy_state, heavy_cases),
+              "ring": (ring_state, ring_cases)}
+    for name, (state_, cases_) in states.items():
         for edge, weight in cases_:
             closed_form = raises(lambda: edge_contribution(state_, edge, weight))
             update = raises(
                 lambda: sherman_morrison_update(copy.deepcopy(state_.caches), edge, weight)
             )
             assert closed_form == update, (edge, weight)
+            refused[name, edge, weight] = update
             q_shift = _edge_forms(state_.caches, *edge)[3]
             if weight * (state_.delay * q_shift) < 1.0 - EPS_STABILITY:
                 changes = _fit_changes(
@@ -395,6 +404,11 @@ def test_edge_contribution_raises_exactly_when_the_update_does():
                     np.ones(1, dtype=bool),
                 )
                 assert math.isfinite(changes[0]) == (not update), (edge, weight)
+    # Every addition at or past the stability bound and the over-removal are
+    # refused, not only those whose denominator is near zero; the ring loses
+    # a whole unit edge and stays connected.
+    assert all(refused["path", edge, weight] for edge, weight in cases if weight >= bound)
+    assert refused["ring", (0, 1), -3.0] and not refused["ring", (0, 1), -1.0]
     assert raises(lambda: edge_contribution(heavy_state, (0, 1), -1e7))
     # A non-finite weight is refused by both before anything is read or written.
     before = [m.copy() for m in tracked_matrices(state.caches)]

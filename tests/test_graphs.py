@@ -507,18 +507,52 @@ def test_twenty_update_composition_drift_stays_small():
     assert max_cache_drift(caches, fresh_caches(g, out, delay)) < 1e-6
 
 
+def _caches_with_a_pending_term(g: WeightedGraph) -> EdgeFormCaches:
+    """Caches at half the stability threshold, one reduction already pending."""
+    caches = EdgeFormCaches.build(
+        g.laplacian(), OutputSpec.centering(g.node_count).gram(), stable_delay(g, 0.5)
+    )
+    u, v, w = g.edges[0]
+    sherman_morrison_update(caches, (u, v), -0.25 * w)
+    return caches
+
+
 def test_singular_update_leaves_every_cache_unchanged():
-    # The Laplacian side passes and the shifted side hits the stability
-    # bound: nothing may be written before the second test fails.
-    g = WeightedGraph.cycle(5)
-    out = OutputSpec.centering(5)
-    delay = stable_delay(g, 0.5)
-    caches = fresh_caches(g, out, delay)
-    q4 = float(edge_quadratic_forms(caches.shift_pinv, 0, 2))
-    before = [m.copy() for m in tracked_matrices(caches)]
-    with pytest.raises(SingularUpdate):
-        sherman_morrison_update(caches, (0, 2), 1.0 / (delay * q4))
-    assert all(np.array_equal(a, b) for a, b in zip(before, tracked_matrices(caches)))
+    # The Laplacian side passes and the shifted side reaches or passes the
+    # stability bound: nothing may be written before the second test fails.
+    # Past the bound the denominator is negative, not near zero: the network
+    # would be unstable.
+    cases = [
+        (WeightedGraph.cycle(5), (0, 2), 1.0),
+        (WeightedGraph.cycle(5), (0, 2), 2.0),
+        (WeightedGraph.path(6), (0, 5), 2.0),
+    ]
+    for g, edge, factor in cases:
+        caches = _caches_with_a_pending_term(g)
+        q4 = float(edge_quadratic_forms(caches.shift_pinv, *edge))
+        before = [m.copy() for m in tracked_matrices(caches)]
+        pending = _pending_terms(caches)
+        with pytest.raises(SingularUpdate):
+            sherman_morrison_update(caches, edge, factor / (caches.delay * q4))
+        assert all(np.array_equal(a, b) for a, b in zip(before, tracked_matrices(caches)))
+        assert _same_pending_terms(pending, _pending_terms(caches))
+
+
+def test_an_error_forming_either_term_leaves_every_cache_unchanged(monkeypatch):
+    # Both operators' terms are formed before either is kept, so an error in
+    # the second leaves the first operator's pending terms as they were too.
+    caches = _caches_with_a_pending_term(WeightedGraph.cycle(5))
+    lap = caches.laplacian.copy()
+    pending = _pending_terms(caches)
+
+    def overflow(*args):
+        raise FloatingPointError("overflow")
+
+    monkeypatch.setattr(caches._shift, "update_term", overflow)
+    with pytest.raises(FloatingPointError):
+        sherman_morrison_update(caches, (0, 2), 0.3)
+    assert np.array_equal(caches.laplacian, lap)
+    assert _same_pending_terms(pending, _pending_terms(caches))
 
 
 def _output_spec(kind: OutputKind, n: int, rng: np.random.Generator) -> OutputSpec:

@@ -4,6 +4,7 @@ import ast
 import json
 import math
 import re
+import shlex
 import sys
 from pathlib import Path
 
@@ -531,6 +532,45 @@ def test_cli_sweep_no_crossover_comment(tmp_path, capsys):
     p4b = _write_graph(tmp_path, "p4b.txt", WeightedGraph.path(4))
     assert main(["sweep-tau", p4, p4b, "--samples", "30"]) == 0
     assert "# crossover = none" in capsys.readouterr().out
+
+
+def _readme_block(readme: str, opening: str) -> str:
+    """The fenced block of README.md whose text starts with opening."""
+    return next(b for b in re.findall(r"```\w*\n(.*?)```", readme, re.S) if b.startswith(opening))
+
+
+def _readme_command(readme: str, opening: str) -> list[str]:
+    """The arguments after the program name of the documented command."""
+    return shlex.split(_readme_block(readme, opening))[1:]
+
+
+def test_readme_cli_examples_print_what_they_document(tmp_path, capsys, monkeypatch):
+    # The README's analyze report and sweep trailer are run as written, so
+    # the documented numbers cannot drift from what the commands print.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    Path("path4.txt").write_text(_readme_block(readme, "# path on 4 nodes\n"))
+    documented = json.loads(_readme_block(readme, '{\n  "command": "analyze"'))
+    assert main(_readme_command(readme, "tdconsensus analyze ")) == 0
+    report = json.loads(capsys.readouterr().out)
+    for section in ("spectrum", "performance"):
+        assert report[section].keys() == documented[section].keys()
+        for key, value in documented[section].items():
+            expected = pytest.approx(value, rel=1e-12, abs=0.0)
+            assert report[section][key] == expected, (section, key)
+    Path("star5.txt").write_text(format_graph(WeightedGraph.star(5)))
+    Path("path5.txt").write_text(format_graph(WeightedGraph.path(5)))
+    assert main(_readme_command(readme, "tdconsensus sweep-tau ")) == 0
+    printed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("#")]
+    trailer = [line for line in _readme_block(readme, "tau,").splitlines() if line.startswith("#")]
+    assert len(printed) == len(trailer) == 3
+    for ours, theirs in zip(printed, trailer):
+        name, numbers = ours.split(" = ")
+        documented_name, documented_numbers = theirs.split(" = ")
+        assert name == documented_name
+        assert [float(x) for x in numbers.split()] == pytest.approx(
+            [float(x) for x in documented_numbers.split()], rel=1e-12, abs=0.0
+        )
 
 
 def test_cli_sweep_mismatched_node_counts(tmp_path, capsys):
