@@ -21,12 +21,11 @@ from .errors import (
     ConfigError,
     DomainError,
     NoFeasibleCandidate,
-    SingularUpdate,
 )
 from .graphs import (
     EdgeFormCaches,
     WeightedGraph,
-    _check_endpoints,
+    _checked_move,
     _edge_arrays,
     _edge_forms,
     _refused,
@@ -96,7 +95,6 @@ class CandidateSet:
 
     def validate_against(self, graph: WeightedGraph) -> None:
         for u, v, _ in self.entries:
-            _check_endpoints(graph.node_count, u, v)
             if graph.has_edge(u, v):
                 raise ValueError(f"candidate ({u}, {v}) is already an edge")
 
@@ -197,20 +195,13 @@ def _fit_change(forms: list, tau: float, weights: np.ndarray | float) -> np.ndar
 def edge_contribution(state: DesignState, edge: tuple[int, int], weight: float) -> float:
     """Fit change from adding weight on the edge; exact rank-one difference.
 
-    Zero weight contributes zero. A negative weight evaluates removing that
-    much weight from a present edge. Raises SingularUpdate exactly when
-    sherman_morrison_update would on this move.
+    A negative weight evaluates removing that much from the edge's present
+    weight, down to zero at most and never from an absent pair; zero weight
+    contributes zero. Raises as the update's checks (graphs._checked_move)
+    would on this move; only the update's overflow test is its own.
     """
-    edge = _check_endpoints(state.graph.node_count, *edge)
-    if not math.isfinite(weight):
-        raise ValueError(f"weight on edge {edge} must be finite, got {weight}")
-    if weight == 0.0:
-        return 0.0
-    forms = _edge_forms(state.caches, *edge)
-    _, q_lap, _, q_shift, _ = forms
-    if _refused(state.delay, weight, q_lap, q_shift):
-        raise SingularUpdate(f"{weight} on edge {edge} leaves an operator singular or indefinite")
-    return float(_fit_change(forms, state.delay, weight))
+    forms = _checked_move(state.caches, edge, weight)[1]
+    return 0.0 if weight == 0.0 else float(_fit_change(forms, state.delay, weight))
 
 
 def edge_stability_bound(state: DesignState, edge: tuple[int, int]) -> float:
@@ -219,17 +210,13 @@ def edge_stability_bound(state: DesignState, edge: tuple[int, int]) -> float:
     The added weight w preserves stability iff w < bound, with equality
     already unstable. Unbounded (+inf) at zero delay.
     """
-    edge = _check_endpoints(state.graph.node_count, *edge)
-    if state.delay == 0.0:
-        return math.inf
-    _, _, _, q_shift, _ = _edge_forms(state.caches, *edge)
-    return 1.0 / (state.delay * q_shift)
+    q_shift = _checked_move(state.caches, edge, 0.0)[1][3]
+    return math.inf if state.delay == 0.0 else 1.0 / (state.delay * q_shift)
 
 
 def contribution_upper_bound(state: DesignState, edge: tuple[int, int]) -> float:
     """Weight-free ceiling on -edge_contribution over every feasible weight."""
-    edge = _check_endpoints(state.graph.node_count, *edge)
-    q_lap_gram, q_lap, _, q_shift, _ = _edge_forms(state.caches, *edge)
+    q_lap_gram, q_lap, _, q_shift, _ = _checked_move(state.caches, edge, 0.0)[1]
     return float(q_lap_gram / (2.0 * q_lap) - FIT_SLOPE * state.delay / q_shift)
 
 
@@ -244,7 +231,7 @@ def _fit_changes(
 
     An eligible move is scored when its weight stays below (1 - EPS_STABILITY)
     times the edge stability bound, as every removal does on a stable network,
-    and sherman_morrison_update would accept it, as it does every addition.
+    and the update's rule, _refused, accepts it, as it does every addition.
     """
     idx = np.flatnonzero(eligible)
     forms = _edge_forms(state.caches, us[idx], vs[idx])
@@ -436,7 +423,7 @@ def grow_by_sensitivity(
         best = int(idx[pos])
         best_pair, best_slope = (int(us[best]), int(vs[best])), float(slopes[pos])
         forms = _edge_forms(state.caches, *best_pair)
-        bound = 1.0 / (state.delay * forms[3])
+        bound = edge_stability_bound(state, best_pair)
         if bound == math.inf:
             raise DomainError(
                 f"delay {state.delay} too small: the stability bound on pair "

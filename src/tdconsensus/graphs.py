@@ -158,10 +158,9 @@ class WeightedGraph:
     def without_edge(self, u: int, v: int) -> "WeightedGraph":
         """This graph minus one edge, in O(E)."""
         key = _check_endpoints(self.node_count, int(u), int(v))
-        if key not in self._weights:
-            raise EdgeNotInGraph(f"edge {key} not in graph")
+        at = bisect.bisect_left(self.edges, (key[0], key[1], self.weight(*key)))
         weights = dict(self._weights)
-        at = bisect.bisect_left(self.edges, (key[0], key[1], weights.pop(key)))
+        del weights[key]
         return self._edited(self.edges[:at] + self.edges[at + 1 :], weights)
 
     def scaled(self, factor: float) -> "WeightedGraph":
@@ -321,8 +320,7 @@ def is_bridge(graph: WeightedGraph, edge: Edge) -> bool:
     """Whether removing the edge separates its endpoints: union-find over
     every other edge, so no weight enters the test."""
     key = _check_endpoints(graph.node_count, *edge)
-    if not graph.has_edge(*key):
-        raise EdgeNotInGraph(f"edge {key} not in graph")
+    graph.weight(*key)  # EdgeNotInGraph for an absent edge
     uf = _UnionFind(graph.node_count)
     for u, v, _ in graph.edges:
         if (u, v) != key:
@@ -388,7 +386,7 @@ class _DeferredPair:
 
         b is orthogonal to the all-ones kernel, so the Sherman-Morrison
         identity applies to these pseudo-inverses unchanged. Callers test the
-        denominator first, by _refused.
+        denominator first, by _checked_move.
         """
         # p = P b and z = Y b, O(n k): row 0 of steps holds the base column
         # differences and row j + 1 what term j adds, -alpha_j (bᵀp_j) p_j
@@ -565,31 +563,46 @@ def _refused(delay, weights, q_lap, q_shift):
     return refused
 
 
+def _checked_move(caches: EdgeFormCaches, edge: Edge, dweight: float) -> tuple[Edge, list]:
+    """The canonical edge and its five _edge_forms, once dweight on it passes,
+    in order: endpoints, a finite change, a present weight -laplacian[u, v]
+    (exact: every edit negates a graph-weight sum) that falls to zero at most
+    and never from an absent pair, and _refused. A zero change always passes."""
+    key = _check_endpoints(caches.laplacian.shape[0], *edge)
+    if not np.isfinite(dweight):
+        raise ValueError(f"weight change on edge {key} must be finite, got {dweight}")
+    weight = -caches.laplacian[key]
+    if dweight < 0.0 and weight == 0.0:
+        raise EdgeNotInGraph(f"edge {key} not in graph")
+    if weight + dweight < 0.0:
+        raise ValueError(f"{dweight} on edge {key} of weight {weight} leaves it negative")
+    forms = _edge_forms(caches, *key)
+    if _refused(caches.delay, dweight, forms[1], forms[3]):
+        raise SingularUpdate(f"{dweight} on edge {key} leaves an operator singular or indefinite")
+    return key, forms
+
+
 def sherman_morrison_update(caches: EdgeFormCaches, edge: Edge, dweight: float) -> None:
     """Apply a weight change on one edge to all four cached matrices.
 
-    dweight > 0 adds weight, dweight < 0 removes it. Each operator keeps the
-    change as one pending term of n-vectors, O(n k) with k terms pending
-    (plus one O(n^2) product with a custom output's gram); every
-    PENDING_TERM_CAP-th update folds the terms into the matrices, O(n^2 k).
-    The Laplacian is edited in place. Raises SingularUpdate, changing nothing,
-    when a denominator is not positive (_refused): the Laplacian side then
-    describes a disconnected graph (a bridge removed), the shifted side an
-    unstable network (weight at or past the edge stability bound).
+    dweight > 0 adds weight, dweight < 0 removes it, down to zero at most and
+    never from an absent pair. Each operator keeps the change as one pending
+    term of n-vectors, O(n k) with k terms pending (plus one O(n^2) product
+    with a custom output's gram); every PENDING_TERM_CAP-th update folds the
+    terms into the matrices, O(n^2 k). The Laplacian is edited in place.
+    Raises what _checked_move (and so edge_contribution) raises, and
+    SingularUpdate for an overflow or NaN forming the terms, changing nothing.
     """
-    u, v = _check_endpoints(caches.laplacian.shape[0], *edge)
-    if not np.isfinite(dweight):
-        raise ValueError(f"weight change on edge {(u, v)} must be finite, got {dweight}")
-    # The test reads the edge forms edge_contribution reads, so the two raise
-    # together. An operator whose coefficient is zero is left as it is: at zero
-    # delay the shifted operator is (pi/2) times the centering projector on
-    # every graph. Both terms are formed before either is kept, so an error
-    # leaves every cache as it was.
-    _, q_lap, _, q_shift, _ = _edge_forms(caches, u, v)
-    if _refused(caches.delay, dweight, q_lap, q_shift):
-        raise SingularUpdate(f"{dweight} on edge {u, v} leaves an operator singular or indefinite")
+    (u, v), _ = _checked_move(caches, edge, dweight)
+    # An operator whose coefficient is zero is left as it is: at zero delay the
+    # shifted operator is (pi/2) times the centering projector on every graph.
     coefficients = ((caches._lap, dweight), (caches._shift, -caches.delay * dweight))
-    terms = [(pair, pair.update_term(u, v, c)) for pair, c in coefficients if c != 0.0]
+    # Both terms are formed before either is kept, so an error leaves every cache as it was.
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            terms = [(pair, pair.update_term(u, v, c)) for pair, c in coefficients if c != 0.0]
+    except FloatingPointError as exc:
+        raise SingularUpdate(f"{dweight} on edge {u, v} leaves a cached term non-finite") from exc
     for pair, term in terms:
         pair.add_term(*term)
     lap = caches.laplacian

@@ -27,7 +27,7 @@ from .graphs import (
     EdgeFormCaches,
     SpectralCache,
     WeightedGraph,
-    _check_endpoints,
+    _checked_move,
     _edge_forms,
     eigendecompose,
 )
@@ -377,8 +377,7 @@ def sensitivity(caches: EdgeFormCaches, edge: tuple[int, int]) -> float:
     (marginal addition). At zero delay it reduces to the exact derivative
     of 0.5 Tr[gram @ lap_pinv].
     """
-    u, v = _check_endpoints(caches.laplacian.shape[0], *edge)
-    return float(sensitivities(caches, np.array([u]), np.array([v]))[0])
+    return float(_fit_slope(_checked_move(caches, edge, 0.0)[1], caches.delay, 0.0))
 
 
 def monotonicity_threshold(max_weighted_degree: float) -> float:

@@ -14,6 +14,7 @@ from tdconsensus import (
     DesignState,
     DisconnectedGraph,
     DomainError,
+    EdgeNotInGraph,
     EPS_STABILITY,
     FIT_SLOPE,
     IndexOutOfRange,
@@ -35,6 +36,7 @@ from tdconsensus import (
     rho_approx,
     rho_approx_from_caches,
     rho_exact,
+    sensitivity,
     sherman_morrison_update,
     sparsify,
 )
@@ -373,8 +375,9 @@ def test_edge_contribution_raises_exactly_when_the_update_does():
     heavy = WeightedGraph(3, ((0, 1, 1e7), (0, 2, 100.0), (1, 2, 100.0)))
     heavy_state = DesignState.from_graph(heavy, OutputSpec.centering(3), stable_delay(heavy, 0.5))
     heavy_cases = [((0, 1), -1e7), ((0, 2), -100.0), ((0, 1), -1e7 * (1 - 1e-5))]
-    # Removing 3 from a unit edge of a 5-cycle, whose edge form is 4/5, makes
-    # the Laplacian indefinite: 1 - 3 (4/5) < 0.
+    # Removing 3 from a unit edge of a 5-cycle, whose edge form is 4/5, would
+    # make the Laplacian indefinite, 1 - 3 (4/5) < 0; both refuse it first as
+    # more than the edge's weight (ValueError).
     ring = WeightedGraph.cycle(5)
     ring_state = DesignState.from_graph(ring, OutputSpec.centering(5), stable_delay(ring, 0.5))
     ring_cases = [((0, 1), -3.0), ((0, 1), -1.0)]
@@ -382,9 +385,9 @@ def test_edge_contribution_raises_exactly_when_the_update_does():
     def raises(fn):
         try:
             fn()
-        except SingularUpdate:
-            return True
-        return False
+        except (SingularUpdate, ValueError) as exc:
+            return type(exc), str(exc)
+        return None
 
     refused = {}
     states = {"path": (state, cases), "heavy": (heavy_state, heavy_cases),
@@ -403,12 +406,16 @@ def test_edge_contribution_raises_exactly_when_the_update_does():
                     state_, np.array([edge[0]]), np.array([edge[1]]), np.array([weight]),
                     np.ones(1, dtype=bool),
                 )
-                assert math.isfinite(changes[0]) == (not update), (edge, weight)
+                assert math.isfinite(changes[0]) == (update is None), (edge, weight)
     # Every addition at or past the stability bound and the over-removal are
     # refused, not only those whose denominator is near zero; the ring loses
     # a whole unit edge and stays connected.
-    assert all(refused["path", edge, weight] for edge, weight in cases if weight >= bound)
-    assert refused["ring", (0, 1), -3.0] and not refused["ring", (0, 1), -1.0]
+    assert all(
+        refused["path", edge, weight][0] is SingularUpdate
+        for edge, weight in cases if weight >= bound
+    )
+    assert refused["ring", (0, 1), -3.0][0] is ValueError
+    assert refused["ring", (0, 1), -1.0] is None
     assert raises(lambda: edge_contribution(heavy_state, (0, 1), -1e7))
     # A non-finite weight is refused by both before anything is read or written.
     before = [m.copy() for m in tracked_matrices(state.caches)]
@@ -418,6 +425,60 @@ def test_edge_contribution_raises_exactly_when_the_update_does():
         with pytest.raises(ValueError, match="finite"):
             sherman_morrison_update(state.caches, (0, 2), weight)
         assert all(np.array_equal(a, b) for a, b in zip(before, tracked_matrices(state.caches)))
+
+
+_PER_EDGE = {
+    "sherman_morrison_update": lambda state, edge, w: sherman_morrison_update(
+        state.caches, edge, w
+    ),
+    "edge_contribution": edge_contribution,
+    "edge_stability_bound": lambda state, edge, w: edge_stability_bound(state, edge),
+    "contribution_upper_bound": lambda state, edge, w: contribution_upper_bound(state, edge),
+    "sensitivity": lambda state, edge, w: sensitivity(state.caches, edge),
+}
+
+
+def test_a_move_may_take_an_edge_to_zero_weight_and_not_below():
+    # -laplacian[u, v] is the pair's present weight: a removal from an absent
+    # pair or past the weight describes no graph, though both operators would
+    # stay positive definite, and both paths refuse it before any write.
+    ring = WeightedGraph.cycle(5)
+    state = DesignState.from_graph(ring, OutputSpec.centering(5), stable_delay(ring, 0.5))
+    before = [m.copy() for m in tracked_matrices(state.caches)]
+    refused = [((0, 2), -0.5, EdgeNotInGraph, r"edge \(0, 2\) not in graph"),
+               ((0, 1), -1.1, ValueError, r"edge \(0, 1\) of weight 1\.0 leaves it negative")]
+    for edge, weight, error, message in refused:
+        for entry in ("edge_contribution", "sherman_morrison_update"):
+            with pytest.raises(error, match=message):
+                _PER_EDGE[entry](state, edge, weight)
+            after = tracked_matrices(state.caches)
+            assert all(np.array_equal(a, b) for a, b in zip(before, after))
+    assert math.isfinite(edge_contribution(state, (0, 1), -1.0))
+    sherman_morrison_update(state.caches, (0, 1), -1.0)
+    assert state.caches.laplacian[0, 1] == 0.0
+
+
+@pytest.mark.parametrize("entry", sorted(_PER_EDGE))
+def test_every_per_edge_entry_point_raises_the_same_errors(entry):
+    # One check serves all five, so each raises the same type with the same
+    # message; a copy of the check that drifted would fail here.
+    g = WeightedGraph.cycle(5)
+    state = DesignState.from_graph(g, OutputSpec.centering(5), stable_delay(g, 0.5))
+    cases = [
+        ((0, 5), IndexOutOfRange, "edge endpoint (0, 5) out of range for 5 nodes"),
+        ((-1, 2), IndexOutOfRange, "edge endpoint (-1, 2) out of range for 5 nodes"),
+        ((2, 2), ValueError, "self-loop at node 2 is not allowed"),
+    ]
+    for edge, error, message in cases:
+        with pytest.raises(error) as raised:
+            _PER_EDGE[entry](state, edge, 0.3)
+        assert type(raised.value) is error and str(raised.value) == message
+    if entry in ("sherman_morrison_update", "edge_contribution"):
+        for weight in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError) as raised:
+                _PER_EDGE[entry](state, (2, 0), weight)
+            message = f"weight change on edge (0, 2) must be finite, got {weight}"
+            assert type(raised.value) is ValueError and str(raised.value) == message
 
 
 # --- contribution upper bound ---

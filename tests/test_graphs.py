@@ -1,6 +1,7 @@
 """Graph container, spectral caches, and rank-one update fidelity."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tdconsensus import (
+    EPS_STABILITY,
+    DesignState,
     DisconnectedGraph,
     EdgeFormCaches,
     EdgeNotInGraph,
@@ -17,6 +20,7 @@ from tdconsensus import (
     SingularUpdate,
     WeightedGraph,
     delay_shift_matrix,
+    edge_stability_bound,
     eigendecompose,
     is_bridge,
     pseudo_inverse,
@@ -540,7 +544,8 @@ def test_singular_update_leaves_every_cache_unchanged():
 
 def test_an_error_forming_either_term_leaves_every_cache_unchanged(monkeypatch):
     # Both operators' terms are formed before either is kept, so an error in
-    # the second leaves the first operator's pending terms as they were too.
+    # the second leaves the first operator's pending terms as they were too;
+    # a floating-point error there is re-raised as SingularUpdate.
     caches = _caches_with_a_pending_term(WeightedGraph.cycle(5))
     lap = caches.laplacian.copy()
     pending = _pending_terms(caches)
@@ -549,9 +554,37 @@ def test_an_error_forming_either_term_leaves_every_cache_unchanged(monkeypatch):
         raise FloatingPointError("overflow")
 
     monkeypatch.setattr(caches._shift, "update_term", overflow)
-    with pytest.raises(FloatingPointError):
+    with pytest.raises(SingularUpdate, match="non-finite") as raised:
         sherman_morrison_update(caches, (0, 2), 0.3)
+    assert isinstance(raised.value.__cause__, FloatingPointError)
     assert np.array_equal(caches.laplacian, lap)
+    assert _same_pending_terms(pending, _pending_terms(caches))
+
+
+def test_an_overflow_forming_the_terms_raises_singular_update_without_a_warning():
+    # Additions at the drivers' cap, (1 - EPS_STABILITY) times the edge
+    # stability bound, grow the shift's pseudo-inverse about 1e6-fold a move
+    # until forming a term overflows (at move 26 here). The update raises
+    # SingularUpdate, not a RuntimeWarning, and keeps the caches it had.
+    g = WeightedGraph.path(12)
+    state = DesignState.from_graph(g, OutputSpec.centering(12), stable_delay(g, 0.5))
+    caches = state.caches
+
+    def stored():
+        bases = [(pair.inverse, pair.sandwich) for pair in (caches._lap, caches._shift)]
+        return [caches.laplacian.copy()] + [m.copy() for base in bases for m in base]
+
+    rng = np.random.default_rng(0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SingularUpdate, match="non-finite") as raised:
+            for _ in range(30):
+                edge = tuple(int(x) for x in rng.choice(12, 2, replace=False))
+                weight = (1.0 - EPS_STABILITY) * edge_stability_bound(state, edge)
+                before, pending = stored(), _pending_terms(caches)
+                sherman_morrison_update(caches, edge, weight)
+    assert isinstance(raised.value.__cause__, FloatingPointError)
+    assert all(np.array_equal(a, b) for a, b in zip(before, stored()))
     assert _same_pending_terms(pending, _pending_terms(caches))
 
 
