@@ -173,8 +173,8 @@ class DesignState:
         if not self.audit:
             return None, None
         spectrum = eigendecompose(self.caches.laplacian)
-        stability = require_stable(spectrum, self.delay)
-        return rho_exact(spectrum, self.out, self.delay), stability.margin
+        exact = rho_exact(spectrum, self.out, self.delay)  # raises when unstable
+        return exact, check_stability(spectrum, self.delay).margin
 
 
 def _fit_change(forms: list, tau: float, weights: np.ndarray | float) -> np.ndarray | float:

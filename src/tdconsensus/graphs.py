@@ -14,6 +14,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import bisect
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from numbers import Integral
 
@@ -22,6 +23,7 @@ import numpy as np
 from .errors import (
     ConvergenceFailure,
     DisconnectedGraph,
+    DomainError,
     EdgeNotInGraph,
     IndexOutOfRange,
     SingularUpdate,
@@ -252,24 +254,30 @@ class SpectralCache:
         return float(self.eigenvalues[-1])
 
     @property
-    def lambda_2(self) -> float:
-        """Smallest eigenvalue outside the kernel eigenpair.
-
-        Raises DisconnectedGraph unless it clears _zero_floor.
-        """
+    def nonzero_eigenvalues(self) -> np.ndarray:
+        """Eigenvalues outside the kernel eigenpair, ascending; raises
+        DisconnectedGraph unless the smallest clears _zero_floor."""
         rest = np.delete(self.eigenvalues, self.kernel_index)
         floor = _zero_floor(self.eigenvalues)
         if len(rest) == 0 or rest[0] <= floor:
             raise DisconnectedGraph(f"second kernel direction below {floor:.3e}: disconnected")
-        return float(rest[0])
+        return rest
+
+    @property
+    def lambda_2(self) -> float:
+        """Smallest eigenvalue outside the kernel eigenpair."""
+        return float(self.nonzero_eigenvalues[0])
 
 
 def eigendecompose(matrix: np.ndarray) -> SpectralCache:
-    """Full symmetric eigendecomposition and its kernel eigenpair, argmax |1ᵀq|."""
+    """Full symmetric eigendecomposition and its kernel eigenpair, argmax |1ᵀq|;
+    raises DomainError when an eigenvalue leaves the float range."""
     try:
         eigenvalues, vectors = np.linalg.eigh(matrix)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigendecomposition failed: {exc}") from exc
+    if not np.isfinite(eigenvalues).all():
+        raise DomainError("an eigenvalue is not finite: the weights leave the float range")
     kernel = int(np.argmax(np.abs(vectors.sum(axis=0))))
     return SpectralCache(eigenvalues=eigenvalues, vectors=vectors, kernel_index=kernel)
 
@@ -538,14 +546,26 @@ class EdgeFormCaches:
         )
 
 
+@contextmanager
+def _typed_overflow(message: str):
+    """Re-raise an overflow, NaN or division by zero in the block as SingularUpdate."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise SingularUpdate(message) from exc
+
+
 def _edge_forms(caches: EdgeFormCaches, us: np.ndarray | int, vs: np.ndarray | int) -> list:
     """Edge forms of lap_pinv_gram, lap_pinv, shift_pinv_gram, shift_pinv and
     output_gram, in that order, at every pair (us[i], vs[i]) and every delay,
     endpoints unchecked; one pair's as Python floats, whose 1 / (tau s) past
     the float range reads inf where a numpy scalar would warn. Each shift form
-    enters the fit with a factor tau, so at zero delay it adds an exact zero."""
-    lap_gram, lap = caches._lap.forms(us, vs)
-    shift_gram, shift = caches._shift.forms(us, vs)
+    enters the fit with a factor tau, so at zero delay it adds an exact zero. A read
+    that overflows, as after many moves at the stability bound, raises SingularUpdate."""
+    with _typed_overflow("the cached edge forms leave the float range"):
+        lap_gram, lap = caches._lap.forms(us, vs)
+        shift_gram, shift = caches._shift.forms(us, vs)
     forms = [lap_gram, lap, shift_gram, shift, edge_quadratic_forms(caches.output_gram, us, vs)]
     return [float(form) for form in forms] if np.ndim(us) == 0 else forms
 
@@ -598,11 +618,8 @@ def sherman_morrison_update(caches: EdgeFormCaches, edge: Edge, dweight: float) 
     # shifted operator is (pi/2) times the centering projector on every graph.
     coefficients = ((caches._lap, dweight), (caches._shift, -caches.delay * dweight))
     # Both terms are formed before either is kept, so an error leaves every cache as it was.
-    try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            terms = [(pair, pair.update_term(u, v, c)) for pair, c in coefficients if c != 0.0]
-    except FloatingPointError as exc:
-        raise SingularUpdate(f"{dweight} on edge {u, v} leaves a cached term non-finite") from exc
+    with _typed_overflow(f"{dweight} on edge {u, v} leaves a cached term non-finite"):
+        terms = [(pair, pair.update_term(u, v, c)) for pair, c in coefficients if c != 0.0]
     for pair, term in terms:
         pair.add_term(*term)
     lap = caches.laplacian

@@ -4,7 +4,7 @@ The network integrates dx(t) = -L x(t - tau) dt + dW with unit-intensity
 white noise and a performance output y = C x, C 1 = 0. The steady-state
 squared output deviation decomposes over Laplacian modes: each eigenvalue
 contributes its stationary variance weighted by how strongly the output
-matrix observes that mode.
+matrix observes that mode, which for every named output is its scale.
 """
 
 from __future__ import annotations
@@ -114,18 +114,6 @@ class OutputSpec:
             return float(np.sum(self.matrix * self.matrix))
         return float(self.gram() * (self.node_count - 1))
 
-    def modal_weights(self, vectors: np.ndarray) -> np.ndarray:
-        """diag(Qᵀ CᵀC Q) for an orthonormal column basis Q.
-
-        For the named kinds this is the scale times 1 - (1ᵀq)²/n per column,
-        exact for any orthonormal Q, so no O(n³) product is formed.
-        """
-        if self.kind is OutputKind.CUSTOM:
-            projected = self.matrix @ vectors
-            return np.einsum("ji,ji->i", projected, projected)
-        col_sums = vectors.sum(axis=0)
-        return self.gram() * (1.0 - (col_sums * col_sums) / self.node_count)
-
 
 def make_output_spec(kind: str, node_count: int, matrix: np.ndarray | None = None) -> OutputSpec:
     """Build an OutputSpec from its string kind name."""
@@ -197,34 +185,33 @@ def _profile_fit(x: np.ndarray | float) -> np.ndarray | float:
     )
 
 
+def _check_mode(lam: float, delay: float) -> None:
+    """Raises DomainError unless lam > 0 and delay >= 0 are finite and
+    lam * delay < pi/2, the domain of every one-mode function."""
+    if not 0.0 < lam < math.inf:
+        raise DomainError(f"mode rate must be positive and finite, got {lam}")
+    if not 0.0 <= delay < math.inf:
+        raise DomainError("delay must be nonnegative")
+    if lam * delay >= math.pi / 2.0:
+        raise DomainError(f"mode is unstable: lam * delay = {lam * delay} >= pi/2")
+
+
 def mode_variance(lam: float, delay: float) -> float:
     """Stationary variance of one noisy mode dx = -lam x(t - delay) dt + dW.
 
     Equals cos(lam delay) / (2 lam (1 - sin(lam delay))); reduces to
     1/(2 lam) at zero delay. Defined for lam > 0 and lam * delay < pi/2.
     """
-    if not 0.0 < lam < math.inf:
-        raise DomainError(f"mode rate must be positive and finite, got {lam}")
-    if not 0.0 <= delay < math.inf:
-        raise DomainError("delay must be nonnegative")
-    if delay == 0.0:
-        return 1.0 / (2.0 * lam)
-    x = lam * delay
-    if x >= math.pi / 2.0:
-        raise DomainError(f"mode is unstable: lam * delay = {x} >= pi/2")
-    return float(_profile(x)) / (2.0 * lam)
+    _check_mode(lam, delay)
+    return _modal_sum(np.array([lam]), np.ones(1), delay)
 
 
 def mode_variance_fit(lam: float, delay: float) -> float:
     """Closed-form approximation of mode_variance, within 2e-4 relative below it."""
-    if not 0.0 < lam < math.inf:
-        raise DomainError(f"mode rate must be positive and finite, got {lam}")
-    if not 0.0 < delay < math.inf:
+    _check_mode(lam, delay)
+    if delay == 0.0:
         raise DomainError("the fit requires a positive delay; use mode_variance at zero")
-    x = lam * delay
-    if x >= math.pi / 2.0:
-        raise DomainError(f"mode is unstable: lam * delay = {x} >= pi/2")
-    return delay * float(_profile_fit(x))
+    return _fit_sum(np.array([lam]), np.ones(1), delay)
 
 
 def _check_node_count(node_count: int, out: OutputSpec) -> None:
@@ -251,15 +238,18 @@ def _checked_spectrum(graph: WeightedGraph, out: OutputSpec) -> SpectralCache:
 def _nonzero_modes(spectrum: SpectralCache, out: OutputSpec) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and modal weights of the modes outside the kernel eigenpair.
 
-    Checks the spectrum's size as _check_node_count does, and raises
-    DisconnectedGraph, through lambda_2, on the spectrum of a disconnected
-    graph.
+    A named output's gram s·Π maps every eigenvector orthogonal to 1 to s
+    times itself, so each mode weighs s and no eigenvector is read; a custom
+    C weighs mode q by |C q|². Checks the spectrum's size as
+    _check_node_count does; DisconnectedGraph on a disconnected spectrum.
     """
     _check_node_count(len(spectrum.eigenvalues), out)
-    spectrum.lambda_2  # evaluated for its connectivity guard
-    kernel = spectrum.kernel_index
-    weights = out.modal_weights(spectrum.vectors)
-    return np.delete(spectrum.eigenvalues, kernel), np.delete(weights, kernel)
+    lam = spectrum.nonzero_eigenvalues
+    if out.kind is not OutputKind.CUSTOM:
+        return lam, np.full(len(lam), out.gram())
+    projected = out.matrix @ spectrum.vectors
+    weights = np.einsum("ji,ji->i", projected, projected)
+    return lam, np.delete(weights, spectrum.kernel_index)
 
 
 def _modal_sum(lam: np.ndarray, weights: np.ndarray, delay: float) -> float:
@@ -329,9 +319,15 @@ def hard_limit(node_count: int, out: OutputSpec, delay: float) -> HardLimit:
     if not 0.0 < delay < math.inf:
         raise DomainError("the hard limit requires a positive delay (it is 0 at delay 0)")
     _check_node_count(node_count, out)
-    z = cosine_fixed_point()
-    value = delay * out.frobenius_sq() / (2.0 * (1.0 - math.sin(z)))
-    return HardLimit(value=value, optimal_uniform_weight=z / (node_count * delay))
+    limit = HardLimit(_limit_value(out, delay), cosine_fixed_point() / (node_count * delay))
+    if max(limit.value, limit.optimal_uniform_weight) == math.inf:
+        raise DomainError(f"delay {delay}: the hard limit or its optimal weight overflows a float")
+    return limit
+
+
+def _limit_value(out: OutputSpec, delay: float) -> float:
+    """hard_limit's value, which performance_report reads without the weight."""
+    return delay * out.frobenius_sq() / (2.0 * (1.0 - math.sin(cosine_fixed_point())))
 
 
 def _fit_slope(forms: list, tau: float, weights: np.ndarray | float) -> np.ndarray | float:
@@ -481,10 +477,7 @@ def _crossover(taus, spectra, modes, rho) -> CrossoverResult | None:
     # The second test: a lambda_max an ulp below the first's can round onto the boundary.
     if spec_a.lambda_max > spec_b.lambda_max and edge_tau * spec_b.lambda_max < math.pi / 2.0:
         p_hat = _modal_sum(*modes_b, edge_tau)
-        dominance = (
-            math.pi * p_hat / (2.0 * p_hat * spec_a.lambda_max + 1.0),
-            edge_tau,
-        )
+        dominance = (math.pi * p_hat / (2.0 * p_hat * spec_a.lambda_max + 1.0), edge_tau)
     return CrossoverResult(
         tau_star=hi,
         bracket_low=lo,
@@ -523,19 +516,12 @@ def mode_variance_quadrature(lam: float, delay: float) -> float:
     Gauss-Legendre panels until the analytic tail remainder
     1/W + O(lam/(delay W³)) is certified below a fixed 1e-9 of the estimate.
     """
-    if not 0.0 < lam < math.inf:
-        raise DomainError(f"mode rate must be positive and finite, got {lam}")
-    if not 0.0 <= delay < math.inf:
-        raise DomainError("delay must be nonnegative")
-    if delay * lam >= math.pi / 2.0:
-        raise DomainError("mode is unstable; the integral diverges")
+    _check_mode(lam, delay)
     # Imported here: scipy.integrate costs more to import than the package.
     from scipy.integrate import quad
 
     def integrand(w):
-        return 1.0 / (
-            (lam * np.cos(delay * w)) ** 2 + (w - lam * np.sin(delay * w)) ** 2
-        )
+        return 1.0 / ((lam * np.cos(delay * w)) ** 2 + (w - lam * np.sin(delay * w)) ** 2)
 
     if delay == 0.0:
         value, _ = quad(integrand, 0.0, np.inf, limit=200)
@@ -549,9 +535,7 @@ def mode_variance_quadrature(lam: float, delay: float) -> float:
     while True:
         estimate = 2.0 * (total + 1.0 / omega)
         # Tail past omega equals 1/omega up to this certified remainder.
-        remainder = 2.0 * (
-            4.0 * lam / (delay * omega**3) + 2.1 * lam * lam / omega**3
-        )
+        remainder = 2.0 * (4.0 * lam / (delay * omega**3) + 2.1 * lam * lam / omega**3)
         if remainder <= 1e-9 * abs(estimate):
             break
         mid = omega + 0.5 * period
@@ -573,9 +557,7 @@ class PerformanceReport:
     delta_weights: tuple[float, ...]
 
 
-def performance_report(
-    graph: WeightedGraph, out: OutputSpec, delay: float
-) -> PerformanceReport:
+def performance_report(graph: WeightedGraph, out: OutputSpec, delay: float) -> PerformanceReport:
     """Full exact-plus-fit analysis of one graph.
 
     At zero delay the fit column is filled with the exact value and the
@@ -589,7 +571,7 @@ def performance_report(
         approx, limit = exact, 0.0
     else:
         approx = _fit_sum(lam, weights, delay)
-        limit = hard_limit(graph.node_count, out, delay).value
+        limit = _limit_value(out, delay)
     return PerformanceReport(
         rho_exact=exact,
         rho_approx=approx,

@@ -12,6 +12,7 @@ from tdconsensus import (
     EPS_STABILITY,
     DesignState,
     DisconnectedGraph,
+    DomainError,
     EdgeFormCaches,
     EdgeNotInGraph,
     IndexOutOfRange,
@@ -20,6 +21,7 @@ from tdconsensus import (
     SingularUpdate,
     WeightedGraph,
     delay_shift_matrix,
+    edge_contribution,
     edge_stability_bound,
     eigendecompose,
     is_bridge,
@@ -282,6 +284,19 @@ def test_disconnected_lambda_2_raises():
     spec = eigendecompose(np.zeros((3, 3)))
     with pytest.raises(DisconnectedGraph):
         spec.lambda_2
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [WeightedGraph.path(3, 6e307), WeightedGraph(2, ((0, 1, 1e308),)), WeightedGraph.star(4, 1e308)],
+    ids=["lambda-max-overflows", "two-nodes", "degree-overflows"],
+)
+def test_a_spectrum_past_the_float_range_raises_domain_error(graph):
+    # lambda_max overflowed to inf, which lambda_2's floor then read as a
+    # second kernel direction (DisconnectedGraph); a degree past the float
+    # range gave NaN eigenvalues and a NaN measure.
+    with pytest.raises(DomainError, match="not finite"):
+        eigendecompose(graph.laplacian())
 
 
 def test_pseudo_inverse_rejects_a_second_kernel_direction():
@@ -586,6 +601,23 @@ def test_an_overflow_forming_the_terms_raises_singular_update_without_a_warning(
     assert isinstance(raised.value.__cause__, FloatingPointError)
     assert all(np.array_equal(a, b) for a, b in zip(before, stored()))
     assert _same_pending_terms(pending, _pending_terms(caches))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_per_edge_reads_at_the_cache_collapse_are_finite_or_raise_singular_update(seed):
+    # The run above: on 16 of these seeds the edge-form read overflowed at
+    # move 26 before the update did, so edge_stability_bound warned and
+    # edge_contribution returned inf. The read now raises SingularUpdate.
+    g = WeightedGraph.path(12)
+    state = DesignState.from_graph(g, OutputSpec.centering(12), stable_delay(g, 0.5))
+    rng = np.random.default_rng(seed)
+    with pytest.raises(SingularUpdate):
+        for _ in range(30):
+            edge = tuple(int(x) for x in rng.choice(12, 2, replace=False))
+            bound = edge_stability_bound(state, edge)
+            assert math.isfinite(bound)
+            assert math.isfinite(edge_contribution(state, edge, 0.5 * bound))
+            sherman_morrison_update(state.caches, edge, (1.0 - EPS_STABILITY) * bound)
 
 
 def _output_spec(kind: OutputKind, n: int, rng: np.random.Generator) -> OutputSpec:

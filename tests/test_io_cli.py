@@ -218,6 +218,15 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["limits", p3, "--tau", "nan"]) == 1
     assert main(["analyze", p3, "--tau", "inf"]) == 1
 
+    # So are values past the float range: analyze read an overflowed
+    # lambda_max as a second kernel direction (exit 3), and limits printed
+    # "optimal_uniform_weight": Infinity (exit 0).
+    for huge in (WeightedGraph.path(3, 6e307), WeightedGraph(2, ((0, 1, 1e308),))):
+        assert main(["analyze", _write_graph(tmp_path, "huge.txt", huge), "--tau", "0"]) == 1
+        assert "float range" in capsys.readouterr().err
+    assert main(["limits", p3, "--tau", "5e-324"]) == 1
+    assert "overflows a float" in capsys.readouterr().err
+
     capsys.readouterr()  # drain accumulated stderr
 
     nan_weight = tmp_path / "nan.txt"
@@ -258,6 +267,29 @@ def test_cli_one_node_graph_is_a_domain_error(tmp_path, capsys, argv):
     argv = [argv[0], path] + [path if arg == "SECOND" else arg for arg in argv[1:]]
     assert main(argv) == 1
     assert "need at least two nodes" in capsys.readouterr().err
+
+
+def test_reports_stand_where_only_the_optimal_uniform_weight_overflows(tmp_path, capsys):
+    # At tau = 1e-309 on four nodes z / (n tau) passes the float range, so
+    # hard_limit and limits refuse it, but the limit's value (4.6e-309) and
+    # the reports that read only that value stand, as they did before.
+    g, out, tau = WeightedGraph.path(4, 10.0), OutputSpec.centering(4), 1e-309
+    with pytest.raises(DomainError, match="optimal weight overflows"):
+        hard_limit(4, out, tau)
+    report = performance_report(g, out, tau)
+    assert report.hard_limit == pytest.approx(4.59575760787463e-309, rel=1e-12, abs=0.0)
+    assert math.isfinite(report.rho_exact) and math.isfinite(report.rho_approx)
+    path = _write_graph(tmp_path, "p4.txt", g)
+    assert main(["limits", path, "--tau", str(tau)]) == 1
+    assert "overflows a float" in capsys.readouterr().err
+    assert main(["analyze", path, "--tau", str(tau)]) == 0
+    assert json.loads(capsys.readouterr().out)["performance"] == to_jsonable(report)
+    cands = tmp_path / "cands.txt"
+    cands.write_text("0 2 1.0\n0 3 1.0\n")
+    assert main(["grow", path, "--tau", str(tau), "--candidates", str(cands), "-k", "1"]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert printed["performance_before"] == to_jsonable(report)
+    assert math.isfinite(printed["performance_after"]["hard_limit"])
 
 
 @pytest.mark.parametrize(
@@ -371,7 +403,6 @@ UNREAD_EXPORTS = {
     "mode_variance_fit",
     "monotonicity_threshold",
     "contribution_upper_bound",
-    "edge_stability_bound",
     "parse_report_json",
 }
 

@@ -1,5 +1,6 @@
 """Exact measure, closed-form fit, limits, crossover, and sensitivities."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 
 from tdconsensus import (
     FIT_SLOPE,
+    CandidateSet,
+    DesignState,
     DisconnectedGraph,
     DomainError,
     InvalidOutputMatrix,
@@ -18,6 +21,7 @@ from tdconsensus import (
     crossover_delay,
     delay_sweep,
     eigendecompose,
+    grow_simple,
     hard_limit,
     make_output_spec,
     mode_variance,
@@ -27,9 +31,11 @@ from tdconsensus import (
     performance_report,
     rho_approx,
     rho_approx_from_caches,
+    reweight_scale,
     rho_exact,
     sensitivity,
 )
+from tdconsensus import design, performance
 from tdconsensus.graphs import edge_quadratic_forms
 from tdconsensus.performance import require_stable, sensitivities
 from conftest import (
@@ -331,6 +337,11 @@ def test_hard_limit_domain_errors():
         hard_limit(4, out, 0.0)
     with pytest.raises(DomainError):
         hard_limit(1, OutputSpec.centering(1), 0.1)
+    # z / (n tau) read inf at a subnormal delay, and the limit at a huge one.
+    with pytest.raises(DomainError, match="overflows a float"):
+        hard_limit(3, OutputSpec.centering(3), 5e-324)
+    with pytest.raises(DomainError, match="overflows a float"):
+        hard_limit(3, OutputSpec.complete_incidence(3), 1e308)
 
 
 # --- monotonicity threshold ---
@@ -652,14 +663,75 @@ def test_closed_forms_reject_non_finite_rates(closed_form, delays, rate):
             closed_form(rate, *delay)
 
 
-def test_modal_weights_of_centering_kinds_are_one():
+def test_one_mode_formulas_stay_finite_where_twice_the_rate_overflows():
+    # 1 / (2 lam) read 0.0 once 2 lam overflowed; 0.5 / lam is 5e-309.
+    assert mode_variance(1e308, 0.0) == 5e-309
+
+
+NAMED_KINDS = ("centering", "complete-incidence", "orthonormal")
+
+
+def _vectorless(spectrum):
+    """The spectrum with every eigenvector entry NaN and its kernel index kept."""
+    return dataclasses.replace(spectrum, vectors=np.full_like(spectrum.vectors, math.nan))
+
+
+@pytest.mark.parametrize("kind", NAMED_KINDS)
+def test_a_named_output_reads_eigenvalues_only(kind):
+    # A named output weighs every non-kernel mode by its scale, so its
+    # measure and fit read no eigenvector.
     rng = np.random.default_rng(13)
-    g = random_connected_graph(rng, min_nodes=6, max_nodes=6)
-    vectors = spectrum_of(g).vectors
-    weights = OutputSpec.centering(6).modal_weights(vectors)
-    expected = np.ones(6)
-    expected[np.argmax(np.abs(vectors.sum(axis=0)))] = 0.0  # kernel column
-    assert np.allclose(np.sort(weights), np.sort(expected), atol=1e-10)
+    for _ in range(20):
+        g = random_connected_graph(rng, max_nodes=14)
+        out = make_output_spec(kind, g.node_count)
+        spec = spectrum_of(g)
+        for fraction in (0.0, 0.4, 0.9):
+            tau = stable_delay(g, fraction)
+            assert rho_exact(_vectorless(spec), out, tau) == rho_exact(spec, out, tau)
+            if tau > 0.0:
+                assert rho_approx(_vectorless(spec), out, tau) == rho_approx(spec, out, tau)
+
+
+def _named_output_results(g, h, out, tau, candidates):
+    sweep = delay_sweep((g,), out, samples=40)
+    pair = delay_sweep((g, h), out, samples=40)
+    state = DesignState.from_graph(g, out, tau, audit=True)
+    trace = grow_simple(state, candidates)
+    return (
+        performance_report(g, out, tau),
+        sweep.taus.tobytes(),
+        sweep.rho[0].tobytes(),
+        pair.taus.tobytes(),
+        [rho.tobytes() for rho in pair.rho],
+        pair.crossover,
+        reweight_scale(g, out, tau),
+        trace.entries,
+        trace.termination,
+    )
+
+
+@pytest.mark.parametrize("kind", NAMED_KINDS)
+def test_named_output_entry_points_read_no_eigenvector(kind, monkeypatch):
+    # Every spectrum that performance and design take becomes vectorless; the
+    # design caches, built in graphs, keep theirs.
+    def vectorless_eigendecompose(matrix):
+        return _vectorless(eigendecompose(matrix))
+
+    rng = np.random.default_rng(14)
+    runs = []
+    for _ in range(4):
+        g = random_connected_graph(rng, min_nodes=5, max_nodes=9)
+        h = random_connected_graph(rng, min_nodes=g.node_count, max_nodes=g.node_count)
+        absent = [(u, v) for u in range(g.node_count) for v in range(u + 1, g.node_count)]
+        candidates = CandidateSet(
+            tuple((u, v, 0.3) for u, v in absent if not g.has_edge(u, v)), 4
+        )
+        out = make_output_spec(kind, g.node_count)
+        runs.append((g, h, out, stable_delay(g, 0.4), candidates))
+    expected = [_named_output_results(*run) for run in runs]
+    monkeypatch.setattr(performance, "eigendecompose", vectorless_eigendecompose)
+    monkeypatch.setattr(design, "eigendecompose", vectorless_eigendecompose)
+    assert [_named_output_results(*run) for run in runs] == expected
 
 
 # --- report ---

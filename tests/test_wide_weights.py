@@ -71,7 +71,6 @@ def _oracle(graph: WeightedGraph, tau: float):
 @given(wide_weight_graphs(), st.floats(0.05, 0.95))
 def test_exact_and_fit_match_a_40_digit_oracle(graph, fraction):
     n = graph.node_count
-    out = OutputSpec.centering(n)
     tau = fraction * math.pi / (2.0 * eigendecompose(graph.laplacian()).lambda_max)
     exact, fit, lam = _oracle(graph, tau)
     lam_2, lam_max = float(lam[0]), float(lam[-1])
@@ -81,10 +80,13 @@ def test_exact_and_fit_match_a_40_digit_oracle(graph, fraction):
     # n * eps / (1 - tau lambda_max / (pi/2)), which dominates on
     # well-conditioned graphs near the boundary.
     rel_tol = n * EPS * (lam_max / lam_2 + 1.0 / (1.0 - tau * lam_max / (math.pi / 2.0)))
-    got_exact = performance_report(graph, out, tau).rho_exact
-    got_fit = DesignState.from_graph(graph, out, tau, audit=False).rho_fit
-    assert abs(got_exact - float(exact)) <= rel_tol * float(exact)
-    assert abs(got_fit - float(fit)) <= rel_tol * float(fit)
+    # Both outputs weigh every mode by their scale s, 1 and n.
+    for out in (OutputSpec.centering(n), OutputSpec.complete_incidence(n)):
+        scale = out.gram()
+        got_exact = performance_report(graph, out, tau).rho_exact
+        got_fit = DesignState.from_graph(graph, out, tau, audit=False).rho_fit
+        assert abs(got_exact - scale * float(exact)) <= rel_tol * scale * float(exact)
+        assert abs(got_fit - scale * float(fit)) <= rel_tol * scale * float(fit)
 
 
 # Seeded trees whose greedy moves remove nearly all of the fit: summed over
