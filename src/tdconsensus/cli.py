@@ -112,7 +112,7 @@ def _base_report(command: str, args: argparse.Namespace, graph: WeightedGraph) -
 def cmd_analyze(args: argparse.Namespace) -> dict:
     graph = load_graph(args.graph)
     out = _load_output_spec(args, graph.node_count)
-    spectrum = eigendecompose(graph.laplacian())
+    spectrum = eigendecompose(graph.laplacian(), vectors=False)
     # Report first: its disconnected/unstable errors take precedence over lambda_2's.
     performance = performance_report(graph, out, args.tau)
     report = _base_report("analyze", args, graph)
@@ -216,7 +216,7 @@ def cmd_simulate(args: argparse.Namespace) -> dict:
         seed=args.seed,
     )
     estimate = simulate(graph, out, config)
-    spectrum = eigendecompose(graph.laplacian())
+    spectrum = eigendecompose(graph.laplacian(), vectors=out.kind is OutputKind.CUSTOM)
     exact = rho_exact(spectrum, out, args.tau)
     report = _base_report("simulate", args, graph)
     report["estimate"] = estimate

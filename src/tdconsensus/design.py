@@ -29,7 +29,6 @@ from .graphs import (
     _edge_arrays,
     _edge_forms,
     _refused,
-    eigendecompose,
     is_bridge,
     sherman_morrison_update,
 )
@@ -41,6 +40,7 @@ from .performance import (
     _modal_sum,
     _nonzero_modes,
     _sign_change,
+    _spectrum,
     check_stability,
     cosine_fixed_point,
     require_stable,
@@ -172,7 +172,7 @@ class DesignState:
         """(exact measure, stability margin) after a mutation, audit mode only."""
         if not self.audit:
             return None, None
-        spectrum = eigendecompose(self.caches.laplacian)
+        spectrum = _spectrum(self.caches.laplacian, self.out)
         exact = rho_exact(spectrum, self.out, self.delay)  # raises when unstable
         return exact, check_stability(spectrum, self.delay).margin
 

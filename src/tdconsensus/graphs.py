@@ -8,7 +8,9 @@ Conventions used throughout the package:
   all-ones vector in its kernel;
 * a connected graph's Laplacian and its delay-shifted operator both have
   kernel exactly span(1): spectral code deflates the one eigenpair whose
-  eigenvector is most aligned with the all-ones vector, not a threshold.
+  eigenvector is most aligned with the all-ones vector, or, without
+  eigenvectors, the eigenvalue that a rank-one shift along 1 moves to the
+  top of the spectrum; never by a threshold.
 """
 
 from __future__ import annotations
@@ -231,22 +233,24 @@ def delay_shift_matrix(laplacian: np.ndarray, delay: float) -> np.ndarray:
 
 
 def _zero_floor(eigenvalues: np.ndarray) -> float:
-    """n * eps * max|lambda|, the backward-error floor of eigh: no eigenvalue
-    this small in magnitude can be told apart from zero."""
+    """n * eps * max|lambda|, the backward-error floor of eigh and eigvalsh: no
+    eigenvalue this small in magnitude can be told apart from zero."""
     return len(eigenvalues) * np.finfo(float).eps * float(np.abs(eigenvalues).max(initial=0.0))
 
 
 @dataclass(frozen=True)
 class SpectralCache:
-    """Eigendecomposition of a symmetric matrix with the ones vector in its kernel.
+    """Spectrum of a symmetric matrix with the ones vector in its kernel.
 
     Eigenvalues are ascending. kernel_index is the eigenpair whose vector is
     most aligned with the all-ones vector: found by its eigenvector, it
-    cannot be hidden by tiny or negative eigenvalues elsewhere.
+    cannot be hidden by tiny or negative eigenvalues elsewhere. A spectrum
+    taken without eigenvectors has vectors None and its kernel as an exact
+    0 at index 0.
     """
 
     eigenvalues: np.ndarray
-    vectors: np.ndarray
+    vectors: np.ndarray | None
     kernel_index: int
 
     @property
@@ -268,28 +272,59 @@ class SpectralCache:
         """Smallest eigenvalue outside the kernel eigenpair."""
         return float(self.nonzero_eigenvalues[0])
 
+    def eigenvectors(self) -> np.ndarray:
+        """The eigenvectors, as columns; DomainError for a spectrum taken without them."""
+        if self.vectors is None:
+            raise DomainError("this spectrum has no eigenvectors: eigendecompose it with vectors")
+        return self.vectors
 
-def eigendecompose(matrix: np.ndarray) -> SpectralCache:
-    """Full symmetric eigendecomposition and its kernel eigenpair, argmax |1ᵀq|;
-    raises DomainError when an eigenvalue leaves the float range."""
+
+def _kernel_shifted_eigenvalues(matrix: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix A with A 1 = 0, the kernel's as an
+    exact 0 first, by eigvalsh of A + (c/n) 11ᵀ with c the largest absolute
+    row sum. 1 is an eigenvector of both terms, so the kernel's 0 moves to
+    c, and c bounds every eigenvalue (Gershgorin): the largest value is the
+    kernel's, dropped by position, which at a tie (c = lambda_max, as on
+    K_{3,3}) leaves the same values. One n x n array holds |A| and then the
+    shifted copy. Raises DomainError when c leaves the float range."""
+    n = matrix.shape[0]
+    shifted = np.abs(matrix, dtype=float)
+    with np.errstate(over="ignore"):
+        bound = float(shifted.sum(axis=1).max(initial=0.0))
+    if not bound < np.inf:
+        raise DomainError("the Gershgorin shift is not finite: the weights leave the float range")
+    np.add(matrix, bound / n, out=shifted)
+    return np.concatenate(([0.0], np.linalg.eigvalsh(shifted)[:-1]))
+
+
+def eigendecompose(matrix: np.ndarray, *, vectors: bool = True) -> SpectralCache:
+    """Symmetric eigendecomposition and its kernel eigenpair, argmax |1ᵀq|;
+    with vectors=False, eigenvalues only (_kernel_shifted_eigenvalues, which
+    skips eigh's accumulation of eigenvectors), kernel at index 0. Raises
+    DomainError when an eigenvalue leaves the float range."""
     try:
-        eigenvalues, vectors = np.linalg.eigh(matrix)
+        if vectors:
+            eigenvalues, basis = np.linalg.eigh(matrix)
+        else:
+            eigenvalues, basis = _kernel_shifted_eigenvalues(matrix), None
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigendecomposition failed: {exc}") from exc
     if not np.isfinite(eigenvalues).all():
         raise DomainError("an eigenvalue is not finite: the weights leave the float range")
-    kernel = int(np.argmax(np.abs(vectors.sum(axis=0))))
-    return SpectralCache(eigenvalues=eigenvalues, vectors=vectors, kernel_index=kernel)
+    kernel = 0 if basis is None else int(np.argmax(np.abs(basis.sum(axis=0))))
+    return SpectralCache(eigenvalues=eigenvalues, vectors=basis, kernel_index=kernel)
 
 
 def pseudo_inverse(cache: SpectralCache) -> np.ndarray:
     """Inverse of every eigenpair but the kernel one, which maps to zero.
 
     Raises DisconnectedGraph when another eigenvalue is within _zero_floor
-    of zero, as on a disconnected graph's Laplacian. The test is on |lambda|,
-    so a shift past the stability boundary still inverts (one signed GEMM);
-    otherwise the inverse is W Wᵀ, W = V diag(sqrt(inv)), which BLAS syrk forms.
+    of zero, as on a disconnected graph's Laplacian, and DomainError for a
+    spectrum without eigenvectors. The test is on |lambda|, so a shift past
+    the stability boundary still inverts (one signed GEMM); otherwise the
+    inverse is W Wᵀ, W = V diag(sqrt(inv)), which BLAS syrk forms.
     """
+    basis = cache.eigenvectors()
     lam = cache.eigenvalues
     outside = np.arange(len(lam)) != cache.kernel_index
     floor = _zero_floor(lam)
@@ -297,8 +332,8 @@ def pseudo_inverse(cache: SpectralCache) -> np.ndarray:
         raise DisconnectedGraph(f"second kernel direction below {floor:.3e}: not invertible")
     inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=outside)
     if inv.min() < 0.0:
-        return (cache.vectors * inv) @ cache.vectors.T
-    scaled = cache.vectors * np.sqrt(inv)
+        return (basis * inv) @ basis.T
+    scaled = basis * np.sqrt(inv)
     return scaled @ scaled.T
 
 

@@ -174,17 +174,6 @@ def _profile(x: np.ndarray | float) -> np.ndarray | float:
     return np.cos(half_gap) / np.sin(half_gap)
 
 
-def _profile_fit(x: np.ndarray | float) -> np.ndarray | float:
-    """Closed-form fit of _profile(x)/(2x): 0.5 (1/x + (4/pi)/(pi/2 - x) + offset + slope x)."""
-    x = np.asarray(x, dtype=float)
-    return 0.5 * (
-        1.0 / x
-        + (4.0 / math.pi) / (math.pi / 2.0 - x)
-        + FIT_OFFSET
-        + FIT_SLOPE * x
-    )
-
-
 def _check_mode(lam: float, delay: float) -> None:
     """Raises DomainError unless lam > 0 and delay >= 0 are finite and
     lam * delay < pi/2, the domain of every one-mode function."""
@@ -223,8 +212,14 @@ def _check_node_count(node_count: int, out: OutputSpec) -> None:
         raise DomainError("need at least two nodes")
 
 
+def _spectrum(laplacian: np.ndarray, out: OutputSpec) -> SpectralCache:
+    """The Laplacian spectrum that out's modal weights need: eigenvectors for a
+    custom output only, since a named one reads eigenvalues alone."""
+    return eigendecompose(laplacian, vectors=out.kind is OutputKind.CUSTOM)
+
+
 def _checked_spectrum(graph: WeightedGraph, out: OutputSpec) -> SpectralCache:
-    """Laplacian spectrum of a graph observed by out, after every input check.
+    """_spectrum of a graph observed by out, after every input check.
 
     Raises ConfigError and DomainError as _check_node_count does, and
     DisconnectedGraph, by union-find, before any eigendecomposition.
@@ -232,7 +227,7 @@ def _checked_spectrum(graph: WeightedGraph, out: OutputSpec) -> SpectralCache:
     _check_node_count(graph.node_count, out)
     if not graph.is_connected():
         raise DisconnectedGraph("the graph is disconnected")
-    return eigendecompose(graph.laplacian())
+    return _spectrum(graph.laplacian(), out)
 
 
 def _nonzero_modes(spectrum: SpectralCache, out: OutputSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -247,7 +242,7 @@ def _nonzero_modes(spectrum: SpectralCache, out: OutputSpec) -> tuple[np.ndarray
     lam = spectrum.nonzero_eigenvalues
     if out.kind is not OutputKind.CUSTOM:
         return lam, np.full(len(lam), out.gram())
-    projected = out.matrix @ spectrum.vectors
+    projected = out.matrix @ spectrum.eigenvectors()
     weights = np.einsum("ji,ji->i", projected, projected)
     return lam, np.delete(weights, spectrum.kernel_index)
 
@@ -260,8 +255,13 @@ def _modal_sum(lam: np.ndarray, weights: np.ndarray, delay: float) -> float:
 
 
 def _fit_sum(lam: np.ndarray, weights: np.ndarray, delay: float) -> float:
-    """_modal_sum with the closed-form fit in place of each modal variance."""
-    return float(delay * np.sum(weights * _profile_fit(lam * delay)))
+    """_modal_sum with the closed-form fit of each modal variance,
+    0.5 (1/lam + delay ((4/pi)/(pi/2 - x) + offset + slope x)), x = lam delay:
+    delay times the fit of _profile(x)/(2x) with delay/x read as 1/lam, which
+    stays finite at subnormal delays where 1/x overflows."""
+    x = lam * delay
+    terms = 1.0 / lam + delay * ((4.0 / math.pi) / (math.pi / 2.0 - x) + FIT_OFFSET + FIT_SLOPE * x)
+    return float(np.sum(weights * 0.5 * terms))
 
 
 def rho_exact(spectrum: SpectralCache, out: OutputSpec, delay: float) -> float:

@@ -187,6 +187,11 @@ def spectrum_of(graph: WeightedGraph) -> SpectralCache:
     return eigendecompose(graph.laplacian())
 
 
+def eigenvalues_of(graph: WeightedGraph) -> SpectralCache:
+    """The eigenvalues-only spectrum that a named output's entry points read."""
+    return eigendecompose(graph.laplacian(), vectors=False)
+
+
 def exact_measure(graph: WeightedGraph, out: OutputSpec, delay: float) -> float:
     return rho_exact(spectrum_of(graph), out, delay)
 

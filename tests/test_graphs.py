@@ -299,6 +299,52 @@ def test_a_spectrum_past_the_float_range_raises_domain_error(graph):
         eigendecompose(graph.laplacian())
 
 
+def test_eigenvalues_without_vectors_match_eigh():
+    # The kernel's 0 is shifted to the top and dropped: what is left agrees
+    # with eigh within eigh's own n * eps * lambda_max, on weights over six
+    # decades too.
+    rng = np.random.default_rng(31)
+    for index in range(100):
+        g = random_connected_graph(rng, max_nodes=24)
+        if index % 4 == 3:
+            weights = 10.0 ** rng.uniform(-6.0, 0.0, g.edge_count)
+            g = WeightedGraph(g.node_count, tuple((u, v, float(w)) for (u, v, _), w in zip(g.edges, weights)))
+        full = eigendecompose(g.laplacian())
+        values = eigendecompose(g.laplacian(), vectors=False)
+        assert values.vectors is None and values.kernel_index == 0 and values.eigenvalues[0] == 0.0
+        bound = g.node_count * np.finfo(float).eps * full.lambda_max
+        assert np.abs(values.nonzero_eigenvalues - full.nonzero_eigenvalues).max() <= bound
+
+
+def test_eigenvalues_without_vectors_drop_the_kernel_at_a_tie():
+    # On K_{3,3} the shift c = 2 * 3 equals lambda_max = 6: dropping either
+    # copy of 6 leaves one 6 and four 3s, each within eigh's n * eps * lambda_max
+    # (LAPACK returns 3 and 6 up to two ulps below).
+    k33 = WeightedGraph(6, tuple((u, v, 1.0) for u in range(3) for v in range(3, 6)))
+    values = eigendecompose(k33.laplacian(), vectors=False).eigenvalues
+    assert values[0] == 0.0
+    assert values == pytest.approx([0, 3, 3, 3, 3, 6], rel=0.0, abs=6 * np.finfo(float).eps * 6)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [WeightedGraph.path(3, 6e307), WeightedGraph(2, ((0, 1, 1e308),))],
+    ids=["lambda-max-overflows", "two-nodes"],
+)
+def test_eigenvalues_without_vectors_past_the_float_range_raise_domain_error(graph):
+    # The shift, twice the largest degree, leaves the float range first.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="float range"):
+            eigendecompose(graph.laplacian(), vectors=False)
+
+
+def test_pseudo_inverse_needs_eigenvectors():
+    spectrum = eigendecompose(WeightedGraph.path(4).laplacian(), vectors=False)
+    with pytest.raises(DomainError, match="no eigenvectors"):
+        pseudo_inverse(spectrum)
+
+
 def test_pseudo_inverse_rejects_a_second_kernel_direction():
     # Two components, an edgeless graph, and a shift on the stability boundary
     # each have a second zero eigenvalue, which has no inverse.

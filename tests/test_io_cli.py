@@ -6,6 +6,7 @@ import math
 import re
 import shlex
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -246,6 +247,17 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(grow + ["--method", "random", "--seed", "-1"]) == 2
     assert main(["simulate", p3, "--tau", "0.1", "--seed", "-1"]) == 2
     assert "seed" in capsys.readouterr().err
+
+
+def test_cli_analyze_prints_a_finite_fit_at_a_subnormal_delay(tmp_path, capsys):
+    # The fit printed "rho_approx": Infinity and "relative_gap": -Infinity here.
+    path = _write_graph(tmp_path, "p4.txt", WeightedGraph.path(4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["analyze", path, "--tau", "1e-311"]) == 0
+    performance = json.loads(capsys.readouterr().out)["performance"]
+    assert math.isfinite(performance["rho_approx"]) and math.isfinite(performance["relative_gap"])
+    assert performance["stability_margin"] == math.inf
 
 
 _ONE_NODE = WeightedGraph(1, ())
@@ -616,9 +628,9 @@ def test_cli_sweep_decomposes_each_graph_once(tmp_path, capsys, monkeypatch, gra
     original = tdconsensus.graphs.eigendecompose
     calls = []
 
-    def counted(matrix):
+    def counted(matrix, **options):
         calls.append(matrix.shape)
-        return original(matrix)
+        return original(matrix, **options)
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "tdconsensus" and vars(module).get("eigendecompose") is original:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,13 +15,13 @@ from tdconsensus import (
     DomainError,
     InvalidOutputMatrix,
     OutputSpec,
+    SimulationConfig,
     UnstableNetwork,
     WeightedGraph,
     check_stability,
     cosine_fixed_point,
     crossover_delay,
     delay_sweep,
-    eigendecompose,
     grow_simple,
     hard_limit,
     make_output_spec,
@@ -34,12 +35,14 @@ from tdconsensus import (
     reweight_scale,
     rho_exact,
     sensitivity,
+    simulate,
 )
-from tdconsensus import design, performance
+from tdconsensus import graphs
 from tdconsensus.graphs import edge_quadratic_forms
 from tdconsensus.performance import require_stable, sensitivities
 from conftest import (
     centering_matrix,
+    eigenvalues_of,
     exact_measure,
     fresh_caches,
     output_matrix,
@@ -448,9 +451,10 @@ def test_crossover_with_lambda_max_an_ulp_apart_keeps_no_certificate():
     # certificate test instead: the second graph's lambda_max is one ulp
     # below the first's and rounds onto the boundary, and the well-connected
     # triangle loses only within 1e-8 of the common stability boundary.
-    a = WeightedGraph(3, ((0, 1, 1.0), (0, 2, 0.7079146855055481), (1, 2, 0.8547846749285817)))
-    b = WeightedGraph(3, ((0, 1, 1.3823842884719133), (1, 2, 0.09653693468416842)))
-    lam_a, lam_b = spectrum_of(a).lambda_max, spectrum_of(b).lambda_max
+    # lambda_max is read as crossover_delay reads it, from the eigenvalues alone.
+    a = WeightedGraph(3, ((0, 1, 1.0), (0, 2, 0.7079146855055481), (1, 2, 0.8547846749285711)))
+    b = WeightedGraph(3, ((0, 1, 1.382384288471908), (1, 2, 0.09653693468416842)))
+    lam_a, lam_b = eigenvalues_of(a).lambda_max, eigenvalues_of(b).lambda_max
     assert lam_b < lam_a and (math.pi / (2.0 * lam_a)) * lam_b >= math.pi / 2.0
     result = crossover_delay(a, b, OutputSpec.centering(3))
     assert result is not None and result.certified_dominance is None
@@ -478,12 +482,12 @@ def test_delay_sweep_rows_are_rho_exact_on_the_common_stable_grid():
     s5, p5 = WeightedGraph.star(5), WeightedGraph.path(5)
     single = delay_sweep([p5], out, samples=30)
     assert single.crossover is None and len(single.rho) == 1
-    assert list(single.rho[0]) == [rho_exact(spectrum_of(p5), out, t) for t in single.taus]
+    assert list(single.rho[0]) == [rho_exact(eigenvalues_of(p5), out, t) for t in single.taus]
     pair = delay_sweep([s5, p5], out, samples=30)
-    threshold = math.pi / (2.0 * spectrum_of(s5).lambda_max)  # the star's is the larger
+    threshold = math.pi / (2.0 * eigenvalues_of(s5).lambda_max)  # the star's is the larger
     assert pair.taus[0] == 1e-4 * threshold and pair.taus[-1] == (1.0 - 1e-9) * threshold
     for graph, rho in zip((s5, p5), pair.rho):
-        assert list(rho) == [rho_exact(spectrum_of(graph), out, t) for t in pair.taus]
+        assert list(rho) == [rho_exact(eigenvalues_of(graph), out, t) for t in pair.taus]
     assert pair.crossover is not None
     assert pair.crossover == crossover_delay(s5, p5, out, samples=30)
     for graphs in ([], [p5, p5, p5]):
@@ -663,6 +667,24 @@ def test_closed_forms_reject_non_finite_rates(closed_form, delays, rate):
             closed_form(rate, *delay)
 
 
+def test_the_fit_stays_finite_at_a_subnormal_delay():
+    # The fit formed 1 / (lam tau) before multiplying by tau, which at
+    # tau = 1e-311 overflowed to inf with a RuntimeWarning. It reads tau / (lam
+    # tau) as 1 / lam, and tends to the exact measure, 1.25 on path(4).
+    g, out, tau = WeightedGraph.path(4), OutputSpec.centering(4), 1e-311
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = performance_report(g, out, tau)
+        fit = rho_approx(eigenvalues_of(g), out, tau)
+        one_mode = mode_variance_fit(2.0, tau)
+    assert report.rho_exact == pytest.approx(1.25, rel=1e-15)
+    assert report.rho_approx == fit == pytest.approx(1.25, rel=1e-15)
+    assert abs(report.relative_gap) <= 1e-15
+    assert one_mode == 0.25
+    # pi / (2 tau) leaves the float range: the margin is +inf, as at zero delay.
+    assert report.stability_margin == math.inf
+
+
 def test_one_mode_formulas_stay_finite_where_twice_the_rate_overflows():
     # 1 / (2 lam) read 0.0 once 2 lam overflowed; 0.5 / lam is 5e-309.
     assert mode_variance(1e308, 0.0) == 5e-309
@@ -693,29 +715,33 @@ def test_a_named_output_reads_eigenvalues_only(kind):
 
 
 def _named_output_results(g, h, out, tau, candidates):
-    sweep = delay_sweep((g,), out, samples=40)
-    pair = delay_sweep((g, h), out, samples=40)
-    state = DesignState.from_graph(g, out, tau, audit=True)
-    trace = grow_simple(state, candidates)
-    return (
-        performance_report(g, out, tau),
-        sweep.taus.tobytes(),
-        sweep.rho[0].tobytes(),
-        pair.taus.tobytes(),
-        [rho.tobytes() for rho in pair.rho],
-        pair.crossover,
-        reweight_scale(g, out, tau),
-        trace.entries,
-        trace.termination,
-    )
+    delay_sweep((g,), out, samples=40)
+    delay_sweep((g, h), out, samples=40)
+    grow_simple(DesignState.from_graph(g, out, tau, audit=True), candidates)
+    performance_report(g, out, tau)
+    reweight_scale(g, out, tau)
+    simulate(g, out, SimulationConfig(delay=tau, trials=2, seed=0, burn_in=50 * tau, horizon=60 * tau))
 
 
 @pytest.mark.parametrize("kind", NAMED_KINDS)
 def test_named_output_entry_points_read_no_eigenvector(kind, monkeypatch):
-    # Every spectrum that performance and design take becomes vectorless; the
-    # design caches, built in graphs, keep theirs.
-    def vectorless_eigendecompose(matrix):
-        return _vectorless(eigendecompose(matrix))
+    # np.linalg.eigh runs only inside EdgeFormCaches.build, whose
+    # pseudo-inverses need eigenvectors: every other spectrum that a named
+    # output's reports, sweeps, audits, rescaling and simulation take is
+    # eigenvalues only.
+    building, inside, outside = [], [], []
+    build, eigh = graphs.EdgeFormCaches.build.__func__, np.linalg.eigh
+
+    def guarded_build(cls, *args):
+        building.append(True)
+        try:
+            return build(cls, *args)
+        finally:
+            building.pop()
+
+    def guarded_eigh(matrix, *args, **kwargs):
+        (inside if building else outside).append(matrix.shape)
+        return eigh(matrix, *args, **kwargs)
 
     rng = np.random.default_rng(14)
     runs = []
@@ -728,10 +754,14 @@ def test_named_output_entry_points_read_no_eigenvector(kind, monkeypatch):
         )
         out = make_output_spec(kind, g.node_count)
         runs.append((g, h, out, stable_delay(g, 0.4), candidates))
-    expected = [_named_output_results(*run) for run in runs]
-    monkeypatch.setattr(performance, "eigendecompose", vectorless_eigendecompose)
-    monkeypatch.setattr(design, "eigendecompose", vectorless_eigendecompose)
-    assert [_named_output_results(*run) for run in runs] == expected
+    monkeypatch.setattr(graphs.EdgeFormCaches, "build", classmethod(guarded_build))
+    monkeypatch.setattr(np.linalg, "eigh", guarded_eigh)
+    for run in runs:
+        _named_output_results(*run)
+    assert outside == [] and len(inside) == 2 * len(runs)
+    # The guard sees a custom output's eigh, which reads the eigenvectors.
+    performance_report(g, OutputSpec.custom(centering_matrix(g.node_count)), 0.0)
+    assert outside == [(g.node_count, g.node_count)]
 
 
 # --- report ---

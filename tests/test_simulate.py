@@ -16,7 +16,7 @@ from tdconsensus import (
     eigendecompose,
     simulate,
 )
-from conftest import exact_measure, fresh_interpreter_output, output_matrix
+from conftest import eigenvalues_of, exact_measure, fresh_interpreter_output, output_matrix
 
 
 def test_same_seed_reproduces_exactly():
@@ -319,10 +319,13 @@ def test_default_burn_in_and_horizon_derive_from_the_spectrum():
     g = WeightedGraph.path(3)  # lambda_2 = 1
     out = OutputSpec.centering(3)
     est = simulate(g, out, SimulationConfig(delay=0.1, trials=2, seed=0))
-    assert est.burn_in == pytest.approx(20.0)
-    assert est.horizon == pytest.approx(200.0)
-    assert est.total_steps == round(est.horizon / est.dt)
-    assert est.sample_steps == est.total_steps - round(est.burn_in / est.dt)
+    # lambda_2 as simulate reads it, from the eigenvalues alone: 7.8e-16 below 1,
+    # so the step counts round up past 200 / dt.
+    lam2 = eigenvalues_of(g).lambda_2
+    assert est.burn_in == 20.0 / lam2 == pytest.approx(20.0)
+    assert est.horizon == 10.0 * est.burn_in == pytest.approx(200.0)
+    assert est.total_steps == math.ceil(est.horizon / est.dt)
+    assert est.sample_steps == est.total_steps - math.ceil(est.burn_in / est.dt)
 
 
 def reference_simulate(graph, out, config):
