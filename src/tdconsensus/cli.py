@@ -42,7 +42,6 @@ from .performance import (
     hard_limit,
     make_output_spec,
     performance_report,
-    rho_exact,
 )
 from .simulate import SimulationConfig, simulate
 
@@ -216,8 +215,7 @@ def cmd_simulate(args: argparse.Namespace) -> dict:
         seed=args.seed,
     )
     estimate = simulate(graph, out, config)
-    spectrum = eigendecompose(graph.laplacian(), vectors=out.kind is OutputKind.CUSTOM)
-    exact = rho_exact(spectrum, out, args.tau)
+    exact = performance_report(graph, out, args.tau).rho_exact
     report = _base_report("simulate", args, graph)
     report["estimate"] = estimate
     report["rho_exact"] = exact

@@ -29,13 +29,14 @@ from .graphs import (
     _edge_arrays,
     _edge_forms,
     _refused,
+    eigendecompose,
     is_bridge,
     sherman_morrison_update,
 )
 from .performance import (
     FIT_SLOPE,
     OutputSpec,
-    _checked_spectrum,
+    _checked_laplacian,
     _fit_slope,
     _modal_sum,
     _nonzero_modes,
@@ -162,8 +163,9 @@ class DesignState:
         delay: float,
         audit: bool | None = None,
     ) -> "DesignState":
-        require_stable(_checked_spectrum(graph, out), delay)
-        caches = EdgeFormCaches.build(graph.laplacian(), out.gram(), delay)
+        laplacian = _checked_laplacian(graph, out)
+        require_stable(eigendecompose(laplacian, vectors=False), delay)
+        caches = EdgeFormCaches.build(laplacian, out.gram(), delay)
         if audit is None:
             audit = graph.node_count <= AUDIT_NODE_LIMIT
         return cls(graph, out, caches, audit)
@@ -476,7 +478,7 @@ def reweight_scale(graph: WeightedGraph, out: OutputSpec, delay: float) -> Rewei
             "rescaling needs a positive delay; at zero delay smaller scales "
             "always lose and larger always win"
         )
-    spectrum = _checked_spectrum(graph, out)
+    spectrum = _spectrum(_checked_laplacian(graph, out), out)
     modes, weights = _nonzero_modes(spectrum, out)
     lam2, lam_max = float(modes[0]), float(modes[-1])
     z = cosine_fixed_point()

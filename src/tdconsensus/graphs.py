@@ -7,10 +7,11 @@ Conventions used throughout the package:
 * the Laplacian is dense and symmetric positive semidefinite with the
   all-ones vector in its kernel;
 * a connected graph's Laplacian and its delay-shifted operator both have
-  kernel exactly span(1): spectral code deflates the one eigenpair whose
-  eigenvector is most aligned with the all-ones vector, or, without
-  eigenvectors, the eigenvalue that a rank-one shift along 1 moves to the
-  top of the spectrum; never by a threshold.
+  kernel exactly span(1): every spectrum puts that kernel pair first, its
+  eigenvalue an exact 0, and the rest ascending. eigh finds it as the
+  eigenvector most aligned with the all-ones vector; without eigenvectors,
+  a rank-one shift along 1 grounds it below every other eigenvalue; never
+  by a threshold.
 """
 
 from __future__ import annotations
@@ -175,11 +176,12 @@ class WeightedGraph:
         )
 
     def _weighted_degrees(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-        """(weighted degrees, _edge_arrays); bincount adds each node's weights
-        in edge order, as a per-edge loop does."""
+        """(weighted degrees as floats, _edge_arrays); bincount adds each
+        node's weights in edge order, as a per-edge loop does, and returns
+        integers for an empty edge list."""
         us, vs, ws = arrays = _edge_arrays(self.edges)
         ends = np.stack((us, vs), axis=1).ravel()
-        return np.bincount(ends, np.repeat(ws, 2), minlength=self.node_count), arrays
+        return np.bincount(ends, np.repeat(ws, 2), minlength=self.node_count).astype(float), arrays
 
     def laplacian(self) -> np.ndarray:
         degrees, (us, vs, ws) = self._weighted_degrees()
@@ -232,26 +234,16 @@ def delay_shift_matrix(laplacian: np.ndarray, delay: float) -> np.ndarray:
     return shift
 
 
-def _zero_floor(eigenvalues: np.ndarray) -> float:
-    """n * eps * max|lambda|, the backward-error floor of eigh and eigvalsh: no
-    eigenvalue this small in magnitude can be told apart from zero."""
-    return len(eigenvalues) * np.finfo(float).eps * float(np.abs(eigenvalues).max(initial=0.0))
-
-
 @dataclass(frozen=True)
 class SpectralCache:
-    """Spectrum of a symmetric matrix with the ones vector in its kernel.
-
-    Eigenvalues are ascending. kernel_index is the eigenpair whose vector is
-    most aligned with the all-ones vector: found by its eigenvector, it
-    cannot be hidden by tiny or negative eigenvalues elsewhere. A spectrum
-    taken without eigenvectors has vectors None and its kernel as an exact
-    0 at index 0.
+    """Spectrum of a symmetric matrix with the ones vector in its kernel, in
+    eigendecompose's one form: the kernel pair at index 0, its eigenvalue an
+    exact 0, the rest ascending. vectors is None for a spectrum taken
+    without eigenvectors.
     """
 
     eigenvalues: np.ndarray
     vectors: np.ndarray | None
-    kernel_index: int
 
     @property
     def lambda_max(self) -> float:
@@ -259,78 +251,83 @@ class SpectralCache:
 
     @property
     def nonzero_eigenvalues(self) -> np.ndarray:
-        """Eigenvalues outside the kernel eigenpair, ascending; raises
-        DisconnectedGraph unless the smallest clears _zero_floor."""
-        rest = np.delete(self.eigenvalues, self.kernel_index)
-        floor = _zero_floor(self.eigenvalues)
-        if len(rest) == 0 or rest[0] <= floor:
+        """Eigenvalues past the kernel, ascending; raises DisconnectedGraph when
+        one is within n * eps * max|lambda| of zero, the backward-error floor of
+        eigh and eigvalsh. The test is on |lambda|, so a shift past the
+        stability boundary passes."""
+        size = np.abs(self.eigenvalues[1:])
+        floor = len(self.eigenvalues) * np.finfo(float).eps * size.max(initial=0.0)
+        if len(size) == 0 or size.min() <= floor:
             raise DisconnectedGraph(f"second kernel direction below {floor:.3e}: disconnected")
-        return rest
+        return self.eigenvalues[1:]
 
     @property
     def lambda_2(self) -> float:
-        """Smallest eigenvalue outside the kernel eigenpair."""
+        """Smallest eigenvalue past the kernel."""
         return float(self.nonzero_eigenvalues[0])
 
-    def eigenvectors(self) -> np.ndarray:
-        """The eigenvectors, as columns; DomainError for a spectrum taken without them."""
+    @property
+    def nonzero_eigenvectors(self) -> np.ndarray:
+        """The eigenvectors of nonzero_eigenvalues, as columns; DomainError for
+        a spectrum taken without eigenvectors."""
         if self.vectors is None:
             raise DomainError("this spectrum has no eigenvectors: eigendecompose it with vectors")
-        return self.vectors
+        return self.vectors[:, 1:]
 
 
-def _kernel_shifted_eigenvalues(matrix: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix A with A 1 = 0, the kernel's as an
-    exact 0 first, by eigvalsh of A + (c/n) 11ᵀ with c the largest absolute
-    row sum. 1 is an eigenvector of both terms, so the kernel's 0 moves to
-    c, and c bounds every eigenvalue (Gershgorin): the largest value is the
-    kernel's, dropped by position, which at a tie (c = lambda_max, as on
-    K_{3,3}) leaves the same values. One n x n array holds |A| and then the
-    shifted copy. Raises DomainError when c leaves the float range."""
-    n = matrix.shape[0]
-    shifted = np.abs(matrix, dtype=float)
-    with np.errstate(over="ignore"):
-        bound = float(shifted.sum(axis=1).max(initial=0.0))
-    if not bound < np.inf:
-        raise DomainError("the Gershgorin shift is not finite: the weights leave the float range")
-    np.add(matrix, bound / n, out=shifted)
-    return np.concatenate(([0.0], np.linalg.eigvalsh(shifted)[:-1]))
+def _grounded_eigenvalues(matrix: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a symmetric A with A 1 = 0, the kernel's as an exact 0
+    first. eigvalsh of A - (c/n) 11ᵀ, c = max|A_ii| plus twice the largest row
+    sum of positive off-diagonal entries, has the kernel's 0 at -c, below
+    every other eigenvalue (Gershgorin). On a Laplacian c is the largest
+    weighted degree, at most lambda_max, so the norm and the solver's error
+    stay. One n x n array holds the positive part, then the shifted copy."""
+    shifted = np.maximum(matrix, 0.0)
+    np.fill_diagonal(shifted, 0.0)
+    with np.errstate(over="raise", invalid="raise"):
+        positive = shifted.sum(axis=1).max(initial=0.0)
+        ground = np.abs(matrix.diagonal()).max(initial=0.0) + 2.0 * positive
+        np.subtract(matrix, ground / matrix.shape[0], out=shifted)
+    eigenvalues = np.linalg.eigvalsh(shifted)
+    eigenvalues[0] = 0.0
+    return eigenvalues
 
 
 def eigendecompose(matrix: np.ndarray, *, vectors: bool = True) -> SpectralCache:
-    """Symmetric eigendecomposition and its kernel eigenpair, argmax |1ᵀq|;
-    with vectors=False, eigenvalues only (_kernel_shifted_eigenvalues, which
-    skips eigh's accumulation of eigenvectors), kernel at index 0. Raises
-    DomainError when an eigenvalue leaves the float range."""
+    """Symmetric eigendecomposition in SpectralCache's form. eigh's kernel
+    pair is the one whose vector is most aligned with the all-ones vector,
+    argmax |1ᵀq|, rotated to the front in place; with vectors=False,
+    eigenvalues only (_grounded_eigenvalues, which skips eigh's accumulation
+    of eigenvectors). Raises DomainError when a value leaves the float range."""
     try:
         if vectors:
             eigenvalues, basis = np.linalg.eigh(matrix)
+            # Pairs 0 to kernel move up by one: an n x (kernel + 1) temporary.
+            k = int(np.argmax(np.abs(basis.sum(axis=0)))) + 1
+            eigenvalues[:k] = np.roll(eigenvalues[:k], 1)
+            basis[:, :k] = np.roll(basis[:, :k], 1, axis=1)
+            eigenvalues[0] = 0.0
         else:
-            eigenvalues, basis = _kernel_shifted_eigenvalues(matrix), None
+            eigenvalues, basis = _grounded_eigenvalues(matrix), None
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigendecomposition failed: {exc}") from exc
+    except FloatingPointError as exc:
+        raise DomainError("the weights leave the float range in the grounded matrix") from exc
     if not np.isfinite(eigenvalues).all():
         raise DomainError("an eigenvalue is not finite: the weights leave the float range")
-    kernel = 0 if basis is None else int(np.argmax(np.abs(basis.sum(axis=0))))
-    return SpectralCache(eigenvalues=eigenvalues, vectors=basis, kernel_index=kernel)
+    return SpectralCache(eigenvalues=eigenvalues, vectors=basis)
 
 
 def pseudo_inverse(cache: SpectralCache) -> np.ndarray:
-    """Inverse of every eigenpair but the kernel one, which maps to zero.
+    """Inverse of every eigenpair past the kernel, which maps to zero.
 
-    Raises DisconnectedGraph when another eigenvalue is within _zero_floor
-    of zero, as on a disconnected graph's Laplacian, and DomainError for a
-    spectrum without eigenvectors. The test is on |lambda|, so a shift past
-    the stability boundary still inverts (one signed GEMM); otherwise the
-    inverse is W Wᵀ, W = V diag(sqrt(inv)), which BLAS syrk forms.
+    Raises DomainError for a spectrum without eigenvectors, and what
+    nonzero_eigenvalues raises, as on a disconnected graph's Laplacian. A
+    shift past the stability boundary inverts by one signed GEMM; otherwise
+    the inverse is W Wᵀ, W = V diag(sqrt(inv)), which BLAS syrk forms.
     """
-    basis = cache.eigenvectors()
-    lam = cache.eigenvalues
-    outside = np.arange(len(lam)) != cache.kernel_index
-    floor = _zero_floor(lam)
-    if np.any(np.abs(lam[outside]) <= floor):
-        raise DisconnectedGraph(f"second kernel direction below {floor:.3e}: not invertible")
-    inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=outside)
+    basis = cache.nonzero_eigenvectors
+    inv = 1.0 / cache.nonzero_eigenvalues
     if inv.min() < 0.0:
         return (basis * inv) @ basis.T
     scaled = basis * np.sqrt(inv)

@@ -218,8 +218,8 @@ def _spectrum(laplacian: np.ndarray, out: OutputSpec) -> SpectralCache:
     return eigendecompose(laplacian, vectors=out.kind is OutputKind.CUSTOM)
 
 
-def _checked_spectrum(graph: WeightedGraph, out: OutputSpec) -> SpectralCache:
-    """_spectrum of a graph observed by out, after every input check.
+def _checked_laplacian(graph: WeightedGraph, out: OutputSpec) -> np.ndarray:
+    """The Laplacian of a graph observed by out, after every input check.
 
     Raises ConfigError and DomainError as _check_node_count does, and
     DisconnectedGraph, by union-find, before any eigendecomposition.
@@ -227,24 +227,26 @@ def _checked_spectrum(graph: WeightedGraph, out: OutputSpec) -> SpectralCache:
     _check_node_count(graph.node_count, out)
     if not graph.is_connected():
         raise DisconnectedGraph("the graph is disconnected")
-    return _spectrum(graph.laplacian(), out)
+    return graph.laplacian()
 
 
 def _nonzero_modes(spectrum: SpectralCache, out: OutputSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and modal weights of the modes outside the kernel eigenpair.
+    """Eigenvalues and modal weights of the modes past the kernel eigenpair.
 
     A named output's gram s·Π maps every eigenvector orthogonal to 1 to s
     times itself, so each mode weighs s and no eigenvector is read; a custom
     C weighs mode q by |C q|². Checks the spectrum's size as
-    _check_node_count does; DisconnectedGraph on a disconnected spectrum.
+    _check_node_count does; DisconnectedGraph on a disconnected spectrum,
+    and DomainError on a negative eigenvalue, which no Laplacian has.
     """
     _check_node_count(len(spectrum.eigenvalues), out)
     lam = spectrum.nonzero_eigenvalues
+    if lam[0] < 0.0:
+        raise DomainError(f"eigenvalue {lam[0]:.3e} is negative: not a Laplacian spectrum")
     if out.kind is not OutputKind.CUSTOM:
         return lam, np.full(len(lam), out.gram())
-    projected = out.matrix @ spectrum.eigenvectors()
-    weights = np.einsum("ji,ji->i", projected, projected)
-    return lam, np.delete(weights, spectrum.kernel_index)
+    projected = out.matrix @ spectrum.nonzero_eigenvectors
+    return lam, np.einsum("ji,ji->i", projected, projected)
 
 
 def _modal_sum(lam: np.ndarray, weights: np.ndarray, delay: float) -> float:
@@ -433,7 +435,7 @@ def delay_sweep(
         raise ValueError(f"need an integer of at least two samples, got {samples!r}")
     if len(graphs) not in (1, 2):
         raise ValueError("a delay sweep takes one or two graphs")
-    spectra = [_checked_spectrum(graph, out) for graph in graphs]
+    spectra = [_spectrum(_checked_laplacian(graph, out), out) for graph in graphs]
     # Modal weights do not depend on the delay: take them once per spectrum.
     modes = [_nonzero_modes(spectrum, out) for spectrum in spectra]
     tau_hi = math.pi / (2.0 * max(spectrum.lambda_max for spectrum in spectra))
@@ -563,7 +565,7 @@ def performance_report(graph: WeightedGraph, out: OutputSpec, delay: float) -> P
     At zero delay the fit column is filled with the exact value and the
     hard limit is 0 by convention.
     """
-    spectrum = _checked_spectrum(graph, out)
+    spectrum = _spectrum(_checked_laplacian(graph, out), out)
     stability = require_stable(spectrum, delay)
     lam, weights = _nonzero_modes(spectrum, out)
     exact = _modal_sum(lam, weights, delay)

@@ -17,8 +17,8 @@ from numbers import Integral
 import numpy as np
 
 from .errors import ConfigError
-from .graphs import WeightedGraph
-from .performance import OutputSpec, _checked_spectrum, require_stable
+from .graphs import WeightedGraph, eigendecompose
+from .performance import OutputSpec, _checked_laplacian, require_stable
 
 # Cap on floats held by one chunk of step-major states (1 MiB), or one block
 # of steps if that is larger. One trial's noise row adds at most half of it,
@@ -162,9 +162,9 @@ def simulate(
     Trials evolve independently from per-trial derived seeds and reduce
     deterministically: the same seed always returns the identical estimate.
     """
-    spectrum = _checked_spectrum(graph, out)
+    lap = _checked_laplacian(graph, out)
+    spectrum = eigendecompose(lap, vectors=False)
     require_stable(spectrum, config.delay)
-    lap = graph.laplacian()
     dt, delay_steps = _resolve_dt(config, spectrum.lambda_max)
     # Each mode's Euler recursion x_{k+1} = x_k - h x_{k-d}, h = dt lambda,
     # is stable iff h < 2 sin(pi / (2 (2d + 1))) (Levin & May 1976).

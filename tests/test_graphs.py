@@ -210,6 +210,13 @@ def test_laplacian_and_degrees_equal_the_per_edge_loop_bit_for_bit():
         assert g.max_weighted_degree() == float(loop.diagonal().max())
 
 
+def test_an_edgeless_laplacian_is_float():
+    # With no weight to sum, the degrees were an integer array.
+    for n in (1, 3):
+        lap = WeightedGraph(n, ()).laplacian()
+        assert lap.dtype == np.float64 and not lap.any()
+
+
 def test_delay_shift_matrix_equals_its_formula_bit_for_bit():
     rng = np.random.default_rng(13)
     for _ in range(20):
@@ -300,8 +307,9 @@ def test_a_spectrum_past_the_float_range_raises_domain_error(graph):
 
 
 def test_eigenvalues_without_vectors_match_eigh():
-    # The kernel's 0 is shifted to the top and dropped: what is left agrees
-    # with eigh within eigh's own n * eps * lambda_max, on weights over six
+    # Both paths put the kernel first as an exact 0. The kernel's 0 is
+    # grounded below the spectrum and replaced: what is left agrees with
+    # eigh within eigh's own n * eps * lambda_max, on weights over six
     # decades too.
     rng = np.random.default_rng(31)
     for index in range(100):
@@ -311,32 +319,62 @@ def test_eigenvalues_without_vectors_match_eigh():
             g = WeightedGraph(g.node_count, tuple((u, v, float(w)) for (u, v, _), w in zip(g.edges, weights)))
         full = eigendecompose(g.laplacian())
         values = eigendecompose(g.laplacian(), vectors=False)
-        assert values.vectors is None and values.kernel_index == 0 and values.eigenvalues[0] == 0.0
+        assert values.vectors is None and values.eigenvalues[0] == full.eigenvalues[0] == 0.0
         bound = g.node_count * np.finfo(float).eps * full.lambda_max
         assert np.abs(values.nonzero_eigenvalues - full.nonzero_eigenvalues).max() <= bound
 
 
 def test_eigenvalues_without_vectors_drop_the_kernel_at_a_tie():
-    # On K_{3,3} the shift c = 2 * 3 equals lambda_max = 6: dropping either
-    # copy of 6 leaves one 6 and four 3s, each within eigh's n * eps * lambda_max
-    # (LAPACK returns 3 and 6 up to two ulps below).
+    # K_{3,3}'s lambda_max 6 is twice its degree 3, so a shift of the kernel
+    # up by twice the degree would tie with it. Grounded at -3, the kernel is
+    # below every other value, and one 6 and four 3s are left, each within
+    # eigh's n * eps * lambda_max (LAPACK returns 3 and 6 up to two ulps below).
     k33 = WeightedGraph(6, tuple((u, v, 1.0) for u in range(3) for v in range(3, 6)))
     values = eigendecompose(k33.laplacian(), vectors=False).eigenvalues
     assert values[0] == 0.0
     assert values == pytest.approx([0, 3, 3, 3, 3, 6], rel=0.0, abs=6 * np.finfo(float).eps * 6)
 
 
+def test_eigenvalues_without_vectors_near_the_float_maximum_match_eigh():
+    # The largest degree is 1e308 and lambda_max 1.5e308: a shift by twice the
+    # degree would leave the float range, the grounding shift does not.
+    lap = WeightedGraph.path(3, 5e307).laplacian()
+    full, values = eigendecompose(lap), eigendecompose(lap, vectors=False)
+    assert values.eigenvalues[0] == 0.0 and math.isfinite(values.lambda_max)
+    bound = 3 * np.finfo(float).eps * full.lambda_max
+    assert np.abs(values.nonzero_eigenvalues - full.nonzero_eigenvalues).max() <= bound
+
+
 @pytest.mark.parametrize(
     "graph",
-    [WeightedGraph.path(3, 6e307), WeightedGraph(2, ((0, 1, 1e308),))],
-    ids=["lambda-max-overflows", "two-nodes"],
+    [
+        WeightedGraph.path(3, 6e307),
+        WeightedGraph(2, ((0, 1, 1e308),)),
+        WeightedGraph(2, ((0, 1, 1.5e308),)),
+        WeightedGraph.star(4, 1e308),
+    ],
+    ids=["lambda-max-overflows", "two-nodes", "grounded-entry-overflows", "degree-overflows"],
 )
 def test_eigenvalues_without_vectors_past_the_float_range_raise_domain_error(graph):
-    # The shift, twice the largest degree, leaves the float range first.
+    # lambda_max leaves the float range, as it does for eigh, and with it an
+    # entry of the grounded matrix or a degree may, before any solver runs.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="float range"):
             eigendecompose(graph.laplacian(), vectors=False)
+
+
+def test_eigh_puts_a_kernel_that_sorts_later_first():
+    # Twice past the stability threshold the shifted operator has three
+    # negative eigenvalues, which sort before its kernel.
+    g = WeightedGraph.cycle(6)
+    threshold = math.pi / (2.0 * eigendecompose(g.laplacian()).lambda_max)
+    spectrum = eigendecompose(delay_shift_matrix(g.laplacian(), 2.0 * threshold))
+    kernel = spectrum.vectors[:, 0]
+    assert spectrum.eigenvalues[0] == 0.0
+    assert np.all(np.diff(spectrum.eigenvalues[1:]) >= 0.0) and spectrum.eigenvalues[1] < 0.0
+    assert np.abs(np.sign(kernel.sum()) * kernel - 1.0 / math.sqrt(6.0)).max() <= 1e-14
+    assert np.allclose(spectrum.vectors.T @ spectrum.vectors, np.eye(6), atol=1e-14)
 
 
 def test_pseudo_inverse_needs_eigenvectors():

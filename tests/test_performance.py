@@ -207,6 +207,17 @@ def test_rho_exact_rejects_disconnected_spectrum():
             rho_exact(spectrum_of(g), OutputSpec.centering(g.node_count), 0.0)
 
 
+def test_modal_sums_reject_a_spectrum_with_negative_eigenvalues():
+    # Past its stability boundary the shifted operator's spectrum has
+    # eigenvalues well below zero, which no Laplacian has and every modal
+    # formula would turn into a negative variance.
+    g = WeightedGraph.cycle(6)
+    spectrum = graphs.eigendecompose(graphs.delay_shift_matrix(g.laplacian(), math.pi / 4.0))
+    for measure in (rho_exact, rho_approx):
+        with pytest.raises(DomainError, match="negative"):
+            measure(spectrum, OutputSpec.centering(6), 0.1)
+
+
 def test_report_on_weights_nine_decades_apart():
     # A connected path whose second eigenvalue (1.5e-9) sits below any
     # relative zero threshold of 1e-9; rho is dominated by 1/(2 lambda_2).
@@ -452,8 +463,8 @@ def test_crossover_with_lambda_max_an_ulp_apart_keeps_no_certificate():
     # below the first's and rounds onto the boundary, and the well-connected
     # triangle loses only within 1e-8 of the common stability boundary.
     # lambda_max is read as crossover_delay reads it, from the eigenvalues alone.
-    a = WeightedGraph(3, ((0, 1, 1.0), (0, 2, 0.7079146855055481), (1, 2, 0.8547846749285711)))
-    b = WeightedGraph(3, ((0, 1, 1.382384288471908), (1, 2, 0.09653693468416842)))
+    a = WeightedGraph(3, ((0, 1, 1.0), (0, 2, 0.7079146855055481), (1, 2, 0.8547846749285604)))
+    b = WeightedGraph(3, ((0, 1, 1.3823842884719026), (1, 2, 0.09653693468416842)))
     lam_a, lam_b = eigenvalues_of(a).lambda_max, eigenvalues_of(b).lambda_max
     assert lam_b < lam_a and (math.pi / (2.0 * lam_a)) * lam_b >= math.pi / 2.0
     result = crossover_delay(a, b, OutputSpec.centering(3))
@@ -694,7 +705,7 @@ NAMED_KINDS = ("centering", "complete-incidence", "orthonormal")
 
 
 def _vectorless(spectrum):
-    """The spectrum with every eigenvector entry NaN and its kernel index kept."""
+    """The spectrum with every eigenvector entry NaN."""
     return dataclasses.replace(spectrum, vectors=np.full_like(spectrum.vectors, math.nan))
 
 
@@ -727,8 +738,9 @@ def _named_output_results(g, h, out, tau, candidates):
 def test_named_output_entry_points_read_no_eigenvector(kind, monkeypatch):
     # np.linalg.eigh runs only inside EdgeFormCaches.build, whose
     # pseudo-inverses need eigenvectors: every other spectrum that a named
-    # output's reports, sweeps, audits, rescaling and simulation take is
-    # eigenvalues only.
+    # output's reports, sweeps, audits, rescaling and simulation take, and
+    # that any output's stability check and simulation take, is eigenvalues
+    # only.
     building, inside, outside = [], [], []
     build, eigh = graphs.EdgeFormCaches.build.__func__, np.linalg.eigh
 
@@ -759,8 +771,13 @@ def test_named_output_entry_points_read_no_eigenvector(kind, monkeypatch):
     for run in runs:
         _named_output_results(*run)
     assert outside == [] and len(inside) == 2 * len(runs)
+    # A custom output's stability check and simulation read eigenvalues only too.
+    custom, tau = OutputSpec.custom(centering_matrix(g.node_count)), runs[-1][3]
+    DesignState.from_graph(g, custom, tau, audit=False)
+    simulate(g, custom, SimulationConfig(delay=tau, trials=2, seed=0, burn_in=50 * tau, horizon=60 * tau))
+    assert outside == [] and len(inside) == 2 * len(runs) + 2
     # The guard sees a custom output's eigh, which reads the eigenvectors.
-    performance_report(g, OutputSpec.custom(centering_matrix(g.node_count)), 0.0)
+    performance_report(g, custom, 0.0)
     assert outside == [(g.node_count, g.node_count)]
 
 
