@@ -4,8 +4,8 @@ Adding weight w on edge e changes the performance fit by a closed-form
 amount computable from five cached edge quadratic forms. The caches keep
 each move as pending Sherman-Morrison terms of n-vectors and fold them into
 their matrices every PENDING_TERM_CAP moves, so with k terms pending a
-greedy iteration costs O((n + candidates) k) after the upfront
-eigendecompositions, plus a fold's O(n^2 k) once per PENDING_TERM_CAP moves.
+greedy iteration costs O((n + candidates) k) after the one upfront
+eigendecomposition, plus a fold's O(n^2 k) once per PENDING_TERM_CAP moves.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .errors import (
 )
 from .graphs import (
     EdgeFormCaches,
+    SpectralCache,
     WeightedGraph,
     _checked_move,
     _edge_arrays,
@@ -121,6 +122,14 @@ class DesignTrace:
     termination: str = "budget exhausted"
 
 
+def _stable_spectrum(laplacian: np.ndarray, delay: float) -> SpectralCache:
+    """The Laplacian's spectrum with eigenvectors, once require_stable passes;
+    from_graph names it nowhere, so build frees the eigenvectors early."""
+    spectrum = eigendecompose(laplacian)
+    require_stable(spectrum, delay)
+    return spectrum
+
+
 class DesignState:
     """Mutable design loop state: graph and caches, from which the fit is read.
 
@@ -163,9 +172,8 @@ class DesignState:
         delay: float,
         audit: bool | None = None,
     ) -> "DesignState":
-        laplacian = _checked_laplacian(graph, out)
-        require_stable(eigendecompose(laplacian, vectors=False), delay)
-        caches = EdgeFormCaches.build(laplacian, out.gram(), delay)
+        lap = _checked_laplacian(graph, out)
+        caches = EdgeFormCaches.build(lap, out.gram(), delay, _stable_spectrum(lap, delay))
         if audit is None:
             audit = graph.node_count <= AUDIT_NODE_LIMIT
         return cls(graph, out, caches, audit)

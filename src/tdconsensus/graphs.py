@@ -6,12 +6,12 @@ Conventions used throughout the package:
   node indices are 0-based, weights are strictly positive;
 * the Laplacian is dense and symmetric positive semidefinite with the
   all-ones vector in its kernel;
-* a connected graph's Laplacian and its delay-shifted operator both have
-  kernel exactly span(1): every spectrum puts that kernel pair first, its
-  eigenvalue an exact 0, and the rest ascending. eigh finds it as the
-  eigenvector most aligned with the all-ones vector; without eigenvectors,
-  a rank-one shift along 1 grounds it below every other eigenvalue; never
-  by a threshold.
+* a connected graph's Laplacian has kernel exactly span(1): every spectrum
+  puts that kernel pair first, its eigenvalue an exact 0, and the rest
+  ascending. eigh finds it as the eigenvector most aligned with the
+  all-ones vector; without eigenvectors, a rank-one shift along 1 grounds
+  it below every other eigenvalue; never by a threshold. The delay-shifted
+  operator is a spectral function of the Laplacian and is never formed.
 """
 
 from __future__ import annotations
@@ -219,21 +219,6 @@ class WeightedGraph:
         return cls(n, tuple((u, v, weight) for u in range(n) for v in range(u + 1, n)))
 
 
-def delay_shift_matrix(laplacian: np.ndarray, delay: float) -> np.ndarray:
-    """Stability-shifted operator (pi/2) * centering - delay * Laplacian, built
-    in place with every entry rounded as that formula rounds it.
-
-    Positive definite on the centered subspace exactly when the delayed
-    network is stable.
-    """
-    n = laplacian.shape[0]
-    shift = np.multiply(laplacian, -delay)
-    diagonal = shift.diagonal() + (np.pi / 2.0) * (1.0 - 1.0 / n)
-    shift += (np.pi / 2.0) * (-1.0 / n)
-    np.fill_diagonal(shift, diagonal)
-    return shift
-
-
 @dataclass(frozen=True)
 class SpectralCache:
     """Spectrum of a symmetric matrix with the ones vector in its kernel, in
@@ -251,15 +236,8 @@ class SpectralCache:
 
     @property
     def nonzero_eigenvalues(self) -> np.ndarray:
-        """Eigenvalues past the kernel, ascending; raises DisconnectedGraph when
-        one is within n * eps * max|lambda| of zero, the backward-error floor of
-        eigh and eigvalsh. The test is on |lambda|, so a shift past the
-        stability boundary passes."""
-        size = np.abs(self.eigenvalues[1:])
-        floor = len(self.eigenvalues) * np.finfo(float).eps * size.max(initial=0.0)
-        if len(size) == 0 or size.min() <= floor:
-            raise DisconnectedGraph(f"second kernel direction below {floor:.3e}: disconnected")
-        return self.eigenvalues[1:]
+        """Eigenvalues past the kernel, ascending; raises as _past_the_floor."""
+        return _past_the_floor(self.eigenvalues[1:], np.abs(self.eigenvalues).max(initial=0.0))
 
     @property
     def lambda_2(self) -> float:
@@ -273,6 +251,17 @@ class SpectralCache:
         if self.vectors is None:
             raise DomainError("this spectrum has no eigenvectors: eigendecompose it with vectors")
         return self.vectors[:, 1:]
+
+
+def _past_the_floor(values: np.ndarray, scale: float) -> np.ndarray:
+    """The eigenvalues past a kernel; raises DisconnectedGraph when one is within
+    n * eps * scale of zero, n = len(values) + 1, the backward-error floor of
+    eigh and eigvalsh on a matrix of norm scale. Negative values pass."""
+    size = np.abs(values)
+    floor = (len(values) + 1) * np.finfo(float).eps * scale
+    if len(size) == 0 or size.min() <= floor:
+        raise DisconnectedGraph(f"second kernel direction below {floor:.3e}: disconnected")
+    return values
 
 
 def _grounded_eigenvalues(matrix: np.ndarray) -> np.ndarray:
@@ -318,19 +307,12 @@ def eigendecompose(matrix: np.ndarray, *, vectors: bool = True) -> SpectralCache
     return SpectralCache(eigenvalues=eigenvalues, vectors=basis)
 
 
-def pseudo_inverse(cache: SpectralCache) -> np.ndarray:
-    """Inverse of every eigenpair past the kernel, which maps to zero.
-
-    Raises DomainError for a spectrum without eigenvectors, and what
-    nonzero_eigenvalues raises, as on a disconnected graph's Laplacian. A
-    shift past the stability boundary inverts by one signed GEMM; otherwise
-    the inverse is W Wᵀ, W = V diag(sqrt(inv)), which BLAS syrk forms.
-    """
-    basis = cache.nonzero_eigenvectors
-    inv = 1.0 / cache.nonzero_eigenvalues
-    if inv.min() < 0.0:
-        return (basis * inv) @ basis.T
-    scaled = basis * np.sqrt(inv)
+def _spectral_product(basis: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """basis diag(values) basisᵀ: W Wᵀ, W = basis diag(sqrt(values)), which
+    numpy hands to BLAS syrk, or one signed GEMM when a value is negative."""
+    if values.min() < 0.0:
+        return (basis * values) @ basis.T
+    scaled = basis * np.sqrt(values)
     return scaled @ scaled.T
 
 
@@ -561,21 +543,35 @@ class EdgeFormCaches:
 
     @classmethod
     def build(
-        cls, laplacian: np.ndarray, output_gram: np.ndarray | float, delay: float
+        cls, laplacian: np.ndarray, output_gram: np.ndarray | float, delay: float,
+        spectrum: SpectralCache | None = None,
     ) -> "EdgeFormCaches":
-        # The shifted operator first: its matrix and spectrum are freed before
-        # the Laplacian's eigh runs, so fewer n x n arrays are live.
-        sp = pseudo_inverse(eigendecompose(delay_shift_matrix(laplacian, delay)))
-        lp = pseudo_inverse(eigendecompose(laplacian))
-        return cls(
-            laplacian=laplacian.copy(),
-            output_gram=output_gram,
-            delay=delay,
-            lap_pinv=lp,
-            shift_pinv=sp,
-            lap_pinv_gram=_gram_sandwich(lp, output_gram),
-            shift_pinv_gram=_gram_sandwich(sp, output_gram),
-        )
+        """The caches of a Laplacian L at a delay, from one eigh of L.
+
+        S = (pi/2) Π - delay L (Π the centering projector) has L's eigenvectors
+        V and eigenvalues mu = pi/2 - delay lambda: S⁺ = (2/pi) Π + V diag((2/pi)
+        delay lambda / mu) Vᵀ, (2/pi) Π at zero delay. Every mu > 0 exactly when
+        check_stability finds the delay stable; past that, a mu within the floor
+        of a matrix of norm max(pi/2, delay lambda_max) raises. Given spectrum =
+        eigendecompose(laplacian), build owns both, editing that Laplacian and
+        freeing the eigenvectors before the sandwiches; else it decomposes a copy.
+        """
+        if spectrum is None:
+            laplacian = laplacian.copy()
+            spectrum = eigendecompose(laplacian)
+        basis, lam = spectrum.nonzero_eigenvectors, spectrum.nonzero_eigenvalues
+        shifted = np.pi / 2.0 - delay * lam
+        if shifted.min() <= 0.0:
+            _past_the_floor(shifted, max(np.pi / 2.0, delay * lam[-1]))
+        lp = _spectral_product(basis, 1.0 / lam)
+        sp = _spectral_product(basis, (2.0 / np.pi) * delay * lam / shifted)
+        del spectrum, basis
+        # sp += (2/pi) Π in place, each entry rounded as that sum rounds it.
+        diagonal = sp.diagonal() + (2.0 / np.pi) * (1.0 - 1.0 / len(sp))
+        sp += (2.0 / np.pi) * (-1.0 / len(sp))
+        np.fill_diagonal(sp, diagonal)
+        sandwiches = _gram_sandwich(lp, output_gram), _gram_sandwich(sp, output_gram)
+        return cls(laplacian, output_gram, delay, lp, sp, *sandwiches)
 
 
 @contextmanager

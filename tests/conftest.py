@@ -64,6 +64,13 @@ def random_connected_graph(
     return WeightedGraph(node_count=n, edges=tuple(edges))
 
 
+def spread_weights(rng: np.random.Generator, graph: WeightedGraph, decades: float) -> WeightedGraph:
+    """The graph with every weight scaled by its own 10^U(-decades, 0)."""
+    scales = 10.0 ** rng.uniform(-decades, 0.0, graph.edge_count)
+    edges = tuple((u, v, w * s) for (u, v, w), s in zip(graph.edges, scales))
+    return WeightedGraph(graph.node_count, edges)
+
+
 def stable_delay(graph: WeightedGraph, fraction: float = 0.5) -> float:
     """Delay at the given fraction of the stability threshold."""
     lam_max = eigendecompose(graph.laplacian()).lambda_max
@@ -162,16 +169,21 @@ def output_matrix(out: OutputSpec) -> np.ndarray:
     return out.matrix
 
 
+def delay_shift_matrix(laplacian: np.ndarray, delay: float) -> np.ndarray:
+    """The delay-shifted operator (pi/2) * centering - delay * Laplacian,
+    formed entry by entry; the library never forms it. Positive definite on
+    the centered subspace exactly when the delayed network is stable."""
+    return (math.pi / 2.0) * centering_matrix(laplacian.shape[0]) - delay * laplacian
+
+
 def fresh_caches(graph: WeightedGraph, out: OutputSpec, delay: float) -> EdgeFormCaches:
     """Caches rebuilt from scratch without the library's build, the reference
     for incremental updates: explicit pseudo-inverses and P @ CᵀC @ P from
     the explicit C, whatever the output kind."""
-    n = graph.node_count
     lap = graph.laplacian()
     c = output_matrix(out)
     gram = c.T @ c
-    shift = (math.pi / 2.0) * centering_matrix(n) - delay * lap
-    lap_pinv, shift_pinv = grounded_pinv(lap), grounded_pinv(shift)
+    lap_pinv, shift_pinv = grounded_pinv(lap), grounded_pinv(delay_shift_matrix(lap, delay))
     return EdgeFormCaches(
         laplacian=lap,
         output_gram=gram,

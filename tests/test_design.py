@@ -23,6 +23,7 @@ from tdconsensus import (
     SingularUpdate,
     UnstableNetwork,
     WeightedGraph,
+    check_stability,
     contribution_upper_bound,
     cosine_fixed_point,
     edge_contribution,
@@ -45,8 +46,10 @@ from conftest import (
     exact_measure,
     fit_measure,
     fresh_caches,
+    output_matrix,
     random_connected_graph,
     spectrum_of,
+    spread_weights,
     stable_delay,
     tracked_matrices,
 )
@@ -142,6 +145,73 @@ def test_from_graph_tracks_the_fit():
     assert state.audit  # small graph: audit defaults on
     off = DesignState.from_graph(g, out, tau, audit=False)
     assert off.audit_values() == (None, None)
+
+
+def test_from_graph_takes_one_eigh_and_no_eigvalsh(monkeypatch):
+    # The stability check, both pseudo-inverses and their sandwiches all come
+    # from one eigendecomposition of the Laplacian, for every output and delay.
+    rng = np.random.default_rng(41)
+    states = []
+    for _ in range(6):
+        g = random_connected_graph(rng, max_nodes=12)
+        named = ("centering", "complete-incidence", "orthonormal")
+        outputs = [make_output_spec(kind, g.node_count) for kind in named]
+        outputs.append(OutputSpec.custom(output_matrix(outputs[0])))
+        for fraction in (0.0, 0.5, 0.99):
+            states += [(g, out, stable_delay(g, fraction)) for out in outputs]
+    calls = []
+
+    def counted(name):
+        solver = getattr(np.linalg, name)
+
+        def solve(*args, **kwargs):
+            calls.append(name)
+            return solver(*args, **kwargs)
+
+        return solve
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    for g, out, tau in states:
+        calls.clear()
+        DesignState.from_graph(g, out, tau)
+        assert calls == ["eigh"], (out.kind, tau)
+
+
+def test_from_graph_verdict_at_the_stability_threshold():
+    # At the float threshold, the least delay with delay * lambda_max >= pi/2,
+    # from_graph raises UnstableNetwork; one float below it builds finite
+    # caches, though the top shifted eigenvalue pi/2 - delay lambda_max is
+    # then an ulp or two of pi/2. pi / (2 lambda_max) itself rounds to either
+    # side; there and one float below, the verdict is check_stability's.
+    rng = np.random.default_rng(43)
+    graphs = [WeightedGraph.path(3), WeightedGraph.cycle(6), WeightedGraph.complete(4)]
+    for index in range(24):
+        g = random_connected_graph(rng, max_nodes=16)
+        graphs.append(spread_weights(rng, g, 6.0) if index % 2 else g)
+    out_of_range = 0
+    for g in graphs:
+        spectrum = eigendecompose(g.laplacian())
+        nominal = math.pi / (2.0 * spectrum.lambda_max)
+        threshold = nominal
+        while check_stability(spectrum, threshold).stable:
+            threshold = math.nextafter(threshold, math.inf)
+        while not check_stability(spectrum, math.nextafter(threshold, 0.0)).stable:
+            threshold = math.nextafter(threshold, 0.0)
+        out_of_range += threshold != nominal
+        below = math.nextafter(threshold, 0.0)
+        for tau in (nominal, math.nextafter(nominal, 0.0), threshold, below):
+            out = OutputSpec.centering(g.node_count)
+            if check_stability(spectrum, tau).stable:
+                state = DesignState.from_graph(g, out, tau, audit=False)
+                assert all(np.isfinite(m).all() for m in tracked_matrices(state.caches))
+                assert math.isfinite(state.rho_fit)
+            else:
+                assert tau != below
+                with pytest.raises(UnstableNetwork):
+                    DesignState.from_graph(g, out, tau, audit=False)
+    # The nominal threshold misses the float one on some of these graphs.
+    assert 0 < out_of_range < len(graphs)
 
 
 # --- contribution formula ---

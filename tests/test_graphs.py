@@ -20,12 +20,11 @@ from tdconsensus import (
     OutputSpec,
     SingularUpdate,
     WeightedGraph,
-    delay_shift_matrix,
+    check_stability,
     edge_contribution,
     edge_stability_bound,
     eigendecompose,
     is_bridge,
-    pseudo_inverse,
     rho_approx,
     rho_approx_from_caches,
     sherman_morrison_update,
@@ -33,10 +32,12 @@ from tdconsensus import (
 from conftest import (
     bridge_oracle,
     centering_matrix,
+    delay_shift_matrix,
     fresh_caches,
     max_cache_drift,
     output_matrix,
     random_connected_graph,
+    spread_weights,
     stable_delay,
     tracked_matrices,
 )
@@ -217,25 +218,18 @@ def test_an_edgeless_laplacian_is_float():
         assert lap.dtype == np.float64 and not lap.any()
 
 
-def test_delay_shift_matrix_equals_its_formula_bit_for_bit():
-    rng = np.random.default_rng(13)
-    for _ in range(20):
-        g = random_connected_graph(rng, max_nodes=25)
-        lap = g.laplacian()
-        for tau in (0.0, stable_delay(g, float(rng.uniform(0.1, 2.0)))):
-            formula = (np.pi / 2) * centering_matrix(g.node_count) - tau * lap
-            assert np.array_equal(delay_shift_matrix(lap, tau), formula)
-
-
-def test_zero_delay_shift_matrix_is_the_same_on_every_graph():
-    # (pi/2) * centering - 0 * L: every entry of the delay term is a signed
-    # zero, so the operator, and so its caches, depend on the node count only.
+def test_zero_delay_shift_caches_are_the_same_on_every_graph():
+    # At zero delay S = (pi/2) Π on every graph, and build forms its
+    # pseudo-inverse in closed form: (2/pi) Π to the bit, whatever the weights.
     rng = np.random.default_rng(17)
     for n in (3, 7, 16):
         graphs = [WeightedGraph.path(n), WeightedGraph.complete(n, 3.5)]
         graphs += [random_connected_graph(rng, min_nodes=n, max_nodes=n) for _ in range(3)]
-        shifts = [delay_shift_matrix(g.laplacian(), 0.0).tobytes() for g in graphs]
-        assert len(set(shifts)) == 1
+        closed_form = (2.0 / np.pi) * centering_matrix(n)
+        for g in graphs:
+            caches = EdgeFormCaches.build(g.laplacian(), 1.0, 0.0)
+            assert np.array_equal(caches.shift_pinv, closed_form)
+            assert np.array_equal(caches.shift_pinv_gram, closed_form @ closed_form.T)
 
 
 def test_zero_delay_updates_leave_the_shift_caches_as_they_are():
@@ -270,21 +264,31 @@ def test_path_three_spectrum():
     assert spec.lambda_max == pytest.approx(3.0, abs=1e-12)
 
 
+def _lap_pinv(g: WeightedGraph) -> np.ndarray:
+    """The Laplacian's pseudo-inverse as EdgeFormCaches.build forms it."""
+    return EdgeFormCaches.build(g.laplacian(), 1.0, 0.0).lap_pinv
+
+
 def test_complete_three_pseudo_inverse_is_centering_over_three():
-    spec = eigendecompose(WeightedGraph.complete(3).laplacian())
-    pinv = pseudo_inverse(spec)
+    pinv = _lap_pinv(WeightedGraph.complete(3))
     assert np.allclose(pinv, centering_matrix(3) / 3.0, atol=1e-13)
 
 
 def test_pseudo_inverse_properties_random():
+    # Both operators' pseudo-inverses, taken from one eigh of the Laplacian,
+    # invert them on the centered subspace and map the ones vector to zero,
+    # on both sides of the stability boundary.
     rng = np.random.default_rng(23)
-    for _ in range(25):
+    for index in range(25):
         g = random_connected_graph(rng)
         lap = g.laplacian()
-        pinv = pseudo_inverse(eigendecompose(lap))
+        tau = stable_delay(g, (0.0, 0.5, 0.9, 1.5, 3.0)[index % 5])
+        caches = EdgeFormCaches.build(lap, 1.0, tau)
         center = centering_matrix(g.node_count)
-        assert np.allclose(lap @ pinv, center, atol=1e-10)
-        assert np.allclose(pinv @ np.ones(g.node_count), 0.0, atol=1e-10)
+        shift = delay_shift_matrix(lap, tau)
+        for operator, pinv in ((lap, caches.lap_pinv), (shift, caches.shift_pinv)):
+            assert np.allclose(operator @ pinv, center, atol=1e-10)
+            assert np.allclose(pinv @ np.ones(g.node_count), 0.0, atol=1e-10)
 
 
 def test_disconnected_lambda_2_raises():
@@ -378,24 +382,47 @@ def test_eigh_puts_a_kernel_that_sorts_later_first():
 
 
 def test_pseudo_inverse_needs_eigenvectors():
-    spectrum = eigendecompose(WeightedGraph.path(4).laplacian(), vectors=False)
+    lap = WeightedGraph.path(4).laplacian()
     with pytest.raises(DomainError, match="no eigenvectors"):
-        pseudo_inverse(spectrum)
+        EdgeFormCaches.build(lap, 1.0, 0.1, eigendecompose(lap, vectors=False))
 
 
 def test_pseudo_inverse_rejects_a_second_kernel_direction():
-    # Two components, an edgeless graph, and a shift on the stability boundary
-    # each have a second zero eigenvalue, which has no inverse.
-    two_pairs = WeightedGraph(4, ((0, 1, 1.0), (2, 3, 1.0))).laplacian()
-    boundary = delay_shift_matrix(WeightedGraph.path(3).laplacian(), math.pi / 6.0)
-    for matrix in (two_pairs, np.zeros((3, 3)), boundary):
+    # Two components and an edgeless graph have a second zero Laplacian
+    # eigenvalue, which has no inverse.
+    for matrix in (WeightedGraph(4, ((0, 1, 1.0), (2, 3, 1.0))).laplacian(), np.zeros((3, 3))):
         with pytest.raises(DisconnectedGraph):
-            pseudo_inverse(eigendecompose(matrix))
+            EdgeFormCaches.build(matrix, 1.0, 0.0)
+    # At the stability boundary the shifted operator's top eigenvalue
+    # pi/2 - delay lambda_max is zero within rounding. Within a few floats of
+    # the threshold, build raises the same typed error wherever the delay is
+    # unstable, and wherever it is stable forms finite caches: never an inf.
+    rng = np.random.default_rng(29)
+    graphs = [WeightedGraph.path(3), WeightedGraph.cycle(6), WeightedGraph.complete(4)]
+    graphs += [random_connected_graph(rng, max_nodes=12) for _ in range(12)]
+    verdicts = set()
+    for g in graphs:
+        lap = g.laplacian()
+        spectrum = eigendecompose(lap)
+        delay = math.pi / (2.0 * spectrum.lambda_max)
+        for _ in range(3):
+            delay = math.nextafter(delay, 0.0)
+        for _ in range(6):
+            stable = check_stability(spectrum, delay).stable
+            verdicts.add(stable)
+            if stable:
+                caches = EdgeFormCaches.build(lap, 1.0, delay)
+                assert all(np.isfinite(m).all() for m in tracked_matrices(caches))
+            else:
+                with pytest.raises(DisconnectedGraph):
+                    EdgeFormCaches.build(lap, 1.0, delay)
+            delay = math.nextafter(delay, math.inf)
+    assert verdicts == {True, False}
 
 
 def test_effective_resistance_on_paths_is_distance():
     for n in (3, 5, 8):
-        pinv = pseudo_inverse(eigendecompose(WeightedGraph.path(n).laplacian()))
+        pinv = _lap_pinv(WeightedGraph.path(n))
         for u in range(n):
             for v in range(u + 1, n):
                 r = edge_quadratic_forms(pinv, u, v)
@@ -405,7 +432,7 @@ def test_effective_resistance_on_paths_is_distance():
 def test_effective_resistance_on_cycles():
     # Parallel arcs of k and n - k unit resistors: r = k (n - k) / n.
     for n in (4, 7, 10):
-        pinv = pseudo_inverse(eigendecompose(WeightedGraph.cycle(n).laplacian()))
+        pinv = _lap_pinv(WeightedGraph.cycle(n))
         for k in range(1, n):
             r = edge_quadratic_forms(pinv, 0, k)
             assert r == pytest.approx(k * (n - k) / n, abs=1e-10)
@@ -414,8 +441,7 @@ def test_effective_resistance_on_cycles():
 def test_resistance_scales_inversely_with_weight():
     rng = np.random.default_rng(5)
     g = random_connected_graph(rng)
-    pinv = pseudo_inverse(eigendecompose(g.laplacian()))
-    pinv_scaled = pseudo_inverse(eigendecompose(g.scaled(2.5).laplacian()))
+    pinv, pinv_scaled = _lap_pinv(g), _lap_pinv(g.scaled(2.5))
     us, vs = np.array(g.edge_keys()).T
     r = edge_quadratic_forms(pinv, us, vs)
     assert edge_quadratic_forms(pinv_scaled, us, vs) == pytest.approx(r / 2.5)
@@ -432,14 +458,6 @@ def test_is_bridge_matches_dfs_oracle():
             assert is_bridge(g, (u, v)) == ((u, v) in expected)
     with pytest.raises(EdgeNotInGraph):
         is_bridge(graphs[-1], (1, 2))
-
-
-def test_delay_shift_matrix_definition():
-    g = WeightedGraph.cycle(5)
-    tau = 0.3
-    lap = g.laplacian()
-    shift = delay_shift_matrix(lap, tau)
-    assert np.allclose(shift, (np.pi / 2) * centering_matrix(5) - tau * lap)
 
 
 def test_shift_matrix_positive_definite_iff_stable():
@@ -512,6 +530,23 @@ def test_built_caches_match_the_explicit_reference(n):
             rebuilt = EdgeFormCaches.build(caches.laplacian, caches.output_gram, caches.delay)
             for ours, again in zip(tracked_matrices(caches), tracked_matrices(rebuilt)):
                 assert np.array_equal(ours, again), (name, fraction)
+
+
+def test_from_graph_caches_match_the_explicit_reference_on_wide_weights():
+    # One eigh of the Laplacian gives both operators' caches; on weights over
+    # six decades they match the explicit reference, two eigh of the grounded
+    # operators, for every output kind from zero delay to near the threshold.
+    rng = np.random.default_rng(37)
+    for _ in range(12):
+        g = spread_weights(rng, random_connected_graph(rng, max_nodes=24), 6.0)
+        for name, out in _cache_outputs(g.node_count, rng).items():
+            for fraction in (0.0, 0.5, 0.99):
+                delay = stable_delay(g, fraction)
+                caches = DesignState.from_graph(g, out, delay, audit=False).caches
+                reference = fresh_caches(g, out, delay)
+                for ours, ref in zip(tracked_matrices(caches), tracked_matrices(reference)):
+                    drift = float(np.max(np.abs(ours - ref)) / np.max(np.abs(ref)))
+                    assert drift <= BUILD_REFERENCE_BOUND, (name, fraction, drift)
 
 
 def test_spectrum_of_weights_nine_decades_apart_is_connected():

@@ -42,6 +42,7 @@ from tdconsensus.graphs import edge_quadratic_forms
 from tdconsensus.performance import require_stable, sensitivities
 from conftest import (
     centering_matrix,
+    delay_shift_matrix,
     eigenvalues_of,
     exact_measure,
     fresh_caches,
@@ -212,7 +213,7 @@ def test_modal_sums_reject_a_spectrum_with_negative_eigenvalues():
     # eigenvalues well below zero, which no Laplacian has and every modal
     # formula would turn into a negative variance.
     g = WeightedGraph.cycle(6)
-    spectrum = graphs.eigendecompose(graphs.delay_shift_matrix(g.laplacian(), math.pi / 4.0))
+    spectrum = graphs.eigendecompose(delay_shift_matrix(g.laplacian(), math.pi / 4.0))
     for measure in (rho_exact, rho_approx):
         with pytest.raises(DomainError, match="negative"):
             measure(spectrum, OutputSpec.centering(6), 0.1)
@@ -736,18 +737,17 @@ def _named_output_results(g, h, out, tau, candidates):
 
 @pytest.mark.parametrize("kind", NAMED_KINDS)
 def test_named_output_entry_points_read_no_eigenvector(kind, monkeypatch):
-    # np.linalg.eigh runs only inside EdgeFormCaches.build, whose
-    # pseudo-inverses need eigenvectors: every other spectrum that a named
+    # np.linalg.eigh runs once per DesignState.from_graph, whose caches need
+    # the Laplacian's eigenvectors: every other spectrum that a named
     # output's reports, sweeps, audits, rescaling and simulation take, and
-    # that any output's stability check and simulation take, is eigenvalues
-    # only.
+    # that any output's simulation takes, is eigenvalues only.
     building, inside, outside = [], [], []
-    build, eigh = graphs.EdgeFormCaches.build.__func__, np.linalg.eigh
+    from_graph, eigh = DesignState.from_graph.__func__, np.linalg.eigh
 
-    def guarded_build(cls, *args):
+    def guarded_from_graph(cls, *args, **kwargs):
         building.append(True)
         try:
-            return build(cls, *args)
+            return from_graph(cls, *args, **kwargs)
         finally:
             building.pop()
 
@@ -766,16 +766,16 @@ def test_named_output_entry_points_read_no_eigenvector(kind, monkeypatch):
         )
         out = make_output_spec(kind, g.node_count)
         runs.append((g, h, out, stable_delay(g, 0.4), candidates))
-    monkeypatch.setattr(graphs.EdgeFormCaches, "build", classmethod(guarded_build))
+    monkeypatch.setattr(DesignState, "from_graph", classmethod(guarded_from_graph))
     monkeypatch.setattr(np.linalg, "eigh", guarded_eigh)
     for run in runs:
         _named_output_results(*run)
-    assert outside == [] and len(inside) == 2 * len(runs)
-    # A custom output's stability check and simulation read eigenvalues only too.
+    assert outside == [] and len(inside) == len(runs)
+    # A custom output's design state takes one eigh too, and its simulation none.
     custom, tau = OutputSpec.custom(centering_matrix(g.node_count)), runs[-1][3]
     DesignState.from_graph(g, custom, tau, audit=False)
     simulate(g, custom, SimulationConfig(delay=tau, trials=2, seed=0, burn_in=50 * tau, horizon=60 * tau))
-    assert outside == [] and len(inside) == 2 * len(runs) + 2
+    assert outside == [] and len(inside) == len(runs) + 1
     # The guard sees a custom output's eigh, which reads the eigenvectors.
     performance_report(g, custom, 0.0)
     assert outside == [(g.node_count, g.node_count)]
