@@ -224,12 +224,6 @@ def edge_stability_bound(state: DesignState, edge: tuple[int, int]) -> float:
     return math.inf if state.delay == 0.0 else 1.0 / (state.delay * q_shift)
 
 
-def contribution_upper_bound(state: DesignState, edge: tuple[int, int]) -> float:
-    """Weight-free ceiling on -edge_contribution over every feasible weight."""
-    q_lap_gram, q_lap, _, q_shift, _ = _checked_move(state.caches, edge, 0.0)[1]
-    return float(q_lap_gram / (2.0 * q_lap) - FIT_SLOPE * state.delay / q_shift)
-
-
 def _fit_changes(
     state: DesignState,
     us: np.ndarray,
@@ -433,7 +427,8 @@ def grow_by_sensitivity(
         best = int(idx[pos])
         best_pair, best_slope = (int(us[best]), int(vs[best])), float(slopes[pos])
         forms = _edge_forms(state.caches, *best_pair)
-        bound = edge_stability_bound(state, best_pair)
+        # edge_stability_bound, from the forms just read.
+        bound = 1.0 / (state.delay * forms[3])
         if bound == math.inf:
             raise DomainError(
                 f"delay {state.delay} too small: the stability bound on pair "

@@ -129,13 +129,6 @@ def report_json(report: dict) -> str:
     return json.dumps(to_jsonable(report), indent=2, allow_nan=True) + "\n"
 
 
-def parse_report_json(text: str) -> dict:
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"report JSON: {exc}") from exc
-
-
 def csv_cell(value: float) -> str:
     """CSV numeric cell with 17 significant digits and '.' decimal separator."""
     return format(float(value), ".17g")

@@ -30,6 +30,7 @@ from .errors import (
     EdgeNotInGraph,
     IndexOutOfRange,
     SingularUpdate,
+    UnstableNetwork,
 )
 
 # Relative scale for the singular-update denominator guard.
@@ -137,9 +138,6 @@ class WeightedGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def edge_keys(self) -> tuple[Edge, ...]:
-        return tuple((u, v) for u, v, _ in self.edges)
-
     def has_edge(self, u: int, v: int) -> bool:
         return _check_endpoints(self.node_count, u, v) in self._weights
 
@@ -236,8 +234,18 @@ class SpectralCache:
 
     @property
     def nonzero_eigenvalues(self) -> np.ndarray:
-        """Eigenvalues past the kernel, ascending; raises as _past_the_floor."""
-        return _past_the_floor(self.eigenvalues[1:], np.abs(self.eigenvalues).max(initial=0.0))
+        """Eigenvalues past the kernel, ascending. Raises DisconnectedGraph when
+        one is within n * eps * max|eigenvalue| of zero, the backward-error
+        floor of eigh and eigvalsh, and DomainError when one is negative, which
+        no Laplacian eigenvalue is."""
+        eigenvalues = self.eigenvalues
+        values = eigenvalues[1:]
+        floor = len(eigenvalues) * np.finfo(float).eps * np.abs(eigenvalues).max(initial=0.0)
+        if len(values) == 0 or np.abs(values).min() <= floor:
+            raise DisconnectedGraph(f"second kernel direction below {floor:.3e}: disconnected")
+        if values[0] < 0.0:
+            raise DomainError(f"eigenvalue {values[0]:.3e} is negative: not a Laplacian spectrum")
+        return values
 
     @property
     def lambda_2(self) -> float:
@@ -251,17 +259,6 @@ class SpectralCache:
         if self.vectors is None:
             raise DomainError("this spectrum has no eigenvectors: eigendecompose it with vectors")
         return self.vectors[:, 1:]
-
-
-def _past_the_floor(values: np.ndarray, scale: float) -> np.ndarray:
-    """The eigenvalues past a kernel; raises DisconnectedGraph when one is within
-    n * eps * scale of zero, n = len(values) + 1, the backward-error floor of
-    eigh and eigvalsh on a matrix of norm scale. Negative values pass."""
-    size = np.abs(values)
-    floor = (len(values) + 1) * np.finfo(float).eps * scale
-    if len(size) == 0 or size.min() <= floor:
-        raise DisconnectedGraph(f"second kernel direction below {floor:.3e}: disconnected")
-    return values
 
 
 def _grounded_eigenvalues(matrix: np.ndarray) -> np.ndarray:
@@ -308,10 +305,8 @@ def eigendecompose(matrix: np.ndarray, *, vectors: bool = True) -> SpectralCache
 
 
 def _spectral_product(basis: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """basis diag(values) basisᵀ: W Wᵀ, W = basis diag(sqrt(values)), which
-    numpy hands to BLAS syrk, or one signed GEMM when a value is negative."""
-    if values.min() < 0.0:
-        return (basis * values) @ basis.T
+    """basis diag(values) basisᵀ for nonnegative values: W Wᵀ, W = basis
+    diag(sqrt(values)), which numpy hands to BLAS syrk."""
     scaled = basis * np.sqrt(values)
     return scaled @ scaled.T
 
@@ -450,7 +445,7 @@ class _DeferredPair:
             self.count = 0
             self._reset_diagonal()
 
-    def _add_terms(self, inverse: np.ndarray | None, sandwich: np.ndarray | None) -> None:
+    def _add_terms(self, inverse: np.ndarray, sandwich: np.ndarray) -> None:
         """Add the pending terms to P-shaped and Y-shaped matrices in place,
         UPDATE_BLOCK_ROWS rows at a time: P -= (alpha p)ᵀ p and Y += [p; corr]ᵀ
         [corr; p] over the stacked terms. Both triangles stay stored."""
@@ -464,22 +459,14 @@ class _DeferredPair:
         right = self.terms[:k, ::-1].reshape(2 * k, n)
         for start in range(0, n, UPDATE_BLOCK_ROWS):
             rows = slice(start, start + UPDATE_BLOCK_ROWS)
-            if inverse is not None:
-                inverse[rows] -= scaled[:, rows].T @ ps
-            if sandwich is not None:
-                sandwich[rows] += left[:, rows].T @ right
+            inverse[rows] -= scaled[:, rows].T @ ps
+            sandwich[rows] += left[:, rows].T @ right
 
-    def current_inverse(self) -> np.ndarray:
-        """A copy of P, base plus terms, as a fold now would leave it."""
-        inverse = self.inverse.copy()
-        self._add_terms(inverse, None)
-        return inverse
-
-    def current_sandwich(self) -> np.ndarray:
-        """A copy of Y, base plus terms, as a fold now would leave it."""
-        sandwich = self.sandwich.copy()
-        self._add_terms(None, sandwich)
-        return sandwich
+    def current(self) -> tuple[np.ndarray, np.ndarray]:
+        """Copies of P and Y, base plus terms, as a fold now would leave them."""
+        inverse, sandwich = self.inverse.copy(), self.sandwich.copy()
+        self._add_terms(inverse, sandwich)
+        return inverse, sandwich
 
     def gram_trace(self) -> float:
         """Tr[gram @ P], O(n): the sum of the kept diagonal, on which a term
@@ -527,19 +514,19 @@ class EdgeFormCaches:
 
     @property
     def lap_pinv(self) -> np.ndarray:
-        return self._lap.current_inverse()
+        return self._lap.current()[0]
 
     @property
     def shift_pinv(self) -> np.ndarray:
-        return self._shift.current_inverse()
+        return self._shift.current()[0]
 
     @property
     def lap_pinv_gram(self) -> np.ndarray:
-        return self._lap.current_sandwich()
+        return self._lap.current()[1]
 
     @property
     def shift_pinv_gram(self) -> np.ndarray:
-        return self._shift.current_sandwich()
+        return self._shift.current()[1]
 
     @classmethod
     def build(
@@ -551,18 +538,23 @@ class EdgeFormCaches:
         S = (pi/2) Π - delay L (Π the centering projector) has L's eigenvectors
         V and eigenvalues mu = pi/2 - delay lambda: S⁺ = (2/pi) Π + V diag((2/pi)
         delay lambda / mu) Vᵀ, (2/pi) Π at zero delay. Every mu > 0 exactly when
-        check_stability finds the delay stable; past that, a mu within the floor
-        of a matrix of norm max(pi/2, delay lambda_max) raises. Given spectrum =
-        eigendecompose(laplacian), build owns both, editing that Laplacian and
-        freeing the eigenvectors before the sandwiches; else it decomposes a copy.
+        check_stability finds the delay stable. Like check_stability, build
+        raises DomainError on a delay outside [0, inf); on an unstable one it
+        raises UnstableNetwork. Given spectrum = eigendecompose(laplacian), build owns both, editing
+        that Laplacian and freeing the eigenvectors before the sandwiches; else
+        it decomposes a copy.
         """
+        if not 0.0 <= delay < np.inf:
+            raise DomainError("delay must be nonnegative")
         if spectrum is None:
             laplacian = laplacian.copy()
             spectrum = eigendecompose(laplacian)
         basis, lam = spectrum.nonzero_eigenvectors, spectrum.nonzero_eigenvalues
         shifted = np.pi / 2.0 - delay * lam
         if shifted.min() <= 0.0:
-            _past_the_floor(shifted, max(np.pi / 2.0, delay * lam[-1]))
+            raise UnstableNetwork(
+                f"delay {delay} exceeds the stability threshold {np.pi / (2.0 * lam[-1])}"
+            )
         lp = _spectral_product(basis, 1.0 / lam)
         sp = _spectral_product(basis, (2.0 / np.pi) * delay * lam / shifted)
         del spectrum, basis

@@ -236,13 +236,10 @@ def _nonzero_modes(spectrum: SpectralCache, out: OutputSpec) -> tuple[np.ndarray
     A named output's gram s·Π maps every eigenvector orthogonal to 1 to s
     times itself, so each mode weighs s and no eigenvector is read; a custom
     C weighs mode q by |C q|². Checks the spectrum's size as
-    _check_node_count does; DisconnectedGraph on a disconnected spectrum,
-    and DomainError on a negative eigenvalue, which no Laplacian has.
+    _check_node_count does, and raises as SpectralCache.nonzero_eigenvalues.
     """
     _check_node_count(len(spectrum.eigenvalues), out)
     lam = spectrum.nonzero_eigenvalues
-    if lam[0] < 0.0:
-        raise DomainError(f"eigenvalue {lam[0]:.3e} is negative: not a Laplacian spectrum")
     if out.kind is not OutputKind.CUSTOM:
         return lam, np.full(len(lam), out.gram())
     projected = out.matrix @ spectrum.nonzero_eigenvectors

@@ -24,7 +24,6 @@ from tdconsensus import (
     UnstableNetwork,
     WeightedGraph,
     check_stability,
-    contribution_upper_bound,
     cosine_fixed_point,
     edge_contribution,
     edge_stability_bound,
@@ -382,7 +381,6 @@ def test_zero_delay_design_formulas_equal_their_delay_free_forms():
             for v in range(u + 1, n):
                 q_gram = float(edge_quadratic_forms(caches.lap_pinv_gram, u, v))
                 q_lap = float(edge_quadratic_forms(pinv, u, v))
-                assert contribution_upper_bound(state, (u, v)) == q_gram / (2.0 * q_lap)
                 weights = [0.3, 2.0] + ([-0.5 * g.weight(u, v)] if g.has_edge(u, v) else [])
                 for w in weights:
                     assert edge_contribution(state, (u, v), w) == -q_gram / (2.0 / w + 2.0 * q_lap)
@@ -503,7 +501,6 @@ _PER_EDGE = {
     ),
     "edge_contribution": edge_contribution,
     "edge_stability_bound": lambda state, edge, w: edge_stability_bound(state, edge),
-    "contribution_upper_bound": lambda state, edge, w: contribution_upper_bound(state, edge),
     "sensitivity": lambda state, edge, w: sensitivity(state.caches, edge),
 }
 
@@ -530,7 +527,7 @@ def test_a_move_may_take_an_edge_to_zero_weight_and_not_below():
 
 @pytest.mark.parametrize("entry", sorted(_PER_EDGE))
 def test_every_per_edge_entry_point_raises_the_same_errors(entry):
-    # One check serves all five, so each raises the same type with the same
+    # One check serves all four, so each raises the same type with the same
     # message; a copy of the check that drifted would fail here.
     g = WeightedGraph.cycle(5)
     state = DesignState.from_graph(g, OutputSpec.centering(5), stable_delay(g, 0.5))
@@ -549,27 +546,6 @@ def test_every_per_edge_entry_point_raises_the_same_errors(entry):
                 _PER_EDGE[entry](state, (2, 0), weight)
             message = f"weight change on edge (0, 2) must be finite, got {weight}"
             assert type(raised.value) is ValueError and str(raised.value) == message
-
-
-# --- contribution upper bound ---
-
-
-def test_contribution_upper_bound_dominates_every_feasible_weight():
-    rng = np.random.default_rng(25)
-    for _ in range(25):
-        g = random_connected_graph(rng, max_nodes=8)
-        out = OutputSpec.centering(g.node_count)
-        tau = stable_delay(g, float(rng.uniform(0.1, 0.8)))
-        state = DesignState.from_graph(g, out, tau)
-        absent = _absent_pairs(g)
-        if not absent:
-            continue
-        u, v = absent[int(rng.integers(len(absent)))]
-        ceiling = contribution_upper_bound(state, (u, v))
-        bound = edge_stability_bound(state, (u, v))
-        for frac in np.linspace(0.01, 1.0 - 1e-6, 80):
-            improvement = -edge_contribution(state, (u, v), float(frac) * bound)
-            assert improvement <= ceiling * (1.0 + 1e-9) + 1e-12
 
 
 # --- grow_simple ---
@@ -783,7 +759,7 @@ def test_grow_random_can_differ_from_simple_on_a_trap():
     for seed in range(12):
         state = DesignState.from_graph(g, OutputSpec.centering(4), tau)
         grow_random(state, CandidateSet(entries=entries, budget=2), seed=seed)
-        outcomes.add(state.graph.edge_keys())
+        outcomes.add(state.graph.edges)
     assert len(outcomes) > 1  # randomization actually explores
 
 

@@ -19,6 +19,7 @@ from tdconsensus import (
     OutputKind,
     OutputSpec,
     SingularUpdate,
+    UnstableNetwork,
     WeightedGraph,
     check_stability,
     edge_contribution,
@@ -112,7 +113,6 @@ def _assert_same_graph(edited: WeightedGraph, fresh: WeightedGraph) -> None:
     for u, v, w in edited.edges:
         assert (type(u), type(v), type(w)) == (int, int, float)
         assert edited.weight(v, u) == fresh.weight(u, v) == w
-    assert edited.edge_keys() == fresh.edge_keys()
 
 
 _SCALARS = (int, np.int64, np.int32)
@@ -170,11 +170,11 @@ def test_edge_edits_raise_the_construction_errors():
 
 
 def test_named_families_and_degree():
-    assert WeightedGraph.path(4).edge_keys() == ((0, 1), (1, 2), (2, 3))
+    assert WeightedGraph.path(4).edges == ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0))
     assert WeightedGraph.cycle(4).edge_count == 4
     with pytest.raises(ValueError, match="three nodes"):
         WeightedGraph.cycle(2)
-    assert WeightedGraph.star(4).edge_keys() == ((0, 1), (0, 2), (0, 3))
+    assert WeightedGraph.star(4).edges == ((0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0))
     assert WeightedGraph.complete(5).edge_count == 10
     assert WeightedGraph.star(5, weight=0.5).max_weighted_degree() == 2.0
 
@@ -277,12 +277,15 @@ def test_complete_three_pseudo_inverse_is_centering_over_three():
 def test_pseudo_inverse_properties_random():
     # Both operators' pseudo-inverses, taken from one eigh of the Laplacian,
     # invert them on the centered subspace and map the ones vector to zero,
-    # on both sides of the stability boundary.
+    # from zero delay to just below the stability boundary. Past it the
+    # network is unstable, and build refuses it.
     rng = np.random.default_rng(23)
     for index in range(25):
         g = random_connected_graph(rng)
         lap = g.laplacian()
-        tau = stable_delay(g, (0.0, 0.5, 0.9, 1.5, 3.0)[index % 5])
+        with pytest.raises(UnstableNetwork):
+            EdgeFormCaches.build(lap, 1.0, stable_delay(g, (1.5, 3.0)[index % 2]))
+        tau = stable_delay(g, (0.0, 0.5, 0.9, 0.99, 0.999)[index % 5])
         caches = EdgeFormCaches.build(lap, 1.0, tau)
         center = centering_matrix(g.node_count)
         shift = delay_shift_matrix(lap, tau)
@@ -387,6 +390,20 @@ def test_pseudo_inverse_needs_eigenvectors():
         EdgeFormCaches.build(lap, 1.0, 0.1, eigendecompose(lap, vectors=False))
 
 
+def test_build_refuses_a_negative_spectrum_or_delay():
+    # -L has its kernel pair and n - 1 negative eigenvalues: no Laplacian's.
+    # The spectrum's one check refuses it before any product is formed, and
+    # build refuses every delay that check_stability refuses.
+    lap = WeightedGraph.path(4).laplacian()
+    cases = [(-lap, 0.1, "negative: not a Laplacian")]
+    cases += [(lap, delay, "delay must be nonnegative") for delay in (-0.1, math.nan, math.inf)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for matrix, delay, message in cases:
+            with pytest.raises(DomainError, match=message):
+                EdgeFormCaches.build(matrix, 1.0, delay)
+
+
 def test_pseudo_inverse_rejects_a_second_kernel_direction():
     # Two components and an edgeless graph have a second zero Laplacian
     # eigenvalue, which has no inverse.
@@ -395,8 +412,9 @@ def test_pseudo_inverse_rejects_a_second_kernel_direction():
             EdgeFormCaches.build(matrix, 1.0, 0.0)
     # At the stability boundary the shifted operator's top eigenvalue
     # pi/2 - delay lambda_max is zero within rounding. Within a few floats of
-    # the threshold, build raises the same typed error wherever the delay is
-    # unstable, and wherever it is stable forms finite caches: never an inf.
+    # the threshold, build raises UnstableNetwork wherever check_stability
+    # finds the delay unstable, and wherever it is stable forms finite
+    # caches: never an inf, and never a disconnected verdict.
     rng = np.random.default_rng(29)
     graphs = [WeightedGraph.path(3), WeightedGraph.cycle(6), WeightedGraph.complete(4)]
     graphs += [random_connected_graph(rng, max_nodes=12) for _ in range(12)]
@@ -414,7 +432,7 @@ def test_pseudo_inverse_rejects_a_second_kernel_direction():
                 caches = EdgeFormCaches.build(lap, 1.0, delay)
                 assert all(np.isfinite(m).all() for m in tracked_matrices(caches))
             else:
-                with pytest.raises(DisconnectedGraph):
+                with pytest.raises(UnstableNetwork):
                     EdgeFormCaches.build(lap, 1.0, delay)
             delay = math.nextafter(delay, math.inf)
     assert verdicts == {True, False}
@@ -442,7 +460,7 @@ def test_resistance_scales_inversely_with_weight():
     rng = np.random.default_rng(5)
     g = random_connected_graph(rng)
     pinv, pinv_scaled = _lap_pinv(g), _lap_pinv(g.scaled(2.5))
-    us, vs = np.array(g.edge_keys()).T
+    us, vs = np.array([(u, v) for u, v, _ in g.edges]).T
     r = edge_quadratic_forms(pinv, us, vs)
     assert edge_quadratic_forms(pinv_scaled, us, vs) == pytest.approx(r / 2.5)
 
@@ -472,19 +490,23 @@ def test_shift_matrix_positive_definite_iff_stable():
 
 
 def test_shift_pinv_is_the_grounded_inverse_on_both_sides_of_the_boundary():
-    # Past the threshold the shift operator has negative eigenvalues that sort
-    # before its kernel eigenvalue, so the kernel must be found by its vector.
+    # Below the threshold S⁺ is the grounded inverse of the shift operator,
+    # up to just short of the boundary; past it the network is unstable, and
+    # build refuses it.
     g = WeightedGraph.cycle(6)
     lap = g.laplacian()
     threshold = math.pi / (2.0 * eigendecompose(lap).lambda_max)
     ones = np.full((6, 6), 1.0 / 6.0)
-    for factor in (0.5, 1.1, 2.0):
+    for factor in (0.5, 0.9, 0.99):
         tau = factor * threshold
         shift = delay_shift_matrix(lap, tau)
         grounded = np.linalg.inv(shift + ones) - ones
         caches = EdgeFormCaches.build(lap, centering_matrix(6), tau)
         err = np.abs(caches.shift_pinv - grounded).max() / np.abs(grounded).max()
         assert err <= 1e-12, (factor, err)
+    for factor in (1.1, 2.0):
+        with pytest.raises(UnstableNetwork):
+            EdgeFormCaches.build(lap, centering_matrix(6), factor * threshold)
 
 
 def _cache_outputs(n: int, rng: np.random.Generator | None = None) -> dict[str, OutputSpec]:
@@ -509,12 +531,15 @@ BUILD_REFERENCE_BOUND = 1e-10
 def test_built_caches_match_the_explicit_reference(n):
     # Named kinds carry their gram as a scale and build each sandwich as one
     # symmetric product; custom outputs keep the dense gram. At 1.1 and 2
-    # times the threshold the shifted operator is indefinite.
+    # times the threshold the network is unstable, and build refuses it.
     rng = np.random.default_rng(100 + n)
     g = random_connected_graph(rng, min_nodes=n, max_nodes=n, extra_edge_prob=3.0 / n)
     lap = g.laplacian()
     for name, out in _cache_outputs(n).items():
-        for fraction in (0.5, 1.1, 2.0):
+        for fraction in (1.1, 2.0):
+            with pytest.raises(UnstableNetwork):
+                EdgeFormCaches.build(lap, out.gram(), stable_delay(g, fraction))
+        for fraction in (0.5, 0.9, 0.99):
             delay = stable_delay(g, fraction)
             caches = EdgeFormCaches.build(lap, out.gram(), delay)
             assert isinstance(caches.output_gram, np.ndarray) == name.startswith("custom")
@@ -522,9 +547,8 @@ def test_built_caches_match_the_explicit_reference(n):
             for ours, ref in zip(tracked_matrices(caches), tracked_matrices(reference)):
                 drift = float(np.max(np.abs(ours - ref)) / np.max(np.abs(ref)))
                 assert drift <= BUILD_REFERENCE_BOUND, (name, fraction, drift)
-            if fraction < 1.0:
-                fit = rho_approx(eigendecompose(lap), out, delay)
-                assert rho_approx_from_caches(caches) == pytest.approx(fit, rel=1e-12, abs=0.0)
+            fit = rho_approx(eigendecompose(lap), out, delay)
+            assert rho_approx_from_caches(caches) == pytest.approx(fit, rel=1e-12, abs=0.0)
             # A rebuild from the caches' own fields, as the benchmark's drift
             # check makes, reproduces them exactly.
             rebuilt = EdgeFormCaches.build(caches.laplacian, caches.output_gram, caches.delay)

@@ -34,7 +34,6 @@ from tdconsensus import (
     load_graph,
     load_matrix,
     parse_graph_text,
-    parse_report_json,
     performance_report,
     report_json,
     reweight_scale,
@@ -135,19 +134,14 @@ def test_report_json_round_trips_losslessly():
         "scalar": np.float64(0.1),
     }
     text = report_json(report)
-    assert parse_report_json(text) == to_jsonable(report)
+    assert json.loads(text) == to_jsonable(report)
 
 
 def test_report_json_keeps_infinities():
     report = {"performance": performance_report(WeightedGraph.path(3), OutputSpec.centering(3), 0.0)}
     text = report_json(report)
     assert "Infinity" in text
-    assert parse_report_json(text)["performance"]["stability_margin"] == math.inf
-
-
-def test_parse_report_json_rejects_garbage():
-    with pytest.raises(ParseError):
-        parse_report_json("{not json")
+    assert json.loads(text)["performance"]["stability_margin"] == math.inf
 
 
 def test_csv_cell_round_trips_doubles():
@@ -408,24 +402,16 @@ def test_package_exports_are_exactly_all():
     assert sorted(namespace) == sorted(exported)
 
 
-# Exports kept without a reader: the paper's closed forms and bounds, and the
-# inverse of report_json.
-UNREAD_EXPORTS = {
-    "mode_variance",
-    "mode_variance_fit",
-    "monotonicity_threshold",
-    "contribution_upper_bound",
-    "parse_report_json",
-}
-
-
 def test_every_export_has_a_reader():
-    # A reader is a name, attribute or string (perfbench traces functions by
-    # name) in the package outside __init__, in perfbench, or a word of a
-    # README python example; a definition or an import reads nothing.
+    # Every export, and every function, class and method the package defines
+    # (dunders aside), has a reader: a name, attribute or string (perfbench
+    # traces functions by name) in the package outside __init__, in
+    # perfbench, or a word of a README python example. A definition or an
+    # import reads nothing, and neither do the tests.
     package = Path(tdconsensus.__file__).resolve().parent
     root = package.parents[1]
     read: set[str] = set()
+    defined = set(tdconsensus.__all__)
     modules = [p for p in package.glob("*.py") if p.name != "__init__.py"]
     for path in modules + sorted((root / "perfbench").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -435,11 +421,13 @@ def test_every_export_has_a_reader():
                 read.add(node.attr)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 read.add(node.value)
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)) and path in modules:
+                defined.add(node.name)
     readme = (root / "README.md").read_text(encoding="utf-8")
     for block in re.findall(r"```python\n(.*?)```", readme, re.S):
         read.update(re.findall(r"\w+", block))
-    unread = [name for name in tdconsensus.__all__ if name not in read | UNREAD_EXPORTS]
-    assert unread == []
+    dunders = {name for name in defined if name.startswith("__") and name.endswith("__")}
+    assert sorted(defined - dunders - read) == []
 
 
 def test_cli_argparse_rejects_unknown_command():
