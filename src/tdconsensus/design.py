@@ -1,11 +1,13 @@
 """Greedy topology design driven by rank-one performance differences.
 
 Adding weight w on edge e changes the performance fit by a closed-form
-amount computable from five cached edge quadratic forms. The caches keep
-each move as pending Sherman-Morrison terms of n-vectors and fold them into
-their matrices every PENDING_TERM_CAP moves, so with k terms pending a
-greedy iteration costs O((n + candidates) k) after the one upfront
-eigendecomposition, plus a fold's O(n^2 k) once per PENDING_TERM_CAP moves.
+amount computable from five cached edge quadratic forms. The caches read
+their bases from the eigenvectors of the one upfront eigendecomposition and
+keep each move as pending Sherman-Morrison terms of n-vectors. With k terms
+pending, a greedy iteration costs O((n + candidates) k) for the terms, plus,
+until the first fold, O(n) per candidate for its base forms and one O(n^2)
+product for the move's base columns. Every PENDING_TERM_CAP moves a fold
+adds the terms to the matrices in O(n^2 k); the first forms the matrices.
 """
 
 from __future__ import annotations
@@ -124,7 +126,8 @@ class DesignTrace:
 
 def _stable_spectrum(laplacian: np.ndarray, delay: float) -> SpectralCache:
     """The Laplacian's spectrum with eigenvectors, once require_stable passes;
-    from_graph names it nowhere, so build frees the eigenvectors early."""
+    from_graph names it nowhere, so build owns the eigenvectors: the spectral
+    base of a named output, freed once a custom output's matrices are formed."""
     spectrum = eigendecompose(laplacian)
     require_stable(spectrum, delay)
     return spectrum
@@ -136,9 +139,10 @@ class DesignState:
     With audit enabled, every mutation re-eigendecomposes the Laplacian to
     record the exact measure and stability margin; without it the loop
     relies on the edge stability bound. A step then costs O((n + m) k) for
-    m candidates and k pending update terms (a custom output's dense gram
-    adds O(n^2)), and O(n^2 k) once every PENDING_TERM_CAP steps, when the
-    caches fold their terms.
+    m candidates and k pending update terms, plus O(n m + n^2) for the base
+    forms and columns until the caches' first fold (a custom output's dense
+    gram adds O(n^2) after it instead), and O(n^2 k) once every
+    PENDING_TERM_CAP steps, when the caches fold their terms.
     """
 
     def __init__(

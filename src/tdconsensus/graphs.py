@@ -311,6 +311,17 @@ def _spectral_product(basis: np.ndarray, values: np.ndarray) -> np.ndarray:
     return scaled @ scaled.T
 
 
+def _spectral_matrix(basis: np.ndarray, values: np.ndarray, offset: float) -> np.ndarray:
+    """offset Π + basis diag(values) basisᵀ, Π the centering projector, added
+    in place: each entry rounds as that sum rounds it."""
+    matrix = _spectral_product(basis, values)
+    if offset:
+        diagonal = matrix.diagonal() + offset * (1.0 - 1.0 / len(matrix))
+        matrix += offset * (-1.0 / len(matrix))
+        np.fill_diagonal(matrix, diagonal)
+    return matrix
+
+
 def _gram_sandwich(pinv: np.ndarray, output_gram: np.ndarray | float) -> np.ndarray:
     """pinv @ gram @ pinv; pinv annihilates the ones vector, so a scale s (s times
     the centering projector) gives s pinv pinvᵀ, one BLAS syrk, not two GEMMs."""
@@ -345,47 +356,115 @@ def is_bridge(graph: WeightedGraph, edge: Edge) -> bool:
     return uf.find(key[0]) != uf.find(key[1])
 
 
+class _SpectralBase:
+    """Both operators' base matrices, read from the one eigh L = V diag(lambda) Vᵀ
+    of the Laplacian: column j of weights and offsets[j] stand for offsets[j] Π
+    + V diag(weights[:, j]) Vᵀ, Π the centering projector. For a named output's
+    gram s Π, with mu = pi/2 - delay lambda and a = (2/pi) delay lambda / mu,
+    the columns are L⁺ (1/lambda), its sandwich s L⁺ L⁺ (s/lambda²), S⁺ =
+    (2/pi) Π + V diag(a) Vᵀ and its sandwich s S⁺ S⁺ = s (2/pi)² Π + V diag(s a
+    (2 (2/pi) + a)) Vᵀ, whose spectral columns are exact zeros at zero delay.
+    V is the eigenvectors past the kernel, a view of eigh's whole basis, not a copy.
+    """
+
+    def __init__(self, basis: np.ndarray, weights: np.ndarray, offsets: np.ndarray) -> None:
+        self.basis = basis
+        self.weights = weights
+        self.offsets = offsets
+        # diag(V diag(g) Vᵀ) = (V ∘ V) g, UPDATE_BLOCK_ROWS rows of V ∘ V at a
+        # time where the whole would be an n x n temporary; diag Π = 1 - 1/n.
+        n = len(basis)
+        self.diagonals = np.empty((n, weights.shape[1]))
+        for start in range(0, n, UPDATE_BLOCK_ROWS):
+            rows = slice(start, start + UPDATE_BLOCK_ROWS)
+            self.diagonals[rows] = np.square(basis[rows]) @ weights
+        self.diagonals += offsets * (1.0 - 1.0 / n)
+
+    def forms(self, us: np.ndarray | int, vs: np.ndarray | int) -> np.ndarray:
+        """The four matrices' edge forms at the pairs, along a last axis of
+        length 4: sum_k g_k (V_uk - V_vk)² + 2 offset, from one gather of rows
+        and one product, O(n) per pair."""
+        diff = self.basis[us] - self.basis[vs]
+        return np.square(diff, out=diff) @ self.weights + 2.0 * self.offsets
+
+    def columns(self, u: int, v: int) -> np.ndarray:
+        """The four matrices times b = e_u - e_v, as the columns of an n x 4
+        array: V (g ∘ Vᵀb) + offset b, since Π b = b; one O(n²) product."""
+        columns = self.basis @ (self.weights * (self.basis[u] - self.basis[v])[:, None])
+        columns[u] += self.offsets
+        columns[v] -= self.offsets
+        return columns
+
+    def inverse(self, column: int) -> np.ndarray:
+        """The pseudo-inverse of a column as a new n x n matrix, as build forms
+        a custom output's: one syrk and the offset's Π."""
+        return _spectral_matrix(self.basis, self.weights[:, column], self.offsets[column])
+
+
 class _DeferredPair:
     """One operator's pseudo-inverse P and sandwich Y = P @ gram @ P, each a
-    base matrix plus the Sherman-Morrison terms not yet folded into it, and
-    the current diag(gram @ P), kept term by term.
+    base plus the Sherman-Morrison terms not yet folded into it, and the
+    current diag(gram @ P), kept term by term.
 
-    Pending term j is two n-vectors, p_j and corr_j, and a scalar alpha_j:
+    The base is spectral, columns `column` (P) and `column` + 1 (Y) of a
+    _SpectralBase that both operators share, until this operator's first
+    fold, and the two matrices (materialized) from then on. A spectral base
+    gives a pair's base forms in O(n) and a move's base columns by one O(n^2)
+    product, and holds no n x n array but the eigenvectors. Pending term j
+    is two n-vectors, p_j and corr_j, and a scalar alpha_j:
 
         P = base P - sum_j alpha_j p_j p_jᵀ
         Y = base Y + sum_j (p_j corr_jᵀ + corr_j p_jᵀ)
 
-    Reads add the terms themselves and change nothing. Only add_term writes,
-    and once PENDING_TERM_CAP terms are pending it folds them all into the
-    bases, by one blocked rank-k product per matrix; so when a fold happens
-    depends on the sequence of updates alone, never on what was read.
+    Reads add the terms themselves and change nothing: a whole matrix is read
+    as a new copy, and the base keeps its form. Only add_term writes; once
+    PENDING_TERM_CAP terms are pending it materializes a spectral base and
+    folds the terms into the matrices, by one blocked rank-k product each. So
+    when a fold happens, and when the base turns to matrices, depends on the
+    sequence of updates alone, never on what was read.
     """
 
     def __init__(
-        self, inverse: np.ndarray, sandwich: np.ndarray, gram: np.ndarray | float
+        self,
+        gram: np.ndarray | float,
+        inverse: np.ndarray | None = None,
+        sandwich: np.ndarray | None = None,
+        spectral: _SpectralBase | None = None,
+        column: int = 0,
     ) -> None:
-        self.inverse = inverse
-        self.sandwich = sandwich
         self.gram = gram
+        self.inverse, self.sandwich = inverse, sandwich
+        self.spectral, self.column = spectral, column
         # terms[j] holds the rows p_j and corr_j, so terms[:k] is the
         # contiguous 2k x n factor of the sandwich's terms. np.empty leaves
         # pages no term has reached unwritten.
-        self.terms = np.empty((PENDING_TERM_CAP, 2, inverse.shape[0]))
+        n = len(inverse if spectral is None else spectral.basis)
+        self.terms = np.empty((PENDING_TERM_CAP, 2, n))
         self.alphas = np.empty(PENDING_TERM_CAP)
         self.count = 0
         self._reset_diagonal()
 
     def _reset_diagonal(self) -> None:
         """diag(gram @ base P): s diag P for a scale s, since P 1 = 0."""
-        if np.ndim(self.gram) == 0:
+        if self.spectral is not None:
+            self.diagonal = self.gram * self.spectral.diagonals[:, self.column]
+        elif np.ndim(self.gram) == 0:
             self.diagonal = self.gram * self.inverse.diagonal()
         else:
             self.diagonal = np.einsum("ij,ji->i", self.gram, self.inverse)
 
-    def forms(self, us: np.ndarray | int, vs: np.ndarray | int) -> tuple:
-        """Edge forms of the current Y and P at the pairs, O(m k) for m pairs."""
-        sandwich = edge_quadratic_forms(self.sandwich, us, vs)
-        inverse = edge_quadratic_forms(self.inverse, us, vs)
+    def forms(
+        self, us: np.ndarray | int, vs: np.ndarray | int, spectral_forms: np.ndarray | None
+    ) -> tuple:
+        """Edge forms of the current Y and P at the pairs, O(m k) for m pairs
+        past the base forms, which a spectral base takes from spectral_forms,
+        _SpectralBase.forms at the pairs."""
+        if self.spectral is None:
+            sandwich = edge_quadratic_forms(self.sandwich, us, vs)
+            inverse = edge_quadratic_forms(self.inverse, us, vs)
+        else:
+            inverse = spectral_forms[..., self.column]
+            sandwich = spectral_forms[..., self.column + 1]
         k = self.count
         if k:
             # bᵀp_j and bᵀcorr_j for every term and pair.
@@ -395,34 +474,45 @@ class _DeferredPair:
             inverse = inverse - self.alphas[:k] @ (dp * dp)
         return sandwich, inverse
 
-    def update_term(
-        self, u: int, v: int, coefficient: float
-    ) -> tuple[np.ndarray, np.ndarray, float]:
-        """Term (p, corr, alpha) of A += c b bᵀ, b the endpoint
-        difference vector of (u, v); reads the matrices and writes nothing.
-
-        b is orthogonal to the all-ones kernel, so the Sherman-Morrison
-        identity applies to these pseudo-inverses unchanged. Callers test the
-        denominator first, by _checked_move.
-        """
-        # p = P b and z = Y b, O(n k): row 0 of steps holds the base column
-        # differences and row j + 1 what term j adds, -alpha_j (bᵀp_j) p_j
-        # and (bᵀcorr_j) p_j + (bᵀp_j) corr_j. numpy sums the rows one at a
-        # time in order, as updating the matrices move by move would add
-        # them: when a term cancels most of the base, the terms after it keep
-        # their digits, where a sum of the terms formed first would round
-        # them to the cancelled size.
+    def columns(
+        self, u: int, v: int, spectral_columns: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """P b and Y b of the current matrices, b the endpoint difference
+        vector of (u, v), O(n k) past the base columns, which a spectral base
+        takes from spectral_columns, _SpectralBase.columns of (u, v)."""
+        # Row 0 of steps holds the base column differences and row j + 1
+        # what term j adds, -alpha_j (bᵀp_j) p_j and (bᵀcorr_j) p_j + (bᵀp_j)
+        # corr_j. numpy sums the rows one at a time in order, as updating the
+        # matrices move by move would add them: when a term cancels most of
+        # the base, the terms after it keep their digits, where a sum of the
+        # terms formed first would round them to the cancelled size.
         k = self.count
         steps = np.empty((2, k + 1, len(self.diagonal)))
-        np.subtract(self.inverse[:, u], self.inverse[:, v], out=steps[0, 0])
-        np.subtract(self.sandwich[:, u], self.sandwich[:, v], out=steps[1, 0])
+        if self.spectral is None:
+            np.subtract(self.inverse[:, u], self.inverse[:, v], out=steps[0, 0])
+            np.subtract(self.sandwich[:, u], self.sandwich[:, v], out=steps[1, 0])
+        else:
+            steps[:, 0] = spectral_columns[:, self.column : self.column + 2].T
         if k:
             dp, dc = (self.terms[:k, :, u] - self.terms[:k, :, v]).T
             ps, corrs = self.terms[:k, 0], self.terms[:k, 1]
             np.multiply((-self.alphas[:k] * dp)[:, None], ps, out=steps[0, 1:])
             np.multiply(dc[:, None], ps, out=steps[1, 1:])
             steps[1, 1:] += dp[:, None] * corrs
-        p, z = steps.sum(axis=1)
+        return steps.sum(axis=1)
+
+    def update_term(
+        self, u: int, v: int, coefficient: float, spectral_columns: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray, float]:
+        """Term (p, corr, alpha) of A += c b bᵀ, b the endpoint
+        difference vector of (u, v), from the columns p = P b and z = Y b;
+        reads the caches and writes nothing.
+
+        b is orthogonal to the all-ones kernel, so the Sherman-Morrison
+        identity applies to these pseudo-inverses unchanged. Callers test the
+        denominator first, by _checked_move.
+        """
+        p, z = self.columns(u, v, spectral_columns)
         # alpha keeps this update's own rounding of bᵀP b, p[u] - p[v].
         alpha = coefficient / (1.0 + coefficient * (p[u] - p[v]))
         sandwich_quad = z[u] - z[v]
@@ -432,7 +522,8 @@ class _DeferredPair:
         return p, corr, alpha
 
     def add_term(self, p: np.ndarray, corr: np.ndarray, alpha: float) -> None:
-        """Keep one update_term; fold every term once PENDING_TERM_CAP are pending."""
+        """Keep one update_term; once PENDING_TERM_CAP are pending,
+        materialize a spectral base and fold every term into the matrices."""
         k = self.count
         self.terms[k, 0] = p
         self.terms[k, 1] = corr
@@ -441,32 +532,48 @@ class _DeferredPair:
         self.diagonal -= (alpha * np.dot(self.gram, p)) * p
         self.count = k + 1
         if self.count == PENDING_TERM_CAP:
-            self._add_terms(self.inverse, self.sandwich)
+            if self.spectral is not None:
+                self.inverse = self._base(0)
+                self.sandwich = _gram_sandwich(self.inverse, self.gram)
+                self.spectral = None
+            self._add_terms(self.inverse, 0)
+            self._add_terms(self.sandwich, 1)
             self.count = 0
             self._reset_diagonal()
 
-    def _add_terms(self, inverse: np.ndarray, sandwich: np.ndarray) -> None:
-        """Add the pending terms to P-shaped and Y-shaped matrices in place,
-        UPDATE_BLOCK_ROWS rows at a time: P -= (alpha p)ᵀ p and Y += [p; corr]ᵀ
+    def _base(self, which: int) -> np.ndarray:
+        """A new array of base P (which 0) or base Y (1); a spectral Y is
+        formed from its P, as a fold forms it."""
+        if self.spectral is None:
+            return (self.inverse, self.sandwich)[which].copy()
+        inverse = self.spectral.inverse(self.column)
+        return inverse if which == 0 else _gram_sandwich(inverse, self.gram)
+
+    def _add_terms(self, matrix: np.ndarray, which: int) -> None:
+        """Add the pending terms of P (which 0) or Y (1) to a matrix in place,
+        UPDATE_BLOCK_ROWS rows at a time: P -= (alpha p)ᵀ p, or Y += [p; corr]ᵀ
         [corr; p] over the stacked terms. Both triangles stay stored."""
         k = self.count
         if not k:
             return
         n = self.terms.shape[2]
-        ps = self.terms[:k, 0]
-        scaled = self.alphas[:k, None] * ps
-        left = self.terms[:k].reshape(2 * k, n)
-        right = self.terms[:k, ::-1].reshape(2 * k, n)
+        if which == 0:
+            # P -= x and P += (-x) round alike.
+            ps = self.terms[:k, 0]
+            left, right = self.alphas[:k, None] * ps, -ps
+        else:
+            left = self.terms[:k].reshape(2 * k, n)
+            right = self.terms[:k, ::-1].reshape(2 * k, n)
         for start in range(0, n, UPDATE_BLOCK_ROWS):
             rows = slice(start, start + UPDATE_BLOCK_ROWS)
-            inverse[rows] -= scaled[:, rows].T @ ps
-            sandwich[rows] += left[:, rows].T @ right
+            matrix[rows] += left[:, rows].T @ right
 
-    def current(self) -> tuple[np.ndarray, np.ndarray]:
-        """Copies of P and Y, base plus terms, as a fold now would leave them."""
-        inverse, sandwich = self.inverse.copy(), self.sandwich.copy()
-        self._add_terms(inverse, sandwich)
-        return inverse, sandwich
+    def current(self, which: int) -> np.ndarray:
+        """A copy of P (which 0) or Y (1), its base plus its own terms, as a
+        fold now would leave it."""
+        matrix = self._base(which)
+        self._add_terms(matrix, which)
+        return matrix
 
     def gram_trace(self) -> float:
         """Tr[gram @ P], O(n): the sum of the kept diagonal, on which a term
@@ -483,12 +590,17 @@ class EdgeFormCaches:
       lap_pinv_gram    lap_pinv @ output_gram @ lap_pinv
       shift_pinv_gram  shift_pinv @ output_gram @ shift_pinv
 
-    Each pseudo-inverse and its sandwich are held as base matrices plus the
-    pending terms of the updates since their last fold (_DeferredPair). The
-    four attributes return copies of the current matrices, base plus terms;
-    the design loop never forms them, since its reads (_edge_forms, the
-    update's column differences and the kept diagonals) add the terms
-    themselves.
+    Each pseudo-inverse and its sandwich are held as a base plus the pending
+    terms of the updates since their last fold (_DeferredPair). For a named
+    output, build leaves both bases spectral, read from the Laplacian's
+    eigenvectors, and forms no n x n matrix: a read costs O(n) per pair and
+    a move one O(n^2) product for both operators' columns until a fold
+    forms the matrices. A custom output's bases are the matrices from the
+    start, and so are those the constructor is given. The four attributes
+    return new copies of the current matrices, each its own base plus its
+    own terms, and change no base; the design loop never forms them, since
+    its reads (_edge_forms, the update's column differences and the kept
+    diagonals) add the terms themselves.
 
     The Laplacian, edited in place by every update, and the output gram
     ride along so trace-form evaluations need no extra state. output_gram
@@ -509,24 +621,29 @@ class EdgeFormCaches:
         self.laplacian = laplacian
         self.output_gram = output_gram
         self.delay = delay
-        self._lap = _DeferredPair(lap_pinv, lap_pinv_gram, output_gram)
-        self._shift = _DeferredPair(shift_pinv, shift_pinv_gram, output_gram)
+        self._lap = _DeferredPair(output_gram, lap_pinv, lap_pinv_gram)
+        self._shift = _DeferredPair(output_gram, shift_pinv, shift_pinv_gram)
 
     @property
     def lap_pinv(self) -> np.ndarray:
-        return self._lap.current()[0]
+        return self._lap.current(0)
 
     @property
     def shift_pinv(self) -> np.ndarray:
-        return self._shift.current()[0]
+        return self._shift.current(0)
 
     @property
     def lap_pinv_gram(self) -> np.ndarray:
-        return self._lap.current()[1]
+        return self._lap.current(1)
 
     @property
     def shift_pinv_gram(self) -> np.ndarray:
-        return self._shift.current()[1]
+        return self._shift.current(1)
+
+    @property
+    def _spectral(self) -> _SpectralBase | None:
+        """The spectral base, while either operator still reads from it."""
+        return self._lap.spectral or self._shift.spectral
 
     @classmethod
     def build(
@@ -540,9 +657,10 @@ class EdgeFormCaches:
         delay lambda / mu) Vᵀ, (2/pi) Π at zero delay. Every mu > 0 exactly when
         check_stability finds the delay stable. Like check_stability, build
         raises DomainError on a delay outside [0, inf); on an unstable one it
-        raises UnstableNetwork. Given spectrum = eigendecompose(laplacian), build owns both, editing
-        that Laplacian and freeing the eigenvectors before the sandwiches; else
-        it decomposes a copy.
+        raises UnstableNetwork. A named output's caches keep V as their
+        _SpectralBase; a custom output's are formed now, and V freed before
+        the sandwiches. Given spectrum = eigendecompose(laplacian), build owns
+        both, editing that Laplacian; else it decomposes a copy.
         """
         if not 0.0 <= delay < np.inf:
             raise DomainError("delay must be nonnegative")
@@ -555,15 +673,25 @@ class EdgeFormCaches:
             raise UnstableNetwork(
                 f"delay {delay} exceeds the stability threshold {np.pi / (2.0 * lam[-1])}"
             )
-        lp = _spectral_product(basis, 1.0 / lam)
-        sp = _spectral_product(basis, (2.0 / np.pi) * delay * lam / shifted)
-        del spectrum, basis
-        # sp += (2/pi) Π in place, each entry rounded as that sum rounds it.
-        diagonal = sp.diagonal() + (2.0 / np.pi) * (1.0 - 1.0 / len(sp))
-        sp += (2.0 / np.pi) * (-1.0 / len(sp))
-        np.fill_diagonal(sp, diagonal)
-        sandwiches = _gram_sandwich(lp, output_gram), _gram_sandwich(sp, output_gram)
-        return cls(laplacian, output_gram, delay, lp, sp, *sandwiches)
+        c = 2.0 / np.pi
+        weights = np.empty((len(lam), 4))
+        weights[:, 0] = 1.0 / lam
+        weights[:, 2] = c * delay * lam / shifted
+        if np.ndim(output_gram):
+            lp = _spectral_matrix(basis, weights[:, 0], 0.0)
+            sp = _spectral_matrix(basis, weights[:, 2], c)
+            del spectrum, basis
+            sandwiches = _gram_sandwich(lp, output_gram), _gram_sandwich(sp, output_gram)
+            return cls(laplacian, output_gram, delay, lp, sp, *sandwiches)
+        a = weights[:, 2]
+        weights[:, 1] = output_gram * weights[:, 0] ** 2
+        weights[:, 3] = output_gram * a * (2.0 * c + a)
+        base = _SpectralBase(basis, weights, np.array([0.0, 0.0, c, output_gram * c * c]))
+        caches = cls.__new__(cls)
+        caches.laplacian, caches.output_gram, caches.delay = laplacian, output_gram, delay
+        caches._lap = _DeferredPair(output_gram, spectral=base, column=0)
+        caches._shift = _DeferredPair(output_gram, spectral=base, column=2)
+        return caches
 
 
 @contextmanager
@@ -583,9 +711,11 @@ def _edge_forms(caches: EdgeFormCaches, us: np.ndarray | int, vs: np.ndarray | i
     the float range reads inf where a numpy scalar would warn. Each shift form
     enters the fit with a factor tau, so at zero delay it adds an exact zero. A read
     that overflows, as after many moves at the stability bound, raises SingularUpdate."""
+    spectral = caches._spectral
     with _typed_overflow("the cached edge forms leave the float range"):
-        lap_gram, lap = caches._lap.forms(us, vs)
-        shift_gram, shift = caches._shift.forms(us, vs)
+        base = None if spectral is None else spectral.forms(us, vs)
+        lap_gram, lap = caches._lap.forms(us, vs, base)
+        shift_gram, shift = caches._shift.forms(us, vs, base)
     forms = [lap_gram, lap, shift_gram, shift, edge_quadratic_forms(caches.output_gram, us, vs)]
     return [float(form) for form in forms] if np.ndim(us) == 0 else forms
 
@@ -627,9 +757,10 @@ def sherman_morrison_update(caches: EdgeFormCaches, edge: Edge, dweight: float) 
 
     dweight > 0 adds weight, dweight < 0 removes it, down to zero at most and
     never from an absent pair. Each operator keeps the change as one pending
-    term of n-vectors, O(n k) with k terms pending (plus one O(n^2) product
-    with a custom output's gram); every PENDING_TERM_CAP-th update folds the
-    terms into the matrices, O(n^2 k). The Laplacian is edited in place.
+    term of n-vectors, O(n k) with k terms pending, plus one O(n^2) product:
+    the spectral bases' columns until the first fold, a custom output's gram
+    after; every PENDING_TERM_CAP-th update folds the terms into the
+    matrices, O(n^2 k), the first forming them. The Laplacian is edited in place.
     Raises what _checked_move (and so edge_contribution) raises, and
     SingularUpdate for an overflow or NaN forming the terms, changing nothing.
     """
@@ -637,9 +768,13 @@ def sherman_morrison_update(caches: EdgeFormCaches, edge: Edge, dweight: float) 
     # An operator whose coefficient is zero is left as it is: at zero delay the
     # shifted operator is (pi/2) times the centering projector on every graph.
     coefficients = ((caches._lap, dweight), (caches._shift, -caches.delay * dweight))
+    coefficients = [(pair, c) for pair, c in coefficients if c != 0.0]
+    spectral = {pair.spectral for pair, _ in coefficients} - {None}
     # Both terms are formed before either is kept, so an error leaves every cache as it was.
     with _typed_overflow(f"{dweight} on edge {u, v} leaves a cached term non-finite"):
-        terms = [(pair, pair.update_term(u, v, c)) for pair, c in coefficients if c != 0.0]
+        # One product gives every spectral operator's base columns.
+        columns = spectral.pop().columns(u, v) if spectral else None
+        terms = [(pair, pair.update_term(u, v, c, columns)) for pair, c in coefficients]
     for pair, term in terms:
         pair.add_term(*term)
     lap = caches.laplacian

@@ -53,7 +53,7 @@ from conftest import (
     tracked_matrices,
 )
 from tdconsensus.design import _fit_changes, _sign_change
-from tdconsensus.graphs import PENDING_TERM_CAP, _edge_forms, edge_quadratic_forms
+from tdconsensus.graphs import PENDING_TERM_CAP, _edge_forms
 from tdconsensus.performance import _fit_slope, _nonzero_modes, sensitivities
 
 
@@ -359,7 +359,8 @@ def test_design_at_a_subnormal_delay_matches_zero_delay(tau):
 
 def test_zero_delay_design_formulas_equal_their_delay_free_forms():
     # Every delay term of the fit carries tau, so at zero delay it adds an
-    # exact zero: each formula equals its delay-free form bit for bit.
+    # exact zero: each formula equals its delay-free form bit for bit, on the
+    # Laplacian-side forms and trace that the design itself reads.
     rng = np.random.default_rng(61)
     for kind in ("centering", "complete-incidence", "orthonormal", "custom"):
         g = random_connected_graph(rng, max_nodes=9)
@@ -371,16 +372,11 @@ def test_zero_delay_design_formulas_equal_their_delay_free_forms():
             out = make_output_spec(kind, n)
         state = DesignState.from_graph(g, out, 0.0)
         caches = state.caches
-        gram, pinv = caches.output_gram, caches.lap_pinv
-        if kind == "custom":
-            trace = float(np.vdot(gram, pinv))
-        else:
-            trace = gram * (float(np.trace(pinv)) - float(pinv.sum()) / n)
+        trace = caches._lap.gram_trace()
         assert rho_approx_from_caches(caches) == state.rho_fit == 0.5 * trace
         for u in range(n):
             for v in range(u + 1, n):
-                q_gram = float(edge_quadratic_forms(caches.lap_pinv_gram, u, v))
-                q_lap = float(edge_quadratic_forms(pinv, u, v))
+                q_gram, q_lap = _edge_forms(caches, u, v)[:2]
                 weights = [0.3, 2.0] + ([-0.5 * g.weight(u, v)] if g.has_edge(u, v) else [])
                 for w in weights:
                     assert edge_contribution(state, (u, v), w) == -q_gram / (2.0 / w + 2.0 * q_lap)

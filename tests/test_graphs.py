@@ -246,6 +246,32 @@ def test_zero_delay_updates_leave_the_shift_caches_as_they_are():
     assert np.array_equal(rebuilt.shift_pinv_gram, shift_gram)
 
 
+def test_zero_delay_shift_forms_are_their_offsets_to_the_bit():
+    # At zero delay the spectral weights of S⁺ and its sandwich are exact
+    # zeros, so build forms nothing for them, and every pair's base shift
+    # forms are the Π offsets' alone: 2 (2/pi) = 4/pi and 2 s (2/pi)², which
+    # is 8 s / pi² as floats round it. Moves leave them as they are.
+    rng = np.random.default_rng(19)
+    c = 2.0 / np.pi
+    named = [kind for kind in OutputKind if kind is not OutputKind.CUSTOM]
+    for n in (3, 7, 16):
+        us, vs = np.triu_indices(n, 1)
+        for g in (WeightedGraph.path(n), random_connected_graph(rng, min_nodes=n, max_nodes=n)):
+            for kind in named:
+                s = OutputSpec(kind, n).gram()
+                expected = (np.full(len(us), 2.0 * (s * c * c)), np.full(len(us), 2.0 * c))
+                caches = EdgeFormCaches.build(g.laplacian(), s, 0.0)
+                spectral = caches._spectral
+                assert not spectral.weights[:, 2:].any()
+                assert np.array_equal(spectral.forms(us, vs)[:, 3], expected[0])
+                assert np.array_equal(spectral.forms(us, vs)[:, 2], expected[1])
+                u, v, w = g.edges[0]
+                sherman_morrison_update(caches, (u, v), -0.5 * w)
+                sherman_morrison_update(caches, (0, n - 1), 0.7)
+                for ours, exact in zip(_edge_forms(caches, us, vs)[2:4], expected):
+                    assert np.array_equal(ours, exact)
+
+
 def test_laplacian_rows_sum_to_zero():
     rng = np.random.default_rng(11)
     for _ in range(20):
@@ -573,6 +599,75 @@ def test_from_graph_caches_match_the_explicit_reference_on_wide_weights():
                     assert drift <= BUILD_REFERENCE_BOUND, (name, fraction, drift)
 
 
+def _move_columns(caches: EdgeFormCaches, u: int, v: int) -> list:
+    """P b and Y b of both operators' current matrices, b = e_u - e_v, as a
+    move on (u, v) reads them: lap_pinv, lap_pinv_gram, shift_pinv and
+    shift_pinv_gram, in that order."""
+    spectral = caches._spectral
+    columns = None if spectral is None else spectral.columns(u, v)
+    return [c for pair in (caches._lap, caches._shift) for c in pair.columns(u, v, columns)]
+
+
+def _assert_reads_match_fresh_caches(caches, graph, out, delay, rng) -> None:
+    """Every pair's five edge forms, the kept diagonals and six moves' columns
+    match a fresh rebuild within BUILD_REFERENCE_BOUND; a column's difference
+    is taken relative to its matrix's largest entry, as the bound's is."""
+    reference = fresh_caches(graph, out, delay)
+    us, vs = np.triu_indices(graph.node_count, 1)
+    for ours, ref in zip(_edge_forms(caches, us, vs), _edge_forms(reference, us, vs)):
+        assert _relative_drift(ours, ref) <= BUILD_REFERENCE_BOUND
+    for pair, ref in zip((caches._lap, caches._shift), (reference._lap, reference._shift)):
+        assert _relative_drift(pair.diagonal, ref.diagonal) <= BUILD_REFERENCE_BOUND
+    matrices = (reference.lap_pinv, reference.lap_pinv_gram)
+    matrices += (reference.shift_pinv, reference.shift_pinv_gram)
+    scales = [np.abs(matrix).max() for matrix in matrices]
+    for pick in rng.choice(len(us), size=min(6, len(us)), replace=False):
+        u, v = int(us[pick]), int(vs[pick])
+        columns = zip(_move_columns(caches, u, v), _move_columns(reference, u, v), scales)
+        for ours, ref, scale in columns:
+            assert np.abs(ours - ref).max() <= BUILD_REFERENCE_BOUND * scale
+
+
+@pytest.mark.parametrize("fraction", [0.0, 0.3, 0.9])
+def test_spectral_reads_match_the_explicit_reference(fraction):
+    # A named output's caches read their bases from the Laplacian's
+    # eigenvectors until a fold forms the matrices; a custom output's hold
+    # the matrices from the start. Either way the edge forms, a move's
+    # columns and the kept diagonals match the explicit reference before the
+    # first fold and after it, on graphs one in four of whose weights span
+    # six decades. Reading the four matrices changes neither base's form.
+    # The largest measured difference, 9.1e-11 of the bound's 1e-10 (a
+    # column on a six-decade graph), is the same for caches built as
+    # matrices from the same eigh: it is the reference's conditioning.
+    rng = np.random.default_rng(round(100 * fraction) + 71)
+    for index in range(8):
+        g = random_connected_graph(rng, min_nodes=5, max_nodes=20)
+        if index % 4 == 0:
+            g = spread_weights(rng, g, 6.0)
+        delay = stable_delay(g, fraction)
+        outputs = _cache_outputs(g.node_count, rng)
+        del outputs["custom-tall"]
+        for name, out in outputs.items():
+            caches = DesignState.from_graph(g, out, delay, audit=False).caches
+            assert (caches._spectral is None) == name.startswith("custom")
+            graph = g
+            for move in range(PENDING_TERM_CAP + 3):
+                if move in (0, 1, PENDING_TERM_CAP - 1, PENDING_TERM_CAP + 2):
+                    _assert_reads_match_fresh_caches(caches, graph, out, delay, rng)
+                    bases = (caches._lap.spectral, caches._shift.spectral)
+                    tracked_matrices(caches)
+                    assert bases == (caches._lap.spectral, caches._shift.spectral)
+                if move == PENDING_TERM_CAP + 2:
+                    break
+                u, v, w = graph.edges[int(rng.integers(graph.edge_count))]
+                factor = float(rng.uniform(0.01, 0.1))
+                sherman_morrison_update(caches, (u, v), -factor * w)
+                graph = graph.without_edge(u, v).with_edge(u, v, w - factor * w)
+            # The fold formed the matrices of every operator that took terms.
+            assert caches._lap.spectral is None
+            assert (caches._shift.spectral is None) == (fraction > 0.0 or name.startswith("custom"))
+
+
 def test_spectrum_of_weights_nine_decades_apart_is_connected():
     spec = eigendecompose(WeightedGraph(3, ((0, 1, 1.0), (1, 2, 1e-9))).laplacian())
     # lambda_2 = 1.5e-9 to first order in the small weight
@@ -729,7 +824,12 @@ def test_an_overflow_forming_the_terms_raises_singular_update_without_a_warning(
     caches = state.caches
 
     def stored():
-        bases = [(pair.inverse, pair.sandwich) for pair in (caches._lap, caches._shift)]
+        # Each base in the form it holds: the matrices, or the spectral base.
+        bases = [
+            (pair.inverse, pair.sandwich) if pair.spectral is None
+            else (pair.spectral.basis, pair.spectral.weights, pair.spectral.offsets)
+            for pair in (caches._lap, caches._shift)
+        ]
         return [caches.laplacian.copy()] + [m.copy() for base in bases for m in base]
 
     rng = np.random.default_rng(0)
