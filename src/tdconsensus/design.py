@@ -5,9 +5,11 @@ amount computable from five cached edge quadratic forms. The caches read
 their bases from the eigenvectors of the one upfront eigendecomposition and
 keep each move as pending Sherman-Morrison terms of n-vectors. With k terms
 pending, a greedy iteration costs O((n + candidates) k) for the terms, plus,
-until the first fold, O(n) per candidate for its base forms and one O(n^2)
-product for the move's base columns. Every PENDING_TERM_CAP moves a fold
-adds the terms to the matrices in O(n^2 k); the first forms the matrices.
+while the bases are spectral, O(n) per candidate for its base forms and one
+O(n^2) product for the move's base columns. The caches form their matrices,
+in O(n^3), when a run would read the eigenvectors for longer than that
+costs, and at the first fold: every PENDING_TERM_CAP moves a fold adds the
+terms to the matrices in O(n^2 k).
 """
 
 from __future__ import annotations
@@ -140,9 +142,9 @@ class DesignState:
     record the exact measure and stability margin; without it the loop
     relies on the edge stability bound. A step then costs O((n + m) k) for
     m candidates and k pending update terms, plus O(n m + n^2) for the base
-    forms and columns until the caches' first fold (a custom output's dense
-    gram adds O(n^2) after it instead), and O(n^2 k) once every
-    PENDING_TERM_CAP steps, when the caches fold their terms.
+    forms and columns while the caches' bases are spectral (a custom
+    output's dense gram adds O(n^2) once they are matrices), and O(n^2 k)
+    once every PENDING_TERM_CAP steps, when the caches fold their terms.
     """
 
     def __init__(
@@ -260,15 +262,18 @@ Move = tuple[str, tuple[int, int] | None, float, float, float | None]
 
 
 def _greedy(
-    state: DesignState, budget: int, next_move: Callable[[int], Move | str]
+    state: DesignState, budget: int, width: int, next_move: Callable[[int], Move | str]
 ) -> DesignTrace:
     """The loop every driver shares: ask for a move, apply it, record it.
 
     An "add" or "remove" move updates the caches by one Sherman-Morrison
     pair update and edits the graph; a "skip" move changes nothing but still
     takes an iteration and a trace entry. Each entry's fit is read from the
-    caches after its move.
+    caches after its move. A run of up to budget moves that each score up to
+    width pairs first tells the caches, which form their matrices now when
+    reading their spectral base that often would cost more.
     """
+    state.caches._plan(budget, width)
     trace = DesignTrace()
     for iteration in range(1, budget + 1):
         move = next_move(iteration)
@@ -328,7 +333,7 @@ def grow_simple(state: DesignState, candidates: CandidateSet) -> DesignTrace:
         active[best] = False
         return "add", (int(us[best]), int(vs[best])), float(ws[best]), change, None
 
-    return _greedy(state, candidates.budget, next_move)
+    return _greedy(state, candidates.budget, len(us), next_move)
 
 
 def grow_random(
@@ -369,7 +374,7 @@ def grow_random(
         active[pick] = False
         return "add", (int(us[pick]), int(vs[pick])), float(ws[pick]), float(changes[pick]), None
 
-    return _greedy(state, k, next_move)
+    return _greedy(state, k, len(us), next_move)
 
 
 def sparsify(state: DesignState, budget: int) -> DesignTrace:
@@ -396,7 +401,7 @@ def sparsify(state: DesignState, budget: int) -> DesignTrace:
                 return "remove", edge, -float(ws[best]), change, None
             changes[best] = np.inf
 
-    return _greedy(state, budget, next_move)
+    return _greedy(state, budget, state.graph.edge_count, next_move)
 
 
 def grow_by_sensitivity(
@@ -457,7 +462,7 @@ def grow_by_sensitivity(
         active[best] = False
         return "add", best_pair, weight, contribution, best_slope
 
-    return _greedy(state, budget, next_move)
+    return _greedy(state, budget, len(us), next_move)
 
 
 @dataclass(frozen=True)

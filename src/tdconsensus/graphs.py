@@ -42,6 +42,13 @@ UPDATE_BLOCK_ROWS = 128
 # Sherman-Morrison terms an operator keeps pending before it folds them into
 # its matrices; chosen by the sweep recorded in CHANGES.md.
 PENDING_TERM_CAP = 32
+# Reads of a spectral base gather rows of its n x n eigenvectors V: two for
+# a pair's forms, n for a move's columns. Forming the four matrices instead
+# costs about what gathering n² / 44 to n² / 34 rows does (n = 200 to 1200,
+# 2 BLAS threads). So the reads may gather n² / SPECTRAL_READ_DIVISOR rows
+# in all, about one forming's worth: a read that would gather more forms
+# the matrices first, and so does a design run that would (EdgeFormCaches._plan).
+SPECTRAL_READ_DIVISOR = 40
 
 Edge = tuple[int, int]
 
@@ -364,16 +371,19 @@ class _SpectralBase:
     the columns are L⁺ (1/lambda), its sandwich s L⁺ L⁺ (s/lambda²), S⁺ =
     (2/pi) Π + V diag(a) Vᵀ and its sandwich s S⁺ S⁺ = s (2/pi)² Π + V diag(s a
     (2 (2/pi) + a)) Vᵀ, whose spectral columns are exact zeros at zero delay.
-    V is the eigenvectors past the kernel, a view of eigh's whole basis, not a copy.
+    V is the eigenvectors past the kernel, a view of eigh's whole basis, not a
+    copy. budget is the rows of V the caches' reads may still gather
+    (SPECTRAL_READ_DIVISOR).
     """
 
     def __init__(self, basis: np.ndarray, weights: np.ndarray, offsets: np.ndarray) -> None:
         self.basis = basis
         self.weights = weights
         self.offsets = offsets
+        n = len(basis)
+        self.budget = n * n / SPECTRAL_READ_DIVISOR
         # diag(V diag(g) Vᵀ) = (V ∘ V) g, UPDATE_BLOCK_ROWS rows of V ∘ V at a
         # time where the whole would be an n x n temporary; diag Π = 1 - 1/n.
-        n = len(basis)
         self.diagonals = np.empty((n, weights.shape[1]))
         for start in range(0, n, UPDATE_BLOCK_ROWS):
             rows = slice(start, start + UPDATE_BLOCK_ROWS)
@@ -382,10 +392,17 @@ class _SpectralBase:
 
     def forms(self, us: np.ndarray | int, vs: np.ndarray | int) -> np.ndarray:
         """The four matrices' edge forms at the pairs, along a last axis of
-        length 4: sum_k g_k (V_uk - V_vk)² + 2 offset, from one gather of rows
-        and one product, O(n) per pair."""
-        diff = self.basis[us] - self.basis[vs]
-        return np.square(diff, out=diff) @ self.weights + 2.0 * self.offsets
+        length 4: sum_k g_k (V_uk - V_vk)² + 2 offset, O(n) per pair. The rows
+        are gathered UPDATE_BLOCK_ROWS pairs at a time, so the temporaries
+        stay that many rows of V whatever the number of pairs."""
+        pairs_u, pairs_v = np.ravel(us), np.ravel(vs)
+        forms = np.empty((len(pairs_u), self.weights.shape[1]))
+        for start in range(0, len(pairs_u), UPDATE_BLOCK_ROWS):
+            block = slice(start, start + UPDATE_BLOCK_ROWS)
+            diff = self.basis[pairs_u[block]] - self.basis[pairs_v[block]]
+            np.matmul(np.square(diff, out=diff), self.weights, out=forms[block])
+        forms += 2.0 * self.offsets
+        return forms.reshape(np.shape(us) + forms.shape[1:])
 
     def columns(self, u: int, v: int) -> np.ndarray:
         """The four matrices times b = e_u - e_v, as the columns of an n x 4
@@ -407,21 +424,21 @@ class _DeferredPair:
     current diag(gram @ P), kept term by term.
 
     The base is spectral, columns `column` (P) and `column` + 1 (Y) of a
-    _SpectralBase that both operators share, until this operator's first
-    fold, and the two matrices (materialized) from then on. A spectral base
-    gives a pair's base forms in O(n) and a move's base columns by one O(n^2)
-    product, and holds no n x n array but the eigenvectors. Pending term j
-    is two n-vectors, p_j and corr_j, and a scalar alpha_j:
+    _SpectralBase that both operators share, until EdgeFormCaches forms both
+    operators' matrices together (materializes them), and the two matrices
+    from then on. A spectral base gives a pair's base forms in O(n) and a
+    move's base columns by one O(n^2) product, and holds no n x n array but
+    the eigenvectors. Pending term j is two n-vectors, p_j and corr_j, and a
+    scalar alpha_j:
 
         P = base P - sum_j alpha_j p_j p_jᵀ
         Y = base Y + sum_j (p_j corr_jᵀ + corr_j p_jᵀ)
 
     Reads add the terms themselves and change nothing: a whole matrix is read
-    as a new copy, and the base keeps its form. Only add_term writes; once
-    PENDING_TERM_CAP terms are pending it materializes a spectral base and
-    folds the terms into the matrices, by one blocked rank-k product each. So
-    when a fold happens, and when the base turns to matrices, depends on the
-    sequence of updates alone, never on what was read.
+    as a new copy, and the base keeps its form. add_term keeps a term; once
+    PENDING_TERM_CAP are pending, sherman_morrison_update forms the matrices
+    if they are spectral and fold adds the terms to them, by one blocked
+    rank-k product each.
     """
 
     def __init__(
@@ -522,8 +539,7 @@ class _DeferredPair:
         return p, corr, alpha
 
     def add_term(self, p: np.ndarray, corr: np.ndarray, alpha: float) -> None:
-        """Keep one update_term; once PENDING_TERM_CAP are pending,
-        materialize a spectral base and fold every term into the matrices."""
+        """Keep one update_term, of at most PENDING_TERM_CAP pending."""
         k = self.count
         self.terms[k, 0] = p
         self.terms[k, 1] = corr
@@ -531,19 +547,17 @@ class _DeferredPair:
         # gram @ P loses alpha (gram p) pᵀ; np.dot multiplies by a scale.
         self.diagonal -= (alpha * np.dot(self.gram, p)) * p
         self.count = k + 1
-        if self.count == PENDING_TERM_CAP:
-            if self.spectral is not None:
-                self.inverse = self._base(0)
-                self.sandwich = _gram_sandwich(self.inverse, self.gram)
-                self.spectral = None
-            self._add_terms(self.inverse, 0)
-            self._add_terms(self.sandwich, 1)
-            self.count = 0
-            self._reset_diagonal()
+
+    def fold(self) -> None:
+        """Add every pending term to the base matrices, which must be formed."""
+        self._add_terms(self.inverse, 0)
+        self._add_terms(self.sandwich, 1)
+        self.count = 0
+        self._reset_diagonal()
 
     def _base(self, which: int) -> np.ndarray:
         """A new array of base P (which 0) or base Y (1); a spectral Y is
-        formed from its P, as a fold forms it."""
+        formed from its P, as EdgeFormCaches._materialize forms it."""
         if self.spectral is None:
             return (self.inverse, self.sandwich)[which].copy()
         inverse = self.spectral.inverse(self.column)
@@ -594,13 +608,18 @@ class EdgeFormCaches:
     terms of the updates since their last fold (_DeferredPair). For a named
     output, build leaves both bases spectral, read from the Laplacian's
     eigenvectors, and forms no n x n matrix: a read costs O(n) per pair and
-    a move one O(n^2) product for both operators' columns until a fold
-    forms the matrices. A custom output's bases are the matrices from the
-    start, and so are those the constructor is given. The four attributes
-    return new copies of the current matrices, each its own base plus its
-    own terms, and change no base; the design loop never forms them, since
-    its reads (_edge_forms, the update's column differences and the kept
-    diagonals) add the terms themselves.
+    a move one O(n^2) product for both operators' columns. Both operators'
+    matrices are formed together, and the eigenvectors dropped, at the first
+    fold, or before the read (_edge_forms or a move's columns) that would
+    take the spectral reads past their budget (SPECTRAL_READ_DIVISOR), which
+    keeps their cost below about one forming of the matrices: a short run
+    that scores few pairs never forms them, and a long or wide one forms
+    them early. A custom output's bases are the matrices from the start,
+    and so are those the constructor is given. The four attributes return
+    new copies of the current matrices, each its own base plus its own
+    terms, and change no base and no budget; the design loop never forms
+    them, since its reads (_edge_forms, the update's column differences and
+    the kept diagonals) add the terms themselves.
 
     The Laplacian, edited in place by every update, and the output gram
     ride along so trace-form evaluations need no extra state. output_gram
@@ -642,8 +661,45 @@ class EdgeFormCaches:
 
     @property
     def _spectral(self) -> _SpectralBase | None:
-        """The spectral base, while either operator still reads from it."""
-        return self._lap.spectral or self._shift.spectral
+        """The spectral base both operators read from, None once formed."""
+        return self._lap.spectral
+
+    def _read_base(self, rows: int) -> _SpectralBase | None:
+        """The spectral base for a read that gathers `rows` rows of its
+        eigenvectors, charged to its budget, or None when the matrices are
+        formed: a read past the budget forms them first."""
+        spectral = self._spectral
+        if spectral is not None and rows > spectral.budget:
+            self._materialize()
+        elif spectral is not None:
+            spectral.budget -= rows
+        return self._spectral
+
+    def _plan(self, moves: int, pairs: int) -> None:
+        """Form the matrices now if `moves` moves that each score `pairs`
+        pairs would gather more rows of the eigenvectors than the budget
+        holds: the matrices serve a run that long or that wide for less."""
+        spectral = self._spectral
+        if spectral is not None and moves * (2 * pairs + len(self.laplacian)) > spectral.budget:
+            self._materialize()
+
+    def _materialize(self) -> None:
+        """Form both operators' base matrices from the spectral base, P by
+        its syrk and Y from P as build forms a custom output's, and drop the
+        base; the pending terms stay pending. V is freed before the
+        sandwiches, as build frees it, so the peak holds four n x n
+        matrices, as build's does, not five."""
+        spectral = self._spectral
+        if spectral is None:
+            return
+        pairs = (self._lap, self._shift)
+        inverses = [pair._base(0) for pair in pairs]
+        for pair, inverse in zip(pairs, inverses):
+            pair.inverse, pair.spectral = inverse, None
+        # Callers may still hold the base: its basis was V's last reference.
+        spectral.basis = None
+        for pair in pairs:
+            pair.sandwich = _gram_sandwich(pair.inverse, pair.gram)
 
     @classmethod
     def build(
@@ -711,7 +767,7 @@ def _edge_forms(caches: EdgeFormCaches, us: np.ndarray | int, vs: np.ndarray | i
     the float range reads inf where a numpy scalar would warn. Each shift form
     enters the fit with a factor tau, so at zero delay it adds an exact zero. A read
     that overflows, as after many moves at the stability bound, raises SingularUpdate."""
-    spectral = caches._spectral
+    spectral = caches._read_base(2 * np.size(us))
     with _typed_overflow("the cached edge forms leave the float range"):
         base = None if spectral is None else spectral.forms(us, vs)
         lap_gram, lap = caches._lap.forms(us, vs, base)
@@ -757,10 +813,11 @@ def sherman_morrison_update(caches: EdgeFormCaches, edge: Edge, dweight: float) 
 
     dweight > 0 adds weight, dweight < 0 removes it, down to zero at most and
     never from an absent pair. Each operator keeps the change as one pending
-    term of n-vectors, O(n k) with k terms pending, plus one O(n^2) product:
-    the spectral bases' columns until the first fold, a custom output's gram
-    after; every PENDING_TERM_CAP-th update folds the terms into the
-    matrices, O(n^2 k), the first forming them. The Laplacian is edited in place.
+    term of n-vectors, O(n k) with k terms pending, plus one O(n^2) product
+    while the bases are spectral (both operators' columns at once) or the
+    gram is a custom output's; every PENDING_TERM_CAP-th update folds the
+    terms into the matrices, O(n^2 k), forming them first if they are still
+    spectral. The Laplacian is edited in place.
     Raises what _checked_move (and so edge_contribution) raises, and
     SingularUpdate for an overflow or NaN forming the terms, changing nothing.
     """
@@ -769,14 +826,17 @@ def sherman_morrison_update(caches: EdgeFormCaches, edge: Edge, dweight: float) 
     # shifted operator is (pi/2) times the centering projector on every graph.
     coefficients = ((caches._lap, dweight), (caches._shift, -caches.delay * dweight))
     coefficients = [(pair, c) for pair, c in coefficients if c != 0.0]
-    spectral = {pair.spectral for pair, _ in coefficients} - {None}
+    spectral = caches._read_base(len(caches.laplacian)) if coefficients else None
     # Both terms are formed before either is kept, so an error leaves every cache as it was.
     with _typed_overflow(f"{dweight} on edge {u, v} leaves a cached term non-finite"):
-        # One product gives every spectral operator's base columns.
-        columns = spectral.pop().columns(u, v) if spectral else None
+        # One product gives both operators' base columns.
+        columns = None if spectral is None else spectral.columns(u, v)
         terms = [(pair, pair.update_term(u, v, c, columns)) for pair, c in coefficients]
     for pair, term in terms:
         pair.add_term(*term)
+        if pair.count == PENDING_TERM_CAP:
+            caches._materialize()
+            pair.fold()
     lap = caches.laplacian
     lap[u, u] += dweight
     lap[v, v] += dweight

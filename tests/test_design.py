@@ -3,6 +3,7 @@
 import copy
 import math
 import warnings
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -52,6 +53,7 @@ from conftest import (
     stable_delay,
     tracked_matrices,
 )
+from tdconsensus import design
 from tdconsensus.design import _fit_changes, _sign_change
 from tdconsensus.graphs import PENDING_TERM_CAP, _edge_forms
 from tdconsensus.performance import _fit_slope, _nonzero_modes, sensitivities
@@ -949,8 +951,10 @@ def test_sensitivities_are_the_fit_slope_at_zero_weight():
 
 def _sensitivity_moves(seed: int, count: int):
     """(forms, delay, cap, weight) of every grow_by_sensitivity move on count
-    small graphs, the forms read as the driver reads them, by replaying the
-    moves on fresh caches. One graph in four has weights six decades apart."""
+    small graphs, with the forms the driver read for the pair it moved on:
+    how a base forms its matrices depends on the reads too, so a replay
+    that reads less may read other roundings. One graph in four has weights
+    six decades apart."""
     rng = np.random.default_rng(seed)
     moves = []
     for index in range(count):
@@ -960,13 +964,17 @@ def _sensitivity_moves(seed: int, count: int):
         out = OutputSpec.centering(g.node_count)
         tau = stable_delay(g, (0.4, 0.9)[index % 2])
         state = DesignState.from_graph(g, out, tau, audit=False)
-        trace = grow_by_sensitivity(state, _absent_pairs(g), budget=4)
-        replay = DesignState.from_graph(g, out, tau, audit=False)
-        for entry in trace.entries:
-            forms = _edge_forms(replay.caches, *entry.edge)
-            cap = (1.0 - EPS_STABILITY) * edge_stability_bound(replay, entry.edge)
+        read = []
+
+        def recording(caches, us, vs):
+            read.append(_edge_forms(caches, us, vs))
+            return read[-1]
+
+        with mock.patch.object(design, "_edge_forms", recording):
+            trace = grow_by_sensitivity(state, _absent_pairs(g), budget=4)
+        for entry, forms in zip(trace.entries, read):
+            cap = (1.0 - EPS_STABILITY) * (1.0 / (tau * forms[3]))
             moves.append((forms, tau, cap, entry.weight))
-            sherman_morrison_update(replay.caches, entry.edge, entry.weight)
     return moves
 
 
@@ -1213,6 +1221,34 @@ def test_reading_the_caches_changes_no_later_move():
     traces, rho_fit = run(read=True)
     assert sum(len(trace.entries) for trace in traces) > PENDING_TERM_CAP
     assert run(read=False) == (traces, rho_fit)
+
+
+def test_a_run_that_would_pass_the_read_budget_forms_the_matrices_at_its_start():
+    # A driver tells the caches how many moves it may make and how many pairs
+    # each scores. One move over three candidates reads the eigenvectors and
+    # charges their budget: 6 rows for the forms, 2 for the move's check and
+    # n = 100 for its columns. Two more such moves would pass what is left of
+    # it, though their first read would not, so the matrices are formed
+    # before that read.
+    g = random_connected_graph(np.random.default_rng(47), min_nodes=100, max_nodes=100)
+    state = DesignState.from_graph(g, OutputSpec.centering(100), stable_delay(g, 0.3), audit=False)
+    caches = state.caches
+    spectral = caches._spectral
+    full = spectral.budget
+    entries = tuple((u, v, 0.2) for u, v in _absent_pairs(g)[:6])
+    assert len(grow_simple(state, CandidateSet(entries=entries[:3], budget=1)).entries) == 1
+    assert caches._spectral is spectral and spectral.budget == full - 108
+    budgets = []
+    materialize = caches._materialize
+
+    def recording():
+        budgets.append(caches._spectral.budget)
+        materialize()
+
+    caches._materialize = recording
+    assert 2 * (6 + 100) > full - 108 > 6
+    assert len(grow_simple(state, CandidateSet(entries=entries[3:], budget=2)).entries) == 2
+    assert budgets == [full - 108] and caches._spectral is None
 
 
 # --- reweight ---

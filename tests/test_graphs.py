@@ -1,6 +1,7 @@
 """Graph container, spectral caches, and rank-one update fidelity."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -42,7 +43,12 @@ from conftest import (
     stable_delay,
     tracked_matrices,
 )
-from tdconsensus.graphs import PENDING_TERM_CAP, _edge_forms, edge_quadratic_forms
+from tdconsensus.graphs import (
+    PENDING_TERM_CAP,
+    SPECTRAL_READ_DIVISOR,
+    _edge_forms,
+    edge_quadratic_forms,
+)
 
 
 def test_edges_are_canonicalized_and_sorted():
@@ -250,7 +256,8 @@ def test_zero_delay_shift_forms_are_their_offsets_to_the_bit():
     # At zero delay the spectral weights of S⁺ and its sandwich are exact
     # zeros, so build forms nothing for them, and every pair's base shift
     # forms are the Π offsets' alone: 2 (2/pi) = 4/pi and 2 s (2/pi)², which
-    # is 8 s / pi² as floats round it. Moves leave them as they are.
+    # is 8 s / pi² as floats round it. Moves leave them as they are. An
+    # unbounded budget keeps these wide reads on the spectral base.
     rng = np.random.default_rng(19)
     c = 2.0 / np.pi
     named = [kind for kind in OutputKind if kind is not OutputKind.CUSTOM]
@@ -262,6 +269,7 @@ def test_zero_delay_shift_forms_are_their_offsets_to_the_bit():
                 expected = (np.full(len(us), 2.0 * (s * c * c)), np.full(len(us), 2.0 * c))
                 caches = EdgeFormCaches.build(g.laplacian(), s, 0.0)
                 spectral = caches._spectral
+                spectral.budget = math.inf
                 assert not spectral.weights[:, 2:].any()
                 assert np.array_equal(spectral.forms(us, vs)[:, 3], expected[0])
                 assert np.array_equal(spectral.forms(us, vs)[:, 2], expected[1])
@@ -631,11 +639,14 @@ def _assert_reads_match_fresh_caches(caches, graph, out, delay, rng) -> None:
 @pytest.mark.parametrize("fraction", [0.0, 0.3, 0.9])
 def test_spectral_reads_match_the_explicit_reference(fraction):
     # A named output's caches read their bases from the Laplacian's
-    # eigenvectors until a fold forms the matrices; a custom output's hold
-    # the matrices from the start. Either way the edge forms, a move's
-    # columns and the kept diagonals match the explicit reference before the
-    # first fold and after it, on graphs one in four of whose weights span
-    # six decades. Reading the four matrices changes neither base's form.
+    # eigenvectors until a fold forms the matrices (here, with an unbounded
+    # read budget); a custom output's hold the matrices from the start.
+    # Either way the edge forms, a move's columns and the kept diagonals
+    # match the explicit reference before the first fold and after it, on
+    # graphs one in four of whose weights span six decades. Reading the four
+    # matrices changes neither base's form. The fold forms both operators'
+    # matrices and drops the eigenvectors, at zero delay too, where the
+    # shifted operator takes no terms.
     # The largest measured difference, 9.1e-11 of the bound's 1e-10 (a
     # column on a six-decade graph), is the same for caches built as
     # matrices from the same eigh: it is the reference's conditioning.
@@ -650,6 +661,8 @@ def test_spectral_reads_match_the_explicit_reference(fraction):
         for name, out in outputs.items():
             caches = DesignState.from_graph(g, out, delay, audit=False).caches
             assert (caches._spectral is None) == name.startswith("custom")
+            if caches._spectral is not None:
+                caches._spectral.budget = math.inf
             graph = g
             for move in range(PENDING_TERM_CAP + 3):
                 if move in (0, 1, PENDING_TERM_CAP - 1, PENDING_TERM_CAP + 2):
@@ -663,9 +676,83 @@ def test_spectral_reads_match_the_explicit_reference(fraction):
                 factor = float(rng.uniform(0.01, 0.1))
                 sherman_morrison_update(caches, (u, v), -factor * w)
                 graph = graph.without_edge(u, v).with_edge(u, v, w - factor * w)
-            # The fold formed the matrices of every operator that took terms.
-            assert caches._lap.spectral is None
-            assert (caches._shift.spectral is None) == (fraction > 0.0 or name.startswith("custom"))
+            assert caches._lap.spectral is None and caches._shift.spectral is None
+
+
+def test_reads_past_the_budget_form_the_matrices_first():
+    # Reads charge the rows of V they gather to the spectral base's budget
+    # (n² / SPECTRAL_READ_DIVISOR); the read that would pass it forms both
+    # operators' matrices first and reads them, and so does every later
+    # read. Copying the four matrices charges nothing. Either way the forms
+    # match the explicit reference.
+    rng = np.random.default_rng(83)
+    g = random_connected_graph(rng, min_nodes=100, max_nodes=100)
+    out = OutputSpec.centering(g.node_count)
+    delay = stable_delay(g, 0.5)
+    caches = DesignState.from_graph(g, out, delay, audit=False).caches
+    spectral = caches._spectral
+    budget = spectral.budget
+    assert budget == 100 * 100 / SPECTRAL_READ_DIVISOR
+    tracked_matrices(caches)
+    assert spectral.budget == budget
+    reference = fresh_caches(g, out, delay)
+    us, vs = np.triu_indices(g.node_count, 1)
+    few = int(budget) // 8
+    pairs = (us[:few], vs[:few])
+    for ours, ref in zip(_edge_forms(caches, *pairs), _edge_forms(reference, *pairs)):
+        assert _relative_drift(ours, ref) <= BUILD_REFERENCE_BOUND
+    assert caches._spectral is spectral and spectral.budget == budget - 2 * few
+    # A move charges its check's two rows and its columns' 100.
+    u, v = next((int(u), int(v)) for u, v in zip(us, vs) if not g.has_edge(u, v))
+    sherman_morrison_update(caches, (u, v), 0.5)
+    reference = fresh_caches(g.with_edge(u, v, 0.5), out, delay)
+    assert caches._spectral is spectral and spectral.budget == budget - 2 * few - 102
+    for ours, ref in zip(_edge_forms(caches, us, vs), _edge_forms(reference, us, vs)):
+        assert _relative_drift(ours, ref) <= BUILD_REFERENCE_BOUND
+    assert caches._lap.spectral is None and caches._shift.spectral is None
+    assert caches._lap.count == caches._shift.count == 1
+
+
+def test_reading_every_pair_of_a_dense_graph_gathers_a_block_at_a_time():
+    # A spectral base gathers UPDATE_BLOCK_ROWS pairs' rows of V at a time:
+    # the forms of all 19,900 pairs of complete(200), with the budget lifted
+    # so that the base stays spectral, peak at the five result arrays and a
+    # block's temporaries, about 1.5 MB, where whole gathers would take
+    # three 19,900 x 199 arrays, about 95 MB.
+    n = 200
+    caches = DesignState.from_graph(
+        WeightedGraph.complete(n), OutputSpec.centering(n), 0.001, audit=False
+    ).caches
+    caches._spectral.budget = math.inf
+    us, vs = np.triu_indices(n, 1)
+    tracemalloc.start()
+    try:
+        forms = _edge_forms(caches, us, vs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert caches._spectral is not None and len(forms[0]) == len(us)
+    assert peak < 4 * 2**20, peak
+
+
+def test_forming_the_matrices_frees_the_eigenvectors_before_the_sandwiches():
+    # Forming adds four n x n matrices and frees V (traced here, since
+    # tracing starts before from_graph). V goes before the sandwiches are
+    # formed, as build frees it, so the peak is the four matrices' and not
+    # a fifth n x n array on top of them.
+    n = 200
+    tracemalloc.start()
+    try:
+        caches = DesignState.from_graph(
+            WeightedGraph.complete(n), OutputSpec.centering(n), 0.001, audit=False
+        ).caches
+        tracemalloc.reset_peak()
+        caches._materialize()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert caches._spectral is None
+    assert peak - current < 0.5 * n * n * 8, (peak - current) / (n * n * 8)
 
 
 def test_spectrum_of_weights_nine_decades_apart_is_connected():
