@@ -1,15 +1,16 @@
 """Greedy topology design driven by rank-one performance differences.
 
 Adding weight w on edge e changes the performance fit by a closed-form
-amount computable from five cached edge quadratic forms. The caches read
-their bases from the eigenvectors of the one upfront eigendecomposition and
-keep each move as pending Sherman-Morrison terms of n-vectors. With k terms
-pending, a greedy iteration costs O((n + candidates) k) for the terms, plus,
-while the bases are spectral, O(n) per candidate for its base forms and one
-O(n^2) product for the move's base columns. The caches form their matrices,
-in O(n^3), when a run would read the eigenvectors for longer than that
-costs, and at the first fold: every PENDING_TERM_CAP moves a fold adds the
-terms to the matrices in O(n^2 k).
+amount computable from five cached edge quadratic forms. The caches share
+one base, read from the eigenvectors of the one upfront eigendecomposition
+until it is formed into matrices, and keep each move as pending
+Sherman-Morrison terms of n-vectors. With k terms pending, a greedy
+iteration costs O((n + candidates) k) for the terms, plus, while the base
+is spectral, O(n) per candidate for its base forms and one O(n^2) product
+for the move's base columns. The caches form the base, in O(n^3), when a
+run would read the eigenvectors for longer than that costs, and at the
+first fold: every PENDING_TERM_CAP moves a fold adds the terms to the
+matrices in O(n^2 k).
 """
 
 from __future__ import annotations
@@ -128,8 +129,8 @@ class DesignTrace:
 
 def _stable_spectrum(laplacian: np.ndarray, delay: float) -> SpectralCache:
     """The Laplacian's spectrum with eigenvectors, once require_stable passes;
-    from_graph names it nowhere, so build owns the eigenvectors: the spectral
-    base of a named output, freed once a custom output's matrices are formed."""
+    from_graph names it nowhere, so build owns the eigenvectors: a named
+    output's spectral base, freed once a custom output's base is formed."""
     spectrum = eigendecompose(laplacian)
     require_stable(spectrum, delay)
     return spectrum
@@ -142,8 +143,8 @@ class DesignState:
     record the exact measure and stability margin; without it the loop
     relies on the edge stability bound. A step then costs O((n + m) k) for
     m candidates and k pending update terms, plus O(n m + n^2) for the base
-    forms and columns while the caches' bases are spectral (a custom
-    output's dense gram adds O(n^2) once they are matrices), and O(n^2 k)
+    forms and columns while the caches' base is spectral (a custom
+    output's dense gram adds O(n^2) once it is formed), and O(n^2 k)
     once every PENDING_TERM_CAP steps, when the caches fold their terms.
     """
 
@@ -270,8 +271,8 @@ def _greedy(
     pair update and edits the graph; a "skip" move changes nothing but still
     takes an iteration and a trace entry. Each entry's fit is read from the
     caches after its move. A run of up to budget moves that each score up to
-    width pairs first tells the caches, which form their matrices now when
-    reading their spectral base that often would cost more.
+    width pairs first tells the caches, which form their base now when
+    reading it from the eigenvectors that often would cost more.
     """
     state.caches._plan(budget, width)
     trace = DesignTrace()

@@ -19,6 +19,7 @@ from __future__ import annotations
 import bisect
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 from numbers import Integral
 
 import numpy as np
@@ -311,24 +312,6 @@ def eigendecompose(matrix: np.ndarray, *, vectors: bool = True) -> SpectralCache
     return SpectralCache(eigenvalues=eigenvalues, vectors=basis)
 
 
-def _spectral_product(basis: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """basis diag(values) basisᵀ for nonnegative values: W Wᵀ, W = basis
-    diag(sqrt(values)), which numpy hands to BLAS syrk."""
-    scaled = basis * np.sqrt(values)
-    return scaled @ scaled.T
-
-
-def _spectral_matrix(basis: np.ndarray, values: np.ndarray, offset: float) -> np.ndarray:
-    """offset Π + basis diag(values) basisᵀ, Π the centering projector, added
-    in place: each entry rounds as that sum rounds it."""
-    matrix = _spectral_product(basis, values)
-    if offset:
-        diagonal = matrix.diagonal() + offset * (1.0 - 1.0 / len(matrix))
-        matrix += offset * (-1.0 / len(matrix))
-        np.fill_diagonal(matrix, diagonal)
-    return matrix
-
-
 def _gram_sandwich(pinv: np.ndarray, output_gram: np.ndarray | float) -> np.ndarray:
     """pinv @ gram @ pinv; pinv annihilates the ones vector, so a scale s (s times
     the centering projector) gives s pinv pinvᵀ, one BLAS syrk, not two GEMMs."""
@@ -364,37 +347,52 @@ def is_bridge(graph: WeightedGraph, edge: Edge) -> bool:
 
 
 class _SpectralBase:
-    """Both operators' base matrices, read from the one eigh L = V diag(lambda) Vᵀ
-    of the Laplacian: column j of weights and offsets[j] stand for offsets[j] Π
-    + V diag(weights[:, j]) Vᵀ, Π the centering projector. For a named output's
-    gram s Π, with mu = pi/2 - delay lambda and a = (2/pi) delay lambda / mu,
-    the columns are L⁺ (1/lambda), its sandwich s L⁺ L⁺ (s/lambda²), S⁺ =
-    (2/pi) Π + V diag(a) Vᵀ and its sandwich s S⁺ S⁺ = s (2/pi)² Π + V diag(s a
-    (2 (2/pi) + a)) Vᵀ, whose spectral columns are exact zeros at zero delay.
-    V is the eigenvectors past the kernel, a view of eigh's whole basis, not a
-    copy. budget is the rows of V the caches' reads may still gather
-    (SPECTRAL_READ_DIVISOR).
+    """Both operators' four base matrices, read from the one eigh L = V
+    diag(lambda) Vᵀ of the Laplacian: matrix j is offsets[j] Π + V
+    diag(weights[:, j]) Vᵀ, Π the centering projector, and the matrices are
+    L⁺, its sandwich, S⁺ and its sandwich. For a named output's gram s Π,
+    with mu = pi/2 - delay lambda and a = (2/pi) delay lambda / mu, the
+    weights are 1/lambda, s/lambda², a and s a (2 (2/pi) + a), and the
+    offsets 0, 0, 2/pi and s (2/pi)²; the spectral weights of S⁺ and its
+    sandwich are exact zeros at zero delay. V is the eigenvectors past the
+    kernel, a view of eigh's whole basis, not a copy. budget is the rows of
+    V the caches' reads may still gather (SPECTRAL_READ_DIVISOR).
     """
 
-    def __init__(self, basis: np.ndarray, weights: np.ndarray, offsets: np.ndarray) -> None:
+    def __init__(
+        self, gram: np.ndarray | float, basis: np.ndarray, weights: np.ndarray, offsets: np.ndarray
+    ) -> None:
+        self.gram = gram
         self.basis = basis
         self.weights = weights
         self.offsets = offsets
         n = len(basis)
         self.budget = n * n / SPECTRAL_READ_DIVISOR
-        # diag(V diag(g) Vᵀ) = (V ∘ V) g, UPDATE_BLOCK_ROWS rows of V ∘ V at a
-        # time where the whole would be an n x n temporary; diag Π = 1 - 1/n.
-        self.diagonals = np.empty((n, weights.shape[1]))
+
+    @cached_property
+    def _diagonals(self) -> np.ndarray:
+        """The four matrices' diagonals, (V ∘ V) g + offset (1 - 1/n), as the
+        columns of an n x 4 array, UPDATE_BLOCK_ROWS rows of V ∘ V at a time
+        where the whole would be an n x n temporary; computed at the first
+        read, so a base formed at build never makes this pass."""
+        n = len(self.basis)
+        diagonals = np.empty((n, self.weights.shape[1]))
         for start in range(0, n, UPDATE_BLOCK_ROWS):
             rows = slice(start, start + UPDATE_BLOCK_ROWS)
-            self.diagonals[rows] = np.square(basis[rows]) @ weights
-        self.diagonals += offsets * (1.0 - 1.0 / n)
+            diagonals[rows] = np.square(self.basis[rows]) @ self.weights
+        diagonals += self.offsets * (1.0 - 1.0 / n)
+        return diagonals
+
+    def diagonal(self, j: int) -> np.ndarray:
+        """diag(gram @ matrix j) as a new array, s diag(matrix j) for the
+        scale s of a named output's gram, since matrix j maps 1 to 0."""
+        return self.gram * self._diagonals[:, j]
 
     def forms(self, us: np.ndarray | int, vs: np.ndarray | int) -> np.ndarray:
-        """The four matrices' edge forms at the pairs, along a last axis of
-        length 4: sum_k g_k (V_uk - V_vk)² + 2 offset, O(n) per pair. The rows
-        are gathered UPDATE_BLOCK_ROWS pairs at a time, so the temporaries
-        stay that many rows of V whatever the number of pairs."""
+        """The four matrices' edge forms at the pairs, indexed by matrix first:
+        sum_k g_k (V_uk - V_vk)² + 2 offset, O(n) per pair. The rows are
+        gathered UPDATE_BLOCK_ROWS pairs at a time, so the temporaries stay
+        that many rows of V whatever the number of pairs."""
         pairs_u, pairs_v = np.ravel(us), np.ravel(vs)
         forms = np.empty((len(pairs_u), self.weights.shape[1]))
         for start in range(0, len(pairs_u), UPDATE_BLOCK_ROWS):
@@ -402,86 +400,109 @@ class _SpectralBase:
             diff = self.basis[pairs_u[block]] - self.basis[pairs_v[block]]
             np.matmul(np.square(diff, out=diff), self.weights, out=forms[block])
         forms += 2.0 * self.offsets
-        return forms.reshape(np.shape(us) + forms.shape[1:])
+        return forms.reshape(np.shape(us) + forms.shape[1:]).T
 
     def columns(self, u: int, v: int) -> np.ndarray:
-        """The four matrices times b = e_u - e_v, as the columns of an n x 4
-        array: V (g ∘ Vᵀb) + offset b, since Π b = b; one O(n²) product."""
+        """The four matrices times b = e_u - e_v, indexed by matrix first:
+        V (g ∘ Vᵀb) + offset b, since Π b = b; one O(n²) product."""
         columns = self.basis @ (self.weights * (self.basis[u] - self.basis[v])[:, None])
         columns[u] += self.offsets
         columns[v] -= self.offsets
-        return columns
+        return columns.T
 
-    def inverse(self, column: int) -> np.ndarray:
-        """The pseudo-inverse of a column as a new n x n matrix, as build forms
-        a custom output's: one syrk and the offset's Π."""
-        return _spectral_matrix(self.basis, self.weights[:, column], self.offsets[column])
+    def matrix(self, j: int) -> np.ndarray:
+        """Matrix j as a new n x n array, the one place that forms a matrix
+        from V: a pseudo-inverse as W Wᵀ, W = V diag(sqrt(g)) (BLAS syrk),
+        plus its offset's Π added in place, so each entry rounds as that sum
+        rounds it; a sandwich from its pseudo-inverse (_gram_sandwich)."""
+        if j % 2:
+            return _gram_sandwich(self.matrix(j - 1), self.gram)
+        scaled = self.basis * np.sqrt(self.weights[:, j])
+        matrix = scaled @ scaled.T
+        offset = self.offsets[j]
+        if offset:
+            diagonal = matrix.diagonal() + offset * (1.0 - 1.0 / len(matrix))
+            matrix += offset * (-1.0 / len(matrix))
+            np.fill_diagonal(matrix, diagonal)
+        return matrix
+
+    def formed(self) -> "_FormedBase":
+        """The four matrices as a _FormedBase. V is freed, as this base held its
+        last reference, before the sandwiches are formed: the peak holds four
+        n x n matrices, not five."""
+        inverses = [self.matrix(0), self.matrix(2)]
+        self.basis = None
+        sandwiches = [_gram_sandwich(inverse, self.gram) for inverse in inverses]
+        return _FormedBase(self.gram, [inverses[0], sandwiches[0], inverses[1], sandwiches[1]])
+
+
+class _FormedBase:
+    """Both operators' four base matrices as n x n arrays, in _SpectralBase's
+    order: L⁺, its sandwich, S⁺ and its sandwich. A read gathers no row of
+    V, so its budget is unbounded and no read forms anything."""
+
+    budget = np.inf
+
+    def __init__(self, gram: np.ndarray | float, matrices: list) -> None:
+        self.gram = gram
+        self.matrices = matrices
+
+    def diagonal(self, j: int) -> np.ndarray:
+        """diag(gram @ matrix j) as a new array; s diag(matrix j) for a scale s."""
+        if np.ndim(self.gram) == 0:
+            return self.gram * self.matrices[j].diagonal()
+        return np.einsum("ij,ji->i", self.gram, self.matrices[j])
+
+    def forms(self, us: np.ndarray | int, vs: np.ndarray | int) -> list:
+        """The four matrices' edge forms at the pairs, one array per matrix."""
+        return [edge_quadratic_forms(m, us, vs) for m in self.matrices]
+
+    def columns(self, u: int, v: int) -> list:
+        """The four matrices times b = e_u - e_v, one n-vector per matrix."""
+        return [m[:, u] - m[:, v] for m in self.matrices]
+
+    def matrix(self, j: int) -> np.ndarray:
+        return self.matrices[j].copy()
+
+    def formed(self) -> "_FormedBase":
+        return self
 
 
 class _DeferredPair:
-    """One operator's pseudo-inverse P and sandwich Y = P @ gram @ P, each a
-    base plus the Sherman-Morrison terms not yet folded into it, and the
-    current diag(gram @ P), kept term by term.
-
-    The base is spectral, columns `column` (P) and `column` + 1 (Y) of a
-    _SpectralBase that both operators share, until EdgeFormCaches forms both
-    operators' matrices together (materializes them), and the two matrices
-    from then on. A spectral base gives a pair's base forms in O(n) and a
-    move's base columns by one O(n^2) product, and holds no n x n array but
-    the eigenvectors. Pending term j is two n-vectors, p_j and corr_j, and a
-    scalar alpha_j:
+    """One operator's pseudo-inverse P and sandwich Y = P @ gram @ P, each
+    matrix `column` or `column` + 1 of the base both operators share (a
+    _SpectralBase or a _FormedBase) plus the Sherman-Morrison terms not yet
+    folded into it, and the current diag(gram @ P), kept term by term. The
+    pair holds no base: each read is handed the base's forms, columns or
+    matrices. Pending term j is two n-vectors, p_j and corr_j, and a scalar
+    alpha_j:
 
         P = base P - sum_j alpha_j p_j p_jᵀ
         Y = base Y + sum_j (p_j corr_jᵀ + corr_j p_jᵀ)
 
     Reads add the terms themselves and change nothing: a whole matrix is read
     as a new copy, and the base keeps its form. add_term keeps a term; once
-    PENDING_TERM_CAP are pending, sherman_morrison_update forms the matrices
-    if they are spectral and fold adds the terms to them, by one blocked
-    rank-k product each.
+    PENDING_TERM_CAP are pending, sherman_morrison_update forms the base and
+    fold adds the terms to its matrices, by one blocked rank-k product each.
     """
 
-    def __init__(
-        self,
-        gram: np.ndarray | float,
-        inverse: np.ndarray | None = None,
-        sandwich: np.ndarray | None = None,
-        spectral: _SpectralBase | None = None,
-        column: int = 0,
-    ) -> None:
-        self.gram = gram
-        self.inverse, self.sandwich = inverse, sandwich
-        self.spectral, self.column = spectral, column
+    def __init__(self, base: _SpectralBase | _FormedBase, column: int) -> None:
+        self.gram = base.gram
+        self.column = column
+        self.diagonal = base.diagonal(column)
         # terms[j] holds the rows p_j and corr_j, so terms[:k] is the
         # contiguous 2k x n factor of the sandwich's terms. np.empty leaves
         # pages no term has reached unwritten.
-        n = len(inverse if spectral is None else spectral.basis)
-        self.terms = np.empty((PENDING_TERM_CAP, 2, n))
+        self.terms = np.empty((PENDING_TERM_CAP, 2, len(self.diagonal)))
         self.alphas = np.empty(PENDING_TERM_CAP)
         self.count = 0
-        self._reset_diagonal()
-
-    def _reset_diagonal(self) -> None:
-        """diag(gram @ base P): s diag P for a scale s, since P 1 = 0."""
-        if self.spectral is not None:
-            self.diagonal = self.gram * self.spectral.diagonals[:, self.column]
-        elif np.ndim(self.gram) == 0:
-            self.diagonal = self.gram * self.inverse.diagonal()
-        else:
-            self.diagonal = np.einsum("ij,ji->i", self.gram, self.inverse)
 
     def forms(
-        self, us: np.ndarray | int, vs: np.ndarray | int, spectral_forms: np.ndarray | None
+        self, us: np.ndarray | int, vs: np.ndarray | int, base_forms: np.ndarray | list
     ) -> tuple:
         """Edge forms of the current Y and P at the pairs, O(m k) for m pairs
-        past the base forms, which a spectral base takes from spectral_forms,
-        _SpectralBase.forms at the pairs."""
-        if self.spectral is None:
-            sandwich = edge_quadratic_forms(self.sandwich, us, vs)
-            inverse = edge_quadratic_forms(self.inverse, us, vs)
-        else:
-            inverse = spectral_forms[..., self.column]
-            sandwich = spectral_forms[..., self.column + 1]
+        past base_forms, the base's forms at the pairs."""
+        inverse, sandwich = base_forms[self.column], base_forms[self.column + 1]
         k = self.count
         if k:
             # bᵀp_j and bᵀcorr_j for every term and pair.
@@ -492,11 +513,10 @@ class _DeferredPair:
         return sandwich, inverse
 
     def columns(
-        self, u: int, v: int, spectral_columns: np.ndarray | None
+        self, u: int, v: int, base_columns: np.ndarray | list
     ) -> tuple[np.ndarray, np.ndarray]:
         """P b and Y b of the current matrices, b the endpoint difference
-        vector of (u, v), O(n k) past the base columns, which a spectral base
-        takes from spectral_columns, _SpectralBase.columns of (u, v)."""
+        vector of (u, v), O(n k) past base_columns, the base's columns of (u, v)."""
         # Row 0 of steps holds the base column differences and row j + 1
         # what term j adds, -alpha_j (bᵀp_j) p_j and (bᵀcorr_j) p_j + (bᵀp_j)
         # corr_j. numpy sums the rows one at a time in order, as updating the
@@ -505,11 +525,7 @@ class _DeferredPair:
         # terms formed first would round them to the cancelled size.
         k = self.count
         steps = np.empty((2, k + 1, len(self.diagonal)))
-        if self.spectral is None:
-            np.subtract(self.inverse[:, u], self.inverse[:, v], out=steps[0, 0])
-            np.subtract(self.sandwich[:, u], self.sandwich[:, v], out=steps[1, 0])
-        else:
-            steps[:, 0] = spectral_columns[:, self.column : self.column + 2].T
+        steps[0, 0], steps[1, 0] = base_columns[self.column], base_columns[self.column + 1]
         if k:
             dp, dc = (self.terms[:k, :, u] - self.terms[:k, :, v]).T
             ps, corrs = self.terms[:k, 0], self.terms[:k, 1]
@@ -519,7 +535,7 @@ class _DeferredPair:
         return steps.sum(axis=1)
 
     def update_term(
-        self, u: int, v: int, coefficient: float, spectral_columns: np.ndarray | None
+        self, u: int, v: int, coefficient: float, base_columns: np.ndarray | list
     ) -> tuple[np.ndarray, np.ndarray, float]:
         """Term (p, corr, alpha) of A += c b bᵀ, b the endpoint
         difference vector of (u, v), from the columns p = P b and z = Y b;
@@ -529,7 +545,7 @@ class _DeferredPair:
         identity applies to these pseudo-inverses unchanged. Callers test the
         denominator first, by _checked_move.
         """
-        p, z = self.columns(u, v, spectral_columns)
+        p, z = self.columns(u, v, base_columns)
         # alpha keeps this update's own rounding of bᵀP b, p[u] - p[v].
         alpha = coefficient / (1.0 + coefficient * (p[u] - p[v]))
         sandwich_quad = z[u] - z[v]
@@ -548,20 +564,12 @@ class _DeferredPair:
         self.diagonal -= (alpha * np.dot(self.gram, p)) * p
         self.count = k + 1
 
-    def fold(self) -> None:
-        """Add every pending term to the base matrices, which must be formed."""
-        self._add_terms(self.inverse, 0)
-        self._add_terms(self.sandwich, 1)
+    def fold(self, base: _FormedBase) -> None:
+        """Add every pending term to the formed base's matrices."""
+        self._add_terms(base.matrices[self.column], 0)
+        self._add_terms(base.matrices[self.column + 1], 1)
         self.count = 0
-        self._reset_diagonal()
-
-    def _base(self, which: int) -> np.ndarray:
-        """A new array of base P (which 0) or base Y (1); a spectral Y is
-        formed from its P, as EdgeFormCaches._materialize forms it."""
-        if self.spectral is None:
-            return (self.inverse, self.sandwich)[which].copy()
-        inverse = self.spectral.inverse(self.column)
-        return inverse if which == 0 else _gram_sandwich(inverse, self.gram)
+        self.diagonal = base.diagonal(self.column)
 
     def _add_terms(self, matrix: np.ndarray, which: int) -> None:
         """Add the pending terms of P (which 0) or Y (1) to a matrix in place,
@@ -582,10 +590,10 @@ class _DeferredPair:
             rows = slice(start, start + UPDATE_BLOCK_ROWS)
             matrix[rows] += left[:, rows].T @ right
 
-    def current(self, which: int) -> np.ndarray:
-        """A copy of P (which 0) or Y (1), its base plus its own terms, as a
-        fold now would leave it."""
-        matrix = self._base(which)
+    def current(self, base: _SpectralBase | _FormedBase, which: int) -> np.ndarray:
+        """A copy of P (which 0) or Y (1), its base's matrix plus its own
+        terms, as a fold now would leave it."""
+        matrix = base.matrix(self.column + which)
         self._add_terms(matrix, which)
         return matrix
 
@@ -604,22 +612,19 @@ class EdgeFormCaches:
       lap_pinv_gram    lap_pinv @ output_gram @ lap_pinv
       shift_pinv_gram  shift_pinv @ output_gram @ shift_pinv
 
-    Each pseudo-inverse and its sandwich are held as a base plus the pending
-    terms of the updates since their last fold (_DeferredPair). For a named
-    output, build leaves both bases spectral, read from the Laplacian's
-    eigenvectors, and forms no n x n matrix: a read costs O(n) per pair and
-    a move one O(n^2) product for both operators' columns. Both operators'
-    matrices are formed together, and the eigenvectors dropped, at the first
-    fold, or before the read (_edge_forms or a move's columns) that would
-    take the spectral reads past their budget (SPECTRAL_READ_DIVISOR), which
-    keeps their cost below about one forming of the matrices: a short run
-    that scores few pairs never forms them, and a long or wide one forms
-    them early. A custom output's bases are the matrices from the start,
-    and so are those the constructor is given. The four attributes return
-    new copies of the current matrices, each its own base plus its own
-    terms, and change no base and no budget; the design loop never forms
-    them, since its reads (_edge_forms, the update's column differences and
-    the kept diagonals) add the terms themselves.
+    Each is a base matrix plus the pending terms of the updates since the
+    last fold (_DeferredPair). Both operators share one base, in one of two
+    forms that answer the same reads: a _SpectralBase, read from the
+    Laplacian's eigenvectors in O(n) per pair and one O(n^2) product per
+    move, or a _FormedBase of the four matrices. build leaves a named
+    output's base spectral and forms a custom output's. A spectral base is
+    formed, the pending terms left pending and the eigenvectors dropped, at
+    the first fold, before a read that would take the reads past its budget
+    (_read_base), and at the start of a design run that would (_plan): a
+    short run that scores few pairs never forms the matrices, and a long or
+    wide one forms them early. The four attributes return new copies of the
+    current matrices and change no base and no budget; the design loop
+    never reads them, since its reads add the pending terms themselves.
 
     The Laplacian, edited in place by every update, and the output gram
     ride along so trace-form evaluations need no extra state. output_gram
@@ -628,78 +633,46 @@ class EdgeFormCaches:
     """
 
     def __init__(
-        self,
-        laplacian: np.ndarray,
-        output_gram: np.ndarray | float,
-        delay: float,
-        lap_pinv: np.ndarray,
-        shift_pinv: np.ndarray,
-        lap_pinv_gram: np.ndarray,
-        shift_pinv_gram: np.ndarray,
+        self, laplacian: np.ndarray, delay: float, base: _SpectralBase | _FormedBase
     ) -> None:
         self.laplacian = laplacian
-        self.output_gram = output_gram
+        self.output_gram = base.gram
         self.delay = delay
-        self._lap = _DeferredPair(output_gram, lap_pinv, lap_pinv_gram)
-        self._shift = _DeferredPair(output_gram, shift_pinv, shift_pinv_gram)
+        self._base = base
+        self._lap = _DeferredPair(base, 0)
+        self._shift = _DeferredPair(base, 2)
 
     @property
     def lap_pinv(self) -> np.ndarray:
-        return self._lap.current(0)
+        return self._lap.current(self._base, 0)
 
     @property
     def shift_pinv(self) -> np.ndarray:
-        return self._shift.current(0)
+        return self._shift.current(self._base, 0)
 
     @property
     def lap_pinv_gram(self) -> np.ndarray:
-        return self._lap.current(1)
+        return self._lap.current(self._base, 1)
 
     @property
     def shift_pinv_gram(self) -> np.ndarray:
-        return self._shift.current(1)
+        return self._shift.current(self._base, 1)
 
-    @property
-    def _spectral(self) -> _SpectralBase | None:
-        """The spectral base both operators read from, None once formed."""
-        return self._lap.spectral
-
-    def _read_base(self, rows: int) -> _SpectralBase | None:
-        """The spectral base for a read that gathers `rows` rows of its
-        eigenvectors, charged to its budget, or None when the matrices are
-        formed: a read past the budget forms them first."""
-        spectral = self._spectral
-        if spectral is not None and rows > spectral.budget:
-            self._materialize()
-        elif spectral is not None:
-            spectral.budget -= rows
-        return self._spectral
+    def _read_base(self, rows: int) -> _SpectralBase | _FormedBase:
+        """The base, for a read that gathers `rows` rows of its eigenvectors,
+        charged to its budget: a read past the budget forms the matrices
+        first. A formed base's budget is unbounded, so nothing charges it."""
+        if rows > self._base.budget:
+            self._base = self._base.formed()
+        self._base.budget -= rows
+        return self._base
 
     def _plan(self, moves: int, pairs: int) -> None:
         """Form the matrices now if `moves` moves that each score `pairs`
         pairs would gather more rows of the eigenvectors than the budget
         holds: the matrices serve a run that long or that wide for less."""
-        spectral = self._spectral
-        if spectral is not None and moves * (2 * pairs + len(self.laplacian)) > spectral.budget:
-            self._materialize()
-
-    def _materialize(self) -> None:
-        """Form both operators' base matrices from the spectral base, P by
-        its syrk and Y from P as build forms a custom output's, and drop the
-        base; the pending terms stay pending. V is freed before the
-        sandwiches, as build frees it, so the peak holds four n x n
-        matrices, as build's does, not five."""
-        spectral = self._spectral
-        if spectral is None:
-            return
-        pairs = (self._lap, self._shift)
-        inverses = [pair._base(0) for pair in pairs]
-        for pair, inverse in zip(pairs, inverses):
-            pair.inverse, pair.spectral = inverse, None
-        # Callers may still hold the base: its basis was V's last reference.
-        spectral.basis = None
-        for pair in pairs:
-            pair.sandwich = _gram_sandwich(pair.inverse, pair.gram)
+        if moves * (2 * pairs + len(self.laplacian)) > self._base.budget:
+            self._base = self._base.formed()
 
     @classmethod
     def build(
@@ -709,21 +682,22 @@ class EdgeFormCaches:
         """The caches of a Laplacian L at a delay, from one eigh of L.
 
         S = (pi/2) Π - delay L (Π the centering projector) has L's eigenvectors
-        V and eigenvalues mu = pi/2 - delay lambda: S⁺ = (2/pi) Π + V diag((2/pi)
-        delay lambda / mu) Vᵀ, (2/pi) Π at zero delay. Every mu > 0 exactly when
-        check_stability finds the delay stable. Like check_stability, build
-        raises DomainError on a delay outside [0, inf); on an unstable one it
-        raises UnstableNetwork. A named output's caches keep V as their
-        _SpectralBase; a custom output's are formed now, and V freed before
-        the sandwiches. Given spectrum = eigendecompose(laplacian), build owns
-        both, editing that Laplacian; else it decomposes a copy.
+        V and eigenvalues mu = pi/2 - delay lambda, every one > 0 exactly when
+        check_stability finds the delay stable; _SpectralBase gives the four
+        matrices in V. Raises UnstableNetwork on an unstable delay, and
+        DomainError on a delay outside [0, inf) and when a weight or a formed
+        matrix leaves the float range, as 1/lambda² does for weights below
+        about 1e-154. A custom output's sandwiches are no spectral function of
+        L, so its base is formed now, from the pseudo-inverses' weights alone.
+        Given spectrum = eigendecompose(laplacian), build owns both, editing
+        that Laplacian; else it decomposes a copy.
         """
         if not 0.0 <= delay < np.inf:
             raise DomainError("delay must be nonnegative")
         if spectrum is None:
             laplacian = laplacian.copy()
             spectrum = eigendecompose(laplacian)
-        basis, lam = spectrum.nonzero_eigenvectors, spectrum.nonzero_eigenvalues
+        lam = spectrum.nonzero_eigenvalues
         shifted = np.pi / 2.0 - delay * lam
         if shifted.min() <= 0.0:
             raise UnstableNetwork(
@@ -731,33 +705,28 @@ class EdgeFormCaches:
             )
         c = 2.0 / np.pi
         weights = np.empty((len(lam), 4))
-        weights[:, 0] = 1.0 / lam
-        weights[:, 2] = c * delay * lam / shifted
-        if np.ndim(output_gram):
-            lp = _spectral_matrix(basis, weights[:, 0], 0.0)
-            sp = _spectral_matrix(basis, weights[:, 2], c)
-            del spectrum, basis
-            sandwiches = _gram_sandwich(lp, output_gram), _gram_sandwich(sp, output_gram)
-            return cls(laplacian, output_gram, delay, lp, sp, *sandwiches)
-        a = weights[:, 2]
-        weights[:, 1] = output_gram * weights[:, 0] ** 2
-        weights[:, 3] = output_gram * a * (2.0 * c + a)
-        base = _SpectralBase(basis, weights, np.array([0.0, 0.0, c, output_gram * c * c]))
-        caches = cls.__new__(cls)
-        caches.laplacian, caches.output_gram, caches.delay = laplacian, output_gram, delay
-        caches._lap = _DeferredPair(output_gram, spectral=base, column=0)
-        caches._shift = _DeferredPair(output_gram, spectral=base, column=2)
-        return caches
+        offsets = np.array([0.0, 0.0, c, 0.0])
+        with _typed_overflow("the weights leave the float range in the design caches", DomainError):
+            weights[:, 0] = 1.0 / lam
+            a = weights[:, 2] = c * delay * lam / shifted
+            if np.ndim(output_gram) == 0:
+                weights[:, 1] = output_gram * weights[:, 0] ** 2
+                weights[:, 3] = output_gram * a * (2.0 * c + a)
+                offsets[3] = output_gram * c * c
+            base = _SpectralBase(output_gram, spectrum.nonzero_eigenvectors, weights, offsets)
+            # The base holds V's last reference, so forming it frees V.
+            del spectrum
+            return cls(laplacian, delay, base.formed() if np.ndim(output_gram) else base)
 
 
 @contextmanager
-def _typed_overflow(message: str):
-    """Re-raise an overflow, NaN or division by zero in the block as SingularUpdate."""
+def _typed_overflow(message: str, error: type = SingularUpdate):
+    """Re-raise an overflow, NaN or division by zero in the block as error."""
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             yield
     except FloatingPointError as exc:
-        raise SingularUpdate(message) from exc
+        raise error(message) from exc
 
 
 def _edge_forms(caches: EdgeFormCaches, us: np.ndarray | int, vs: np.ndarray | int) -> list:
@@ -767,11 +736,11 @@ def _edge_forms(caches: EdgeFormCaches, us: np.ndarray | int, vs: np.ndarray | i
     the float range reads inf where a numpy scalar would warn. Each shift form
     enters the fit with a factor tau, so at zero delay it adds an exact zero. A read
     that overflows, as after many moves at the stability bound, raises SingularUpdate."""
-    spectral = caches._read_base(2 * np.size(us))
+    base = caches._read_base(2 * np.size(us))
     with _typed_overflow("the cached edge forms leave the float range"):
-        base = None if spectral is None else spectral.forms(us, vs)
-        lap_gram, lap = caches._lap.forms(us, vs, base)
-        shift_gram, shift = caches._shift.forms(us, vs, base)
+        base_forms = base.forms(us, vs)
+        lap_gram, lap = caches._lap.forms(us, vs, base_forms)
+        shift_gram, shift = caches._shift.forms(us, vs, base_forms)
     forms = [lap_gram, lap, shift_gram, shift, edge_quadratic_forms(caches.output_gram, us, vs)]
     return [float(form) for form in forms] if np.ndim(us) == 0 else forms
 
@@ -812,31 +781,32 @@ def sherman_morrison_update(caches: EdgeFormCaches, edge: Edge, dweight: float) 
     """Apply a weight change on one edge to all four cached matrices.
 
     dweight > 0 adds weight, dweight < 0 removes it, down to zero at most and
-    never from an absent pair. Each operator keeps the change as one pending
-    term of n-vectors, O(n k) with k terms pending, plus one O(n^2) product
-    while the bases are spectral (both operators' columns at once) or the
-    gram is a custom output's; every PENDING_TERM_CAP-th update folds the
-    terms into the matrices, O(n^2 k), forming them first if they are still
-    spectral. The Laplacian is edited in place.
+    never from an absent pair; a zero change writes nothing. Each operator
+    keeps the change as one pending term of n-vectors, O(n k) with k terms
+    pending, past the base's columns (one O(n^2) product for both while the
+    base is spectral; a custom gram adds another). Every PENDING_TERM_CAP-th
+    update forms the base if it is spectral and folds the terms into the
+    matrices, O(n^2 k). The Laplacian is edited in place.
     Raises what _checked_move (and so edge_contribution) raises, and
     SingularUpdate for an overflow or NaN forming the terms, changing nothing.
     """
     (u, v), _ = _checked_move(caches, edge, dweight)
+    if dweight == 0.0:
+        return
     # An operator whose coefficient is zero is left as it is: at zero delay the
     # shifted operator is (pi/2) times the centering projector on every graph.
     coefficients = ((caches._lap, dweight), (caches._shift, -caches.delay * dweight))
-    coefficients = [(pair, c) for pair, c in coefficients if c != 0.0]
-    spectral = caches._read_base(len(caches.laplacian)) if coefficients else None
+    base = caches._read_base(len(caches.laplacian))
     # Both terms are formed before either is kept, so an error leaves every cache as it was.
     with _typed_overflow(f"{dweight} on edge {u, v} leaves a cached term non-finite"):
-        # One product gives both operators' base columns.
-        columns = None if spectral is None else spectral.columns(u, v)
-        terms = [(pair, pair.update_term(u, v, c, columns)) for pair, c in coefficients]
+        # One read gives both operators' base columns.
+        columns = base.columns(u, v)
+        terms = [(pair, pair.update_term(u, v, c, columns)) for pair, c in coefficients if c != 0.0]
     for pair, term in terms:
         pair.add_term(*term)
         if pair.count == PENDING_TERM_CAP:
-            caches._materialize()
-            pair.fold()
+            caches._base = caches._base.formed()
+            pair.fold(caches._base)
     lap = caches.laplacian
     lap[u, u] += dweight
     lap[v, v] += dweight

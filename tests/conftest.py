@@ -27,6 +27,7 @@ from tdconsensus import (
     rho_approx,
     rho_exact,
 )
+from tdconsensus.graphs import _FormedBase
 
 # Property tests replay one fixed example sequence and write no example
 # database, so runs are repeatable.
@@ -184,15 +185,8 @@ def fresh_caches(graph: WeightedGraph, out: OutputSpec, delay: float) -> EdgeFor
     c = output_matrix(out)
     gram = c.T @ c
     lap_pinv, shift_pinv = grounded_pinv(lap), grounded_pinv(delay_shift_matrix(lap, delay))
-    return EdgeFormCaches(
-        laplacian=lap,
-        output_gram=gram,
-        delay=delay,
-        lap_pinv=lap_pinv,
-        shift_pinv=shift_pinv,
-        lap_pinv_gram=lap_pinv @ gram @ lap_pinv,
-        shift_pinv_gram=shift_pinv @ gram @ shift_pinv,
-    )
+    matrices = [lap_pinv, lap_pinv @ gram @ lap_pinv, shift_pinv, shift_pinv @ gram @ shift_pinv]
+    return EdgeFormCaches(laplacian=lap, delay=delay, base=_FormedBase(gram, matrices))
 
 
 def spectrum_of(graph: WeightedGraph) -> SpectralCache:

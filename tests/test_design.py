@@ -55,7 +55,7 @@ from conftest import (
 )
 from tdconsensus import design
 from tdconsensus.design import _fit_changes, _sign_change
-from tdconsensus.graphs import PENDING_TERM_CAP, _edge_forms
+from tdconsensus.graphs import PENDING_TERM_CAP, _edge_forms, _FormedBase
 from tdconsensus.performance import _fit_slope, _nonzero_modes, sensitivities
 
 
@@ -1233,22 +1233,22 @@ def test_a_run_that_would_pass_the_read_budget_forms_the_matrices_at_its_start()
     g = random_connected_graph(np.random.default_rng(47), min_nodes=100, max_nodes=100)
     state = DesignState.from_graph(g, OutputSpec.centering(100), stable_delay(g, 0.3), audit=False)
     caches = state.caches
-    spectral = caches._spectral
-    full = spectral.budget
+    base = caches._base
+    full = base.budget
     entries = tuple((u, v, 0.2) for u, v in _absent_pairs(g)[:6])
     assert len(grow_simple(state, CandidateSet(entries=entries[:3], budget=1)).entries) == 1
-    assert caches._spectral is spectral and spectral.budget == full - 108
+    assert caches._base is base and base.budget == full - 108
     budgets = []
-    materialize = caches._materialize
+    formed = base.formed
 
     def recording():
-        budgets.append(caches._spectral.budget)
-        materialize()
+        budgets.append(base.budget)
+        return formed()
 
-    caches._materialize = recording
+    base.formed = recording
     assert 2 * (6 + 100) > full - 108 > 6
     assert len(grow_simple(state, CandidateSet(entries=entries[3:], budget=2)).entries) == 2
-    assert budgets == [full - 108] and caches._spectral is None
+    assert budgets == [full - 108] and isinstance(caches._base, _FormedBase)
 
 
 # --- reweight ---

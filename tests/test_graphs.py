@@ -47,6 +47,8 @@ from tdconsensus.graphs import (
     PENDING_TERM_CAP,
     SPECTRAL_READ_DIVISOR,
     _edge_forms,
+    _FormedBase,
+    _SpectralBase,
     edge_quadratic_forms,
 )
 
@@ -268,11 +270,12 @@ def test_zero_delay_shift_forms_are_their_offsets_to_the_bit():
                 s = OutputSpec(kind, n).gram()
                 expected = (np.full(len(us), 2.0 * (s * c * c)), np.full(len(us), 2.0 * c))
                 caches = EdgeFormCaches.build(g.laplacian(), s, 0.0)
-                spectral = caches._spectral
-                spectral.budget = math.inf
-                assert not spectral.weights[:, 2:].any()
-                assert np.array_equal(spectral.forms(us, vs)[:, 3], expected[0])
-                assert np.array_equal(spectral.forms(us, vs)[:, 2], expected[1])
+                base = caches._base
+                assert isinstance(base, _SpectralBase)
+                base.budget = math.inf
+                assert not base.weights[:, 2:].any()
+                assert np.array_equal(base.forms(us, vs)[3], expected[0])
+                assert np.array_equal(base.forms(us, vs)[2], expected[1])
                 u, v, w = g.edges[0]
                 sherman_morrison_update(caches, (u, v), -0.5 * w)
                 sherman_morrison_update(caches, (0, n - 1), 0.7)
@@ -436,6 +439,23 @@ def test_build_refuses_a_negative_spectrum_or_delay():
         for matrix, delay, message in cases:
             with pytest.raises(DomainError, match=message):
                 EdgeFormCaches.build(matrix, 1.0, delay)
+
+
+def test_weights_whose_squared_inverses_overflow_raise_domain_error():
+    # On path(5) with weights 1e-160, 1/lambda² passes the float range: build
+    # warned of an overflow, built caches that held inf, and the first move
+    # raised SingularUpdate. It now refuses such weights, in a named output's
+    # spectral weights and in a custom output's formed sandwiches alike, and
+    # still builds finite caches on weights of 1e-150.
+    custom = np.array([[1.0, -1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0, -1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for out in (OutputSpec.centering(5), OutputSpec.custom(custom)):
+            for tau in (0.0, 1e-5):
+                with pytest.raises(DomainError, match="float range in the design caches"):
+                    DesignState.from_graph(WeightedGraph.path(5, 1e-160), out, tau)
+                state = DesignState.from_graph(WeightedGraph.path(5, 1e-150), out, tau)
+                assert all(np.isfinite(matrix).all() for matrix in tracked_matrices(state.caches))
 
 
 def test_pseudo_inverse_rejects_a_second_kernel_direction():
@@ -611,8 +631,7 @@ def _move_columns(caches: EdgeFormCaches, u: int, v: int) -> list:
     """P b and Y b of both operators' current matrices, b = e_u - e_v, as a
     move on (u, v) reads them: lap_pinv, lap_pinv_gram, shift_pinv and
     shift_pinv_gram, in that order."""
-    spectral = caches._spectral
-    columns = None if spectral is None else spectral.columns(u, v)
+    columns = caches._base.columns(u, v)
     return [c for pair in (caches._lap, caches._shift) for c in pair.columns(u, v, columns)]
 
 
@@ -660,23 +679,22 @@ def test_spectral_reads_match_the_explicit_reference(fraction):
         del outputs["custom-tall"]
         for name, out in outputs.items():
             caches = DesignState.from_graph(g, out, delay, audit=False).caches
-            assert (caches._spectral is None) == name.startswith("custom")
-            if caches._spectral is not None:
-                caches._spectral.budget = math.inf
+            assert isinstance(caches._base, _FormedBase) == name.startswith("custom")
+            caches._base.budget = math.inf
             graph = g
             for move in range(PENDING_TERM_CAP + 3):
                 if move in (0, 1, PENDING_TERM_CAP - 1, PENDING_TERM_CAP + 2):
                     _assert_reads_match_fresh_caches(caches, graph, out, delay, rng)
-                    bases = (caches._lap.spectral, caches._shift.spectral)
+                    base = caches._base
                     tracked_matrices(caches)
-                    assert bases == (caches._lap.spectral, caches._shift.spectral)
+                    assert caches._base is base
                 if move == PENDING_TERM_CAP + 2:
                     break
                 u, v, w = graph.edges[int(rng.integers(graph.edge_count))]
                 factor = float(rng.uniform(0.01, 0.1))
                 sherman_morrison_update(caches, (u, v), -factor * w)
                 graph = graph.without_edge(u, v).with_edge(u, v, w - factor * w)
-            assert caches._lap.spectral is None and caches._shift.spectral is None
+            assert isinstance(caches._base, _FormedBase)
 
 
 def test_reads_past_the_budget_form_the_matrices_first():
@@ -690,26 +708,26 @@ def test_reads_past_the_budget_form_the_matrices_first():
     out = OutputSpec.centering(g.node_count)
     delay = stable_delay(g, 0.5)
     caches = DesignState.from_graph(g, out, delay, audit=False).caches
-    spectral = caches._spectral
-    budget = spectral.budget
+    base = caches._base
+    budget = base.budget
     assert budget == 100 * 100 / SPECTRAL_READ_DIVISOR
     tracked_matrices(caches)
-    assert spectral.budget == budget
+    assert base.budget == budget
     reference = fresh_caches(g, out, delay)
     us, vs = np.triu_indices(g.node_count, 1)
     few = int(budget) // 8
     pairs = (us[:few], vs[:few])
     for ours, ref in zip(_edge_forms(caches, *pairs), _edge_forms(reference, *pairs)):
         assert _relative_drift(ours, ref) <= BUILD_REFERENCE_BOUND
-    assert caches._spectral is spectral and spectral.budget == budget - 2 * few
+    assert caches._base is base and base.budget == budget - 2 * few
     # A move charges its check's two rows and its columns' 100.
     u, v = next((int(u), int(v)) for u, v in zip(us, vs) if not g.has_edge(u, v))
     sherman_morrison_update(caches, (u, v), 0.5)
     reference = fresh_caches(g.with_edge(u, v, 0.5), out, delay)
-    assert caches._spectral is spectral and spectral.budget == budget - 2 * few - 102
+    assert caches._base is base and base.budget == budget - 2 * few - 102
     for ours, ref in zip(_edge_forms(caches, us, vs), _edge_forms(reference, us, vs)):
         assert _relative_drift(ours, ref) <= BUILD_REFERENCE_BOUND
-    assert caches._lap.spectral is None and caches._shift.spectral is None
+    assert isinstance(caches._base, _FormedBase)
     assert caches._lap.count == caches._shift.count == 1
 
 
@@ -723,7 +741,7 @@ def test_reading_every_pair_of_a_dense_graph_gathers_a_block_at_a_time():
     caches = DesignState.from_graph(
         WeightedGraph.complete(n), OutputSpec.centering(n), 0.001, audit=False
     ).caches
-    caches._spectral.budget = math.inf
+    caches._base.budget = math.inf
     us, vs = np.triu_indices(n, 1)
     tracemalloc.start()
     try:
@@ -731,7 +749,7 @@ def test_reading_every_pair_of_a_dense_graph_gathers_a_block_at_a_time():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert caches._spectral is not None and len(forms[0]) == len(us)
+    assert isinstance(caches._base, _SpectralBase) and len(forms[0]) == len(us)
     assert peak < 4 * 2**20, peak
 
 
@@ -747,11 +765,11 @@ def test_forming_the_matrices_frees_the_eigenvectors_before_the_sandwiches():
             WeightedGraph.complete(n), OutputSpec.centering(n), 0.001, audit=False
         ).caches
         tracemalloc.reset_peak()
-        caches._materialize()
+        caches._base = caches._base.formed()
         current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert caches._spectral is None
+    assert isinstance(caches._base, _FormedBase)
     assert peak - current < 0.5 * n * n * 8, (peak - current) / (n * n * 8)
 
 
@@ -911,13 +929,13 @@ def test_an_overflow_forming_the_terms_raises_singular_update_without_a_warning(
     caches = state.caches
 
     def stored():
-        # Each base in the form it holds: the matrices, or the spectral base.
-        bases = [
-            (pair.inverse, pair.sandwich) if pair.spectral is None
-            else (pair.spectral.basis, pair.spectral.weights, pair.spectral.offsets)
-            for pair in (caches._lap, caches._shift)
-        ]
-        return [caches.laplacian.copy()] + [m.copy() for base in bases for m in base]
+        # The base in the form it holds: the matrices, or the spectral base.
+        base = caches._base
+        if isinstance(base, _FormedBase):
+            arrays = base.matrices
+        else:
+            arrays = (base.basis, base.weights, base.offsets)
+        return [caches.laplacian.copy()] + [m.copy() for m in arrays]
 
     rng = np.random.default_rng(0)
     with warnings.catch_warnings():
