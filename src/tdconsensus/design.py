@@ -7,10 +7,11 @@ until it is formed into matrices, and keep each move as pending
 Sherman-Morrison terms of n-vectors. With k terms pending, a greedy
 iteration costs O((n + candidates) k) for the terms, plus, while the base
 is spectral, O(n) per candidate for its base forms and one O(n^2) product
-for the move's base columns. The caches form the base, in O(n^3), when a
-run would read the eigenvectors for longer than that costs, and at the
-first fold: every PENDING_TERM_CAP moves a fold adds the terms to the
-matrices in O(n^2 k).
+for the move's base columns. The caches form the base, in O(n^3), at the
+start of the run whose reads, added to those its predecessors claimed,
+would cost more than that, and at the first fold: every PENDING_TERM_CAP
+moves a fold adds the terms to the matrices in O(n^2 k). No read forms it,
+so reading the caches changes no later move.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .errors import (
 )
 from .graphs import (
     EdgeFormCaches,
-    SpectralCache,
     WeightedGraph,
     _checked_move,
     _edge_arrays,
@@ -50,7 +50,6 @@ from .performance import (
     _spectrum,
     check_stability,
     cosine_fixed_point,
-    require_stable,
     rho_approx_from_caches,
     rho_exact,
     sensitivities,
@@ -127,15 +126,6 @@ class DesignTrace:
     termination: str = "budget exhausted"
 
 
-def _stable_spectrum(laplacian: np.ndarray, delay: float) -> SpectralCache:
-    """The Laplacian's spectrum with eigenvectors, once require_stable passes;
-    from_graph names it nowhere, so build owns the eigenvectors: a named
-    output's spectral base, freed once a custom output's base is formed."""
-    spectrum = eigendecompose(laplacian)
-    require_stable(spectrum, delay)
-    return spectrum
-
-
 class DesignState:
     """Mutable design loop state: graph and caches, from which the fit is read.
 
@@ -180,7 +170,9 @@ class DesignState:
         audit: bool | None = None,
     ) -> "DesignState":
         lap = _checked_laplacian(graph, out)
-        caches = EdgeFormCaches.build(lap, out.gram(), delay, _stable_spectrum(lap, delay))
+        # build checks the delay and owns the eigenvectors: a named output's
+        # spectral base, freed once a custom output's base is formed.
+        caches = EdgeFormCaches.build(lap, out.gram(), delay, eigendecompose(lap))
         if audit is None:
             audit = graph.node_count <= AUDIT_NODE_LIMIT
         return cls(graph, out, caches, audit)
@@ -271,8 +263,9 @@ def _greedy(
     pair update and edits the graph; a "skip" move changes nothing but still
     takes an iteration and a trace entry. Each entry's fit is read from the
     caches after its move. A run of up to budget moves that each score up to
-    width pairs first tells the caches, which form their base now when
-    reading it from the eigenvectors that often would cost more.
+    width pairs first claims those reads on the caches (_plan), which form
+    their base now once the claims of every run on them pass about one
+    forming's cost; within the run only a fold forms it.
     """
     state.caches._plan(budget, width)
     trace = DesignTrace()

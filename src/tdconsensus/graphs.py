@@ -46,9 +46,9 @@ PENDING_TERM_CAP = 32
 # Reads of a spectral base gather rows of its n x n eigenvectors V: two for
 # a pair's forms, n for a move's columns. Forming the four matrices instead
 # costs about what gathering n² / 44 to n² / 34 rows does (n = 200 to 1200,
-# 2 BLAS threads). So the reads may gather n² / SPECTRAL_READ_DIVISOR rows
-# in all, about one forming's worth: a read that would gather more forms
-# the matrices first, and so does a design run that would (EdgeFormCaches._plan).
+# 2 BLAS threads). So the design runs on one EdgeFormCaches may claim
+# n² / SPECTRAL_READ_DIVISOR rows in all, about one forming's worth: the run
+# whose claim passes it forms the matrices at its start (EdgeFormCaches._plan).
 SPECTRAL_READ_DIVISOR = 40
 
 Edge = tuple[int, int]
@@ -355,8 +355,7 @@ class _SpectralBase:
     weights are 1/lambda, s/lambda², a and s a (2 (2/pi) + a), and the
     offsets 0, 0, 2/pi and s (2/pi)²; the spectral weights of S⁺ and its
     sandwich are exact zeros at zero delay. V is the eigenvectors past the
-    kernel, a view of eigh's whole basis, not a copy. budget is the rows of
-    V the caches' reads may still gather (SPECTRAL_READ_DIVISOR).
+    kernel, a view of eigh's whole basis, not a copy.
     """
 
     def __init__(
@@ -366,8 +365,6 @@ class _SpectralBase:
         self.basis = basis
         self.weights = weights
         self.offsets = offsets
-        n = len(basis)
-        self.budget = n * n / SPECTRAL_READ_DIVISOR
 
     @cached_property
     def _diagonals(self) -> np.ndarray:
@@ -438,10 +435,7 @@ class _SpectralBase:
 
 class _FormedBase:
     """Both operators' four base matrices as n x n arrays, in _SpectralBase's
-    order: L⁺, its sandwich, S⁺ and its sandwich. A read gathers no row of
-    V, so its budget is unbounded and no read forms anything."""
-
-    budget = np.inf
+    order: L⁺, its sandwich, S⁺ and its sandwich."""
 
     def __init__(self, gram: np.ndarray | float, matrices: list) -> None:
         self.gram = gram
@@ -619,12 +613,14 @@ class EdgeFormCaches:
     move, or a _FormedBase of the four matrices. build leaves a named
     output's base spectral and forms a custom output's. A spectral base is
     formed, the pending terms left pending and the eigenvectors dropped, at
-    the first fold, before a read that would take the reads past its budget
-    (_read_base), and at the start of a design run that would (_plan): a
-    short run that scores few pairs never forms the matrices, and a long or
-    wide one forms them early. The four attributes return new copies of the
-    current matrices and change no base and no budget; the design loop
-    never reads them, since its reads add the pending terms themselves.
+    the first fold and at the start of the design run whose claim takes the
+    rows claimed on these caches past n² / SPECTRAL_READ_DIVISOR (_plan):
+    short runs that score few pairs never form the matrices, and a long or
+    wide one forms them at its start. Nothing else forms the base: a read,
+    whether of forms, of a move's columns or of the four attributes (new
+    copies of the current matrices), changes nothing that a later read or
+    move sees. The design loop never reads the attributes, since its reads
+    add the pending terms themselves.
 
     The Laplacian, edited in place by every update, and the output gram
     ride along so trace-form evaluations need no extra state. output_gram
@@ -639,6 +635,8 @@ class EdgeFormCaches:
         self.output_gram = base.gram
         self.delay = delay
         self._base = base
+        # Rows of the eigenvectors the design runs' plans have claimed.
+        self._claimed = 0
         self._lap = _DeferredPair(base, 0)
         self._shift = _DeferredPair(base, 2)
 
@@ -658,20 +656,14 @@ class EdgeFormCaches:
     def shift_pinv_gram(self) -> np.ndarray:
         return self._shift.current(self._base, 1)
 
-    def _read_base(self, rows: int) -> _SpectralBase | _FormedBase:
-        """The base, for a read that gathers `rows` rows of its eigenvectors,
-        charged to its budget: a read past the budget forms the matrices
-        first. A formed base's budget is unbounded, so nothing charges it."""
-        if rows > self._base.budget:
-            self._base = self._base.formed()
-        self._base.budget -= rows
-        return self._base
-
     def _plan(self, moves: int, pairs: int) -> None:
-        """Form the matrices now if `moves` moves that each score `pairs`
-        pairs would gather more rows of the eigenvectors than the budget
-        holds: the matrices serve a run that long or that wide for less."""
-        if moves * (2 * pairs + len(self.laplacian)) > self._base.budget:
+        """Claim the rows of the eigenvectors that `moves` moves scoring
+        `pairs` pairs each would gather, and form the matrices now once the
+        claims on these caches pass n² / SPECTRAL_READ_DIVISOR rows: the
+        matrices serve the rest for less."""
+        n = len(self.laplacian)
+        self._claimed += moves * (2 * pairs + n)
+        if self._claimed > n * n / SPECTRAL_READ_DIVISOR:
             self._base = self._base.formed()
 
     @classmethod
@@ -736,9 +728,8 @@ def _edge_forms(caches: EdgeFormCaches, us: np.ndarray | int, vs: np.ndarray | i
     the float range reads inf where a numpy scalar would warn. Each shift form
     enters the fit with a factor tau, so at zero delay it adds an exact zero. A read
     that overflows, as after many moves at the stability bound, raises SingularUpdate."""
-    base = caches._read_base(2 * np.size(us))
     with _typed_overflow("the cached edge forms leave the float range"):
-        base_forms = base.forms(us, vs)
+        base_forms = caches._base.forms(us, vs)
         lap_gram, lap = caches._lap.forms(us, vs, base_forms)
         shift_gram, shift = caches._shift.forms(us, vs, base_forms)
     forms = [lap_gram, lap, shift_gram, shift, edge_quadratic_forms(caches.output_gram, us, vs)]
@@ -796,11 +787,10 @@ def sherman_morrison_update(caches: EdgeFormCaches, edge: Edge, dweight: float) 
     # An operator whose coefficient is zero is left as it is: at zero delay the
     # shifted operator is (pi/2) times the centering projector on every graph.
     coefficients = ((caches._lap, dweight), (caches._shift, -caches.delay * dweight))
-    base = caches._read_base(len(caches.laplacian))
     # Both terms are formed before either is kept, so an error leaves every cache as it was.
     with _typed_overflow(f"{dweight} on edge {u, v} leaves a cached term non-finite"):
         # One read gives both operators' base columns.
-        columns = base.columns(u, v)
+        columns = caches._base.columns(u, v)
         terms = [(pair, pair.update_term(u, v, c, columns)) for pair, c in coefficients if c != 0.0]
     for pair, term in terms:
         pair.add_term(*term)

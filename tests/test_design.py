@@ -55,7 +55,13 @@ from conftest import (
 )
 from tdconsensus import design
 from tdconsensus.design import _fit_changes, _sign_change
-from tdconsensus.graphs import PENDING_TERM_CAP, _edge_forms, _FormedBase
+from tdconsensus.graphs import (
+    PENDING_TERM_CAP,
+    SPECTRAL_READ_DIVISOR,
+    _edge_forms,
+    _FormedBase,
+    _SpectralBase,
+)
 from tdconsensus.performance import _fit_slope, _nonzero_modes, sensitivities
 
 
@@ -1169,7 +1175,10 @@ def test_tracked_fit_matches_rebuild_after_many_operations():
 
 def test_each_traced_fit_is_the_cache_read_after_its_move():
     # The fit is read from the caches, not summed over moves: replaying the
-    # moves on fresh caches reproduces every traced fit to the bit.
+    # moves on fresh caches reproduces every traced fit to the bit. At
+    # n < SPECTRAL_READ_DIVISOR one move's n rows pass the n² / 40 a driver's
+    # plan may claim, so each driver formed the base at its start, and the
+    # replay forms it likewise.
     g = random_connected_graph(
         np.random.default_rng(41), min_nodes=8, max_nodes=10, extra_edge_prob=0.4
     )
@@ -1189,7 +1198,9 @@ def test_each_traced_fit_is_the_cache_read_after_its_move():
             trace = driver(state)
             assert any(entry.action != "skip" for entry in trace.entries)
             assert state.rho_fit == rho_approx_from_caches(state.caches)
+            assert isinstance(state.caches._base, _FormedBase)
             replay = DesignState.from_graph(g, out, tau).caches
+            replay._base = replay._base.formed()
             for entry in trace.entries:
                 if entry.action != "skip":
                     sherman_morrison_update(replay, entry.edge, entry.weight)
@@ -1197,9 +1208,10 @@ def test_each_traced_fit_is_the_cache_read_after_its_move():
 
 
 def test_reading_the_caches_changes_no_later_move():
-    # Reads add the pending update terms without folding them, so a run that
-    # reads every matrix between and after its drivers matches one that does
-    # not, bit for bit, across a fold.
+    # Reads add the pending update terms without folding them, and never
+    # form the base, so a run that reads between and after its drivers
+    # matches one that does not, bit for bit: across a fold, and on a base
+    # that stays spectral however many rows the reads gather.
     g = random_connected_graph(
         np.random.default_rng(43), min_nodes=30, max_nodes=30, extra_edge_prob=0.1
     )
@@ -1222,33 +1234,71 @@ def test_reading_the_caches_changes_no_later_move():
     assert sum(len(trace.entries) for trace in traces) > PENDING_TERM_CAP
     assert run(read=False) == (traces, rho_fit)
 
+    # n = 100: the two runs claim 106 and 104 of the 250 rows the plans may
+    # claim (n² / SPECTRAL_READ_DIVISOR), while the reads between them gather
+    # about 10,000 rows of the eigenvectors.
+    g = random_connected_graph(np.random.default_rng(44), min_nodes=100, max_nodes=100)
+    out = OutputSpec.centering(g.node_count)
+    tau = stable_delay(g, 0.3)
+    absent = _absent_pairs(g)
+    entries = tuple((u, v, 0.2) for u, v in absent[:3])
+    us, vs = np.triu_indices(g.node_count, 1)
+
+    def read_all(state):
+        edges = [edge[:2] for edge in state.graph.edges[:20]] + absent[3:23]
+        for edge in edges:
+            edge_contribution(state, edge, 0.3)
+            edge_stability_bound(state, edge)
+            sensitivity(state.caches, edge)
+        _edge_forms(state.caches, us, vs)
+        tracked_matrices(state.caches)
+
+    def spectral_run(read):
+        state = DesignState.from_graph(g, out, tau, audit=False)
+        if read:
+            read_all(state)
+        traces = [grow_simple(state, CandidateSet(entries=entries, budget=1))]
+        if read:
+            read_all(state)
+        traces.append(grow_by_sensitivity(state, absent[3:5], budget=1))
+        assert isinstance(state.caches._base, _SpectralBase)
+        return traces, state.rho_fit
+
+    traces, rho_fit = spectral_run(read=True)
+    assert [len(trace.entries) for trace in traces] == [1, 1]
+    assert spectral_run(read=False) == (traces, rho_fit)
+
 
 def test_a_run_that_would_pass_the_read_budget_forms_the_matrices_at_its_start():
     # A driver tells the caches how many moves it may make and how many pairs
-    # each scores. One move over three candidates reads the eigenvectors and
-    # charges their budget: 6 rows for the forms, 2 for the move's check and
-    # n = 100 for its columns. Two more such moves would pass what is left of
-    # it, though their first read would not, so the matrices are formed
-    # before that read.
+    # each scores, and the caches add the rows of the eigenvectors those
+    # moves would gather to what earlier plans claimed: one move over three
+    # candidates claims 6 rows for the forms and n = 100 for its columns.
+    # Reads claim nothing. Two more such moves would take the claims past
+    # n² / SPECTRAL_READ_DIVISOR = 250 rows, so the matrices are formed at
+    # that run's start, before its first read.
     g = random_connected_graph(np.random.default_rng(47), min_nodes=100, max_nodes=100)
     state = DesignState.from_graph(g, OutputSpec.centering(100), stable_delay(g, 0.3), audit=False)
     caches = state.caches
     base = caches._base
-    full = base.budget
+    assert caches._claimed == 0
     entries = tuple((u, v, 0.2) for u, v in _absent_pairs(g)[:6])
     assert len(grow_simple(state, CandidateSet(entries=entries[:3], budget=1)).entries) == 1
-    assert caches._base is base and base.budget == full - 108
-    budgets = []
+    assert caches._base is base and caches._claimed == 106
+    us, vs = np.triu_indices(100, 1)
+    _edge_forms(caches, us, vs)
+    assert caches._base is base and caches._claimed == 106
+    claims = []
     formed = base.formed
 
     def recording():
-        budgets.append(base.budget)
+        claims.append((caches._claimed, caches._lap.count))
         return formed()
 
     base.formed = recording
-    assert 2 * (6 + 100) > full - 108 > 6
+    assert 106 <= 100 * 100 / SPECTRAL_READ_DIVISOR < 106 + 2 * (6 + 100)
     assert len(grow_simple(state, CandidateSet(entries=entries[3:], budget=2)).entries) == 2
-    assert budgets == [full - 108] and isinstance(caches._base, _FormedBase)
+    assert claims == [(106 + 212, 1)] and isinstance(caches._base, _FormedBase)
 
 
 # --- reweight ---

@@ -258,8 +258,8 @@ def test_zero_delay_shift_forms_are_their_offsets_to_the_bit():
     # At zero delay the spectral weights of S⁺ and its sandwich are exact
     # zeros, so build forms nothing for them, and every pair's base shift
     # forms are the Π offsets' alone: 2 (2/pi) = 4/pi and 2 s (2/pi)², which
-    # is 8 s / pi² as floats round it. Moves leave them as they are. An
-    # unbounded budget keeps these wide reads on the spectral base.
+    # is 8 s / pi² as floats round it. Moves leave them as they are, and
+    # these wide reads leave the base spectral.
     rng = np.random.default_rng(19)
     c = 2.0 / np.pi
     named = [kind for kind in OutputKind if kind is not OutputKind.CUSTOM]
@@ -272,7 +272,6 @@ def test_zero_delay_shift_forms_are_their_offsets_to_the_bit():
                 caches = EdgeFormCaches.build(g.laplacian(), s, 0.0)
                 base = caches._base
                 assert isinstance(base, _SpectralBase)
-                base.budget = math.inf
                 assert not base.weights[:, 2:].any()
                 assert np.array_equal(base.forms(us, vs)[3], expected[0])
                 assert np.array_equal(base.forms(us, vs)[2], expected[1])
@@ -281,6 +280,7 @@ def test_zero_delay_shift_forms_are_their_offsets_to_the_bit():
                 sherman_morrison_update(caches, (0, n - 1), 0.7)
                 for ours, exact in zip(_edge_forms(caches, us, vs)[2:4], expected):
                     assert np.array_equal(ours, exact)
+                assert caches._base is base
 
 
 def test_laplacian_rows_sum_to_zero():
@@ -658,8 +658,8 @@ def _assert_reads_match_fresh_caches(caches, graph, out, delay, rng) -> None:
 @pytest.mark.parametrize("fraction", [0.0, 0.3, 0.9])
 def test_spectral_reads_match_the_explicit_reference(fraction):
     # A named output's caches read their bases from the Laplacian's
-    # eigenvectors until a fold forms the matrices (here, with an unbounded
-    # read budget); a custom output's hold the matrices from the start.
+    # eigenvectors until a fold forms the matrices, however many rows the
+    # reads gather; a custom output's hold the matrices from the start.
     # Either way the edge forms, a move's columns and the kept diagonals
     # match the explicit reference before the first fold and after it, on
     # graphs one in four of whose weights span six decades. Reading the four
@@ -680,7 +680,6 @@ def test_spectral_reads_match_the_explicit_reference(fraction):
         for name, out in outputs.items():
             caches = DesignState.from_graph(g, out, delay, audit=False).caches
             assert isinstance(caches._base, _FormedBase) == name.startswith("custom")
-            caches._base.budget = math.inf
             graph = g
             for move in range(PENDING_TERM_CAP + 3):
                 if move in (0, 1, PENDING_TERM_CAP - 1, PENDING_TERM_CAP + 2):
@@ -697,51 +696,45 @@ def test_spectral_reads_match_the_explicit_reference(fraction):
             assert isinstance(caches._base, _FormedBase)
 
 
-def test_reads_past_the_budget_form_the_matrices_first():
-    # Reads charge the rows of V they gather to the spectral base's budget
-    # (n² / SPECTRAL_READ_DIVISOR); the read that would pass it forms both
-    # operators' matrices first and reads them, and so does every later
-    # read. Copying the four matrices charges nothing. Either way the forms
-    # match the explicit reference.
+def test_reads_past_the_budget_leave_the_base_spectral():
+    # Only a design run's plan (n² / SPECTRAL_READ_DIVISOR rows claimed) and
+    # a fold form the base: reads that gather many times that many rows of V,
+    # before and after a move, leave the base spectral, claim nothing, and
+    # match the explicit reference. So does copying the four matrices.
     rng = np.random.default_rng(83)
     g = random_connected_graph(rng, min_nodes=100, max_nodes=100)
     out = OutputSpec.centering(g.node_count)
     delay = stable_delay(g, 0.5)
     caches = DesignState.from_graph(g, out, delay, audit=False).caches
     base = caches._base
-    budget = base.budget
-    assert budget == 100 * 100 / SPECTRAL_READ_DIVISOR
+    assert isinstance(base, _SpectralBase)
     tracked_matrices(caches)
-    assert base.budget == budget
     reference = fresh_caches(g, out, delay)
     us, vs = np.triu_indices(g.node_count, 1)
-    few = int(budget) // 8
-    pairs = (us[:few], vs[:few])
-    for ours, ref in zip(_edge_forms(caches, *pairs), _edge_forms(reference, *pairs)):
+    assert 2 * len(us) > 100 * 100 / SPECTRAL_READ_DIVISOR
+    for ours, ref in zip(_edge_forms(caches, us, vs), _edge_forms(reference, us, vs)):
         assert _relative_drift(ours, ref) <= BUILD_REFERENCE_BOUND
-    assert caches._base is base and base.budget == budget - 2 * few
-    # A move charges its check's two rows and its columns' 100.
+    assert caches._base is base
     u, v = next((int(u), int(v)) for u, v in zip(us, vs) if not g.has_edge(u, v))
     sherman_morrison_update(caches, (u, v), 0.5)
     reference = fresh_caches(g.with_edge(u, v, 0.5), out, delay)
-    assert caches._base is base and base.budget == budget - 2 * few - 102
     for ours, ref in zip(_edge_forms(caches, us, vs), _edge_forms(reference, us, vs)):
         assert _relative_drift(ours, ref) <= BUILD_REFERENCE_BOUND
-    assert isinstance(caches._base, _FormedBase)
+    assert caches._base is base and base.basis is not None
+    assert caches._claimed == 0
     assert caches._lap.count == caches._shift.count == 1
 
 
 def test_reading_every_pair_of_a_dense_graph_gathers_a_block_at_a_time():
     # A spectral base gathers UPDATE_BLOCK_ROWS pairs' rows of V at a time:
-    # the forms of all 19,900 pairs of complete(200), with the budget lifted
-    # so that the base stays spectral, peak at the five result arrays and a
+    # the forms of all 19,900 pairs of complete(200), which leave the base
+    # spectral as every read does, peak at the five result arrays and a
     # block's temporaries, about 1.5 MB, where whole gathers would take
     # three 19,900 x 199 arrays, about 95 MB.
     n = 200
     caches = DesignState.from_graph(
         WeightedGraph.complete(n), OutputSpec.centering(n), 0.001, audit=False
     ).caches
-    caches._base.budget = math.inf
     us, vs = np.triu_indices(n, 1)
     tracemalloc.start()
     try:
