@@ -2,16 +2,19 @@
 
 Adding weight w on edge e changes the performance fit by a closed-form
 amount computable from five cached edge quadratic forms. The caches share
-one base, read from the eigenvectors of the one upfront eigendecomposition
-until it is formed into matrices, and keep each move as pending
+one base, the pseudo-inverses of the Laplacian and of the delay-shifted
+operator, each from the Cholesky factor of the operator grounded at one
+node, with no eigendecomposition where the factors certify the stability
+verdict (EdgeFormCaches.build). They keep each move as pending
 Sherman-Morrison terms of n-vectors. With k terms pending, a greedy
-iteration costs O((n + candidates) k) for the terms, plus, while the base
-is spectral, O(n) per candidate for its base forms and one O(n^2) product
-for the move's base columns. The caches form the base, in O(n^3), at the
-start of the run whose reads, added to those its predecessors claimed,
-would cost more than that, and at the first fold: every PENDING_TERM_CAP
-moves a fold adds the terms to the matrices in O(n^2 k). No read forms it,
-so reading the caches changes no later move.
+iteration costs O((n + candidates) k) for the terms, plus, until the
+sandwiches P @ gram @ P are formed, O(n) per candidate for its base forms
+and one O(n^2) product per operator for the move's base columns. The
+caches form the sandwiches, in O(n^3), at the start of the run whose
+reads, added to those its predecessors claimed, would cost more than that,
+and at the first fold: every PENDING_TERM_CAP moves a fold adds the terms
+to the matrices in O(n^2 k). No read forms them, so reading the caches
+changes no later move.
 """
 
 from __future__ import annotations
@@ -32,10 +35,10 @@ from .graphs import (
     EdgeFormCaches,
     WeightedGraph,
     _checked_move,
+    _built_base,
     _edge_arrays,
     _edge_forms,
     _refused,
-    eigendecompose,
     is_bridge,
     sherman_morrison_update,
 )
@@ -129,13 +132,17 @@ class DesignTrace:
 class DesignState:
     """Mutable design loop state: graph and caches, from which the fit is read.
 
-    With audit enabled, every mutation re-eigendecomposes the Laplacian to
+    from_graph builds the caches from the grounded Cholesky factors of the
+    Laplacian and of the delay-shifted operator, and takes one eigh of the
+    Laplacian only where the factors cannot certify its verdict. With
+    audit enabled, every mutation re-eigendecomposes the Laplacian to
     record the exact measure and stability margin; without it the loop
     relies on the edge stability bound. A step then costs O((n + m) k) for
     m candidates and k pending update terms, plus O(n m + n^2) for the base
-    forms and columns while the caches' base is spectral (a custom
-    output's dense gram adds O(n^2) once it is formed), and O(n^2 k)
-    once every PENDING_TERM_CAP steps, when the caches fold their terms.
+    forms and columns until the caches form their sandwiches (a custom
+    output's, formed at build, and its dense gram add O(n^2)), and
+    O(n^2 k) once every PENDING_TERM_CAP steps, when the caches fold their
+    terms.
     """
 
     def __init__(
@@ -170,9 +177,8 @@ class DesignState:
         audit: bool | None = None,
     ) -> "DesignState":
         lap = _checked_laplacian(graph, out)
-        # build checks the delay and owns the eigenvectors: a named output's
-        # spectral base, freed once a custom output's base is formed.
-        caches = EdgeFormCaches.build(lap, out.gram(), delay, eigendecompose(lap))
+        # The caches own this Laplacian and edit it: no copy, as build makes.
+        caches = EdgeFormCaches(lap, delay, _built_base(lap, out.gram(), delay))
         if audit is None:
             audit = graph.node_count <= AUDIT_NODE_LIMIT
         return cls(graph, out, caches, audit)

@@ -10,8 +10,18 @@ Conventions used throughout the package:
   puts that kernel pair first, its eigenvalue an exact 0, and the rest
   ascending. eigh finds it as the eigenvector most aligned with the
   all-ones vector; without eigenvectors, a rank-one shift along 1 grounds
-  it below every other eigenvalue; never by a threshold. The delay-shifted
-  operator is a spectral function of the Laplacian and is never formed.
+  it below every other eigenvalue; never by a threshold.
+
+The design caches need no eigendecomposition. They hold the
+pseudo-inverses of the Laplacian L and of the delay-shifted operator
+S = (pi/2) Π - delay L (Π the centering projector), each from a Cholesky
+factor of the operator grounded at one node: without that node's row and
+column the operator is positive definite, and the inverse, padded with
+zeros and centred, is its pseudo-inverse (_grounded_pinv). Each is formed
+in place in one n x n buffer by numpy block recursions. The traces of the
+two pseudo-inverses bound lambda_2 and the smallest pi/2 - delay lambda
+from below; where those bounds cannot certify the verdict that an eigh of
+L would give, EdgeFormCaches.build takes that eigh instead.
 """
 
 from __future__ import annotations
@@ -19,7 +29,6 @@ from __future__ import annotations
 import bisect
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cached_property
 from numbers import Integral
 
 import numpy as np
@@ -43,13 +52,25 @@ UPDATE_BLOCK_ROWS = 128
 # Sherman-Morrison terms an operator keeps pending before it folds them into
 # its matrices; chosen by the sweep recorded in CHANGES.md.
 PENDING_TERM_CAP = 32
-# Reads of a spectral base gather rows of its n x n eigenvectors V: two for
-# a pair's forms, n for a move's columns. Forming the four matrices instead
-# costs about what gathering n² / 44 to n² / 34 rows does (n = 200 to 1200,
-# 2 BLAS threads). So the design runs on one EdgeFormCaches may claim
-# n² / SPECTRAL_READ_DIVISOR rows in all, about one forming's worth: the run
-# whose claim passes it forms the matrices at its start (EdgeFormCaches._plan).
-SPECTRAL_READ_DIVISOR = 40
+# Reads of an _InverseBase gather rows of its n x n pseudo-inverses: four
+# rows per pair for its forms, and one matrix-vector product per operator per
+# move for its columns. Measured in the rows of those products (n = 400 to
+# 1600, 2 BLAS threads; CHANGES.md), a pair's forms cost about
+# PAIR_READ_ROWS rows, and forming the two sandwiches, which the formed base
+# reads in O(1) per pair and O(n) per move, costs about n² / 10 rows. So the
+# design runs on one EdgeFormCaches may claim n² / BASE_READ_DIVISOR rows in
+# all, about one forming's worth: the run whose claim passes it forms the
+# sandwiches at its start (EdgeFormCaches._plan).
+PAIR_READ_ROWS = 16
+BASE_READ_DIVISOR = 10
+# Rows of a leaf of the Cholesky recursions (one LAPACK call on a copy), and
+# of each block of their joins' products: a join's temporaries stay one
+# block of rows wide.
+FACTOR_LEAF_ROWS = 64
+FACTOR_BLOCK_ROWS = 128
+# A trace bound certifies a verdict of the grounded factors when it clears
+# eigh's rounding band, n * eps times the largest eigenvalue, by this factor.
+FACTOR_MARGIN = 1024.0
 
 Edge = tuple[int, int]
 
@@ -346,95 +367,196 @@ def is_bridge(graph: WeightedGraph, edge: Edge) -> bool:
     return uf.find(key[0]) != uf.find(key[1])
 
 
-class _SpectralBase:
-    """Both operators' four base matrices, read from the one eigh L = V
-    diag(lambda) Vᵀ of the Laplacian: matrix j is offsets[j] Π + V
-    diag(weights[:, j]) Vᵀ, Π the centering projector, and the matrices are
-    L⁺, its sandwich, S⁺ and its sandwich. For a named output's gram s Π,
-    with mu = pi/2 - delay lambda and a = (2/pi) delay lambda / mu, the
-    weights are 1/lambda, s/lambda², a and s a (2 (2/pi) + a), and the
-    offsets 0, 0, 2/pi and s (2/pi)²; the spectral weights of S⁺ and its
-    sandwich are exact zeros at zero delay. V is the eigenvectors past the
-    kernel, a view of eigh's whole basis, not a copy.
+def _blocks(n: int, *, reverse: bool = False):
+    """(start, end) of the FACTOR_BLOCK_ROWS-row blocks of range(n), last first if reverse."""
+    starts = range(0, n, FACTOR_BLOCK_ROWS)
+    for start in reversed(starts) if reverse else starts:
+        yield start, min(start + FACTOR_BLOCK_ROWS, n)
+
+
+def _invert_cholesky_factor(a: np.ndarray) -> None:
+    """Overwrite a symmetric positive definite matrix, read from its lower
+    triangle, with W = C⁻¹, C its lower Cholesky factor: W's lower triangle
+    and zeros above it. A 2 x 2 block recursion: a leaf of FACTOR_LEAF_ROWS
+    rows or fewer is np.linalg.cholesky then inv, and a join, with C21 =
+    A21 W11ᵀ, forms the Schur complement A22 - C21 C21ᵀ, recurses on it and
+    writes W21 = -W22 C21 W11 over A21. Each product goes a block of
+    FACTOR_BLOCK_ROWS at a time, in the order that leaves every block it
+    still reads unwritten, and skips the triangular factors' zero halves, so
+    no temporary is larger than a block. Raises LinAlgError where a leaf is
+    not numerically positive definite."""
+    n = len(a)
+    if n <= FACTOR_LEAF_ROWS:
+        a[...] = np.tril(np.linalg.inv(np.linalg.cholesky(a)))
+        return
+    h = n // 2
+    a11, a21, a22 = a[:h, :h], a[h:, :h], a[h:, h:]
+    _invert_cholesky_factor(a11)
+    # C21 = A21 W11ᵀ: column block [s, e) reads A21's columns below e.
+    for start, end in _blocks(h, reverse=True):
+        a21[:, start:end] = a21[:, :end] @ a11[start:end, :end].T
+    # The Schur complement's lower triangle.
+    for start, end in _blocks(n - h):
+        a22[start:end, :end] -= a21[start:end] @ a21[:end].T
+    _invert_cholesky_factor(a22)
+    # C21 W11: column block [s, e) reads A21's columns from s on.
+    for start, end in _blocks(h):
+        a21[:, start:end] = a21[:, start:] @ a11[start:, start:end]
+    # -W22 (C21 W11): row block [s, e) reads the rows below e.
+    for start, end in _blocks(n - h, reverse=True):
+        np.negative(a22[start:end, :end] @ a21[:end], out=a21[start:end])
+    a[:h, h:] = 0.0
+
+
+def _factor_gram(w: np.ndarray) -> None:
+    """Overwrite a lower triangular W (zeros above) with WᵀW in its lower
+    triangle, the upper left unspecified: W11ᵀW11 + W21ᵀW21, W22ᵀW21 and
+    W22ᵀW22 by the same recursion, blocks and order as
+    _invert_cholesky_factor."""
+    n = len(w)
+    if n <= FACTOR_LEAF_ROWS:
+        w[...] = w.T @ w
+        return
+    h = n // 2
+    w11, w21, w22 = w[:h, :h], w[h:, :h], w[h:, h:]
+    _factor_gram(w11)
+    for start, end in _blocks(h):
+        w11[start:end, :end] += w21[:, start:end].T @ w21[:, :end]
+    # W22ᵀW21: row block [s, e) reads W21's rows from s on.
+    for start, end in _blocks(n - h):
+        w21[start:end] = w22[start:, start:end].T @ w21[start:]
+    _factor_gram(w22)
+
+
+def _grounded_pinv(matrix: np.ndarray) -> np.ndarray:
+    """The pseudo-inverse of a symmetric matrix A with kernel span(1),
+    written over it. Grounded at the node k of its largest diagonal entry,
+    A without row and column k is positive definite; its inverse G, padded
+    with a zero row and column at k, gives A⁺ = Π G Π. Node k is swapped to
+    the last row and column and back, G is (C⁻¹)ᵀC⁻¹ from the Cholesky
+    factor C, and Π G Π is centred in place, so A's buffer is the only
+    n x n array. Raises LinAlgError as _invert_cholesky_factor does."""
+    n = len(matrix)
+    k, last = int(np.argmax(matrix.diagonal())), n - 1
+    _swap_nodes(matrix, k, last)
+    grounded = matrix[:last, :last]
+    _invert_cholesky_factor(grounded)
+    _factor_gram(grounded)
+    # Mirror the lower triangle: G is symmetric to the bit.
+    for start, end in _blocks(last):
+        grounded[start:end, end:] = grounded[end:, start:end].T
+        block = grounded[start:end, start:end]
+        upper = np.triu_indices(end - start, 1)
+        block[upper] = block.T[upper]
+    matrix[last] = 0.0
+    matrix[:, last] = 0.0
+    _swap_nodes(matrix, k, last)
+    # Π G Π = G - (r_i + r_j - mean r), r the row means: symmetric to the bit.
+    means = matrix.mean(axis=1)
+    mean = means.mean()
+    centre = np.empty((FACTOR_BLOCK_ROWS, n))
+    for start, end in _blocks(n):
+        rows = np.add(means[start:end, None], means, out=centre[: end - start])
+        rows -= mean
+        matrix[start:end] -= rows
+    return matrix
+
+
+def _swap_nodes(matrix: np.ndarray, i: int, j: int) -> None:
+    """Swap rows i and j, then columns i and j, in place."""
+    if i != j:
+        matrix[[i, j]] = matrix[[j, i]]
+        matrix[:, [i, j]] = matrix[:, [j, i]]
+
+
+def _scaled_projector(scale: float, n: int) -> np.ndarray:
+    """scale times the n x n centering projector Π, formed: each entry is
+    scale (1 - 1/n) or scale (-1/n)."""
+    matrix = np.full((n, n), scale * (-1.0 / n))
+    np.fill_diagonal(matrix, scale * (1.0 - 1.0 / n))
+    return matrix
+
+
+class _InverseBase:
+    """Both operators' four base matrices, read from the two pseudo-inverses
+    P = L⁺ and S⁺ held as n x n arrays. Matrix j is inverses[j // 2] for even
+    j, and for odd j its sandwich s P², s a named output's gram scale, which
+    the reads never form: its edge form is s ‖P[u] - P[v]‖² and its column
+    s P (P b). At zero delay S⁺ is the scalar 2/pi, standing for (2/pi) Π as
+    the gram's scale stands for s Π, and its reads are its Π's. build forms
+    a custom output's base at once, so this base's gram is a scale.
     """
 
-    def __init__(
-        self, gram: np.ndarray | float, basis: np.ndarray, weights: np.ndarray, offsets: np.ndarray
-    ) -> None:
+    def __init__(self, gram: float, inverses: list) -> None:
         self.gram = gram
-        self.basis = basis
-        self.weights = weights
-        self.offsets = offsets
-
-    @cached_property
-    def _diagonals(self) -> np.ndarray:
-        """The four matrices' diagonals, (V ∘ V) g + offset (1 - 1/n), as the
-        columns of an n x 4 array, UPDATE_BLOCK_ROWS rows of V ∘ V at a time
-        where the whole would be an n x n temporary; computed at the first
-        read, so a base formed at build never makes this pass."""
-        n = len(self.basis)
-        diagonals = np.empty((n, self.weights.shape[1]))
-        for start in range(0, n, UPDATE_BLOCK_ROWS):
-            rows = slice(start, start + UPDATE_BLOCK_ROWS)
-            diagonals[rows] = np.square(self.basis[rows]) @ self.weights
-        diagonals += self.offsets * (1.0 - 1.0 / n)
-        return diagonals
+        self.inverses = inverses
 
     def diagonal(self, j: int) -> np.ndarray:
-        """diag(gram @ matrix j) as a new array, s diag(matrix j) for the
-        scale s of a named output's gram, since matrix j maps 1 to 0."""
-        return self.gram * self._diagonals[:, j]
+        """diag(gram @ matrix j), j = 0 or 2, as a new array: s diag P."""
+        inverse, n = self.inverses[j // 2], len(self.inverses[0])
+        if np.ndim(inverse) == 0:
+            return np.full(n, self.gram * (inverse * (1.0 - 1.0 / n)))
+        return self.gram * inverse.diagonal()
 
     def forms(self, us: np.ndarray | int, vs: np.ndarray | int) -> np.ndarray:
-        """The four matrices' edge forms at the pairs, indexed by matrix first:
-        sum_k g_k (V_uk - V_vk)² + 2 offset, O(n) per pair. The rows are
-        gathered UPDATE_BLOCK_ROWS pairs at a time, so the temporaries stay
-        that many rows of V whatever the number of pairs."""
+        """The four matrices' edge forms at the pairs, indexed by matrix
+        first: bᵀPb and s ‖P b‖², O(n) per pair. The rows are gathered
+        UPDATE_BLOCK_ROWS pairs at a time, so the temporaries stay that many
+        rows of P whatever the number of pairs."""
         pairs_u, pairs_v = np.ravel(us), np.ravel(vs)
-        forms = np.empty((len(pairs_u), self.weights.shape[1]))
-        for start in range(0, len(pairs_u), UPDATE_BLOCK_ROWS):
-            block = slice(start, start + UPDATE_BLOCK_ROWS)
-            diff = self.basis[pairs_u[block]] - self.basis[pairs_v[block]]
-            np.matmul(np.square(diff, out=diff), self.weights, out=forms[block])
-        forms += 2.0 * self.offsets
-        return forms.reshape(np.shape(us) + forms.shape[1:]).T
+        forms = np.empty((4, len(pairs_u)))
+        for j, inverse in zip((0, 2), self.inverses):
+            if np.ndim(inverse) == 0:
+                forms[j] = 2.0 * inverse
+                forms[j + 1] = 2.0 * (self.gram * inverse * inverse)
+                continue
+            forms[j] = edge_quadratic_forms(inverse, pairs_u, pairs_v)
+            for start in range(0, len(pairs_u), UPDATE_BLOCK_ROWS):
+                block = slice(start, start + UPDATE_BLOCK_ROWS)
+                diff = inverse[pairs_u[block]] - inverse[pairs_v[block]]
+                forms[j + 1, block] = np.einsum("ij,ij->i", diff, diff)
+            forms[j + 1] *= self.gram
+        return forms.reshape((4,) + np.shape(us))
 
-    def columns(self, u: int, v: int) -> np.ndarray:
-        """The four matrices times b = e_u - e_v, indexed by matrix first:
-        V (g ∘ Vᵀb) + offset b, since Π b = b; one O(n²) product."""
-        columns = self.basis @ (self.weights * (self.basis[u] - self.basis[v])[:, None])
-        columns[u] += self.offsets
-        columns[v] -= self.offsets
-        return columns.T
+    def columns(self, u: int, v: int) -> list:
+        """The four matrices times b = e_u - e_v: P b = P[u] - P[v], since P
+        is symmetric, and s P (P b); one matrix-vector product per operator."""
+        columns = []
+        for inverse in self.inverses:
+            if np.ndim(inverse) == 0:
+                # c Π b = c b, and s (c Π)² b = s c² b.
+                pair = np.zeros((2, len(self.inverses[0])))
+                pair[:, u] = inverse, self.gram * inverse * inverse
+                pair[:, v] = -pair[:, u]
+                columns += list(pair)
+            else:
+                column = inverse[u] - inverse[v]
+                columns += [column, self.gram * (inverse @ column)]
+        return columns
 
     def matrix(self, j: int) -> np.ndarray:
-        """Matrix j as a new n x n array, the one place that forms a matrix
-        from V: a pseudo-inverse as W Wᵀ, W = V diag(sqrt(g)) (BLAS syrk),
-        plus its offset's Π added in place, so each entry rounds as that sum
-        rounds it; a sandwich from its pseudo-inverse (_gram_sandwich)."""
-        if j % 2:
-            return _gram_sandwich(self.matrix(j - 1), self.gram)
-        scaled = self.basis * np.sqrt(self.weights[:, j])
-        matrix = scaled @ scaled.T
-        offset = self.offsets[j]
-        if offset:
-            diagonal = matrix.diagonal() + offset * (1.0 - 1.0 / len(matrix))
-            matrix += offset * (-1.0 / len(matrix))
-            np.fill_diagonal(matrix, diagonal)
-        return matrix
+        """Matrix j as a new n x n array; a sandwich by _gram_sandwich."""
+        inverse, n = self.inverses[j // 2], len(self.inverses[0])
+        if np.ndim(inverse) == 0:
+            inverse = _scaled_projector(inverse, n)
+        elif j % 2 == 0:
+            return inverse.copy()
+        return _gram_sandwich(inverse, self.gram) if j % 2 else inverse
 
     def formed(self) -> "_FormedBase":
-        """The four matrices as a _FormedBase. V is freed, as this base held its
-        last reference, before the sandwiches are formed: the peak holds four
-        n x n matrices, not five."""
-        inverses = [self.matrix(0), self.matrix(2)]
-        self.basis = None
+        """The four matrices as a _FormedBase, which takes the pseudo-inverses
+        as they are and adds the two sandwiches (BLAS syrk each)."""
+        n = len(self.inverses[0])
+        inverses = [
+            _scaled_projector(inverse, n) if np.ndim(inverse) == 0 else inverse
+            for inverse in self.inverses
+        ]
         sandwiches = [_gram_sandwich(inverse, self.gram) for inverse in inverses]
         return _FormedBase(self.gram, [inverses[0], sandwiches[0], inverses[1], sandwiches[1]])
 
 
 class _FormedBase:
-    """Both operators' four base matrices as n x n arrays, in _SpectralBase's
+    """Both operators' four base matrices as n x n arrays, in _InverseBase's
     order: L⁺, its sandwich, S⁺ and its sandwich."""
 
     def __init__(self, gram: np.ndarray | float, matrices: list) -> None:
@@ -465,7 +587,7 @@ class _FormedBase:
 class _DeferredPair:
     """One operator's pseudo-inverse P and sandwich Y = P @ gram @ P, each
     matrix `column` or `column` + 1 of the base both operators share (a
-    _SpectralBase or a _FormedBase) plus the Sherman-Morrison terms not yet
+    _InverseBase or a _FormedBase) plus the Sherman-Morrison terms not yet
     folded into it, and the current diag(gram @ P), kept term by term. The
     pair holds no base: each read is handed the base's forms, columns or
     matrices. Pending term j is two n-vectors, p_j and corr_j, and a scalar
@@ -480,7 +602,7 @@ class _DeferredPair:
     fold adds the terms to its matrices, by one blocked rank-k product each.
     """
 
-    def __init__(self, base: _SpectralBase | _FormedBase, column: int) -> None:
+    def __init__(self, base: _InverseBase | _FormedBase, column: int) -> None:
         self.gram = base.gram
         self.column = column
         self.diagonal = base.diagonal(column)
@@ -584,7 +706,7 @@ class _DeferredPair:
             rows = slice(start, start + UPDATE_BLOCK_ROWS)
             matrix[rows] += left[:, rows].T @ right
 
-    def current(self, base: _SpectralBase | _FormedBase, which: int) -> np.ndarray:
+    def current(self, base: _InverseBase | _FormedBase, which: int) -> np.ndarray:
         """A copy of P (which 0) or Y (1), its base's matrix plus its own
         terms, as a fold now would leave it."""
         matrix = base.matrix(self.column + which)
@@ -608,15 +730,15 @@ class EdgeFormCaches:
 
     Each is a base matrix plus the pending terms of the updates since the
     last fold (_DeferredPair). Both operators share one base, in one of two
-    forms that answer the same reads: a _SpectralBase, read from the
-    Laplacian's eigenvectors in O(n) per pair and one O(n^2) product per
-    move, or a _FormedBase of the four matrices. build leaves a named
-    output's base spectral and forms a custom output's. A spectral base is
-    formed, the pending terms left pending and the eigenvectors dropped, at
+    forms that answer the same reads: an _InverseBase, the two
+    pseudo-inverses, read in O(n) per pair and one O(n^2) product per
+    operator per move, or a _FormedBase of the four matrices. build leaves
+    a named output's base as the pseudo-inverses and forms a custom
+    output's. The sandwiches are formed, the pending terms left pending, at
     the first fold and at the start of the design run whose claim takes the
-    rows claimed on these caches past n² / SPECTRAL_READ_DIVISOR (_plan):
-    short runs that score few pairs never form the matrices, and a long or
-    wide one forms them at its start. Nothing else forms the base: a read,
+    rows claimed on these caches past n² / BASE_READ_DIVISOR (_plan):
+    short runs that score few pairs never form them, and a long or wide
+    one forms them at its start. Nothing else forms the base: a read,
     whether of forms, of a move's columns or of the four attributes (new
     copies of the current matrices), changes nothing that a later read or
     move sees. The design loop never reads the attributes, since its reads
@@ -629,13 +751,13 @@ class EdgeFormCaches:
     """
 
     def __init__(
-        self, laplacian: np.ndarray, delay: float, base: _SpectralBase | _FormedBase
+        self, laplacian: np.ndarray, delay: float, base: _InverseBase | _FormedBase
     ) -> None:
         self.laplacian = laplacian
         self.output_gram = base.gram
         self.delay = delay
         self._base = base
-        # Rows of the eigenvectors the design runs' plans have claimed.
+        # Reads the design runs' plans have claimed, in rows (_plan).
         self._claimed = 0
         self._lap = _DeferredPair(base, 0)
         self._shift = _DeferredPair(base, 2)
@@ -657,13 +779,14 @@ class EdgeFormCaches:
         return self._shift.current(self._base, 1)
 
     def _plan(self, moves: int, pairs: int) -> None:
-        """Claim the rows of the eigenvectors that `moves` moves scoring
-        `pairs` pairs each would gather, and form the matrices now once the
-        claims on these caches pass n² / SPECTRAL_READ_DIVISOR rows: the
-        matrices serve the rest for less."""
+        """Claim the reads that `moves` moves scoring `pairs` pairs each would
+        make, in rows of a move's products (PAIR_READ_ROWS a pair, n a
+        move), and form the matrices now once the claims on these caches
+        pass n² / BASE_READ_DIVISOR rows: the matrices serve the rest for
+        less."""
         n = len(self.laplacian)
-        self._claimed += moves * (2 * pairs + n)
-        if self._claimed > n * n / SPECTRAL_READ_DIVISOR:
+        self._claimed += moves * (PAIR_READ_ROWS * pairs + n)
+        if self._claimed > n * n / BASE_READ_DIVISOR:
             self._base = self._base.formed()
 
     @classmethod
@@ -671,44 +794,108 @@ class EdgeFormCaches:
         cls, laplacian: np.ndarray, output_gram: np.ndarray | float, delay: float,
         spectrum: SpectralCache | None = None,
     ) -> "EdgeFormCaches":
-        """The caches of a Laplacian L at a delay, from one eigh of L.
+        """The caches of a Laplacian L at a delay, without an eigh of L where
+        its grounded Cholesky factors certify the verdict.
 
         S = (pi/2) Π - delay L (Π the centering projector) has L's eigenvectors
-        V and eigenvalues mu = pi/2 - delay lambda, every one > 0 exactly when
-        check_stability finds the delay stable; _SpectralBase gives the four
-        matrices in V. Raises UnstableNetwork on an unstable delay, and
-        DomainError on a delay outside [0, inf) and when a weight or a formed
-        matrix leaves the float range, as 1/lambda² does for weights below
-        about 1e-154. A custom output's sandwiches are no spectral function of
-        L, so its base is formed now, from the pseudo-inverses' weights alone.
-        Given spectrum = eigendecompose(laplacian), build owns both, editing
-        that Laplacian; else it decomposes a copy.
+        and eigenvalues mu = pi/2 - delay lambda, every one > 0 exactly when
+        check_stability finds the delay stable. build factors L and S
+        grounded (_grounded_pinv; at zero delay S⁺ is (2/pi) Π, kept as its
+        scale) and keeps the factors' pseudo-inverses when both factors
+        succeed and their traces certify eigh's verdict: 1/Tr(L⁺) <= lambda_2
+        clears the n eps lambda_max floor of SpectralCache.nonzero_eigenvalues,
+        and 1/Tr(S⁺) <= min mu clears the n eps (pi/2) band of eigh's rounding
+        of delay lambda_max, each by FACTOR_MARGIN. Otherwise, and whenever a
+        spectrum is given, it reads the pseudo-inverses from eigh's
+        eigenvectors, after the checks of the spectrum (DisconnectedGraph,
+        DomainError) and of the delay (UnstableNetwork): so every verdict and
+        error is that of an eigh of L. Raises DomainError on a delay outside
+        [0, inf), and when s Tr(L⁺²), s the gram's scale, or a custom
+        output's sandwich leaves the float range, as for weights below about
+        1e-154. A custom output's sandwiches are formed now. The caches edit
+        a copy of the Laplacian (_built_base builds the base alone).
         """
-        if not 0.0 <= delay < np.inf:
-            raise DomainError("delay must be nonnegative")
+        return cls(laplacian.copy(), delay, _built_base(laplacian, output_gram, delay, spectrum))
+
+
+def _built_base(
+    laplacian: np.ndarray, output_gram: np.ndarray | float, delay: float,
+    spectrum: SpectralCache | None = None,
+) -> _InverseBase | _FormedBase:
+    """The base of EdgeFormCaches.build, which documents it; the Laplacian
+    is only read, so DesignState.from_graph hands its caches its own."""
+    if not 0.0 <= delay < np.inf:
+        raise DomainError("delay must be nonnegative")
+    inverses = None if spectrum is not None else _factored_inverses(laplacian, delay)
+    if inverses is None:
         if spectrum is None:
-            laplacian = laplacian.copy()
             spectrum = eigendecompose(laplacian)
-        lam = spectrum.nonzero_eigenvalues
-        shifted = np.pi / 2.0 - delay * lam
-        if shifted.min() <= 0.0:
-            raise UnstableNetwork(
-                f"delay {delay} exceeds the stability threshold {np.pi / (2.0 * lam[-1])}"
-            )
-        c = 2.0 / np.pi
-        weights = np.empty((len(lam), 4))
-        offsets = np.array([0.0, 0.0, c, 0.0])
-        with _typed_overflow("the weights leave the float range in the design caches", DomainError):
-            weights[:, 0] = 1.0 / lam
-            a = weights[:, 2] = c * delay * lam / shifted
-            if np.ndim(output_gram) == 0:
-                weights[:, 1] = output_gram * weights[:, 0] ** 2
-                weights[:, 3] = output_gram * a * (2.0 * c + a)
-                offsets[3] = output_gram * c * c
-            base = _SpectralBase(output_gram, spectrum.nonzero_eigenvectors, weights, offsets)
-            # The base holds V's last reference, so forming it frees V.
-            del spectrum
-            return cls(laplacian, delay, base.formed() if np.ndim(output_gram) else base)
+        inverses = _spectral_inverses(spectrum, delay)
+    message = "the weights leave the float range in the design caches"
+    with _typed_overflow(message, DomainError):
+        if np.ndim(output_gram) == 0:
+            flat = inverses[0].ravel()
+            if not np.isfinite(output_gram * np.dot(flat, flat)):
+                raise DomainError(message)
+            return _InverseBase(output_gram, inverses)
+        return _InverseBase(output_gram, inverses).formed()
+
+
+def _factored_inverses(laplacian: np.ndarray, delay: float) -> list | None:
+    """[L⁺, S⁺] from the grounded Cholesky factors (S⁺ the scale 2/pi at zero
+    delay), or None where a factor fails or its trace bound does not clear
+    eigh's band by FACTOR_MARGIN (EdgeFormCaches.build). lambda_max is
+    bounded by the largest absolute row sum (Gershgorin)."""
+    n = len(laplacian)
+    if n < 2:
+        return None
+    band = FACTOR_MARGIN * n * np.finfo(float).eps
+    with np.errstate(all="ignore"):
+        try:
+            row_bound = np.abs(laplacian).sum(axis=1).max()
+            lap_pinv = _grounded_pinv(laplacian.copy())
+            if not 1.0 / np.trace(lap_pinv) > band * row_bound:
+                return None
+            if delay == 0.0:
+                return [lap_pinv, 2.0 / np.pi]
+            shift = np.multiply(laplacian, -delay)
+            shift -= (np.pi / 2.0) / n
+            shift.flat[:: n + 1] += np.pi / 2.0
+            shift_pinv = _grounded_pinv(shift)
+        except np.linalg.LinAlgError:
+            return None
+        if not 1.0 / np.trace(shift_pinv) > band * (np.pi / 2.0):
+            return None
+    return [lap_pinv, shift_pinv]
+
+
+def _spectral_inverses(spectrum: SpectralCache, delay: float) -> list:
+    """[L⁺, S⁺] read from L's eigenvectors V (S⁺ the scale 2/pi at zero
+    delay), each V diag(g) Vᵀ by BLAS syrk, after the spectrum's checks and
+    the delay's: L⁺ has g = 1/lambda, and S⁺ = (2/pi) Π + V diag(a) Vᵀ with
+    a = (2/pi) delay lambda / mu, Π's entries added in place."""
+    lam = spectrum.nonzero_eigenvalues
+    shifted = np.pi / 2.0 - delay * lam
+    if shifted.min() <= 0.0:
+        raise UnstableNetwork(
+            f"delay {delay} exceeds the stability threshold {np.pi / (2.0 * lam[-1])}"
+        )
+    c = 2.0 / np.pi
+    with _typed_overflow("the weights leave the float range in the design caches", DomainError):
+        inverse = 1.0 / lam
+        a = c * delay * lam / shifted
+    vectors = spectrum.nonzero_eigenvectors
+    inverses = []
+    for weights in (inverse, a) if delay else (inverse,):
+        scaled = vectors * np.sqrt(weights)
+        inverses.append(scaled @ scaled.T)
+    if not delay:
+        return inverses + [c]
+    shift_pinv, n = inverses[1], len(vectors)
+    diagonal = shift_pinv.diagonal() + c * (1.0 - 1.0 / n)
+    shift_pinv += c * (-1.0 / n)
+    np.fill_diagonal(shift_pinv, diagonal)
+    return inverses
 
 
 @contextmanager
@@ -774,10 +961,11 @@ def sherman_morrison_update(caches: EdgeFormCaches, edge: Edge, dweight: float) 
     dweight > 0 adds weight, dweight < 0 removes it, down to zero at most and
     never from an absent pair; a zero change writes nothing. Each operator
     keeps the change as one pending term of n-vectors, O(n k) with k terms
-    pending, past the base's columns (one O(n^2) product for both while the
-    base is spectral; a custom gram adds another). Every PENDING_TERM_CAP-th
-    update forms the base if it is spectral and folds the terms into the
-    matrices, O(n^2 k). The Laplacian is edited in place.
+    pending, past the base's columns (one O(n^2) product per operator while
+    the sandwiches are not formed; a custom gram adds another). Every
+    PENDING_TERM_CAP-th update forms the sandwiches if they are not yet
+    formed and folds the terms into the matrices, O(n^2 k). The Laplacian
+    is edited in place.
     Raises what _checked_move (and so edge_contribution) raises, and
     SingularUpdate for an overflow or NaN forming the terms, changing nothing.
     """

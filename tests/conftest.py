@@ -4,6 +4,7 @@ The oracles here deliberately avoid the library's fast paths (rank-one
 updates, cached quadratic forms) so agreement is evidence, not tautology.
 """
 
+import functools
 import math
 import os
 import shutil
@@ -12,12 +13,15 @@ import sys
 import tempfile
 from pathlib import Path
 
+import mpmath
 import numpy as np
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
 import tdconsensus
 from tdconsensus import (
+    FIT_OFFSET,
+    FIT_SLOPE,
     EdgeFormCaches,
     OutputKind,
     OutputSpec,
@@ -187,6 +191,96 @@ def fresh_caches(graph: WeightedGraph, out: OutputSpec, delay: float) -> EdgeFor
     lap_pinv, shift_pinv = grounded_pinv(lap), grounded_pinv(delay_shift_matrix(lap, delay))
     matrices = [lap_pinv, lap_pinv @ gram @ lap_pinv, shift_pinv, shift_pinv @ gram @ shift_pinv]
     return EdgeFormCaches(laplacian=lap, delay=delay, base=_FormedBase(gram, matrices))
+
+
+# Digits of the high-precision references below, and the largest graph they
+# take: mpmath's LU of a 24 x 24 matrix at 40 digits takes about 0.1 s.
+REFERENCE_DIGITS = 40
+REFERENCE_NODE_LIMIT = 24
+
+
+def _mp_laplacian(graph: WeightedGraph) -> mpmath.matrix:
+    """The Laplacian in mpmath, from the same binary weights; call inside
+    mpmath.workdps."""
+    n = graph.node_count
+    lap = mpmath.zeros(n, n)
+    for u, v, w in graph.edges:
+        lap[u, u] += w
+        lap[v, v] += w
+        lap[u, v] -= w
+        lap[v, u] -= w
+    return lap
+
+
+def _mp_pinv(operator: np.ndarray) -> np.ndarray:
+    """(A + J/n)⁻¹ - J/n of a symmetric A with kernel span(1), given and
+    returned as an object array of mpf: Gauss-Jordan inversion in place,
+    without pivoting, since A + J/n is positive definite. Call inside
+    mpmath.workdps."""
+    n = len(operator)
+    ones = mpmath.mpf(1) / n
+    inverse = operator + ones
+    for k in range(n):
+        pivot = 1 / inverse[k, k]
+        inverse[k, k] = 1
+        inverse[k] *= pivot
+        column = inverse[:, k].copy()
+        column[k] = 0
+        inverse[:, k] = 0
+        inverse[k, k] = pivot
+        inverse -= np.outer(column, inverse[k])
+    return inverse - ones
+
+
+def oracle_40_digits(graph: WeightedGraph, tau: float):
+    """(exact measure, fit, nonzero eigenvalues ascending) at 40 digits, for
+    a named output of scale 1. The Laplacian is diagonalized by mpmath's
+    Jacobi solver (no LAPACK); the eigenvalue nearest zero is dropped and
+    the modal terms of the exact measure and of the closed-form fit are
+    summed in 40-digit arithmetic."""
+    with mpmath.workdps(REFERENCE_DIGITS):
+        n = graph.node_count
+        eigenvalues = mpmath.eigsy(_mp_laplacian(graph), eigvals_only=True)
+        lam = sorted(eigenvalues[i] for i in range(n))[1:]
+        t = mpmath.mpf(tau)
+        half_pi = mpmath.pi / 2
+        exact = sum(mpmath.cos(x * t) / (1 - mpmath.sin(x * t)) / (2 * x) for x in lam)
+        fit = t * sum(
+            (1 / (x * t) + (4 / mpmath.pi) / (half_pi - x * t) + FIT_OFFSET + FIT_SLOPE * x * t) / 2
+            for x in lam
+        )
+        return exact, fit, lam
+
+
+@functools.lru_cache(maxsize=16)
+def _reference_pinvs(graph: WeightedGraph, delay: float) -> tuple:
+    """L⁺ and S⁺ at 40 digits, rounded to float64 once, for reference_caches:
+    the shifted operator (pi/2)(I - J/n) - delay L is formed at 40 digits
+    from the binary delay and weights, and each pseudo-inverse is _mp_pinv.
+    Kept for the graph and delay that several outputs share."""
+    n = graph.node_count
+    assert n <= REFERENCE_NODE_LIMIT, n
+    with mpmath.workdps(REFERENCE_DIGITS):
+        lap = np.array(_mp_laplacian(graph).tolist(), dtype=object)
+        projector = np.full((n, n), -mpmath.mpf(1) / n, dtype=object)
+        projector[np.diag_indices(n)] += 1
+        shift = (mpmath.pi / 2) * projector - mpmath.mpf(delay) * lap
+        return tuple(_mp_pinv(operator).astype(float) for operator in (lap, shift))
+
+
+def reference_caches(graph: WeightedGraph, out: OutputSpec, delay: float) -> EdgeFormCaches:
+    """fresh_caches with the pseudo-inverses taken at 40 digits
+    (_reference_pinvs) and rounded once, for n <= REFERENCE_NODE_LIMIT. A
+    float64 inverse loses up to kappa eps, which on six-decade weights
+    passes 1e-10; the sandwiches P @ CᵀC @ P, float64 products of the
+    rounded inverses, lose only about n eps of their norm."""
+    c = output_matrix(out)
+    gram = c.T @ c
+    matrices = []
+    for pinv in _reference_pinvs(graph, delay):
+        matrices += [pinv, pinv @ gram @ pinv]
+    base = _FormedBase(gram, matrices)
+    return EdgeFormCaches(laplacian=graph.laplacian(), delay=delay, base=base)
 
 
 def spectrum_of(graph: WeightedGraph) -> SpectralCache:

@@ -46,6 +46,7 @@ from conftest import (
     exact_measure,
     fit_measure,
     fresh_caches,
+    oracle_40_digits,
     output_matrix,
     random_connected_graph,
     spectrum_of,
@@ -56,11 +57,12 @@ from conftest import (
 from tdconsensus import design
 from tdconsensus.design import _fit_changes, _sign_change
 from tdconsensus.graphs import (
+    PAIR_READ_ROWS,
     PENDING_TERM_CAP,
-    SPECTRAL_READ_DIVISOR,
+    BASE_READ_DIVISOR,
     _edge_forms,
     _FormedBase,
-    _SpectralBase,
+    _InverseBase,
 )
 from tdconsensus.performance import _fit_slope, _nonzero_modes, sensitivities
 
@@ -82,10 +84,14 @@ def _fit(graph: WeightedGraph, out: OutputSpec, tau: float) -> float:
 
 
 def test_from_graph_fit_on_weights_nine_decades_apart():
+    # The fit is 333333333.77227 to 40 digits. The grounded factors read
+    # 333333333.7722697; an eigh of this Laplacian, and a fit summed from
+    # it, read 333333330.708, 9.2e-9 off.
     g = WeightedGraph(3, ((0, 1, 1.0), (1, 2, 1e-9)))
     out = OutputSpec.centering(3)
     state = DesignState.from_graph(g, out, 0.1)
-    assert state.rho_fit == pytest.approx(fit_measure(g, out, 0.1), rel=1e-9)
+    reference = float(oracle_40_digits(g, 0.1)[1])
+    assert state.rho_fit == pytest.approx(reference, rel=1e-9)
     assert state.rho_fit > 3e8
 
 
@@ -154,11 +160,14 @@ def test_from_graph_tracks_the_fit():
     assert off.audit_values() == (None, None)
 
 
-def test_from_graph_takes_one_eigh_and_no_eigvalsh(monkeypatch):
-    # The stability check, both pseudo-inverses and their sandwiches all come
-    # from one eigendecomposition of the Laplacian, for every output and delay.
+def test_from_graph_takes_no_eigh_where_the_factors_certify_the_verdict(monkeypatch):
+    # The stability check, both pseudo-inverses and their sandwiches come
+    # from the grounded Cholesky factors, for every output from zero delay to
+    # 0.99 of the threshold: no eigh and no eigvalsh. Within FACTOR_MARGIN
+    # n eps of the threshold the trace bound cannot certify the verdict, and
+    # from_graph takes one eigh of the Laplacian, never more.
     rng = np.random.default_rng(41)
-    states = []
+    states, near = [], []
     for _ in range(6):
         g = random_connected_graph(rng, max_nodes=12)
         named = ("centering", "complete-incidence", "orthonormal")
@@ -166,6 +175,8 @@ def test_from_graph_takes_one_eigh_and_no_eigvalsh(monkeypatch):
         outputs.append(OutputSpec.custom(output_matrix(outputs[0])))
         for fraction in (0.0, 0.5, 0.99):
             states += [(g, out, stable_delay(g, fraction)) for out in outputs]
+        threshold = stable_delay(g, 1.0)
+        near += [(g, outputs[0], tau) for tau in (threshold, math.nextafter(threshold, 0.0))]
     calls = []
 
     def counted(name):
@@ -182,7 +193,14 @@ def test_from_graph_takes_one_eigh_and_no_eigvalsh(monkeypatch):
     for g, out, tau in states:
         calls.clear()
         DesignState.from_graph(g, out, tau)
-        assert calls == ["eigh"], (out.kind, tau)
+        assert calls == [], (out.kind, tau)
+    for g, out, tau in near:
+        calls.clear()
+        try:
+            DesignState.from_graph(g, out, tau, audit=False)
+        except UnstableNetwork:
+            pass
+        assert calls == ["eigh"], tau
 
 
 def test_from_graph_verdict_at_the_stability_threshold():
@@ -358,8 +376,13 @@ def test_design_at_a_subnormal_delay_matches_zero_delay(tau):
 
     state = DesignState.from_graph(g, out, tau)
     assert picks(grow_simple(state, CandidateSet(entries, 2))) == [(0, 3), (0, 2)]
+    # grow_random's second pick is a tie broken by rounding: once (0, 2) is
+    # added, swapping nodes 0 and 1 maps the graph onto itself, so (0, 3) and
+    # (1, 3) change the fit alike. The caches read them -0.2916666666666666
+    # and -0.29166666666666663 (eigenbasis caches read -0.2916666666666668
+    # and -0.2916666666666665), and the seeded draw takes the second ranked.
     state = DesignState.from_graph(g, out, tau)
-    assert picks(grow_random(state, CandidateSet(entries, 2), seed=0)) == [(0, 2), (1, 3)]
+    assert picks(grow_random(state, CandidateSet(entries, 2), seed=0)) == [(0, 2), (0, 3)]
     state = DesignState.from_graph(g, out, tau)
     assert edge_contribution(state, (0, 3), 1.0) == pytest.approx(-0.625, rel=1e-12)
     assert edge_contribution(state, (0, 1), -0.5) == pytest.approx(0.375, rel=1e-12)
@@ -1176,7 +1199,7 @@ def test_tracked_fit_matches_rebuild_after_many_operations():
 def test_each_traced_fit_is_the_cache_read_after_its_move():
     # The fit is read from the caches, not summed over moves: replaying the
     # moves on fresh caches reproduces every traced fit to the bit. At
-    # n < SPECTRAL_READ_DIVISOR one move's n rows pass the n² / 40 a driver's
+    # n <= BASE_READ_DIVISOR one move's n rows reach the n² / 10 a driver's
     # plan may claim, so each driver formed the base at its start, and the
     # replay forms it likewise.
     g = random_connected_graph(
@@ -1211,7 +1234,7 @@ def test_reading_the_caches_changes_no_later_move():
     # Reads add the pending update terms without folding them, and never
     # form the base, so a run that reads between and after its drivers
     # matches one that does not, bit for bit: across a fold, and on a base
-    # that stays spectral however many rows the reads gather.
+    # whose sandwiches stay unformed however many rows the reads gather.
     g = random_connected_graph(
         np.random.default_rng(43), min_nodes=30, max_nodes=30, extra_edge_prob=0.1
     )
@@ -1234,9 +1257,9 @@ def test_reading_the_caches_changes_no_later_move():
     assert sum(len(trace.entries) for trace in traces) > PENDING_TERM_CAP
     assert run(read=False) == (traces, rho_fit)
 
-    # n = 100: the two runs claim 106 and 104 of the 250 rows the plans may
-    # claim (n² / SPECTRAL_READ_DIVISOR), while the reads between them gather
-    # about 10,000 rows of the eigenvectors.
+    # n = 100: the two runs claim 148 and 132 of the 1,000 rows the plans may
+    # claim (n² / BASE_READ_DIVISOR), while the reads between them gather
+    # about 20,000 rows of the pseudo-inverses.
     g = random_connected_graph(np.random.default_rng(44), min_nodes=100, max_nodes=100)
     out = OutputSpec.centering(g.node_count)
     tau = stable_delay(g, 0.3)
@@ -1253,7 +1276,7 @@ def test_reading_the_caches_changes_no_later_move():
         _edge_forms(state.caches, us, vs)
         tracked_matrices(state.caches)
 
-    def spectral_run(read):
+    def unformed_run(read):
         state = DesignState.from_graph(g, out, tau, audit=False)
         if read:
             read_all(state)
@@ -1261,33 +1284,34 @@ def test_reading_the_caches_changes_no_later_move():
         if read:
             read_all(state)
         traces.append(grow_by_sensitivity(state, absent[3:5], budget=1))
-        assert isinstance(state.caches._base, _SpectralBase)
+        assert isinstance(state.caches._base, _InverseBase)
         return traces, state.rho_fit
 
-    traces, rho_fit = spectral_run(read=True)
+    traces, rho_fit = unformed_run(read=True)
     assert [len(trace.entries) for trace in traces] == [1, 1]
-    assert spectral_run(read=False) == (traces, rho_fit)
+    assert unformed_run(read=False) == (traces, rho_fit)
 
 
 def test_a_run_that_would_pass_the_read_budget_forms_the_matrices_at_its_start():
     # A driver tells the caches how many moves it may make and how many pairs
-    # each scores, and the caches add the rows of the eigenvectors those
-    # moves would gather to what earlier plans claimed: one move over three
-    # candidates claims 6 rows for the forms and n = 100 for its columns.
-    # Reads claim nothing. Two more such moves would take the claims past
-    # n² / SPECTRAL_READ_DIVISOR = 250 rows, so the matrices are formed at
-    # that run's start, before its first read.
+    # each scores, and the caches add what those moves would read, in rows of
+    # a move's products, to what earlier plans claimed: one move over three
+    # candidates claims 3 PAIR_READ_ROWS = 48 rows for the forms and n = 100
+    # for its columns. Reads claim nothing. Five more moves over six
+    # candidates would take the claims past n² / BASE_READ_DIVISOR = 1,000
+    # rows (four would not), so the matrices are formed at that run's start,
+    # before its first read.
     g = random_connected_graph(np.random.default_rng(47), min_nodes=100, max_nodes=100)
     state = DesignState.from_graph(g, OutputSpec.centering(100), stable_delay(g, 0.3), audit=False)
     caches = state.caches
     base = caches._base
     assert caches._claimed == 0
-    entries = tuple((u, v, 0.2) for u, v in _absent_pairs(g)[:6])
+    entries = tuple((u, v, 0.2) for u, v in _absent_pairs(g)[:9])
     assert len(grow_simple(state, CandidateSet(entries=entries[:3], budget=1)).entries) == 1
-    assert caches._base is base and caches._claimed == 106
+    assert caches._base is base and caches._claimed == 148
     us, vs = np.triu_indices(100, 1)
     _edge_forms(caches, us, vs)
-    assert caches._base is base and caches._claimed == 106
+    assert caches._base is base and caches._claimed == 148
     claims = []
     formed = base.formed
 
@@ -1296,9 +1320,10 @@ def test_a_run_that_would_pass_the_read_budget_forms_the_matrices_at_its_start()
         return formed()
 
     base.formed = recording
-    assert 106 <= 100 * 100 / SPECTRAL_READ_DIVISOR < 106 + 2 * (6 + 100)
-    assert len(grow_simple(state, CandidateSet(entries=entries[3:], budget=2)).entries) == 2
-    assert claims == [(106 + 212, 1)] and isinstance(caches._base, _FormedBase)
+    move = 6 * PAIR_READ_ROWS + 100
+    assert 148 + 4 * move <= 100 * 100 / BASE_READ_DIVISOR < 148 + 5 * move
+    assert len(grow_simple(state, CandidateSet(entries=entries[3:], budget=5)).entries) == 5
+    assert claims == [(148 + 5 * move, 1)] and isinstance(caches._base, _FormedBase)
 
 
 # --- reweight ---

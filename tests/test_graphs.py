@@ -1,4 +1,4 @@
-"""Graph container, spectral caches, and rank-one update fidelity."""
+"""Graph container, spectra, design caches, and rank-one update fidelity."""
 
 import math
 import tracemalloc
@@ -39,16 +39,18 @@ from conftest import (
     max_cache_drift,
     output_matrix,
     random_connected_graph,
+    reference_caches,
     spread_weights,
     stable_delay,
     tracked_matrices,
 )
 from tdconsensus.graphs import (
+    PAIR_READ_ROWS,
     PENDING_TERM_CAP,
-    SPECTRAL_READ_DIVISOR,
+    BASE_READ_DIVISOR,
     _edge_forms,
     _FormedBase,
-    _SpectralBase,
+    _InverseBase,
     edge_quadratic_forms,
 )
 
@@ -255,11 +257,11 @@ def test_zero_delay_updates_leave_the_shift_caches_as_they_are():
 
 
 def test_zero_delay_shift_forms_are_their_offsets_to_the_bit():
-    # At zero delay the spectral weights of S⁺ and its sandwich are exact
-    # zeros, so build forms nothing for them, and every pair's base shift
-    # forms are the Π offsets' alone: 2 (2/pi) = 4/pi and 2 s (2/pi)², which
-    # is 8 s / pi² as floats round it. Moves leave them as they are, and
-    # these wide reads leave the base spectral.
+    # At zero delay S⁺ is (2/pi) Π, which build keeps as the scale 2/pi and
+    # never factors or forms, so every pair's base shift forms are Π's
+    # alone: 2 (2/pi) = 4/pi and 2 s (2/pi)², which is 8 s / pi² as floats
+    # round it. Moves leave them as they are, and these wide reads leave
+    # the sandwiches unformed.
     rng = np.random.default_rng(19)
     c = 2.0 / np.pi
     named = [kind for kind in OutputKind if kind is not OutputKind.CUSTOM]
@@ -271,8 +273,8 @@ def test_zero_delay_shift_forms_are_their_offsets_to_the_bit():
                 expected = (np.full(len(us), 2.0 * (s * c * c)), np.full(len(us), 2.0 * c))
                 caches = EdgeFormCaches.build(g.laplacian(), s, 0.0)
                 base = caches._base
-                assert isinstance(base, _SpectralBase)
-                assert not base.weights[:, 2:].any()
+                assert isinstance(base, _InverseBase)
+                assert base.inverses[1] == c
                 assert np.array_equal(base.forms(us, vs)[3], expected[0])
                 assert np.array_equal(base.forms(us, vs)[2], expected[1])
                 u, v, w = g.edges[0]
@@ -312,7 +314,7 @@ def test_complete_three_pseudo_inverse_is_centering_over_three():
 
 
 def test_pseudo_inverse_properties_random():
-    # Both operators' pseudo-inverses, taken from one eigh of the Laplacian,
+    # Both operators' pseudo-inverses, from their grounded Cholesky factors,
     # invert them on the centered subspace and map the ones vector to zero,
     # from zero delay to just below the stability boundary. Past it the
     # network is unstable, and build refuses it.
@@ -611,9 +613,10 @@ def test_built_caches_match_the_explicit_reference(n):
 
 
 def test_from_graph_caches_match_the_explicit_reference_on_wide_weights():
-    # One eigh of the Laplacian gives both operators' caches; on weights over
-    # six decades they match the explicit reference, two eigh of the grounded
-    # operators, for every output kind from zero delay to near the threshold.
+    # The grounded factors give both operators' caches; on weights over six
+    # decades they match the 40-digit reference for every output kind from
+    # zero delay to near the threshold. (The float64 reference, two eigh of
+    # the grounded operators, is itself 1.2e-10 off on one of these graphs.)
     rng = np.random.default_rng(37)
     for _ in range(12):
         g = spread_weights(rng, random_connected_graph(rng, max_nodes=24), 6.0)
@@ -621,7 +624,7 @@ def test_from_graph_caches_match_the_explicit_reference_on_wide_weights():
             for fraction in (0.0, 0.5, 0.99):
                 delay = stable_delay(g, fraction)
                 caches = DesignState.from_graph(g, out, delay, audit=False).caches
-                reference = fresh_caches(g, out, delay)
+                reference = reference_caches(g, out, delay)
                 for ours, ref in zip(tracked_matrices(caches), tracked_matrices(reference)):
                     drift = float(np.max(np.abs(ours - ref)) / np.max(np.abs(ref)))
                     assert drift <= BUILD_REFERENCE_BOUND, (name, fraction, drift)
@@ -635,11 +638,12 @@ def _move_columns(caches: EdgeFormCaches, u: int, v: int) -> list:
     return [c for pair in (caches._lap, caches._shift) for c in pair.columns(u, v, columns)]
 
 
-def _assert_reads_match_fresh_caches(caches, graph, out, delay, rng) -> None:
+def _assert_reads_match_the_reference(caches, graph, out, delay, rng) -> None:
     """Every pair's five edge forms, the kept diagonals and six moves' columns
-    match a fresh rebuild within BUILD_REFERENCE_BOUND; a column's difference
-    is taken relative to its matrix's largest entry, as the bound's is."""
-    reference = fresh_caches(graph, out, delay)
+    match the 40-digit reference within BUILD_REFERENCE_BOUND; a column's
+    difference is taken relative to its matrix's largest entry, as the
+    bound's is."""
+    reference = reference_caches(graph, out, delay)
     us, vs = np.triu_indices(graph.node_count, 1)
     for ours, ref in zip(_edge_forms(caches, us, vs), _edge_forms(reference, us, vs)):
         assert _relative_drift(ours, ref) <= BUILD_REFERENCE_BOUND
@@ -657,18 +661,16 @@ def _assert_reads_match_fresh_caches(caches, graph, out, delay, rng) -> None:
 
 @pytest.mark.parametrize("fraction", [0.0, 0.3, 0.9])
 def test_spectral_reads_match_the_explicit_reference(fraction):
-    # A named output's caches read their bases from the Laplacian's
-    # eigenvectors until a fold forms the matrices, however many rows the
-    # reads gather; a custom output's hold the matrices from the start.
-    # Either way the edge forms, a move's columns and the kept diagonals
-    # match the explicit reference before the first fold and after it, on
-    # graphs one in four of whose weights span six decades. Reading the four
-    # matrices changes neither base's form. The fold forms both operators'
-    # matrices and drops the eigenvectors, at zero delay too, where the
-    # shifted operator takes no terms.
-    # The largest measured difference, 9.1e-11 of the bound's 1e-10 (a
-    # column on a six-decade graph), is the same for caches built as
-    # matrices from the same eigh: it is the reference's conditioning.
+    # A named output's caches read their bases from the two pseudo-inverses
+    # until a fold forms the sandwiches, however many rows the reads gather;
+    # a custom output's hold the four matrices from the start. Either way
+    # the edge forms, a move's columns and the kept diagonals match the
+    # 40-digit reference before the first fold and after it, on graphs one
+    # in four of whose weights span six decades. Reading the four matrices
+    # changes neither base's form. The fold forms both operators'
+    # sandwiches, at zero delay too, where the shifted operator takes no
+    # terms. (Against the float64 reference a column on a six-decade graph
+    # read 9.1e-11 of the bound's 1e-10: the reference's own conditioning.)
     rng = np.random.default_rng(round(100 * fraction) + 71)
     for index in range(8):
         g = random_connected_graph(rng, min_nodes=5, max_nodes=20)
@@ -683,7 +685,7 @@ def test_spectral_reads_match_the_explicit_reference(fraction):
             graph = g
             for move in range(PENDING_TERM_CAP + 3):
                 if move in (0, 1, PENDING_TERM_CAP - 1, PENDING_TERM_CAP + 2):
-                    _assert_reads_match_fresh_caches(caches, graph, out, delay, rng)
+                    _assert_reads_match_the_reference(caches, graph, out, delay, rng)
                     base = caches._base
                     tracked_matrices(caches)
                     assert caches._base is base
@@ -696,22 +698,23 @@ def test_spectral_reads_match_the_explicit_reference(fraction):
             assert isinstance(caches._base, _FormedBase)
 
 
-def test_reads_past_the_budget_leave_the_base_spectral():
-    # Only a design run's plan (n² / SPECTRAL_READ_DIVISOR rows claimed) and
-    # a fold form the base: reads that gather many times that many rows of V,
-    # before and after a move, leave the base spectral, claim nothing, and
-    # match the explicit reference. So does copying the four matrices.
+def test_reads_past_the_budget_leave_the_sandwiches_unformed():
+    # Only a design run's plan (n² / BASE_READ_DIVISOR rows claimed) and a
+    # fold form the sandwiches: reads that gather many times that many rows
+    # of the pseudo-inverses, before and after a move, leave the base as it
+    # is, claim nothing, and match the explicit reference. So does copying
+    # the four matrices.
     rng = np.random.default_rng(83)
     g = random_connected_graph(rng, min_nodes=100, max_nodes=100)
     out = OutputSpec.centering(g.node_count)
     delay = stable_delay(g, 0.5)
     caches = DesignState.from_graph(g, out, delay, audit=False).caches
     base = caches._base
-    assert isinstance(base, _SpectralBase)
+    assert isinstance(base, _InverseBase)
     tracked_matrices(caches)
     reference = fresh_caches(g, out, delay)
     us, vs = np.triu_indices(g.node_count, 1)
-    assert 2 * len(us) > 100 * 100 / SPECTRAL_READ_DIVISOR
+    assert PAIR_READ_ROWS * len(us) > 100 * 100 / BASE_READ_DIVISOR
     for ours, ref in zip(_edge_forms(caches, us, vs), _edge_forms(reference, us, vs)):
         assert _relative_drift(ours, ref) <= BUILD_REFERENCE_BOUND
     assert caches._base is base
@@ -720,17 +723,17 @@ def test_reads_past_the_budget_leave_the_base_spectral():
     reference = fresh_caches(g.with_edge(u, v, 0.5), out, delay)
     for ours, ref in zip(_edge_forms(caches, us, vs), _edge_forms(reference, us, vs)):
         assert _relative_drift(ours, ref) <= BUILD_REFERENCE_BOUND
-    assert caches._base is base and base.basis is not None
+    assert caches._base is base and isinstance(base, _InverseBase)
     assert caches._claimed == 0
     assert caches._lap.count == caches._shift.count == 1
 
 
 def test_reading_every_pair_of_a_dense_graph_gathers_a_block_at_a_time():
-    # A spectral base gathers UPDATE_BLOCK_ROWS pairs' rows of V at a time:
-    # the forms of all 19,900 pairs of complete(200), which leave the base
-    # spectral as every read does, peak at the five result arrays and a
-    # block's temporaries, about 1.5 MB, where whole gathers would take
-    # three 19,900 x 199 arrays, about 95 MB.
+    # An _InverseBase gathers UPDATE_BLOCK_ROWS pairs' rows of each
+    # pseudo-inverse at a time: the forms of all 19,900 pairs of
+    # complete(200), which leave the base as every read does, peak at the
+    # five result arrays and a block's temporaries, about 1.5 MB, where whole
+    # gathers would take three 19,900 x 200 arrays, about 95 MB.
     n = 200
     caches = DesignState.from_graph(
         WeightedGraph.complete(n), OutputSpec.centering(n), 0.001, audit=False
@@ -742,15 +745,14 @@ def test_reading_every_pair_of_a_dense_graph_gathers_a_block_at_a_time():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert isinstance(caches._base, _SpectralBase) and len(forms[0]) == len(us)
+    assert isinstance(caches._base, _InverseBase) and len(forms[0]) == len(us)
     assert peak < 4 * 2**20, peak
 
 
-def test_forming_the_matrices_frees_the_eigenvectors_before_the_sandwiches():
-    # Forming adds four n x n matrices and frees V (traced here, since
-    # tracing starts before from_graph). V goes before the sandwiches are
-    # formed, as build frees it, so the peak is the four matrices' and not
-    # a fifth n x n array on top of them.
+def test_forming_the_matrices_adds_only_the_two_sandwiches():
+    # Forming keeps the two pseudo-inverses as they are and adds the two
+    # sandwiches, one BLAS syrk each: past what it leaves, its peak holds
+    # less than half an n x n array, and no copy of a pseudo-inverse.
     n = 200
     tracemalloc.start()
     try:
@@ -922,13 +924,11 @@ def test_an_overflow_forming_the_terms_raises_singular_update_without_a_warning(
     caches = state.caches
 
     def stored():
-        # The base in the form it holds: the matrices, or the spectral base.
+        # The base in the form it holds: the four matrices, or the two
+        # pseudo-inverses.
         base = caches._base
-        if isinstance(base, _FormedBase):
-            arrays = base.matrices
-        else:
-            arrays = (base.basis, base.weights, base.offsets)
-        return [caches.laplacian.copy()] + [m.copy() for m in arrays]
+        arrays = base.matrices if isinstance(base, _FormedBase) else base.inverses
+        return [caches.laplacian.copy()] + [np.copy(m) for m in arrays]
 
     rng = np.random.default_rng(0)
     with warnings.catch_warnings():

@@ -29,7 +29,7 @@ from tdconsensus import (
     performance_report,
     sparsify,
 )
-from tdconsensus.graphs import _SpectralBase
+from tdconsensus.graphs import _InverseBase
 from conftest import eigenvalues_of, random_connected_graph
 
 KAPPA = 4.0
@@ -103,11 +103,13 @@ def test_scaling_weights_up_and_the_delay_down_divides_the_measure(kind):
 
 def test_scaling_weights_up_and_the_delay_down_keeps_the_greedy_picks():
     # Every driver moves exactly: each weight by kappa, each fit change and
-    # fit by 1/kappa, each sensitivity by 1/kappa². The 40 small instances
-    # form their matrices at each run's start (their read budget, n²/40 rows,
-    # is at most 14). At n = 140-160, budget-3 runs over 8 candidates stay
-    # within it and read the eigenbasis throughout; sparsify scores every
-    # edge, so there it forms the matrices at its start too.
+    # fit by 1/kappa, each sensitivity by 1/kappa². The grounded factors keep
+    # that: kappa is a power of four, so each square root in the Cholesky
+    # factors scales exactly too. The 40 small instances form their matrices
+    # at each run's start (their read budget, n²/10 rows, is at most 57). At
+    # n = 140-160, budget-3 runs over 8 candidates stay within it and read
+    # the two pseudo-inverses throughout; sparsify scores every edge, so
+    # there it forms the matrices at its start too.
     cases = [(instance, 5) for instance in _instances(seed=62, count=40)]
     large = _instances(seed=63, count=4, nodes=(140, 160), candidates=8, extra=0.01)
     cases += [(instance, 3) for instance in large]
@@ -115,8 +117,8 @@ def test_scaling_weights_up_and_the_delay_down_keeps_the_greedy_picks():
         runs = zip(_runs(g, entries, tau, budget), _runs(g, entries, tau, budget, KAPPA))
         for (name, trace, state), (_, scaled, scaled_state) in runs:
             if budget == 3 and name != "sparsify":
-                assert isinstance(state.caches._base, _SpectralBase), name
-                assert isinstance(scaled_state.caches._base, _SpectralBase), name
+                assert isinstance(state.caches._base, _InverseBase), name
+                assert isinstance(scaled_state.caches._base, _InverseBase), name
             assert scaled.termination == trace.termination
             assert [e.edge for e in scaled.entries] == [e.edge for e in trace.entries]
             for big, small in zip(scaled.entries, trace.entries):
@@ -137,8 +139,9 @@ def test_each_named_output_scales_the_greedy_trace_by_its_gram():
     # complete incidence's fit changes, fits, exact measures and
     # sensitivities are exactly n times centering's; orthonormal's equal
     # centering's. The small instances form their matrices at each run's
-    # start. At n = 256, budget-3 runs over 8 candidates read the eigenbasis
-    # throughout (sparsify scores every edge, so it forms them at its start).
+    # start. At n = 256, budget-3 runs over 8 candidates read the two
+    # pseudo-inverses throughout (sparsify scores every edge, so it forms
+    # them at its start).
     cases = [
         (instance, 5)
         for n in (8, 16, 32)
@@ -156,8 +159,8 @@ def test_each_named_output_scales_the_greedy_trace_by_its_gram():
         )
         for (name, trace, state), (_, complete, complete_state), (_, ortho, _) in runs:
             if budget == 3 and name != "sparsify":
-                assert isinstance(state.caches._base, _SpectralBase), name
-                assert isinstance(complete_state.caches._base, _SpectralBase), name
+                assert isinstance(state.caches._base, _InverseBase), name
+                assert isinstance(complete_state.caches._base, _InverseBase), name
             assert ortho == trace
             assert complete.termination == trace.termination
             assert [e.edge for e in complete.entries] == [e.edge for e in trace.entries]

@@ -1,22 +1,19 @@
 """Weights spread over twelve decades, checked against a 40-digit oracle.
 
-The oracle builds the Laplacian in mpmath from the same binary weights,
-diagonalizes it with mpmath's Jacobi solver (no LAPACK), drops the
-eigenvalue nearest zero and sums the modal terms of the exact measure and
-of the closed-form fit in 40-digit arithmetic.
+The oracle (conftest.oracle_40_digits) builds the Laplacian in mpmath from
+the same binary weights, diagonalizes it with mpmath's Jacobi solver (no
+LAPACK), drops the eigenvalue nearest zero and sums the modal terms of the
+exact measure and of the closed-form fit in 40-digit arithmetic.
 """
 
 import math
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from tdconsensus import (
-    FIT_OFFSET,
-    FIT_SLOPE,
     CandidateSet,
     DesignState,
     OutputSpec,
@@ -26,6 +23,7 @@ from tdconsensus import (
     performance_report,
     rho_approx,
 )
+from conftest import oracle_40_digits
 
 EPS = float(np.finfo(float).eps)
 
@@ -46,33 +44,11 @@ def wide_weight_graphs(draw):
     return WeightedGraph(n, tuple((u, v, w) for (u, v), w in weights.items()))
 
 
-def _oracle(graph: WeightedGraph, tau: float):
-    """(exact measure, fit, nonzero eigenvalues ascending) at 40 digits."""
-    with mpmath.workdps(40):
-        n = graph.node_count
-        lap = mpmath.zeros(n, n)
-        for u, v, w in graph.edges:
-            lap[u, u] += w
-            lap[v, v] += w
-            lap[u, v] -= w
-            lap[v, u] -= w
-        eigenvalues = mpmath.eigsy(lap, eigvals_only=True)
-        lam = sorted(eigenvalues[i] for i in range(n))[1:]
-        t = mpmath.mpf(tau)
-        half_pi = mpmath.pi / 2
-        exact = sum(mpmath.cos(x * t) / (1 - mpmath.sin(x * t)) / (2 * x) for x in lam)
-        fit = t * sum(
-            (1 / (x * t) + (4 / mpmath.pi) / (half_pi - x * t) + FIT_OFFSET + FIT_SLOPE * x * t) / 2
-            for x in lam
-        )
-        return exact, fit, lam
-
-
 @given(wide_weight_graphs(), st.floats(0.05, 0.95))
 def test_exact_and_fit_match_a_40_digit_oracle(graph, fraction):
     n = graph.node_count
     tau = fraction * math.pi / (2.0 * eigendecompose(graph.laplacian()).lambda_max)
-    exact, fit, lam = _oracle(graph, tau)
+    exact, fit, lam = oracle_40_digits(graph, tau)
     lam_2, lam_max = float(lam[0]), float(lam[-1])
     # eigh perturbs every eigenvalue by up to n * eps * lambda_max. Carried
     # to the 1/lambda_2 term that is relative n * eps * lambda_max / lambda_2;
