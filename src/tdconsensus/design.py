@@ -1,20 +1,20 @@
 """Greedy topology design driven by rank-one performance differences.
 
 Adding weight w on edge e changes the performance fit by a closed-form
-amount computable from five cached edge quadratic forms. The caches share
-one base, the pseudo-inverses of the Laplacian and of the delay-shifted
-operator, each from the Cholesky factor of the operator grounded at one
-node, with no eigendecomposition where the factors certify the stability
-verdict (EdgeFormCaches.build). They keep each move as pending
+amount computable from five cached edge quadratic forms. The caches hold
+the pseudo-inverses of the Laplacian and of the delay-shifted operator,
+each from the Cholesky factor of the operator grounded at one node, with
+no eigendecomposition where the factors certify the stability verdict
+(EdgeFormCaches.build). Each operator keeps the moves as pending
 Sherman-Morrison terms of n-vectors. With k terms pending, a greedy
 iteration costs O((n + candidates) k) for the terms, plus, until the
-sandwiches P @ gram @ P are formed, O(n) per candidate for its base forms
-and one O(n^2) product per operator for the move's base columns. The
-caches form the sandwiches, in O(n^3), at the start of the run whose
-reads, added to those its predecessors claimed, would cost more than that,
-and at the first fold: every PENDING_TERM_CAP moves a fold adds the terms
-to the matrices in O(n^2 k). No read forms them, so reading the caches
-changes no later move.
+sandwiches P @ gram @ P are formed, O(n) per candidate for its forms and
+one O(n^2) product per operator for the move's columns. The caches form
+both sandwiches, in O(n^3), at the start of the run whose reads, added to
+those its predecessors claimed, would cost more than that, and at the first
+fold: every PENDING_TERM_CAP moves a fold adds the terms to the matrices
+in O(n^2 k). No read forms them, so reading the caches changes no later
+move.
 """
 
 from __future__ import annotations
@@ -35,9 +35,9 @@ from .graphs import (
     EdgeFormCaches,
     WeightedGraph,
     _checked_move,
-    _built_base,
     _edge_arrays,
     _edge_forms,
+    _pseudo_inverses,
     _refused,
     is_bridge,
     sherman_morrison_update,
@@ -138,8 +138,8 @@ class DesignState:
     audit enabled, every mutation re-eigendecomposes the Laplacian to
     record the exact measure and stability margin; without it the loop
     relies on the edge stability bound. A step then costs O((n + m) k) for
-    m candidates and k pending update terms, plus O(n m + n^2) for the base
-    forms and columns until the caches form their sandwiches (a custom
+    m candidates and k pending update terms, plus O(n m + n^2) for the
+    sandwiches' forms and columns until the caches form them (a custom
     output's, formed at build, and its dense gram add O(n^2)), and
     O(n^2 k) once every PENDING_TERM_CAP steps, when the caches fold their
     terms.
@@ -178,7 +178,7 @@ class DesignState:
     ) -> "DesignState":
         lap = _checked_laplacian(graph, out)
         # The caches own this Laplacian and edit it: no copy, as build makes.
-        caches = EdgeFormCaches(lap, delay, _built_base(lap, out.gram(), delay))
+        caches = EdgeFormCaches(lap, delay, out.gram(), _pseudo_inverses(lap, delay))
         if audit is None:
             audit = graph.node_count <= AUDIT_NODE_LIMIT
         return cls(graph, out, caches, audit)
@@ -270,8 +270,8 @@ def _greedy(
     takes an iteration and a trace entry. Each entry's fit is read from the
     caches after its move. A run of up to budget moves that each score up to
     width pairs first claims those reads on the caches (_plan), which form
-    their base now once the claims of every run on them pass about one
-    forming's cost; within the run only a fold forms it.
+    their sandwiches now once the claims of every run on them pass about one
+    forming's cost; within the run only a fold forms them.
     """
     state.caches._plan(budget, width)
     trace = DesignTrace()

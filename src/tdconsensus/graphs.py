@@ -52,15 +52,15 @@ UPDATE_BLOCK_ROWS = 128
 # Sherman-Morrison terms an operator keeps pending before it folds them into
 # its matrices; chosen by the sweep recorded in CHANGES.md.
 PENDING_TERM_CAP = 32
-# Reads of an _InverseBase gather rows of its n x n pseudo-inverses: four
-# rows per pair for its forms, and one matrix-vector product per operator per
-# move for its columns. Measured in the rows of those products (n = 400 to
-# 1600, 2 BLAS threads; CHANGES.md), a pair's forms cost about
-# PAIR_READ_ROWS rows, and forming the two sandwiches, which the formed base
-# reads in O(1) per pair and O(n) per move, costs about n² / 10 rows. So the
-# design runs on one EdgeFormCaches may claim n² / BASE_READ_DIVISOR rows in
-# all, about one forming's worth: the run whose claim passes it forms the
-# sandwiches at its start (EdgeFormCaches._plan).
+# While an operator's sandwich is unformed, its reads gather rows of its n x n
+# pseudo-inverse: two rows per pair for the forms, and one matrix-vector
+# product per move for the columns. Measured in the rows of those products
+# (n = 400 to 1600, 2 BLAS threads; CHANGES.md), a pair's forms on both
+# operators cost about PAIR_READ_ROWS rows, and forming the two sandwiches,
+# which are then read in O(1) per pair and O(n) per move, costs about n² / 10
+# rows. So the design runs on one EdgeFormCaches may claim
+# n² / BASE_READ_DIVISOR rows in all, about one forming's worth: the run whose
+# claim passes it forms the sandwiches at its start (EdgeFormCaches._plan).
 PAIR_READ_ROWS = 16
 BASE_READ_DIVISOR = 10
 # Rows of a leaf of the Cholesky recursions (one LAPACK call on a copy), and
@@ -477,148 +477,77 @@ def _scaled_projector(scale: float, n: int) -> np.ndarray:
     return matrix
 
 
-class _InverseBase:
-    """Both operators' four base matrices, read from the two pseudo-inverses
-    P = L⁺ and S⁺ held as n x n arrays. Matrix j is inverses[j // 2] for even
-    j, and for odd j its sandwich s P², s a named output's gram scale, which
-    the reads never form: its edge form is s ‖P[u] - P[v]‖² and its column
-    s P (P b). At zero delay S⁺ is the scalar 2/pi, standing for (2/pi) Π as
-    the gram's scale stands for s Π, and its reads are its Π's. build forms
-    a custom output's base at once, so this base's gram is a scale.
-    """
-
-    def __init__(self, gram: float, inverses: list) -> None:
-        self.gram = gram
-        self.inverses = inverses
-
-    def diagonal(self, j: int) -> np.ndarray:
-        """diag(gram @ matrix j), j = 0 or 2, as a new array: s diag P."""
-        inverse, n = self.inverses[j // 2], len(self.inverses[0])
-        if np.ndim(inverse) == 0:
-            return np.full(n, self.gram * (inverse * (1.0 - 1.0 / n)))
-        return self.gram * inverse.diagonal()
-
-    def forms(self, us: np.ndarray | int, vs: np.ndarray | int) -> np.ndarray:
-        """The four matrices' edge forms at the pairs, indexed by matrix
-        first: bᵀPb and s ‖P b‖², O(n) per pair. The rows are gathered
-        UPDATE_BLOCK_ROWS pairs at a time, so the temporaries stay that many
-        rows of P whatever the number of pairs."""
-        pairs_u, pairs_v = np.ravel(us), np.ravel(vs)
-        forms = np.empty((4, len(pairs_u)))
-        for j, inverse in zip((0, 2), self.inverses):
-            if np.ndim(inverse) == 0:
-                forms[j] = 2.0 * inverse
-                forms[j + 1] = 2.0 * (self.gram * inverse * inverse)
-                continue
-            forms[j] = edge_quadratic_forms(inverse, pairs_u, pairs_v)
-            for start in range(0, len(pairs_u), UPDATE_BLOCK_ROWS):
-                block = slice(start, start + UPDATE_BLOCK_ROWS)
-                diff = inverse[pairs_u[block]] - inverse[pairs_v[block]]
-                forms[j + 1, block] = np.einsum("ij,ij->i", diff, diff)
-            forms[j + 1] *= self.gram
-        return forms.reshape((4,) + np.shape(us))
-
-    def columns(self, u: int, v: int) -> list:
-        """The four matrices times b = e_u - e_v: P b = P[u] - P[v], since P
-        is symmetric, and s P (P b); one matrix-vector product per operator."""
-        columns = []
-        for inverse in self.inverses:
-            if np.ndim(inverse) == 0:
-                # c Π b = c b, and s (c Π)² b = s c² b.
-                pair = np.zeros((2, len(self.inverses[0])))
-                pair[:, u] = inverse, self.gram * inverse * inverse
-                pair[:, v] = -pair[:, u]
-                columns += list(pair)
-            else:
-                column = inverse[u] - inverse[v]
-                columns += [column, self.gram * (inverse @ column)]
-        return columns
-
-    def matrix(self, j: int) -> np.ndarray:
-        """Matrix j as a new n x n array; a sandwich by _gram_sandwich."""
-        inverse, n = self.inverses[j // 2], len(self.inverses[0])
-        if np.ndim(inverse) == 0:
-            inverse = _scaled_projector(inverse, n)
-        elif j % 2 == 0:
-            return inverse.copy()
-        return _gram_sandwich(inverse, self.gram) if j % 2 else inverse
-
-    def formed(self) -> "_FormedBase":
-        """The four matrices as a _FormedBase, which takes the pseudo-inverses
-        as they are and adds the two sandwiches (BLAS syrk each)."""
-        n = len(self.inverses[0])
-        inverses = [
-            _scaled_projector(inverse, n) if np.ndim(inverse) == 0 else inverse
-            for inverse in self.inverses
-        ]
-        sandwiches = [_gram_sandwich(inverse, self.gram) for inverse in inverses]
-        return _FormedBase(self.gram, [inverses[0], sandwiches[0], inverses[1], sandwiches[1]])
-
-
-class _FormedBase:
-    """Both operators' four base matrices as n x n arrays, in _InverseBase's
-    order: L⁺, its sandwich, S⁺ and its sandwich."""
-
-    def __init__(self, gram: np.ndarray | float, matrices: list) -> None:
-        self.gram = gram
-        self.matrices = matrices
-
-    def diagonal(self, j: int) -> np.ndarray:
-        """diag(gram @ matrix j) as a new array; s diag(matrix j) for a scale s."""
-        if np.ndim(self.gram) == 0:
-            return self.gram * self.matrices[j].diagonal()
-        return np.einsum("ij,ji->i", self.gram, self.matrices[j])
-
-    def forms(self, us: np.ndarray | int, vs: np.ndarray | int) -> list:
-        """The four matrices' edge forms at the pairs, one array per matrix."""
-        return [edge_quadratic_forms(m, us, vs) for m in self.matrices]
-
-    def columns(self, u: int, v: int) -> list:
-        """The four matrices times b = e_u - e_v, one n-vector per matrix."""
-        return [m[:, u] - m[:, v] for m in self.matrices]
-
-    def matrix(self, j: int) -> np.ndarray:
-        return self.matrices[j].copy()
-
-    def formed(self) -> "_FormedBase":
-        return self
-
-
 class _DeferredPair:
-    """One operator's pseudo-inverse P and sandwich Y = P @ gram @ P, each
-    matrix `column` or `column` + 1 of the base both operators share (a
-    _InverseBase or a _FormedBase) plus the Sherman-Morrison terms not yet
-    folded into it, and the current diag(gram @ P), kept term by term. The
-    pair holds no base: each read is handed the base's forms, columns or
-    matrices. Pending term j is two n-vectors, p_j and corr_j, and a scalar
-    alpha_j:
+    """One operator's pseudo-inverse P and sandwich Y = P @ gram @ P, each as
+    it was last formed or folded plus the Sherman-Morrison terms since, and
+    the current diag(gram @ P), kept term by term. P is an n x n array, or
+    at zero delay the shifted operator's scale 2/pi, standing for (2/pi) Π
+    as a named output's gram scale s stands for s Π. Y is None until formed
+    (form): until then its edge form is s ‖P[u] - P[v]‖² and its column s P (P b),
+    read from P's rows; a custom output's dense gram forms it at once.
+    Pending term j is two n-vectors, p_j and corr_j, and a scalar alpha_j:
 
-        P = base P - sum_j alpha_j p_j p_jᵀ
-        Y = base Y + sum_j (p_j corr_jᵀ + corr_j p_jᵀ)
+        P = held P - sum_j alpha_j p_j p_jᵀ
+        Y = held Y + sum_j (p_j corr_jᵀ + corr_j p_jᵀ)
 
-    Reads add the terms themselves and change nothing: a whole matrix is read
-    as a new copy, and the base keeps its form. add_term keeps a term; once
-    PENDING_TERM_CAP are pending, sherman_morrison_update forms the base and
-    fold adds the terms to its matrices, by one blocked rank-k product each.
+    Reads add the terms themselves and change nothing: a whole matrix is
+    read as a new copy. add_term keeps a term; once PENDING_TERM_CAP are
+    pending, sherman_morrison_update forms Y and fold adds the terms to
+    both matrices, by one blocked rank-k product each.
     """
 
-    def __init__(self, base: _InverseBase | _FormedBase, column: int) -> None:
-        self.gram = base.gram
-        self.column = column
-        self.diagonal = base.diagonal(column)
+    def __init__(self, inverse: np.ndarray | float, gram: np.ndarray | float, n: int) -> None:
+        self.inverse = inverse
+        self.gram = gram
+        self.sandwich = None
         # terms[j] holds the rows p_j and corr_j, so terms[:k] is the
         # contiguous 2k x n factor of the sandwich's terms. np.empty leaves
         # pages no term has reached unwritten.
-        self.terms = np.empty((PENDING_TERM_CAP, 2, len(self.diagonal)))
+        self.terms = np.empty((PENDING_TERM_CAP, 2, n))
         self.alphas = np.empty(PENDING_TERM_CAP)
         self.count = 0
+        if np.ndim(gram):
+            self.form()
+        self.diagonal = self._gram_diagonal()
 
-    def forms(
-        self, us: np.ndarray | int, vs: np.ndarray | int, base_forms: np.ndarray | list
-    ) -> tuple:
-        """Edge forms of the current Y and P at the pairs, O(m k) for m pairs
-        past base_forms, the base's forms at the pairs."""
-        inverse, sandwich = base_forms[self.column], base_forms[self.column + 1]
+    def form(self) -> None:
+        """Form Y, with P as an n x n array first if it is a scale: one BLAS
+        syrk for a named output's gram."""
+        if self.sandwich is None:
+            if np.ndim(self.inverse) == 0:
+                self.inverse = _scaled_projector(self.inverse, self.terms.shape[2])
+            self.sandwich = _gram_sandwich(self.inverse, self.gram)
+
+    def _gram_diagonal(self) -> np.ndarray:
+        """diag(gram @ held P) as a new array: s diag P for a scale s."""
+        inverse, n = self.inverse, self.terms.shape[2]
+        if np.ndim(inverse) == 0:
+            return np.full(n, self.gram * (inverse * (1.0 - 1.0 / n)))
+        if np.ndim(self.gram) == 0:
+            return self.gram * inverse.diagonal()
+        return np.einsum("ij,ji->i", self.gram, inverse)
+
+    def forms(self, us: np.ndarray | int, vs: np.ndarray | int) -> tuple:
+        """Edge forms of the current Y and P at the pairs: O(1) per pair once
+        Y is formed, else O(n) for Y's, whose rows of P are gathered
+        UPDATE_BLOCK_ROWS pairs at a time, so the temporaries stay that many
+        rows whatever the number of pairs; O(k) more for k pending terms."""
+        inverse = self.inverse
+        if self.sandwich is not None:
+            sandwich = edge_quadratic_forms(self.sandwich, us, vs)
+        elif np.ndim(inverse) == 0:
+            # s (c Π)² = s c² Π.
+            sandwich = edge_quadratic_forms(self.gram * inverse * inverse, us, vs)
+        else:
+            pairs_u, pairs_v = np.ravel(us), np.ravel(vs)
+            sandwich = np.empty(len(pairs_u))
+            for start in range(0, len(pairs_u), UPDATE_BLOCK_ROWS):
+                block = slice(start, start + UPDATE_BLOCK_ROWS)
+                diff = inverse[pairs_u[block]] - inverse[pairs_v[block]]
+                sandwich[block] = np.einsum("ij,ij->i", diff, diff)
+            sandwich *= self.gram
+            sandwich = sandwich.reshape(np.shape(us))
+        inverse = edge_quadratic_forms(inverse, us, vs)
         k = self.count
         if k:
             # bᵀp_j and bᵀcorr_j for every term and pair.
@@ -628,20 +557,31 @@ class _DeferredPair:
             inverse = inverse - self.alphas[:k] @ (dp * dp)
         return sandwich, inverse
 
-    def columns(
-        self, u: int, v: int, base_columns: np.ndarray | list
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def columns(self, u: int, v: int) -> np.ndarray:
         """P b and Y b of the current matrices, b the endpoint difference
-        vector of (u, v), O(n k) past base_columns, the base's columns of (u, v)."""
-        # Row 0 of steps holds the base column differences and row j + 1
+        vector of (u, v): column slices once Y is formed, else P's rows
+        P[u] - P[v] (P is symmetric) and one matrix-vector product
+        s P (P b); O(n k) more for k pending terms."""
+        inverse, k = self.inverse, self.count
+        # Row 0 of steps holds the held matrices' columns and row j + 1
         # what term j adds, -alpha_j (bᵀp_j) p_j and (bᵀcorr_j) p_j + (bᵀp_j)
         # corr_j. numpy sums the rows one at a time in order, as updating the
         # matrices move by move would add them: when a term cancels most of
-        # the base, the terms after it keep their digits, where a sum of the
-        # terms formed first would round them to the cancelled size.
-        k = self.count
+        # the held matrix, the terms after it keep their digits, where a sum
+        # of the terms formed first would round them to the cancelled size.
         steps = np.empty((2, k + 1, len(self.diagonal)))
-        steps[0, 0], steps[1, 0] = base_columns[self.column], base_columns[self.column + 1]
+        if self.sandwich is not None:
+            # A fold leaves the matrices short of bit-symmetric: read columns.
+            steps[0, 0] = inverse[:, u] - inverse[:, v]
+            steps[1, 0] = self.sandwich[:, u] - self.sandwich[:, v]
+        elif np.ndim(inverse) == 0:
+            # c Π b = c b, and s (c Π)² b = s c² b.
+            steps[:, 0] = 0.0
+            steps[:, 0, u] = inverse, self.gram * inverse * inverse
+            steps[:, 0, v] = -steps[:, 0, u]
+        else:
+            column = inverse[u] - inverse[v]
+            steps[0, 0], steps[1, 0] = column, self.gram * (inverse @ column)
         if k:
             dp, dc = (self.terms[:k, :, u] - self.terms[:k, :, v]).T
             ps, corrs = self.terms[:k, 0], self.terms[:k, 1]
@@ -651,7 +591,7 @@ class _DeferredPair:
         return steps.sum(axis=1)
 
     def update_term(
-        self, u: int, v: int, coefficient: float, base_columns: np.ndarray | list
+        self, u: int, v: int, coefficient: float
     ) -> tuple[np.ndarray, np.ndarray, float]:
         """Term (p, corr, alpha) of A += c b bᵀ, b the endpoint
         difference vector of (u, v), from the columns p = P b and z = Y b;
@@ -661,7 +601,7 @@ class _DeferredPair:
         identity applies to these pseudo-inverses unchanged. Callers test the
         denominator first, by _checked_move.
         """
-        p, z = self.columns(u, v, base_columns)
+        p, z = self.columns(u, v)
         # alpha keeps this update's own rounding of bᵀP b, p[u] - p[v].
         alpha = coefficient / (1.0 + coefficient * (p[u] - p[v]))
         sandwich_quad = z[u] - z[v]
@@ -680,12 +620,12 @@ class _DeferredPair:
         self.diagonal -= (alpha * np.dot(self.gram, p)) * p
         self.count = k + 1
 
-    def fold(self, base: _FormedBase) -> None:
-        """Add every pending term to the formed base's matrices."""
-        self._add_terms(base.matrices[self.column], 0)
-        self._add_terms(base.matrices[self.column + 1], 1)
+    def fold(self) -> None:
+        """Add every pending term to the formed P and Y."""
+        self._add_terms(self.inverse, 0)
+        self._add_terms(self.sandwich, 1)
         self.count = 0
-        self.diagonal = base.diagonal(self.column)
+        self.diagonal = self._gram_diagonal()
 
     def _add_terms(self, matrix: np.ndarray, which: int) -> None:
         """Add the pending terms of P (which 0) or Y (1) to a matrix in place,
@@ -706,10 +646,17 @@ class _DeferredPair:
             rows = slice(start, start + UPDATE_BLOCK_ROWS)
             matrix[rows] += left[:, rows].T @ right
 
-    def current(self, base: _InverseBase | _FormedBase, which: int) -> np.ndarray:
-        """A copy of P (which 0) or Y (1), its base's matrix plus its own
-        terms, as a fold now would leave it."""
-        matrix = base.matrix(self.column + which)
+    def current(self, which: int) -> np.ndarray:
+        """A new copy of P (which 0) or Y (1) with its pending terms, as a
+        fold now would leave it; Y by _gram_sandwich while unformed."""
+        held = self.sandwich if which else self.inverse
+        if held is not None and np.ndim(held):
+            matrix = held.copy()
+        else:
+            inverse = self.inverse
+            if np.ndim(inverse) == 0:
+                inverse = _scaled_projector(inverse, self.terms.shape[2])
+            matrix = _gram_sandwich(inverse, self.gram) if which else inverse
         self._add_terms(matrix, which)
         return matrix
 
@@ -728,117 +675,113 @@ class EdgeFormCaches:
       lap_pinv_gram    lap_pinv @ output_gram @ lap_pinv
       shift_pinv_gram  shift_pinv @ output_gram @ shift_pinv
 
-    Each is a base matrix plus the pending terms of the updates since the
-    last fold (_DeferredPair). Both operators share one base, in one of two
-    forms that answer the same reads: an _InverseBase, the two
-    pseudo-inverses, read in O(n) per pair and one O(n^2) product per
-    operator per move, or a _FormedBase of the four matrices. build leaves
-    a named output's base as the pseudo-inverses and forms a custom
-    output's. The sandwiches are formed, the pending terms left pending, at
-    the first fold and at the start of the design run whose claim takes the
-    rows claimed on these caches past n² / BASE_READ_DIVISOR (_plan):
-    short runs that score few pairs never form them, and a long or wide
-    one forms them at its start. Nothing else forms the base: a read,
-    whether of forms, of a move's columns or of the four attributes (new
-    copies of the current matrices), changes nothing that a later read or
-    move sees. The design loop never reads the attributes, since its reads
-    add the pending terms themselves.
+    Each operator holds its own pseudo-inverse and sandwich plus the pending
+    terms of the updates since its last fold (_DeferredPair). A named
+    output's sandwiches start unformed, read from the pseudo-inverse in
+    O(n) per pair and one O(n^2) product per move; a custom output's are
+    formed at construction. Both operators' sandwiches are formed together
+    (_form), the pending terms left pending, at the first fold and at the
+    start of the design run whose claim takes the rows claimed on these
+    caches past n² / BASE_READ_DIVISOR (_plan): short runs that score few
+    pairs never form them, and a long or wide one forms them at its start.
+    Nothing else forms them: a read, whether of forms, of a move's columns
+    or of the four attributes (new copies of the current matrices), changes
+    nothing that a later read or move sees. The design loop never reads the
+    attributes, since its reads add the pending terms themselves.
 
     The Laplacian, edited in place by every update, and the output gram
     ride along so trace-form evaluations need no extra state. output_gram
     is a custom output's dense CᵀC, or a named output's scale s: s times
-    the centering projector is never formed.
+    the centering projector is never formed. inverses holds L⁺ and S⁺ (S⁺
+    the scale 2/pi at zero delay); DomainError when s Tr(L⁺²) or a custom
+    output's sandwich leaves the float range, as for weights below about
+    1e-154.
     """
 
     def __init__(
-        self, laplacian: np.ndarray, delay: float, base: _InverseBase | _FormedBase
+        self, laplacian: np.ndarray, delay: float, output_gram: np.ndarray | float,
+        inverses: list,
     ) -> None:
         self.laplacian = laplacian
-        self.output_gram = base.gram
+        self.output_gram = output_gram
         self.delay = delay
-        self._base = base
         # Reads the design runs' plans have claimed, in rows (_plan).
         self._claimed = 0
-        self._lap = _DeferredPair(base, 0)
-        self._shift = _DeferredPair(base, 2)
+        message = "the weights leave the float range in the design caches"
+        with _typed_overflow(message, DomainError):
+            if np.ndim(output_gram) == 0:
+                flat = inverses[0].ravel()
+                if not np.isfinite(output_gram * np.dot(flat, flat)):
+                    raise DomainError(message)
+            n = len(laplacian)
+            self._lap, self._shift = (_DeferredPair(p, output_gram, n) for p in inverses)
 
     @property
     def lap_pinv(self) -> np.ndarray:
-        return self._lap.current(self._base, 0)
+        return self._lap.current(0)
 
     @property
     def shift_pinv(self) -> np.ndarray:
-        return self._shift.current(self._base, 0)
+        return self._shift.current(0)
 
     @property
     def lap_pinv_gram(self) -> np.ndarray:
-        return self._lap.current(self._base, 1)
+        return self._lap.current(1)
 
     @property
     def shift_pinv_gram(self) -> np.ndarray:
-        return self._shift.current(self._base, 1)
+        return self._shift.current(1)
+
+    def _form(self) -> None:
+        """Form both operators' sandwiches, if not yet formed."""
+        self._lap.form()
+        self._shift.form()
 
     def _plan(self, moves: int, pairs: int) -> None:
         """Claim the reads that `moves` moves scoring `pairs` pairs each would
         make, in rows of a move's products (PAIR_READ_ROWS a pair, n a
-        move), and form the matrices now once the claims on these caches
+        move), and form the sandwiches now once the claims on these caches
         pass n² / BASE_READ_DIVISOR rows: the matrices serve the rest for
         less."""
         n = len(self.laplacian)
         self._claimed += moves * (PAIR_READ_ROWS * pairs + n)
         if self._claimed > n * n / BASE_READ_DIVISOR:
-            self._base = self._base.formed()
+            self._form()
 
     @classmethod
     def build(
-        cls, laplacian: np.ndarray, output_gram: np.ndarray | float, delay: float,
-        spectrum: SpectralCache | None = None,
+        cls, laplacian: np.ndarray, output_gram: np.ndarray | float, delay: float
     ) -> "EdgeFormCaches":
         """The caches of a Laplacian L at a delay, without an eigh of L where
-        its grounded Cholesky factors certify the verdict.
-
-        S = (pi/2) Π - delay L (Π the centering projector) has L's eigenvectors
-        and eigenvalues mu = pi/2 - delay lambda, every one > 0 exactly when
-        check_stability finds the delay stable. build factors L and S
-        grounded (_grounded_pinv; at zero delay S⁺ is (2/pi) Π, kept as its
-        scale) and keeps the factors' pseudo-inverses when both factors
-        succeed and their traces certify eigh's verdict: 1/Tr(L⁺) <= lambda_2
-        clears the n eps lambda_max floor of SpectralCache.nonzero_eigenvalues,
-        and 1/Tr(S⁺) <= min mu clears the n eps (pi/2) band of eigh's rounding
-        of delay lambda_max, each by FACTOR_MARGIN. Otherwise, and whenever a
-        spectrum is given, it reads the pseudo-inverses from eigh's
-        eigenvectors, after the checks of the spectrum (DisconnectedGraph,
-        DomainError) and of the delay (UnstableNetwork): so every verdict and
-        error is that of an eigh of L. Raises DomainError on a delay outside
-        [0, inf), and when s Tr(L⁺²), s the gram's scale, or a custom
-        output's sandwich leaves the float range, as for weights below about
-        1e-154. A custom output's sandwiches are formed now. The caches edit
-        a copy of the Laplacian (_built_base builds the base alone).
-        """
-        return cls(laplacian.copy(), delay, _built_base(laplacian, output_gram, delay, spectrum))
+        its grounded Cholesky factors certify the verdict (_pseudo_inverses).
+        The caches edit a copy of the Laplacian."""
+        return cls(laplacian.copy(), delay, output_gram, _pseudo_inverses(laplacian, delay))
 
 
-def _built_base(
-    laplacian: np.ndarray, output_gram: np.ndarray | float, delay: float,
-    spectrum: SpectralCache | None = None,
-) -> _InverseBase | _FormedBase:
-    """The base of EdgeFormCaches.build, which documents it; the Laplacian
-    is only read, so DesignState.from_graph hands its caches its own."""
+def _pseudo_inverses(laplacian: np.ndarray, delay: float) -> list:
+    """[L⁺, S⁺] of a Laplacian L at a delay, S⁺ the scale 2/pi at zero delay;
+    the Laplacian is only read.
+
+    S = (pi/2) Π - delay L (Π the centering projector) has L's eigenvectors
+    and eigenvalues mu = pi/2 - delay lambda, every one > 0 exactly when
+    check_stability finds the delay stable. Both are factored grounded
+    (_grounded_pinv), and the factors' pseudo-inverses are kept when both
+    factors succeed and their traces certify eigh's verdict: 1/Tr(L⁺) <=
+    lambda_2 clears the n eps lambda_max floor of
+    SpectralCache.nonzero_eigenvalues, and 1/Tr(S⁺) <= min mu clears the
+    n eps (pi/2) band of eigh's rounding of delay lambda_max, each by
+    FACTOR_MARGIN (_factored_inverses). Otherwise they are read from one
+    eigh's eigenvectors, after the checks of the spectrum
+    (DisconnectedGraph, DomainError) and of the delay (UnstableNetwork):
+    so every verdict and error is that of an eigh of L. Raises DomainError
+    on a delay outside [0, inf).
+    """
     if not 0.0 <= delay < np.inf:
         raise DomainError("delay must be nonnegative")
-    inverses = None if spectrum is not None else _factored_inverses(laplacian, delay)
+    inverses = _factored_inverses(laplacian, delay)
     if inverses is None:
-        if spectrum is None:
-            spectrum = eigendecompose(laplacian)
-        inverses = _spectral_inverses(spectrum, delay)
-    message = "the weights leave the float range in the design caches"
-    with _typed_overflow(message, DomainError):
-        if np.ndim(output_gram) == 0:
-            flat = inverses[0].ravel()
-            if not np.isfinite(output_gram * np.dot(flat, flat)):
-                raise DomainError(message)
-            return _InverseBase(output_gram, inverses)
-        return _InverseBase(output_gram, inverses).formed()
+        inverses = _spectral_inverses(eigendecompose(laplacian), delay)
+    return inverses
 
 
 def _factored_inverses(laplacian: np.ndarray, delay: float) -> list | None:
@@ -916,9 +859,8 @@ def _edge_forms(caches: EdgeFormCaches, us: np.ndarray | int, vs: np.ndarray | i
     enters the fit with a factor tau, so at zero delay it adds an exact zero. A read
     that overflows, as after many moves at the stability bound, raises SingularUpdate."""
     with _typed_overflow("the cached edge forms leave the float range"):
-        base_forms = caches._base.forms(us, vs)
-        lap_gram, lap = caches._lap.forms(us, vs, base_forms)
-        shift_gram, shift = caches._shift.forms(us, vs, base_forms)
+        lap_gram, lap = caches._lap.forms(us, vs)
+        shift_gram, shift = caches._shift.forms(us, vs)
     forms = [lap_gram, lap, shift_gram, shift, edge_quadratic_forms(caches.output_gram, us, vs)]
     return [float(form) for form in forms] if np.ndim(us) == 0 else forms
 
@@ -961,8 +903,8 @@ def sherman_morrison_update(caches: EdgeFormCaches, edge: Edge, dweight: float) 
     dweight > 0 adds weight, dweight < 0 removes it, down to zero at most and
     never from an absent pair; a zero change writes nothing. Each operator
     keeps the change as one pending term of n-vectors, O(n k) with k terms
-    pending, past the base's columns (one O(n^2) product per operator while
-    the sandwiches are not formed; a custom gram adds another). Every
+    pending, past its held matrices' columns (one O(n^2) product while its
+    sandwich is not formed). Every
     PENDING_TERM_CAP-th update forms the sandwiches if they are not yet
     formed and folds the terms into the matrices, O(n^2 k). The Laplacian
     is edited in place.
@@ -977,14 +919,12 @@ def sherman_morrison_update(caches: EdgeFormCaches, edge: Edge, dweight: float) 
     coefficients = ((caches._lap, dweight), (caches._shift, -caches.delay * dweight))
     # Both terms are formed before either is kept, so an error leaves every cache as it was.
     with _typed_overflow(f"{dweight} on edge {u, v} leaves a cached term non-finite"):
-        # One read gives both operators' base columns.
-        columns = caches._base.columns(u, v)
-        terms = [(pair, pair.update_term(u, v, c, columns)) for pair, c in coefficients if c != 0.0]
+        terms = [(pair, pair.update_term(u, v, c)) for pair, c in coefficients if c != 0.0]
     for pair, term in terms:
         pair.add_term(*term)
         if pair.count == PENDING_TERM_CAP:
-            caches._base = caches._base.formed()
-            pair.fold(caches._base)
+            caches._form()
+            pair.fold()
     lap = caches.laplacian
     lap[u, u] += dweight
     lap[v, v] += dweight

@@ -29,6 +29,7 @@ from .graphs import (
     WeightedGraph,
     _checked_move,
     _edge_forms,
+    _typed_overflow,
     eigendecompose,
 )
 
@@ -247,20 +248,24 @@ def _nonzero_modes(spectrum: SpectralCache, out: OutputSpec) -> tuple[np.ndarray
 
 
 def _modal_sum(lam: np.ndarray, weights: np.ndarray, delay: float) -> float:
-    """Sum of weighted modal variances of _nonzero_modes at a stable delay."""
-    if delay == 0.0:
-        return float(np.sum(weights * 0.5 / lam))
-    return float(np.sum(weights * _profile(lam * delay) * 0.5 / lam))
+    """Sum of weighted modal variances of _nonzero_modes at a stable delay;
+    DomainError where it leaves the float range."""
+    with _typed_overflow("the modal variances leave the float range", DomainError):
+        if delay == 0.0:
+            return float(np.sum(weights * 0.5 / lam))
+        return float(np.sum(weights * _profile(lam * delay) * 0.5 / lam))
 
 
 def _fit_sum(lam: np.ndarray, weights: np.ndarray, delay: float) -> float:
     """_modal_sum with the closed-form fit of each modal variance,
     0.5 (1/lam + delay ((4/pi)/(pi/2 - x) + offset + slope x)), x = lam delay:
     delay times the fit of _profile(x)/(2x) with delay/x read as 1/lam, which
-    stays finite at subnormal delays where 1/x overflows."""
+    stays finite at subnormal delays where 1/x overflows. DomainError where
+    the sum leaves the float range."""
     x = lam * delay
-    terms = 1.0 / lam + delay * ((4.0 / math.pi) / (math.pi / 2.0 - x) + FIT_OFFSET + FIT_SLOPE * x)
-    return float(np.sum(weights * 0.5 * terms))
+    with _typed_overflow("the fitted modal variances leave the float range", DomainError):
+        fit = (4.0 / math.pi) / (math.pi / 2.0 - x) + FIT_OFFSET + FIT_SLOPE * x
+        return float(np.sum(weights * 0.5 * (1.0 / lam + delay * fit)))
 
 
 def rho_exact(spectrum: SpectralCache, out: OutputSpec, delay: float) -> float:
@@ -362,7 +367,20 @@ def _sign_change(slope: Callable[[float], float], lo: float, hi: float) -> float
 
 def sensitivities(caches: EdgeFormCaches, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     """sensitivity for every pair (us[i], vs[i]) at once; endpoints unchecked."""
-    return _fit_slope(_edge_forms(caches, us, vs), caches.delay, 0.0)
+    return _checked_slopes(_edge_forms(caches, us, vs), caches.delay)
+
+
+def _checked_slopes(forms: list, tau: float) -> np.ndarray | float:
+    """_fit_slope at zero weight on these _edge_forms; DomainError where a
+    slope leaves the float range, as (2 tau²/pi) q_shift_gram can near the
+    threshold of tiny weights. One pair's Python floats overflow to inf
+    without a FloatingPointError, so the result is checked too."""
+    message = "a sensitivity leaves the float range"
+    with _typed_overflow(message, DomainError):
+        slopes = _fit_slope(forms, tau, 0.0)
+    if not np.isfinite(slopes).all():
+        raise DomainError(message)
+    return slopes
 
 
 def sensitivity(caches: EdgeFormCaches, edge: tuple[int, int]) -> float:
@@ -372,7 +390,7 @@ def sensitivity(caches: EdgeFormCaches, edge: tuple[int, int]) -> float:
     (marginal addition). At zero delay it reduces to the exact derivative
     of 0.5 Tr[gram @ lap_pinv].
     """
-    return float(_fit_slope(_checked_move(caches, edge, 0.0)[1], caches.delay, 0.0))
+    return float(_checked_slopes(_checked_move(caches, edge, 0.0)[1], caches.delay))
 
 
 def monotonicity_threshold(max_weighted_degree: float) -> float:

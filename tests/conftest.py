@@ -31,7 +31,6 @@ from tdconsensus import (
     rho_approx,
     rho_exact,
 )
-from tdconsensus.graphs import _FormedBase
 
 # Property tests replay one fixed example sequence and write no example
 # database, so runs are repeatable.
@@ -189,8 +188,16 @@ def fresh_caches(graph: WeightedGraph, out: OutputSpec, delay: float) -> EdgeFor
     c = output_matrix(out)
     gram = c.T @ c
     lap_pinv, shift_pinv = grounded_pinv(lap), grounded_pinv(delay_shift_matrix(lap, delay))
-    matrices = [lap_pinv, lap_pinv @ gram @ lap_pinv, shift_pinv, shift_pinv @ gram @ shift_pinv]
-    return EdgeFormCaches(laplacian=lap, delay=delay, base=_FormedBase(gram, matrices))
+    return _explicit_caches(lap, delay, gram, [lap_pinv, shift_pinv])
+
+
+def _explicit_caches(lap, delay, gram, pinvs) -> EdgeFormCaches:
+    """Caches on these pseudo-inverses of a dense gram, each operator's
+    sandwich set to the explicit product P @ gram @ P."""
+    caches = EdgeFormCaches(laplacian=lap, delay=delay, output_gram=gram, inverses=pinvs)
+    for pair, pinv in zip((caches._lap, caches._shift), pinvs):
+        pair.sandwich = pinv @ gram @ pinv
+    return caches
 
 
 # Digits of the high-precision references below, and the largest graph they
@@ -275,12 +282,7 @@ def reference_caches(graph: WeightedGraph, out: OutputSpec, delay: float) -> Edg
     passes 1e-10; the sandwiches P @ CᵀC @ P, float64 products of the
     rounded inverses, lose only about n eps of their norm."""
     c = output_matrix(out)
-    gram = c.T @ c
-    matrices = []
-    for pinv in _reference_pinvs(graph, delay):
-        matrices += [pinv, pinv @ gram @ pinv]
-    base = _FormedBase(gram, matrices)
-    return EdgeFormCaches(laplacian=graph.laplacian(), delay=delay, base=base)
+    return _explicit_caches(graph.laplacian(), delay, c.T @ c, _reference_pinvs(graph, delay))
 
 
 def spectrum_of(graph: WeightedGraph) -> SpectralCache:
@@ -309,6 +311,25 @@ def tracked_matrices(caches: EdgeFormCaches) -> tuple[np.ndarray, ...]:
         caches.lap_pinv_gram,
         caches.shift_pinv_gram,
     )
+
+
+def held_matrices(caches: EdgeFormCaches) -> list:
+    """Each operator's held pseudo-inverse and sandwich (None until formed),
+    the objects themselves: lap_pinv, lap_pinv_gram, shift_pinv and
+    shift_pinv_gram, in that order."""
+    return [m for pair in (caches._lap, caches._shift) for m in (pair.inverse, pair.sandwich)]
+
+
+def holds(caches: EdgeFormCaches, held: list) -> bool:
+    """Whether each operator still holds these held_matrices, object for object."""
+    return all(ours is theirs for ours, theirs in zip(held_matrices(caches), held))
+
+
+def sandwiches_formed(caches: EdgeFormCaches) -> bool:
+    """Whether the two operators' sandwiches are formed; they are formed together."""
+    formed = [pair.sandwich is not None for pair in (caches._lap, caches._shift)]
+    assert formed[0] == formed[1], formed
+    return formed[0]
 
 
 def max_cache_drift(incremental: EdgeFormCaches, reference: EdgeFormCaches) -> float:

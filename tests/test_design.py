@@ -46,9 +46,12 @@ from conftest import (
     exact_measure,
     fit_measure,
     fresh_caches,
+    held_matrices,
+    holds,
     oracle_40_digits,
     output_matrix,
     random_connected_graph,
+    sandwiches_formed,
     spectrum_of,
     spread_weights,
     stable_delay,
@@ -61,8 +64,6 @@ from tdconsensus.graphs import (
     PENDING_TERM_CAP,
     BASE_READ_DIVISOR,
     _edge_forms,
-    _FormedBase,
-    _InverseBase,
 )
 from tdconsensus.performance import _fit_slope, _nonzero_modes, sensitivities
 
@@ -981,7 +982,7 @@ def test_sensitivities_are_the_fit_slope_at_zero_weight():
 def _sensitivity_moves(seed: int, count: int):
     """(forms, delay, cap, weight) of every grow_by_sensitivity move on count
     small graphs, with the forms the driver read for the pair it moved on:
-    how a base forms its matrices depends on the reads too, so a replay
+    when the caches form their sandwiches depends on the reads too, so a replay
     that reads less may read other roundings. One graph in four has weights
     six decades apart."""
     rng = np.random.default_rng(seed)
@@ -1160,6 +1161,24 @@ def test_grow_by_sensitivity_stops_without_negative_slopes():
     assert trace.termination == "no negative sensitivity"
 
 
+def test_slopes_past_the_float_range_raise_domain_error():
+    # On path(6) with weights 1e-145 at (1 - 1e-12) of the threshold, the
+    # slope's (2 tau²/pi) q_shift_gram term overflows on every pair:
+    # grow_by_sensitivity read each slope as +inf, with a RuntimeWarning,
+    # and returned an empty trace with "no negative sensitivity".
+    g = WeightedGraph.path(6, 1e-145)
+    pairs = [(u, v) for u in range(6) for v in range(u + 2, 6)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state = DesignState.from_graph(g, OutputSpec.centering(6), stable_delay(g, 1.0 - 1e-12))
+        with pytest.raises(DomainError, match="sensitivity leaves the float range"):
+            grow_by_sensitivity(state, pairs, budget=3)
+        for pair in pairs:
+            with pytest.raises(DomainError, match="sensitivity leaves the float range"):
+                sensitivity(state.caches, pair)
+    assert state.graph == g
+
+
 def test_grow_by_sensitivity_pinned_selections():
     # pinned picks and stopping reasons at two delays
     g = WeightedGraph(
@@ -1200,8 +1219,8 @@ def test_each_traced_fit_is_the_cache_read_after_its_move():
     # The fit is read from the caches, not summed over moves: replaying the
     # moves on fresh caches reproduces every traced fit to the bit. At
     # n <= BASE_READ_DIVISOR one move's n rows reach the n² / 10 a driver's
-    # plan may claim, so each driver formed the base at its start, and the
-    # replay forms it likewise.
+    # plan may claim, so each driver formed the sandwiches at its start, and
+    # the replay forms them likewise.
     g = random_connected_graph(
         np.random.default_rng(41), min_nodes=8, max_nodes=10, extra_edge_prob=0.4
     )
@@ -1221,9 +1240,9 @@ def test_each_traced_fit_is_the_cache_read_after_its_move():
             trace = driver(state)
             assert any(entry.action != "skip" for entry in trace.entries)
             assert state.rho_fit == rho_approx_from_caches(state.caches)
-            assert isinstance(state.caches._base, _FormedBase)
+            assert sandwiches_formed(state.caches)
             replay = DesignState.from_graph(g, out, tau).caches
-            replay._base = replay._base.formed()
+            replay._form()
             for entry in trace.entries:
                 if entry.action != "skip":
                     sherman_morrison_update(replay, entry.edge, entry.weight)
@@ -1232,8 +1251,8 @@ def test_each_traced_fit_is_the_cache_read_after_its_move():
 
 def test_reading_the_caches_changes_no_later_move():
     # Reads add the pending update terms without folding them, and never
-    # form the base, so a run that reads between and after its drivers
-    # matches one that does not, bit for bit: across a fold, and on a base
+    # form the sandwiches, so a run that reads between and after its drivers
+    # matches one that does not, bit for bit: across a fold, and on caches
     # whose sandwiches stay unformed however many rows the reads gather.
     g = random_connected_graph(
         np.random.default_rng(43), min_nodes=30, max_nodes=30, extra_edge_prob=0.1
@@ -1284,7 +1303,7 @@ def test_reading_the_caches_changes_no_later_move():
         if read:
             read_all(state)
         traces.append(grow_by_sensitivity(state, absent[3:5], budget=1))
-        assert isinstance(state.caches._base, _InverseBase)
+        assert not sandwiches_formed(state.caches)
         return traces, state.rho_fit
 
     traces, rho_fit = unformed_run(read=True)
@@ -1304,26 +1323,26 @@ def test_a_run_that_would_pass_the_read_budget_forms_the_matrices_at_its_start()
     g = random_connected_graph(np.random.default_rng(47), min_nodes=100, max_nodes=100)
     state = DesignState.from_graph(g, OutputSpec.centering(100), stable_delay(g, 0.3), audit=False)
     caches = state.caches
-    base = caches._base
-    assert caches._claimed == 0
+    held = held_matrices(caches)
+    assert not sandwiches_formed(caches) and caches._claimed == 0
     entries = tuple((u, v, 0.2) for u, v in _absent_pairs(g)[:9])
     assert len(grow_simple(state, CandidateSet(entries=entries[:3], budget=1)).entries) == 1
-    assert caches._base is base and caches._claimed == 148
+    assert holds(caches, held) and caches._claimed == 148
     us, vs = np.triu_indices(100, 1)
     _edge_forms(caches, us, vs)
-    assert caches._base is base and caches._claimed == 148
+    assert holds(caches, held) and caches._claimed == 148
     claims = []
-    formed = base.formed
+    form = caches._form
 
     def recording():
         claims.append((caches._claimed, caches._lap.count))
-        return formed()
+        form()
 
-    base.formed = recording
+    caches._form = recording
     move = 6 * PAIR_READ_ROWS + 100
     assert 148 + 4 * move <= 100 * 100 / BASE_READ_DIVISOR < 148 + 5 * move
     assert len(grow_simple(state, CandidateSet(entries=entries[3:], budget=5)).entries) == 5
-    assert claims == [(148 + 5 * move, 1)] and isinstance(caches._base, _FormedBase)
+    assert claims == [(148 + 5 * move, 1)] and sandwiches_formed(caches)
 
 
 # --- reweight ---

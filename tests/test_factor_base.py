@@ -2,10 +2,10 @@
 
 EdgeFormCaches.build keeps the pseudo-inverses of the grounded factors when
 their trace bounds certify the verdict an eigh of the Laplacian would give,
-and reads them from that eigh otherwise; a given spectrum takes the eigh
-route. These tests hold the two routes to the same matrices, the factor
-route to eigh's verdicts at the stability threshold, and from_graph to
-about three n x n arrays of memory.
+and reads them from that eigh otherwise (graphs._spectral_inverses). These
+tests hold the two routes to the same matrices, the factor route to eigh's
+verdicts at the stability threshold, and from_graph to about three n x n
+arrays of memory.
 """
 
 import math
@@ -22,7 +22,7 @@ from tdconsensus import (
     check_stability,
     eigendecompose,
 )
-from tdconsensus.graphs import _factored_inverses
+from tdconsensus.graphs import _factored_inverses, _spectral_inverses
 from conftest import output_matrix, random_connected_graph, tracked_matrices
 from test_graphs import BUILD_REFERENCE_BOUND
 
@@ -49,7 +49,9 @@ def test_the_factor_and_eigh_routes_build_the_same_caches(n):
         assert _factored_inverses(lap, delay) is not None, fraction
         for out in _outputs(n):
             factored = EdgeFormCaches.build(lap, out.gram(), delay)
-            spectral = EdgeFormCaches.build(lap, out.gram(), delay, eigendecompose(lap))
+            spectral = EdgeFormCaches(
+                lap.copy(), delay, out.gram(), _spectral_inverses(eigendecompose(lap), delay)
+            )
             for ours, ref in zip(tracked_matrices(factored), tracked_matrices(spectral)):
                 drift = float(np.max(np.abs(ours - ref)) / np.max(np.abs(ref)))
                 assert drift <= BUILD_REFERENCE_BOUND, (out.kind, fraction, drift)

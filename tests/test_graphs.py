@@ -36,10 +36,13 @@ from conftest import (
     centering_matrix,
     delay_shift_matrix,
     fresh_caches,
+    held_matrices,
+    holds,
     max_cache_drift,
     output_matrix,
     random_connected_graph,
     reference_caches,
+    sandwiches_formed,
     spread_weights,
     stable_delay,
     tracked_matrices,
@@ -49,8 +52,6 @@ from tdconsensus.graphs import (
     PENDING_TERM_CAP,
     BASE_READ_DIVISOR,
     _edge_forms,
-    _FormedBase,
-    _InverseBase,
     edge_quadratic_forms,
 )
 
@@ -258,7 +259,7 @@ def test_zero_delay_updates_leave_the_shift_caches_as_they_are():
 
 def test_zero_delay_shift_forms_are_their_offsets_to_the_bit():
     # At zero delay S⁺ is (2/pi) Π, which build keeps as the scale 2/pi and
-    # never factors or forms, so every pair's base shift forms are Π's
+    # never factors or forms, so every pair's shift forms are Π's
     # alone: 2 (2/pi) = 4/pi and 2 s (2/pi)², which is 8 s / pi² as floats
     # round it. Moves leave them as they are, and these wide reads leave
     # the sandwiches unformed.
@@ -272,17 +273,17 @@ def test_zero_delay_shift_forms_are_their_offsets_to_the_bit():
                 s = OutputSpec(kind, n).gram()
                 expected = (np.full(len(us), 2.0 * (s * c * c)), np.full(len(us), 2.0 * c))
                 caches = EdgeFormCaches.build(g.laplacian(), s, 0.0)
-                base = caches._base
-                assert isinstance(base, _InverseBase)
-                assert base.inverses[1] == c
-                assert np.array_equal(base.forms(us, vs)[3], expected[0])
-                assert np.array_equal(base.forms(us, vs)[2], expected[1])
+                held = held_matrices(caches)
+                assert not sandwiches_formed(caches)
+                assert caches._shift.inverse == c
+                for ours, exact in zip(caches._shift.forms(us, vs), expected):
+                    assert np.array_equal(ours, exact)
                 u, v, w = g.edges[0]
                 sherman_morrison_update(caches, (u, v), -0.5 * w)
                 sherman_morrison_update(caches, (0, n - 1), 0.7)
                 for ours, exact in zip(_edge_forms(caches, us, vs)[2:4], expected):
                     assert np.array_equal(ours, exact)
-                assert caches._base is base
+                assert holds(caches, held)
 
 
 def test_laplacian_rows_sum_to_zero():
@@ -426,7 +427,7 @@ def test_eigh_puts_a_kernel_that_sorts_later_first():
 def test_pseudo_inverse_needs_eigenvectors():
     lap = WeightedGraph.path(4).laplacian()
     with pytest.raises(DomainError, match="no eigenvectors"):
-        EdgeFormCaches.build(lap, 1.0, 0.1, eigendecompose(lap, vectors=False))
+        eigendecompose(lap, vectors=False).nonzero_eigenvectors
 
 
 def test_build_refuses_a_negative_spectrum_or_delay():
@@ -634,8 +635,7 @@ def _move_columns(caches: EdgeFormCaches, u: int, v: int) -> list:
     """P b and Y b of both operators' current matrices, b = e_u - e_v, as a
     move on (u, v) reads them: lap_pinv, lap_pinv_gram, shift_pinv and
     shift_pinv_gram, in that order."""
-    columns = caches._base.columns(u, v)
-    return [c for pair in (caches._lap, caches._shift) for c in pair.columns(u, v, columns)]
+    return [c for pair in (caches._lap, caches._shift) for c in pair.columns(u, v)]
 
 
 def _assert_reads_match_the_reference(caches, graph, out, delay, rng) -> None:
@@ -661,13 +661,13 @@ def _assert_reads_match_the_reference(caches, graph, out, delay, rng) -> None:
 
 @pytest.mark.parametrize("fraction", [0.0, 0.3, 0.9])
 def test_spectral_reads_match_the_explicit_reference(fraction):
-    # A named output's caches read their bases from the two pseudo-inverses
-    # until a fold forms the sandwiches, however many rows the reads gather;
-    # a custom output's hold the four matrices from the start. Either way
+    # A named output's caches read their sandwiches from the two
+    # pseudo-inverses until a fold forms them, however many rows the reads
+    # gather; a custom output's hold the four matrices from the start. Either way
     # the edge forms, a move's columns and the kept diagonals match the
     # 40-digit reference before the first fold and after it, on graphs one
     # in four of whose weights span six decades. Reading the four matrices
-    # changes neither base's form. The fold forms both operators'
+    # leaves each operator's held matrices as they are. The fold forms both operators'
     # sandwiches, at zero delay too, where the shifted operator takes no
     # terms. (Against the float64 reference a column on a six-decade graph
     # read 9.1e-11 of the bound's 1e-10: the reference's own conditioning.)
@@ -681,57 +681,57 @@ def test_spectral_reads_match_the_explicit_reference(fraction):
         del outputs["custom-tall"]
         for name, out in outputs.items():
             caches = DesignState.from_graph(g, out, delay, audit=False).caches
-            assert isinstance(caches._base, _FormedBase) == name.startswith("custom")
+            assert sandwiches_formed(caches) == name.startswith("custom")
             graph = g
             for move in range(PENDING_TERM_CAP + 3):
                 if move in (0, 1, PENDING_TERM_CAP - 1, PENDING_TERM_CAP + 2):
                     _assert_reads_match_the_reference(caches, graph, out, delay, rng)
-                    base = caches._base
+                    held = held_matrices(caches)
                     tracked_matrices(caches)
-                    assert caches._base is base
+                    assert holds(caches, held)
                 if move == PENDING_TERM_CAP + 2:
                     break
                 u, v, w = graph.edges[int(rng.integers(graph.edge_count))]
                 factor = float(rng.uniform(0.01, 0.1))
                 sherman_morrison_update(caches, (u, v), -factor * w)
                 graph = graph.without_edge(u, v).with_edge(u, v, w - factor * w)
-            assert isinstance(caches._base, _FormedBase)
+            assert sandwiches_formed(caches)
 
 
 def test_reads_past_the_budget_leave_the_sandwiches_unformed():
     # Only a design run's plan (n² / BASE_READ_DIVISOR rows claimed) and a
     # fold form the sandwiches: reads that gather many times that many rows
-    # of the pseudo-inverses, before and after a move, leave the base as it
-    # is, claim nothing, and match the explicit reference. So does copying
-    # the four matrices.
+    # of the pseudo-inverses, before and after a move, leave each operator's
+    # held matrices as they are, claim nothing, and match the explicit
+    # reference. So does copying the four matrices.
     rng = np.random.default_rng(83)
     g = random_connected_graph(rng, min_nodes=100, max_nodes=100)
     out = OutputSpec.centering(g.node_count)
     delay = stable_delay(g, 0.5)
     caches = DesignState.from_graph(g, out, delay, audit=False).caches
-    base = caches._base
-    assert isinstance(base, _InverseBase)
+    held = held_matrices(caches)
+    assert not sandwiches_formed(caches)
     tracked_matrices(caches)
     reference = fresh_caches(g, out, delay)
     us, vs = np.triu_indices(g.node_count, 1)
     assert PAIR_READ_ROWS * len(us) > 100 * 100 / BASE_READ_DIVISOR
     for ours, ref in zip(_edge_forms(caches, us, vs), _edge_forms(reference, us, vs)):
         assert _relative_drift(ours, ref) <= BUILD_REFERENCE_BOUND
-    assert caches._base is base
+    assert holds(caches, held)
     u, v = next((int(u), int(v)) for u, v in zip(us, vs) if not g.has_edge(u, v))
     sherman_morrison_update(caches, (u, v), 0.5)
     reference = fresh_caches(g.with_edge(u, v, 0.5), out, delay)
     for ours, ref in zip(_edge_forms(caches, us, vs), _edge_forms(reference, us, vs)):
         assert _relative_drift(ours, ref) <= BUILD_REFERENCE_BOUND
-    assert caches._base is base and isinstance(base, _InverseBase)
+    assert holds(caches, held) and not sandwiches_formed(caches)
     assert caches._claimed == 0
     assert caches._lap.count == caches._shift.count == 1
 
 
 def test_reading_every_pair_of_a_dense_graph_gathers_a_block_at_a_time():
-    # An _InverseBase gathers UPDATE_BLOCK_ROWS pairs' rows of each
-    # pseudo-inverse at a time: the forms of all 19,900 pairs of
-    # complete(200), which leave the base as every read does, peak at the
+    # An unformed sandwich's forms gather UPDATE_BLOCK_ROWS pairs' rows of
+    # its pseudo-inverse at a time: the forms of all 19,900 pairs of
+    # complete(200), which leave the sandwiches unformed as every read does, peak at the
     # five result arrays and a block's temporaries, about 1.5 MB, where whole
     # gathers would take three 19,900 x 200 arrays, about 95 MB.
     n = 200
@@ -745,7 +745,7 @@ def test_reading_every_pair_of_a_dense_graph_gathers_a_block_at_a_time():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert isinstance(caches._base, _InverseBase) and len(forms[0]) == len(us)
+    assert not sandwiches_formed(caches) and len(forms[0]) == len(us)
     assert peak < 4 * 2**20, peak
 
 
@@ -760,11 +760,11 @@ def test_forming_the_matrices_adds_only_the_two_sandwiches():
             WeightedGraph.complete(n), OutputSpec.centering(n), 0.001, audit=False
         ).caches
         tracemalloc.reset_peak()
-        caches._base = caches._base.formed()
+        caches._form()
         current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert isinstance(caches._base, _FormedBase)
+    assert sandwiches_formed(caches)
     assert peak - current < 0.5 * n * n * 8, (peak - current) / (n * n * 8)
 
 
@@ -924,11 +924,10 @@ def test_an_overflow_forming_the_terms_raises_singular_update_without_a_warning(
     caches = state.caches
 
     def stored():
-        # The base in the form it holds: the four matrices, or the two
-        # pseudo-inverses.
-        base = caches._base
-        arrays = base.matrices if isinstance(base, _FormedBase) else base.inverses
-        return [caches.laplacian.copy()] + [np.copy(m) for m in arrays]
+        # The matrices each operator holds: its pseudo-inverse, and its
+        # sandwich once formed.
+        held = [m for m in held_matrices(caches) if m is not None]
+        return [caches.laplacian.copy()] + [np.copy(m) for m in held]
 
     rng = np.random.default_rng(0)
     with warnings.catch_warnings():

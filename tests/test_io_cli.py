@@ -254,6 +254,18 @@ def test_cli_analyze_prints_a_finite_fit_at_a_subnormal_delay(tmp_path, capsys):
     assert performance["stability_margin"] == math.inf
 
 
+def test_cli_analyze_refuses_a_measure_past_the_float_range(tmp_path, capsys):
+    # It printed "rho_exact": Infinity and "relative_gap": NaN, and exited 0.
+    path = _write_graph(tmp_path, "p15.txt", WeightedGraph.path(15, 1e-297))
+    argv = ["analyze", path, "--tau", "3.970371892902808e+296"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv + ["--output-kind", "complete-incidence"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+    assert "float range" in captured.err
+
+
 _ONE_NODE = WeightedGraph(1, ())
 
 

@@ -702,6 +702,33 @@ def test_one_mode_formulas_stay_finite_where_twice_the_rate_overflows():
     assert mode_variance(1e308, 0.0) == 5e-309
 
 
+# path(15) with weights 1e-297 at (1 - 1e-12) of its stability threshold:
+# its modes' variances, about 1 / lambda each, sum past the float range.
+_HUGE_SUM_GRAPH, _HUGE_SUM_TAU = WeightedGraph.path(15, 1e-297), 3.970371892902808e296
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: performance_report(
+            _HUGE_SUM_GRAPH, OutputSpec.complete_incidence(15), _HUGE_SUM_TAU
+        ),
+        lambda: reweight_scale(_HUGE_SUM_GRAPH, OutputSpec.complete_incidence(15), _HUGE_SUM_TAU),
+        lambda: mode_variance(1e-310, 0.0),
+        lambda: mode_variance_fit(1e-310, 1e-300),
+    ],
+    ids=["report", "reweight", "one-mode", "one-mode-fit"],
+)
+def test_modal_sums_past_the_float_range_raise_domain_error(call):
+    # Each returned inf with a RuntimeWarning: the report's rho_exact, with a
+    # relative_gap of NaN, and reweight_scale's rho_before, which it keeps
+    # for a graph unstable at scale 1.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="leave the float range"):
+            call()
+
+
 NAMED_KINDS = ("centering", "complete-incidence", "orthonormal")
 
 
