@@ -111,9 +111,9 @@ def _base_report(command: str, args: argparse.Namespace, graph: WeightedGraph) -
 def cmd_analyze(args: argparse.Namespace) -> dict:
     graph = load_graph(args.graph)
     out = _load_output_spec(args, graph.node_count)
-    spectrum = eigendecompose(graph.laplacian(), vectors=False)
     # Report first: its disconnected/unstable errors take precedence over lambda_2's.
     performance = performance_report(graph, out, args.tau)
+    spectrum = eigendecompose(graph.laplacian(), vectors=False)
     report = _base_report("analyze", args, graph)
     report["spectrum"] = {
         "lambda_2": spectrum.lambda_2,

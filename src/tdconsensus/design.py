@@ -11,10 +11,10 @@ iteration costs O((n + candidates) k) for the terms, plus, until the
 sandwiches P @ gram @ P are formed, O(n) per candidate for its forms and
 one O(n^2) product per operator for the move's columns. The caches form
 both sandwiches, in O(n^3), at the start of the run whose reads, added to
-those its predecessors claimed, would cost more than that, and at the first
-fold: every PENDING_TERM_CAP moves a fold adds the terms to the matrices
-in O(n^2 k). No read forms them, so reading the caches changes no later
-move.
+those its predecessors claimed, would cost more than that, and nowhere
+else: every PENDING_TERM_CAP moves a fold adds the terms to each
+pseudo-inverse, and to each sandwich once formed, in O(n^2 k). Neither a
+fold nor a read forms them, so reading the caches changes no later move.
 """
 
 from __future__ import annotations
@@ -133,11 +133,12 @@ class DesignState:
     """Mutable design loop state: graph and caches, from which the fit is read.
 
     from_graph builds the caches from the grounded Cholesky factors of the
-    Laplacian and of the delay-shifted operator, and takes one eigh of the
-    Laplacian only where the factors cannot certify its verdict. With
-    audit enabled, every mutation re-eigendecomposes the Laplacian to
-    record the exact measure and stability margin; without it the loop
-    relies on the edge stability bound. A step then costs O((n + m) k) for
+    Laplacian and of the delay-shifted operator, and takes the Laplacian's
+    spectrum (its eigenvalues and eigh's eigenvectors) only where the
+    factors cannot certify its verdict. With audit enabled, every mutation
+    re-eigendecomposes the Laplacian to record the exact measure and
+    stability margin; without it the loop relies on the edge stability
+    bound. A step then costs O((n + m) k) for
     m candidates and k pending update terms, plus O(n m + n^2) for the
     sandwiches' forms and columns until the caches form them (a custom
     output's, formed at build, and its dense gram add O(n^2)), and
@@ -271,7 +272,7 @@ def _greedy(
     caches after its move. A run of up to budget moves that each score up to
     width pairs first claims those reads on the caches (_plan), which form
     their sandwiches now once the claims of every run on them pass about one
-    forming's cost; within the run only a fold forms them.
+    forming's cost; within the run nothing forms them, folds included.
     """
     state.caches._plan(budget, width)
     trace = DesignTrace()
@@ -450,7 +451,7 @@ def grow_by_sensitivity(
         contribution = float(_fit_change(forms, state.delay, weight))
         if contribution >= 0.0:
             return "no improving weight"
-        # eigh reads a graph as disconnected past lambda_max / lambda_2 = 1 / (n eps);
+        # A spectrum reads a graph as disconnected past lambda_max / lambda_2 = 1 / (n eps);
         # lambda_max >= max degree and lambda_2 <= n min degree / (n - 1) put it there.
         degrees = state.caches.laplacian.diagonal().copy()
         degrees[list(best_pair)] += weight

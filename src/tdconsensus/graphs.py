@@ -8,9 +8,9 @@ Conventions used throughout the package:
   all-ones vector in its kernel;
 * a connected graph's Laplacian has kernel exactly span(1): every spectrum
   puts that kernel pair first, its eigenvalue an exact 0, and the rest
-  ascending. eigh finds it as the eigenvector most aligned with the
-  all-ones vector; without eigenvectors, a rank-one shift along 1 grounds
-  it below every other eigenvalue; never by a threshold.
+  ascending. A rank-one shift along 1 grounds the kernel's eigenvalue
+  below every other, and eigh's kernel vector is the one most aligned with
+  the all-ones vector; never by a threshold.
 
 The design caches need no eigendecomposition. They hold the
 pseudo-inverses of the Laplacian L and of the delay-shifted operator
@@ -20,8 +20,9 @@ column the operator is positive definite, and the inverse, padded with
 zeros and centred, is its pseudo-inverse (_grounded_pinv). Each is formed
 in place in one n x n buffer by numpy block recursions. The traces of the
 two pseudo-inverses bound lambda_2 and the smallest pi/2 - delay lambda
-from below; where those bounds cannot certify the verdict that an eigh of
-L would give, EdgeFormCaches.build takes that eigh instead.
+from below; where those bounds cannot certify the verdict that L's
+spectrum would give, EdgeFormCaches.build takes that spectrum, with eigh's
+eigenvectors, instead.
 """
 
 from __future__ import annotations
@@ -45,12 +46,14 @@ from .errors import (
 
 # Relative scale for the singular-update denominator guard.
 SINGULAR_UPDATE_SCALE = 1e-12
-# Rows per block of a fold: each block's rank-k product is a temporary of
-# UPDATE_BLOCK_ROWS x n floats, 800 KB at n = 800, where the whole product
-# would be an n x n one. 64 rows folded no faster at n = 800.
-UPDATE_BLOCK_ROWS = 128
+# Rows per block of every blocked product (_blocks): a fold's rank-k product,
+# a pair read's gathered rows, and the Cholesky joins' products each keep a
+# temporary of BLOCK_ROWS x n floats, 800 KB at n = 800, where the whole
+# product would be an n x n one. 64 rows folded no faster at n = 800.
+BLOCK_ROWS = 128
 # Sherman-Morrison terms an operator keeps pending before it folds them into
-# its matrices; chosen by the sweep recorded in CHANGES.md.
+# its pseudo-inverse, and into its sandwich once that is formed; chosen by
+# the sweep recorded in CHANGES.md.
 PENDING_TERM_CAP = 32
 # While an operator's sandwich is unformed, its reads gather rows of its n x n
 # pseudo-inverse: two rows per pair for the forms, and one matrix-vector
@@ -63,13 +66,11 @@ PENDING_TERM_CAP = 32
 # claim passes it forms the sandwiches at its start (EdgeFormCaches._plan).
 PAIR_READ_ROWS = 16
 BASE_READ_DIVISOR = 10
-# Rows of a leaf of the Cholesky recursions (one LAPACK call on a copy), and
-# of each block of their joins' products: a join's temporaries stay one
-# block of rows wide.
+# Rows of a leaf of the Cholesky recursions (one LAPACK call on a copy).
 FACTOR_LEAF_ROWS = 64
-FACTOR_BLOCK_ROWS = 128
 # A trace bound certifies a verdict of the grounded factors when it clears
-# eigh's rounding band, n * eps times the largest eigenvalue, by this factor.
+# the rounding band of the spectrum's eigenvalues (_grounded_eigenvalues),
+# n * eps times the largest eigenvalue, by this factor.
 FACTOR_MARGIN = 1024.0
 
 Edge = tuple[int, int]
@@ -250,8 +251,8 @@ class WeightedGraph:
 class SpectralCache:
     """Spectrum of a symmetric matrix with the ones vector in its kernel, in
     eigendecompose's one form: the kernel pair at index 0, its eigenvalue an
-    exact 0, the rest ascending. vectors is None for a spectrum taken
-    without eigenvectors.
+    exact 0, the rest ascending. The eigenvalues are the same with or
+    without eigenvectors; vectors is None for a spectrum taken without them.
     """
 
     eigenvalues: np.ndarray
@@ -265,7 +266,7 @@ class SpectralCache:
     def nonzero_eigenvalues(self) -> np.ndarray:
         """Eigenvalues past the kernel, ascending. Raises DisconnectedGraph when
         one is within n * eps * max|eigenvalue| of zero, the backward-error
-        floor of eigh and eigvalsh, and DomainError when one is negative, which
+        floor of eigvalsh, and DomainError when one is negative, which
         no Laplacian eigenvalue is."""
         eigenvalues = self.eigenvalues
         values = eigenvalues[1:]
@@ -309,21 +310,19 @@ def _grounded_eigenvalues(matrix: np.ndarray) -> np.ndarray:
 
 
 def eigendecompose(matrix: np.ndarray, *, vectors: bool = True) -> SpectralCache:
-    """Symmetric eigendecomposition in SpectralCache's form. eigh's kernel
-    pair is the one whose vector is most aligned with the all-ones vector,
-    argmax |1ᵀq|, rotated to the front in place; with vectors=False,
-    eigenvalues only (_grounded_eigenvalues, which skips eigh's accumulation
-    of eigenvectors). Raises DomainError when a value leaves the float range."""
+    """Symmetric eigendecomposition in SpectralCache's form. The eigenvalues
+    always come from _grounded_eigenvalues, so every spectrum of a matrix
+    reads one lambda_max; with vectors=True, eigh supplies the eigenvectors
+    only, its kernel vector, the one most aligned with the all-ones vector
+    (argmax |1ᵀq|), rotated to the front in place. Raises DomainError when a
+    value leaves the float range."""
     try:
+        eigenvalues, basis = _grounded_eigenvalues(matrix), None
         if vectors:
-            eigenvalues, basis = np.linalg.eigh(matrix)
-            # Pairs 0 to kernel move up by one: an n x (kernel + 1) temporary.
+            basis = np.linalg.eigh(matrix)[1]
+            # Columns 0 to kernel move up by one: an n x (kernel + 1) temporary.
             k = int(np.argmax(np.abs(basis.sum(axis=0)))) + 1
-            eigenvalues[:k] = np.roll(eigenvalues[:k], 1)
             basis[:, :k] = np.roll(basis[:, :k], 1, axis=1)
-            eigenvalues[0] = 0.0
-        else:
-            eigenvalues, basis = _grounded_eigenvalues(matrix), None
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigendecomposition failed: {exc}") from exc
     except FloatingPointError as exc:
@@ -368,10 +367,10 @@ def is_bridge(graph: WeightedGraph, edge: Edge) -> bool:
 
 
 def _blocks(n: int, *, reverse: bool = False):
-    """(start, end) of the FACTOR_BLOCK_ROWS-row blocks of range(n), last first if reverse."""
-    starts = range(0, n, FACTOR_BLOCK_ROWS)
+    """(start, end) of the BLOCK_ROWS-row blocks of range(n), last first if reverse."""
+    starts = range(0, n, BLOCK_ROWS)
     for start in reversed(starts) if reverse else starts:
-        yield start, min(start + FACTOR_BLOCK_ROWS, n)
+        yield start, min(start + BLOCK_ROWS, n)
 
 
 def _invert_cholesky_factor(a: np.ndarray) -> None:
@@ -381,7 +380,7 @@ def _invert_cholesky_factor(a: np.ndarray) -> None:
     rows or fewer is np.linalg.cholesky then inv, and a join, with C21 =
     A21 W11ᵀ, forms the Schur complement A22 - C21 C21ᵀ, recurses on it and
     writes W21 = -W22 C21 W11 over A21. Each product goes a block of
-    FACTOR_BLOCK_ROWS at a time, in the order that leaves every block it
+    BLOCK_ROWS at a time, in the order that leaves every block it
     still reads unwritten, and skips the triangular factors' zero halves, so
     no temporary is larger than a block. Raises LinAlgError where a leaf is
     not numerically positive definite."""
@@ -454,7 +453,7 @@ def _grounded_pinv(matrix: np.ndarray) -> np.ndarray:
     # Π G Π = G - (r_i + r_j - mean r), r the row means: symmetric to the bit.
     means = matrix.mean(axis=1)
     mean = means.mean()
-    centre = np.empty((FACTOR_BLOCK_ROWS, n))
+    centre = np.empty((BLOCK_ROWS, n))
     for start, end in _blocks(n):
         rows = np.add(means[start:end, None], means, out=centre[: end - start])
         rows -= mean
@@ -483,17 +482,19 @@ class _DeferredPair:
     the current diag(gram @ P), kept term by term. P is an n x n array, or
     at zero delay the shifted operator's scale 2/pi, standing for (2/pi) Π
     as a named output's gram scale s stands for s Π. Y is None until formed
-    (form): until then its edge form is s ‖P[u] - P[v]‖² and its column s P (P b),
-    read from P's rows; a custom output's dense gram forms it at once.
-    Pending term j is two n-vectors, p_j and corr_j, and a scalar alpha_j:
+    (form): until then held Y is s P P, its edge form s ‖P[u] - P[v]‖² and
+    its column s P (P b), read from held P's rows; a custom output's dense
+    gram forms it at once. Pending term j is two n-vectors, p_j and corr_j,
+    and a scalar alpha_j:
 
         P = held P - sum_j alpha_j p_j p_jᵀ
         Y = held Y + sum_j (p_j corr_jᵀ + corr_j p_jᵀ)
 
     Reads add the terms themselves and change nothing: a whole matrix is
     read as a new copy. add_term keeps a term; once PENDING_TERM_CAP are
-    pending, sherman_morrison_update forms Y and fold adds the terms to
-    both matrices, by one blocked rank-k product each.
+    pending, sherman_morrison_update folds them (fold): P's into P, and Y's
+    into Y once formed, by one blocked rank-k product each. An unformed Y
+    is read from the folded P, so its terms lapse with the fold.
     """
 
     def __init__(self, inverse: np.ndarray | float, gram: np.ndarray | float, n: int) -> None:
@@ -529,9 +530,9 @@ class _DeferredPair:
 
     def forms(self, us: np.ndarray | int, vs: np.ndarray | int) -> tuple:
         """Edge forms of the current Y and P at the pairs: O(1) per pair once
-        Y is formed, else O(n) for Y's, whose rows of P are gathered
-        UPDATE_BLOCK_ROWS pairs at a time, so the temporaries stay that many
-        rows whatever the number of pairs; O(k) more for k pending terms."""
+        Y is formed, else O(n) for Y's, whose rows of P are gathered a block
+        of pairs at a time (_blocks), so the temporaries stay BLOCK_ROWS rows
+        whatever the number of pairs; O(k) more for k pending terms."""
         inverse = self.inverse
         if self.sandwich is not None:
             sandwich = edge_quadratic_forms(self.sandwich, us, vs)
@@ -541,10 +542,9 @@ class _DeferredPair:
         else:
             pairs_u, pairs_v = np.ravel(us), np.ravel(vs)
             sandwich = np.empty(len(pairs_u))
-            for start in range(0, len(pairs_u), UPDATE_BLOCK_ROWS):
-                block = slice(start, start + UPDATE_BLOCK_ROWS)
-                diff = inverse[pairs_u[block]] - inverse[pairs_v[block]]
-                sandwich[block] = np.einsum("ij,ij->i", diff, diff)
+            for start, end in _blocks(len(pairs_u)):
+                diff = inverse[pairs_u[start:end]] - inverse[pairs_v[start:end]]
+                sandwich[start:end] = np.einsum("ij,ij->i", diff, diff)
             sandwich *= self.gram
             sandwich = sandwich.reshape(np.shape(us))
         inverse = edge_quadratic_forms(inverse, us, vs)
@@ -560,8 +560,8 @@ class _DeferredPair:
     def columns(self, u: int, v: int) -> np.ndarray:
         """P b and Y b of the current matrices, b the endpoint difference
         vector of (u, v): column slices once Y is formed, else P's rows
-        P[u] - P[v] (P is symmetric) and one matrix-vector product
-        s P (P b); O(n k) more for k pending terms."""
+        P[u] - P[v] (P is symmetric, to its last bits after a fold) and one
+        matrix-vector product s P (P b); O(n k) more for k pending terms."""
         inverse, k = self.inverse, self.count
         # Row 0 of steps holds the held matrices' columns and row j + 1
         # what term j adds, -alpha_j (bᵀp_j) p_j and (bᵀcorr_j) p_j + (bᵀp_j)
@@ -621,16 +621,19 @@ class _DeferredPair:
         self.count = k + 1
 
     def fold(self) -> None:
-        """Add every pending term to the formed P and Y."""
+        """Add every pending term to P, and to Y if it is formed: an unformed
+        Y is read from P, which now holds its terms."""
         self._add_terms(self.inverse, 0)
-        self._add_terms(self.sandwich, 1)
+        if self.sandwich is not None:
+            self._add_terms(self.sandwich, 1)
         self.count = 0
         self.diagonal = self._gram_diagonal()
 
     def _add_terms(self, matrix: np.ndarray, which: int) -> None:
         """Add the pending terms of P (which 0) or Y (1) to a matrix in place,
-        UPDATE_BLOCK_ROWS rows at a time: P -= (alpha p)ᵀ p, or Y += [p; corr]ᵀ
-        [corr; p] over the stacked terms. Both triangles stay stored."""
+        a block of rows at a time (_blocks): P -= (alpha p)ᵀ p, or Y +=
+        [p; corr]ᵀ [corr; p] over the stacked terms. Both triangles stay
+        stored."""
         k = self.count
         if not k:
             return
@@ -642,9 +645,8 @@ class _DeferredPair:
         else:
             left = self.terms[:k].reshape(2 * k, n)
             right = self.terms[:k, ::-1].reshape(2 * k, n)
-        for start in range(0, n, UPDATE_BLOCK_ROWS):
-            rows = slice(start, start + UPDATE_BLOCK_ROWS)
-            matrix[rows] += left[:, rows].T @ right
+        for start, end in _blocks(n):
+            matrix[start:end] += left[:, start:end].T @ right
 
     def current(self, which: int) -> np.ndarray:
         """A new copy of P (which 0) or Y (1) with its pending terms, as a
@@ -677,15 +679,15 @@ class EdgeFormCaches:
 
     Each operator holds its own pseudo-inverse and sandwich plus the pending
     terms of the updates since its last fold (_DeferredPair). A named
-    output's sandwiches start unformed, read from the pseudo-inverse in
-    O(n) per pair and one O(n^2) product per move; a custom output's are
-    formed at construction. Both operators' sandwiches are formed together
-    (_form), the pending terms left pending, at the first fold and at the
-    start of the design run whose claim takes the rows claimed on these
-    caches past n² / BASE_READ_DIVISOR (_plan): short runs that score few
-    pairs never form them, and a long or wide one forms them at its start.
-    Nothing else forms them: a read, whether of forms, of a move's columns
-    or of the four attributes (new copies of the current matrices), changes
+    output's sandwiches start unformed, read from the pseudo-inverse, across
+    folds too, in O(n) per pair and one O(n^2) product per move; a custom
+    output's are formed at construction. One rule forms a named output's:
+    both together, the pending terms left pending, at the start of the
+    design run whose claim takes the rows claimed on these caches past
+    n² / BASE_READ_DIVISOR (_plan). Short runs that score few pairs never
+    form them, and a long or wide one forms them at its start. Nothing else
+    forms them: a fold, or a read, whether of forms, of a move's columns or
+    of the four attributes (new copies of the current matrices), changes
     nothing that a later read or move sees. The design loop never reads the
     attributes, since its reads add the pending terms themselves.
 
@@ -732,11 +734,6 @@ class EdgeFormCaches:
     def shift_pinv_gram(self) -> np.ndarray:
         return self._shift.current(1)
 
-    def _form(self) -> None:
-        """Form both operators' sandwiches, if not yet formed."""
-        self._lap.form()
-        self._shift.form()
-
     def _plan(self, moves: int, pairs: int) -> None:
         """Claim the reads that `moves` moves scoring `pairs` pairs each would
         make, in rows of a move's products (PAIR_READ_ROWS a pair, n a
@@ -746,15 +743,16 @@ class EdgeFormCaches:
         n = len(self.laplacian)
         self._claimed += moves * (PAIR_READ_ROWS * pairs + n)
         if self._claimed > n * n / BASE_READ_DIVISOR:
-            self._form()
+            self._lap.form()
+            self._shift.form()
 
     @classmethod
     def build(
         cls, laplacian: np.ndarray, output_gram: np.ndarray | float, delay: float
     ) -> "EdgeFormCaches":
-        """The caches of a Laplacian L at a delay, without an eigh of L where
-        its grounded Cholesky factors certify the verdict (_pseudo_inverses).
-        The caches edit a copy of the Laplacian."""
+        """The caches of a Laplacian L at a delay, without an eigendecomposition
+        of L where its grounded Cholesky factors certify the verdict
+        (_pseudo_inverses). The caches edit a copy of the Laplacian."""
         return cls(laplacian.copy(), delay, output_gram, _pseudo_inverses(laplacian, delay))
 
 
@@ -766,15 +764,17 @@ def _pseudo_inverses(laplacian: np.ndarray, delay: float) -> list:
     and eigenvalues mu = pi/2 - delay lambda, every one > 0 exactly when
     check_stability finds the delay stable. Both are factored grounded
     (_grounded_pinv), and the factors' pseudo-inverses are kept when both
-    factors succeed and their traces certify eigh's verdict: 1/Tr(L⁺) <=
-    lambda_2 clears the n eps lambda_max floor of
+    factors succeed and their traces certify the spectrum's verdict:
+    1/Tr(L⁺) <= lambda_2 clears the n eps lambda_max floor of
     SpectralCache.nonzero_eigenvalues, and 1/Tr(S⁺) <= min mu clears the
-    n eps (pi/2) band of eigh's rounding of delay lambda_max, each by
-    FACTOR_MARGIN (_factored_inverses). Otherwise they are read from one
-    eigh's eigenvectors, after the checks of the spectrum
-    (DisconnectedGraph, DomainError) and of the delay (UnstableNetwork):
-    so every verdict and error is that of an eigh of L. Raises DomainError
-    on a delay outside [0, inf).
+    n eps (pi/2) band of the rounding of delay lambda_max, each by
+    FACTOR_MARGIN (_factored_inverses). Otherwise they are read from L's
+    spectrum (eigendecompose: eigh's eigenvectors, and the eigenvalues that
+    every spectrum of L reads), after the checks of the spectrum
+    (DisconnectedGraph, DomainError) and of the delay (UnstableNetwork): so
+    every verdict and error is that of L's spectrum, as check_stability and
+    performance_report read it. Raises DomainError on a delay outside
+    [0, inf).
     """
     if not 0.0 <= delay < np.inf:
         raise DomainError("delay must be nonnegative")
@@ -787,8 +787,8 @@ def _pseudo_inverses(laplacian: np.ndarray, delay: float) -> list:
 def _factored_inverses(laplacian: np.ndarray, delay: float) -> list | None:
     """[L⁺, S⁺] from the grounded Cholesky factors (S⁺ the scale 2/pi at zero
     delay), or None where a factor fails or its trace bound does not clear
-    eigh's band by FACTOR_MARGIN (EdgeFormCaches.build). lambda_max is
-    bounded by the largest absolute row sum (Gershgorin)."""
+    the spectrum's rounding band by FACTOR_MARGIN (EdgeFormCaches.build).
+    lambda_max is bounded by the largest absolute row sum (Gershgorin)."""
     n = len(laplacian)
     if n < 2:
         return None
@@ -813,10 +813,11 @@ def _factored_inverses(laplacian: np.ndarray, delay: float) -> list | None:
 
 
 def _spectral_inverses(spectrum: SpectralCache, delay: float) -> list:
-    """[L⁺, S⁺] read from L's eigenvectors V (S⁺ the scale 2/pi at zero
-    delay), each V diag(g) Vᵀ by BLAS syrk, after the spectrum's checks and
-    the delay's: L⁺ has g = 1/lambda, and S⁺ = (2/pi) Π + V diag(a) Vᵀ with
-    a = (2/pi) delay lambda / mu, Π's entries added in place."""
+    """[L⁺, S⁺] read from L's spectrum, eigenvalues lambda and eigenvectors V
+    (S⁺ the scale 2/pi at zero delay), each V diag(g) Vᵀ by BLAS syrk, after
+    the spectrum's checks and the delay's: L⁺ has g = 1/lambda, and S⁺ =
+    (2/pi) Π + V diag(a) Vᵀ with a = (2/pi) delay lambda / mu, Π's entries
+    added in place."""
     lam = spectrum.nonzero_eigenvalues
     shifted = np.pi / 2.0 - delay * lam
     if shifted.min() <= 0.0:
@@ -904,10 +905,9 @@ def sherman_morrison_update(caches: EdgeFormCaches, edge: Edge, dweight: float) 
     never from an absent pair; a zero change writes nothing. Each operator
     keeps the change as one pending term of n-vectors, O(n k) with k terms
     pending, past its held matrices' columns (one O(n^2) product while its
-    sandwich is not formed). Every
-    PENDING_TERM_CAP-th update forms the sandwiches if they are not yet
-    formed and folds the terms into the matrices, O(n^2 k). The Laplacian
-    is edited in place.
+    sandwich is not formed). Every PENDING_TERM_CAP-th update folds the
+    terms into the pseudo-inverse, and into the sandwich if it is formed,
+    O(n^2 k); a fold forms nothing. The Laplacian is edited in place.
     Raises what _checked_move (and so edge_contribution) raises, and
     SingularUpdate for an overflow or NaN forming the terms, changing nothing.
     """
@@ -923,7 +923,6 @@ def sherman_morrison_update(caches: EdgeFormCaches, edge: Edge, dweight: float) 
     for pair, term in terms:
         pair.add_term(*term)
         if pair.count == PENDING_TERM_CAP:
-            caches._form()
             pair.fold()
     lap = caches.laplacian
     lap[u, u] += dweight

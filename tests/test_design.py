@@ -33,6 +33,7 @@ from tdconsensus import (
     grow_random,
     grow_simple,
     make_output_spec,
+    performance_report,
     reweight_scale,
     rho_approx,
     rho_approx_from_caches,
@@ -166,7 +167,8 @@ def test_from_graph_takes_no_eigh_where_the_factors_certify_the_verdict(monkeypa
     # from the grounded Cholesky factors, for every output from zero delay to
     # 0.99 of the threshold: no eigh and no eigvalsh. Within FACTOR_MARGIN
     # n eps of the threshold the trace bound cannot certify the verdict, and
-    # from_graph takes one eigh of the Laplacian, never more.
+    # from_graph takes the Laplacian's spectrum, never more: its eigenvalues
+    # from one eigvalsh, as every spectrum's, then eigh's eigenvectors.
     rng = np.random.default_rng(41)
     states, near = [], []
     for _ in range(6):
@@ -201,7 +203,7 @@ def test_from_graph_takes_no_eigh_where_the_factors_certify_the_verdict(monkeypa
             DesignState.from_graph(g, out, tau, audit=False)
         except UnstableNetwork:
             pass
-        assert calls == ["eigh"], tau
+        assert calls == ["eigvalsh", "eigh"], tau
 
 
 def test_from_graph_verdict_at_the_stability_threshold():
@@ -238,6 +240,40 @@ def test_from_graph_verdict_at_the_stability_threshold():
                     DesignState.from_graph(g, out, tau, audit=False)
     # The nominal threshold misses the float one on some of these graphs.
     assert 0 < out_of_range < len(graphs)
+
+
+def test_every_entry_point_reads_one_verdict_at_the_threshold():
+    # Every spectrum takes its eigenvalues from one eigvalsh, so at pi /
+    # (2 lambda_max), for eigh's lambda_max and for eigvalsh's, and one float
+    # either side, check_stability on a spectrum with and without
+    # eigenvectors, performance_report and from_graph all reach one verdict,
+    # for centering and for its custom twin C = I - J/n. eigh's and eigvalsh's
+    # lambda_max differ by a few ulps, so entry points that read both would
+    # split the verdict on many of these delays.
+    rng = np.random.default_rng(53)
+    disagreements = []
+    for _ in range(40):
+        g = random_connected_graph(rng, min_nodes=5, max_nodes=60, extra_edge_prob=0.2)
+        lap = g.laplacian()
+        spectra = [eigendecompose(lap), eigendecompose(lap, vectors=False)]
+        centering = OutputSpec.centering(g.node_count)
+        outputs = [centering, OutputSpec.custom(output_matrix(centering))]
+        delays = set()
+        for lam_max in (np.linalg.eigh(lap)[0][-1], spectra[1].lambda_max):
+            nominal = math.pi / (2.0 * float(lam_max))
+            delays |= {nominal, math.nextafter(nominal, 0.0), math.nextafter(nominal, 4.0)}
+        for tau in sorted(delays):
+            verdicts = [check_stability(spectrum, tau).stable for spectrum in spectra]
+            for out in outputs:
+                for entry in (performance_report, DesignState.from_graph):
+                    try:
+                        entry(g, out, tau)
+                        verdicts.append(True)
+                    except UnstableNetwork:
+                        verdicts.append(False)
+            if len(set(verdicts)) > 1:
+                disagreements.append((g.node_count, tau, verdicts))
+    assert disagreements == []
 
 
 # --- contribution formula ---
@@ -1242,7 +1278,8 @@ def test_each_traced_fit_is_the_cache_read_after_its_move():
             assert state.rho_fit == rho_approx_from_caches(state.caches)
             assert sandwiches_formed(state.caches)
             replay = DesignState.from_graph(g, out, tau).caches
-            replay._form()
+            for pair in (replay._lap, replay._shift):
+                pair.form()
             for entry in trace.entries:
                 if entry.action != "skip":
                     sherman_morrison_update(replay, entry.edge, entry.weight)
@@ -1332,17 +1369,43 @@ def test_a_run_that_would_pass_the_read_budget_forms_the_matrices_at_its_start()
     _edge_forms(caches, us, vs)
     assert holds(caches, held) and caches._claimed == 148
     claims = []
-    form = caches._form
+    for pair in (caches._lap, caches._shift):
 
-    def recording():
-        claims.append((caches._claimed, caches._lap.count))
-        form()
+        def recording(form=pair.form):
+            claims.append((caches._claimed, caches._lap.count))
+            form()
 
-    caches._form = recording
+        pair.form = recording
     move = 6 * PAIR_READ_ROWS + 100
     assert 148 + 4 * move <= 100 * 100 / BASE_READ_DIVISOR < 148 + 5 * move
     assert len(grow_simple(state, CandidateSet(entries=entries[3:], budget=5)).entries) == 5
-    assert claims == [(148 + 5 * move, 1)] and sandwiches_formed(caches)
+    assert claims == [(148 + 5 * move, 1)] * 2 and sandwiches_formed(caches)
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.3])
+def test_a_fold_leaves_unformed_sandwiches_unformed(tau):
+    # 34 chords (i, i + 5) on path(640): the run's plan claims 34 (34
+    # PAIR_READ_ROWS + 640) = 40,256 rows, under 640² / BASE_READ_DIVISOR =
+    # 40,960, so its sandwiches stay unformed through the fold at the 32nd
+    # move, which adds the terms to the pseudo-inverses alone. The picks and
+    # every traced fit match a replay on caches formed before the first move.
+    n = 640
+    g = WeightedGraph.path(n)
+    out = OutputSpec.centering(n)
+    candidates = CandidateSet(entries=tuple((i, i + 5, 0.05) for i in range(34)), budget=34)
+    assert 34 * (34 * PAIR_READ_ROWS + n) < n * n / BASE_READ_DIVISOR
+    state = DesignState.from_graph(g, out, tau)
+    trace = grow_simple(state, candidates)
+    assert not sandwiches_formed(state.caches)
+    assert state.caches._lap.count == 34 - PENDING_TERM_CAP
+    formed = DesignState.from_graph(g, out, tau)
+    for pair in (formed.caches._lap, formed.caches._shift):
+        pair.form()
+    replay = grow_simple(formed, candidates)
+    assert [entry.action for entry in trace.entries] == ["add"] * 34
+    assert [entry.edge for entry in trace.entries] == [entry.edge for entry in replay.entries]
+    for ours, theirs in zip(trace.entries, replay.entries):
+        assert abs(ours.rho_fit - theirs.rho_fit) <= 1e-12 * abs(theirs.rho_fit)
 
 
 # --- reweight ---

@@ -195,6 +195,13 @@ def test_cli_exit_codes(tmp_path, capsys):
     disconnected = tmp_path / "disc.txt"
     disconnected.write_text("n 4\n0 1 1.0\n2 3 1.0\n")
     assert main(["analyze", str(disconnected), "--tau", "0.1"]) == 3
+    # Degrees past the float range do not change that: analyze took its own
+    # spectrum before the report's connectivity check and exited 1 there.
+    overflowing = tmp_path / "disc-huge.txt"
+    overflowing.write_text("n 4\n0 1 1e308\n0 2 1e308\n")
+    for command in ("analyze", "reweight", "simulate"):
+        assert main([command, str(overflowing), "--tau", "0.1"]) == 3, command
+        assert "disconnected" in capsys.readouterr().err
 
     unstable = _write_graph(tmp_path, "k3.txt", WeightedGraph.complete(3))
     assert main(["analyze", unstable, "--tau", "0.6"]) == 4
